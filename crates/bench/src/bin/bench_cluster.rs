@@ -1,8 +1,7 @@
 //! Fleet-simulator benchmark: an 8-replica heterogeneous fleet under a
 //! diurnal+burst trace, every sharing system × routing policy, an
-//! N-replica scaling curve, a **thread-scaling** curve over the
-//! parallel fleet clock, and a pool-dispatch microbenchmark. Writes
-//! `BENCH_cluster.json`.
+//! N-replica scaling curve, and the optional chaos, elastic, tiers and
+//! scale-out sections. Writes `BENCH_cluster.json`.
 //!
 //! The headline question is the cluster layer's: with a fleet of
 //! spatially-shared GPUs behind one arrival stream, how much fleet-wide
@@ -13,32 +12,22 @@
 //! shifts load — the gate at the bottom asserts join-shortest-backlog or
 //! SLO-aware p2c beats round-robin on fleet p99 for SGDRC.
 //!
-//! The thread-scaling section cannot sweep `SGDRC_THREADS` in-process —
-//! the persistent pool honors it once, at build — so the binary
-//! re-executes itself (`--scale-probe` / `--pool-probe`) with the env
-//! set per child: every point is measured by a pool genuinely built
-//! with that worker count. On a 1-CPU box the curve is recorded as
-//! *oversubscribed* (threads > cores share one CPU) and the
-//! pool-dispatch microbenchmark — persistent pool vs. the per-call
-//! `thread::scope` dispatch it replaced — carries the perf claim
-//! instead.
+//! The fleet clock is single-threaded, so every wall time here is one
+//! core's; `SGDRC_THREADS` does not affect this binary.
 //!
-//! `--smoke` shrinks horizons and skips the gates; CI runs it on every
-//! push.
+//! `--smoke` shrinks horizons and skips the timing-sensitive gates; CI
+//! runs it on every push.
 
 use gpu_spec::GpuModel;
 use sgdrc_bench::json::Json;
 use sgdrc_bench::trace_export::{perfetto_trace, validate_trace};
 use std::time::Instant;
 use workload::chaos::{FaultEvent, FaultKind, FaultPlan};
-use workload::cluster::{
-    ClockKind, ClusterConfig, ClusterCtx, ClusterResult, ControllerConfig, RouterKind,
-};
+use workload::cluster::{ClusterConfig, ClusterCtx, ClusterResult, ControllerConfig, RouterKind};
 use workload::elastic::{
     ElasticConfig, ScaleCause, ScaleEventKind, ScalingPolicyKind, ThresholdPolicy, WarmPoolConfig,
 };
 use workload::runner::Deployment;
-use workload::sweep::{run_sweep, SweepGrid, SweepOptions};
 use workload::telemetry::TelemetryConfig;
 use workload::tiers::{TierConfig, TiersConfig};
 use workload::trace::TraceConfig;
@@ -276,7 +265,7 @@ fn run_elastic_arm(
 }
 
 /// The `--elastic` section: the self-healing elastic fleet's
-/// cost-vs-SLO frontier. Three arms:
+/// cost-vs-SLO frontier. Two arms:
 ///
 /// 1. **autoscaler vs static peak** on the diurnal trace — the
 ///    threshold autoscaler must hold SLO attainment within tolerance
@@ -285,9 +274,7 @@ fn run_elastic_arm(
 /// 2. **crash replacement vs no replacement** under a permanent
 ///    midpoint crash — the self-healing fleet must beat the fleet
 ///    with a hole on availability (gated in smoke too: the scenario
-///    is deterministic);
-/// 3. **bit-identity spot check** — serial == parallel under a
-///    scaling + chaos schedule (gated always).
+///    is deterministic).
 fn run_elastic_bench(smoke: bool, ctx: &mut ClusterCtx) -> (Json, bool) {
     sgdrc_bench::header("elastic — warm-pool autoscaling, SLO-breach draining, crash replacement");
     let mut gates_ok = true;
@@ -404,46 +391,13 @@ fn run_elastic_bench(smoke: bool, ctx: &mut ClusterCtx) -> (Json, bool) {
     let healing_wins = heal_avail > hole_avail && heal.replacements > 0;
     gates_ok &= healing_wins;
 
-    // --- arm 3: serial == parallel under scaling + chaos ------------------
-    let mut id_cfg = ClusterConfig::new(vec![GpuModel::RtxA2000; 3], SystemKind::Sgdrc);
-    id_cfg.horizon_us = if smoke { 1.5e5 } else { 4e5 };
-    id_cfg.trace = fleet_trace(3.0, id_cfg.horizon_us);
-    id_cfg.controller.period_us = 2e4;
-    let mut e = ElasticConfig::new(
-        WarmPoolConfig {
-            provision_delay_us: 1e4,
-            provision_jitter: 0.25,
-            ..WarmPoolConfig::new(vec![GpuModel::RtxA2000; 2])
-        },
-        ScalingPolicyKind::Threshold(ThresholdPolicy {
-            up_backlog: 4.0,
-            ..Default::default()
-        }),
-    );
-    e.min_replicas = 1;
-    e.breach_drain_ticks = 3;
-    e.breach_drain_ratio = 1.2;
-    e.replace_after_us = 4e4;
-    id_cfg.elastic = Some(e);
-    id_cfg.chaos = Some(FaultPlan::generate(11, 5, id_cfg.horizon_us, 1.2));
-    let mut results = Vec::new();
-    for clock in [ClockKind::Parallel, ClockKind::Serial] {
-        let mut c = id_cfg.clone();
-        c.clock = clock;
-        let mut router = RouterKind::P2cSlo.make(c.seed);
-        results.push(workload::run_cluster_in(&c, router.as_mut(), ctx));
-    }
-    let bit_identity = results[0] == results[1];
-    gates_ok &= bit_identity;
-
     println!(
-        "\nelastic gates: SLO within {:.0}pp of static {} | >= {:.0}% replica-s saved {} | healing beats hole {} | serial == parallel {}",
+        "\nelastic gates: SLO within {:.0}pp of static {} | >= {:.0}% replica-s saved {} | healing beats hole {}",
         SLO_TOLERANCE * 100.0,
         slo_held,
         MIN_SAVINGS * 100.0,
         cheaper,
         healing_wins,
-        bit_identity
     );
 
     let json = Json::obj()
@@ -478,14 +432,6 @@ fn run_elastic_bench(smoke: bool, ctx: &mut ClusterCtx) -> (Json, bool) {
                 .set("self_healing", elastic_arm_json(&heal, heal_wall)),
         )
         .set(
-            "bit_identity",
-            Json::obj().set("parallel_equals_serial", bit_identity).set(
-                "arms",
-                "3+2-lane fleet × p2c router × threshold policy × breach drain × \
-                     crash replacement × generated fault plan",
-            ),
-        )
-        .set(
             "gates",
             Json::obj()
                 .set("slo_tolerance", SLO_TOLERANCE)
@@ -493,7 +439,6 @@ fn run_elastic_bench(smoke: bool, ctx: &mut ClusterCtx) -> (Json, bool) {
                 .set("slo_within_tolerance", slo_held)
                 .set("replica_seconds_saved", cheaper)
                 .set("healing_beats_hole", healing_wins)
-                .set("parallel_equals_serial", bit_identity)
                 .set("frontier_enforced", !smoke),
         );
     (json, gates_ok)
@@ -566,8 +511,8 @@ fn tier_attribution_json(r: &ClusterResult, tiers: &TiersConfig) -> Json {
 ///
 /// Gates (deterministic, bind in smoke too): tiered strictly beats
 /// tier-blind on weighted goodput; tier-1 availability under tiers is
-/// at least the no-BE baseline's; serial == parallel on the tiered
-/// arm. The section JSON is round-tripped through the validator.
+/// at least the no-BE baseline's. The section JSON is round-tripped
+/// through the validator.
 fn run_tiers_bench(smoke: bool, ctx: &mut ClusterCtx) -> (Json, bool) {
     sgdrc_bench::header("tiers — tiered SLOs vs tier-blind shedding under crash + diurnal peak");
     let horizon = if smoke { 2.5e5 } else { 1.5e6 };
@@ -636,24 +581,12 @@ fn run_tiers_bench(smoke: bool, ctx: &mut ClusterCtx) -> (Json, bool) {
         );
     }
 
-    // Serial == parallel on the tiered arm (admission, ladder, queues,
-    // per-tier ledgers — the full new machinery under both clocks).
-    let mut results = Vec::new();
-    for clock in [ClockKind::Parallel, ClockKind::Serial] {
-        let mut c = tiered_cfg.clone();
-        c.horizon_us = if smoke { 1.5e5 } else { 4e5 };
-        c.clock = clock;
-        let mut router = RouterKind::P2cSlo.make(c.seed);
-        results.push(workload::run_cluster_in(&c, router.as_mut(), ctx));
-    }
-    let bit_identity = results[0] == results[1];
-
     let tiered_beats_blind = wg(&tiered) > wg(&blind);
     let t1_holds = t1_avail(&tiered) >= t1_avail(&no_be);
-    let gates_ok = tiered_beats_blind && t1_holds && bit_identity;
+    let gates_ok = tiered_beats_blind && t1_holds;
     println!(
-        "\ntiers gates: weighted goodput beats tier-blind {} | tier-1 avail >= no-BE {} | serial == parallel {}",
-        tiered_beats_blind, t1_holds, bit_identity
+        "\ntiers gates: weighted goodput beats tier-blind {} | tier-1 avail >= no-BE {}",
+        tiered_beats_blind, t1_holds
     );
 
     let arm_json = |r: &ClusterResult, wall: f64| {
@@ -718,8 +651,7 @@ fn run_tiers_bench(smoke: bool, ctx: &mut ClusterCtx) -> (Json, bool) {
             "gates",
             Json::obj()
                 .set("weighted_goodput_beats_tier_blind", tiered_beats_blind)
-                .set("tier1_availability_ge_no_be", t1_holds)
-                .set("parallel_equals_serial", bit_identity),
+                .set("tier1_availability_ge_no_be", t1_holds),
         );
     sgdrc_bench::json::validate(&json.pretty()).expect("tiers section is well-formed JSON");
     (json, gates_ok)
@@ -893,126 +825,6 @@ fn run_telemetry_bench(trace_path: Option<&str>, ctx: &mut ClusterCtx) -> (Json,
     (section, overhead_ok)
 }
 
-/// A few µs of deterministic integer churn — the "small task" of the
-/// pool-dispatch microbenchmark.
-fn spin(seed: u64, iters: u32) -> u64 {
-    let mut z = seed;
-    for _ in 0..iters {
-        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z ^= z >> 27;
-    }
-    z
-}
-
-/// Child mode: measure the parallel fleet clock (events/s) and the
-/// sweep fan-out (cells/s) under the pool this process was started
-/// with, and print one machine-readable line for the parent.
-fn run_scale_probe(smoke: bool) {
-    let fleet = headline_fleet();
-    for &g in &[GpuModel::RtxA2000, GpuModel::Gtx1080] {
-        let _ = Deployment::cached(g);
-    }
-    let horizon_us = if smoke { 1.2e5 } else { 8e5 };
-    let mut cfg = ClusterConfig::new(fleet, SystemKind::Sgdrc);
-    cfg.horizon_us = horizon_us;
-    cfg.trace = fleet_trace(5.5, horizon_us);
-    cfg.controller.period_us = 5e4;
-    let mut ctx = ClusterCtx::new();
-    // One warm-up pass (contexts, pool, trace), then the measured run.
-    let _ = run_fleet(&cfg, RouterKind::ShortestBacklog, &mut ctx);
-    let fleet_run = run_fleet(&cfg, RouterKind::ShortestBacklog, &mut ctx);
-
-    let grid = SweepGrid::fig17_style(if smoke { 1.5e3 } else { 3e3 }, if smoke { 1 } else { 3 });
-    let cells = grid.cells();
-    let sweep_start = Instant::now();
-    let sweep = run_sweep(&cells, &SweepOptions::default());
-    let sweep_wall_s = sweep_start.elapsed().as_secs_f64();
-
-    println!(
-        "SCALE_PROBE pool_workers={} fleet_events={} fleet_wall_s={} sweep_cells={} sweep_wall_s={} sweep_events={}",
-        rayon::current_pool_workers(),
-        fleet_run.engine_events,
-        fleet_run.wall_s,
-        sweep.cells.len(),
-        sweep_wall_s,
-        sweep.total_events,
-    );
-}
-
-/// Child mode: dispatch cost of the persistent work-stealing pool vs.
-/// the per-call `thread::scope` dispatch it replaced, on batches of 8
-/// small tasks. Run with `SGDRC_THREADS>1` so both arms actually fan
-/// out.
-fn run_pool_probe() {
-    use rayon::prelude::*;
-    let workers = rayon::current_pool_workers();
-    const TASKS: u64 = 8;
-    const ITERS: u32 = 200;
-    let pool_batches = 2_000u32;
-    let scoped_batches = 300u32;
-    let mut sink = 0u64;
-    let batch_items = || (0..TASKS).collect::<Vec<u64>>();
-
-    for _ in 0..50 {
-        sink ^= batch_items()
-            .into_par_iter()
-            .map(|i| spin(i, ITERS))
-            .collect::<Vec<_>>()
-            .iter()
-            .sum::<u64>();
-    }
-    let start = Instant::now();
-    for _ in 0..pool_batches {
-        sink ^= batch_items()
-            .into_par_iter()
-            .map(|i| spin(i, ITERS))
-            .collect::<Vec<_>>()
-            .iter()
-            .sum::<u64>();
-    }
-    let pool_ns = start.elapsed().as_nanos() as f64 / pool_batches as f64;
-
-    for _ in 0..10 {
-        sink ^= rayon::legacy::scoped_map_vec(batch_items(), workers, &|i| spin(i, ITERS))
-            .iter()
-            .sum::<u64>();
-    }
-    let start = Instant::now();
-    for _ in 0..scoped_batches {
-        sink ^= rayon::legacy::scoped_map_vec(batch_items(), workers, &|i| spin(i, ITERS))
-            .iter()
-            .sum::<u64>();
-    }
-    let scoped_ns = start.elapsed().as_nanos() as f64 / scoped_batches as f64;
-
-    println!(
-        "POOL_PROBE workers={workers} pool_ns_per_batch={pool_ns} scoped_ns_per_batch={scoped_ns} checksum={}",
-        std::hint::black_box(sink)
-    );
-}
-
-/// Re-executes this binary with `SGDRC_THREADS=threads` and the given
-/// probe flag; returns the probe's marker line. Every probe therefore
-/// runs on a pool genuinely built with that worker count — the only way
-/// to sweep a build-time knob.
-fn spawn_probe(flag: &str, threads: usize, smoke: bool) -> Option<String> {
-    let exe = std::env::current_exe().ok()?;
-    let mut cmd = std::process::Command::new(exe);
-    cmd.env(rayon::THREADS_ENV, threads.to_string()).arg(flag);
-    if smoke {
-        cmd.arg("--smoke");
-    }
-    let out = cmd.output().ok()?;
-    if !out.status.success() {
-        return None;
-    }
-    String::from_utf8_lossy(&out.stdout)
-        .lines()
-        .find(|l| l.starts_with("SCALE_PROBE") || l.starts_with("POOL_PROBE"))
-        .map(str::to_string)
-}
-
 /// Peak resident set (`VmHWM`) of this process in MiB, read from
 /// `/proc/self/status`. Process-wide and monotone, so it bounds every
 /// section run so far — good enough to show the 10M-request streaming
@@ -1029,28 +841,16 @@ fn peak_rss_mib() -> f64 {
         .map_or(f64::NAN, |kb| kb / 1024.0)
 }
 
-/// Extracts `key=<number>` from a probe marker line.
-fn probe_field(line: &str, key: &str) -> f64 {
-    line.split_whitespace()
-        .find_map(|tok| tok.strip_prefix(&format!("{key}=")))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(f64::NAN)
-}
-
 /// The `--scale-out` section: the SoA + calendar + streaming fleet
 /// clock at sizes the per-epoch linear scan could not touch. Records a
 /// 1→512 streaming scaling curve (smoke: 64→256 on a short horizon, so
-/// CI exercises big fleets on every push), spot-checks the calendar
-/// clock against the retained serial oracle, and — on full runs — gates
-/// the 512-replica clock at ≥2× the recorded pre-PR clock's events/s at
-/// the diurnal-trough operating point, plus a 512-replica ≥10M-request
-/// streaming headline with bounded memory (zero retained completion
-/// records, peak RSS recorded).
+/// CI exercises big fleets on every push) and — on full runs — a
+/// 512-replica ≥10M-request streaming headline with bounded memory
+/// (zero retained completion records, peak RSS recorded).
 ///
 /// Returns the JSON section and whether every enforced gate passed.
 fn run_scale_out(smoke: bool) -> (Json, bool) {
     sgdrc_bench::header("scale-out — SoA lanes, calendar clock, streaming mode");
-    let threads = sgdrc_bench::ThreadAttribution::capture();
     let mut gates_ok = true;
     let mut ctx = ClusterCtx::new();
 
@@ -1098,163 +898,9 @@ fn run_scale_out(smoke: bool) -> (Json, bool) {
                 .set("slo_attainment", r.slo_attainment())
                 .set("retained_completions", r.retained_completions)
                 .set("wall_s", wall_s)
-                .set("events_per_wall_s", eps)
-                .set("detected_cpus", threads.detected_cpus)
-                .set("pool_workers", rayon::current_pool_workers()),
+                .set("events_per_wall_s", eps),
         );
     }
-
-    // --- calendar clock vs retained serial oracle -------------------------
-    // Full-result equality on the heterogeneous headline fleet, with and
-    // without faults. The exhaustive SystemKind × chaos × clock matrix
-    // lives in the test suite; this spot check makes every bench run
-    // self-verifying.
-    let mut bit_identity = true;
-    for with_chaos in [false, true] {
-        let mut cfg = ClusterConfig::new(headline_fleet(), SystemKind::Sgdrc);
-        cfg.horizon_us = 2e5;
-        cfg.trace = fleet_trace(5.5, cfg.horizon_us);
-        cfg.controller = ControllerConfig {
-            period_us: 5e4,
-            adaptive_ch_be: true,
-            ..Default::default()
-        };
-        if with_chaos {
-            cfg.chaos = Some(FaultPlan::new(vec![FaultEvent::crash(
-                0,
-                0.4 * cfg.horizon_us,
-                0.3 * cfg.horizon_us,
-            )]));
-        }
-        let mut results = Vec::new();
-        for clock in [ClockKind::Parallel, ClockKind::Serial] {
-            let mut c = cfg.clone();
-            c.clock = clock;
-            let mut router = RouterKind::P2cSlo.make(c.seed);
-            results.push(workload::run_cluster_in(&c, router.as_mut(), &mut ctx));
-        }
-        bit_identity &= results[0] == results[1];
-    }
-    println!("calendar clock == serial oracle (chaos & no-chaos): {bit_identity}");
-    gates_ok &= bit_identity;
-
-    // --- 512-replica clock speedup vs the pre-PR clock (full runs) --------
-    // Operating point: the diurnal trough. 512 replicas each at 2% of
-    // peak per-service load, no BE jobs — the regime where almost every
-    // lane is idle at almost every epoch, so per-epoch work that scales
-    // with fleet size instead of with due lanes (the pre-PR busy-list
-    // scan) is pure overhead. At dense load the event pump dominates
-    // both clocks (~61 engine events per request) and no clock can be
-    // much faster than the pump; the calendar's structural win is the
-    // sparse regime, which is also most of a diurnal fleet's day.
-    //
-    // The pre-PR clock no longer exists in this binary, so the gate
-    // compares against its recorded throughput: commit 974c765 built on
-    // this box, same operating point, best of 5 interleaved runs per
-    // arm. `ClockKind::Parallel` was the pre-PR default and is the
-    // baseline; its serial arm is recorded alongside for transparency.
-    // A recorded baseline is only valid when the box is as fast as it
-    // was when recorded, so the serial reference arm (measured live,
-    // in-binary) doubles as a calibration canary: if it lands >15%
-    // below its own recorded calm-box rate, the gate reports
-    // `inconclusive_box_load` instead of a spurious pass/fail.
-    let speedup_json = if smoke {
-        Json::obj().set("skipped", true)
-    } else {
-        // Recorded on this box at pre-PR HEAD 974c765 (512 replicas,
-        // apollo ×10.24, no BE, horizon 1e7 µs, p2c-slo, period 5e4).
-        const PREPR_GIT: &str = "974c765";
-        const PREPR_DEFAULT_EPS: f64 = 2_334_266.0; // ClockKind::Parallel (pre-PR default), best of 5
-        const PREPR_SERIAL_EPS: f64 = 2_945_215.0; // ClockKind::Serial, best of 5
-                                                   // This binary's serial reference arm at the same point on a
-                                                   // calm box — the canary's reference rate.
-        const SERIAL_REF_CALM_EPS: f64 = 3_320_000.0;
-
-        let n = 512;
-        let horizon = 1e7;
-        let trough_cfg = |clock: ClockKind, streaming: bool| {
-            let mut cfg = ClusterConfig::new(vec![GpuModel::RtxA2000; n], SystemKind::Sgdrc);
-            cfg.horizon_us = horizon;
-            cfg.trace = TraceConfig::apollo_like().scaled(0.02 * n as f64);
-            cfg.be_jobs = Vec::new();
-            cfg.controller.period_us = 5e4;
-            cfg.streaming = streaming;
-            cfg.clock = clock;
-            cfg
-        };
-        // Interleave the arms and keep each one's best wall time: the
-        // minimum over rounds is the least-noise estimator, and
-        // interleaving keeps slow box phases from landing on one arm.
-        let mut best = [f64::INFINITY; 2];
-        let mut events = 0u64;
-        let arms = [(ClockKind::Parallel, true), (ClockKind::Serial, false)];
-        for round in 0..4 {
-            for (i, &(clock, streaming)) in arms.iter().enumerate() {
-                let cfg = trough_cfg(clock, streaming);
-                let prep = cfg.prepare();
-                let mut router = RouterKind::P2cSlo.make(cfg.seed);
-                let start = Instant::now();
-                let r = workload::run_cluster_prepared(&prep, router.as_mut(), &mut ctx);
-                let wall = start.elapsed().as_secs_f64();
-                events = r.engine_events;
-                // Round 0 is the warm-up (deployments, contexts,
-                // calendar touch every cache cold) and is discarded.
-                if round > 0 {
-                    best[i] = best[i].min(wall);
-                }
-            }
-        }
-        let new_eps = events as f64 / best[0];
-        let ref_eps = events as f64 / best[1];
-        let ratio_vs_prepr = new_eps / PREPR_DEFAULT_EPS;
-        let ratio_vs_serial_ref = new_eps / ref_eps;
-        let box_calm = ref_eps >= 0.85 * SERIAL_REF_CALM_EPS;
-        // NaN (a zero-duration fluke) fails the `>=` and cannot pass.
-        let gate_pass = ratio_vs_prepr >= 2.0;
-        let verdict = if gate_pass {
-            "pass"
-        } else if !box_calm {
-            "inconclusive_box_load"
-        } else {
-            "fail"
-        };
-        println!(
-            "512-replica trough clock: new {new_eps:>9.0} ev/s  serial ref {ref_eps:>9.0} ev/s  \
-             pre-PR default {PREPR_DEFAULT_EPS:>9.0} ev/s  ratio {ratio_vs_prepr:.2}× ({verdict})"
-        );
-        gates_ok &= verdict != "fail";
-        Json::obj()
-            .set("skipped", false)
-            .set("replicas", n)
-            .set("horizon_us", horizon)
-            .set(
-                "trace",
-                "apollo ×10.24 (2% of peak per replica), no BE jobs",
-            )
-            .set("router", "p2c_slo")
-            .set(
-                "measurement",
-                "best of 3 interleaved timed rounds after 1 warm-up round",
-            )
-            .set("new_clock_events_per_s", new_eps)
-            .set("serial_reference_events_per_s", ref_eps)
-            .set(
-                "prepr_baseline",
-                Json::obj()
-                    .set("git", PREPR_GIT)
-                    .set("default_clock_events_per_s", PREPR_DEFAULT_EPS)
-                    .set("serial_clock_events_per_s", PREPR_SERIAL_EPS)
-                    .set(
-                        "method",
-                        "same box, same operating point, best of 5 interleaved",
-                    ),
-            )
-            .set("speedup_vs_prepr_default", ratio_vs_prepr)
-            .set("speedup_vs_serial_reference", ratio_vs_serial_ref)
-            .set("box_calm", box_calm)
-            .set("serial_reference_calm_events_per_s", SERIAL_REF_CALM_EPS)
-            .set("gate_2x_vs_prepr", verdict)
-    };
 
     // --- 512-replica ≥10M-request streaming headline (full runs) ----------
     let headline_json = if smoke {
@@ -1298,7 +944,6 @@ fn run_scale_out(smoke: bool) -> (Json, bool) {
             .set("gate_10m_requests", gate_10m)
             .set("events_per_wall_s", eps)
             .set("wall_s", wall_s)
-            .set("detected_cpus", threads.detected_cpus)
     };
 
     let json = Json::obj()
@@ -1312,13 +957,6 @@ fn run_scale_out(smoke: bool) -> (Json, bool) {
                 .set("horizon_us", curve_horizon)
                 .set("points", Json::Arr(points)),
         )
-        .set(
-            "bit_identity",
-            Json::obj()
-                .set("parallel_equals_serial", bit_identity)
-                .set("arms", "headline fleet × p2c router × {no-chaos, crash}"),
-        )
-        .set("clock_speedup", speedup_json)
         .set("headline", headline_json);
     (json, gates_ok)
 }
@@ -1326,14 +964,6 @@ fn run_scale_out(smoke: bool) -> (Json, bool) {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    if args.iter().any(|a| a == "--scale-probe") {
-        run_scale_probe(smoke);
-        return;
-    }
-    if args.iter().any(|a| a == "--pool-probe") {
-        run_pool_probe();
-        return;
-    }
     let horizon_us = if smoke { 2.5e5 } else { 3e6 };
     let fleet = headline_fleet();
 
@@ -1426,99 +1056,11 @@ fn main() {
         );
     }
 
-    // The scaling-curve section records the *effective* worker count
-    // (the SGDRC_THREADS override when set), so multi-core runs on real
-    // hardware attribute their curves to an actual thread count.
-    let threads = sgdrc_bench::ThreadAttribution::capture();
-    let (detected_cpus, worker_threads) = (threads.detected_cpus, threads.worker_threads);
     let scaling_json = Json::obj()
         .set("system", "SGDRC")
         .set("router", "shortest_backlog")
         .set("horizon_us", scaling_horizon)
         .set("points", Json::Arr(points));
-    let scaling_json = threads.annotate(scaling_json);
-
-    // --- thread-scaling curve (self-exec, one pool per worker count) ------
-    // The probe children set their own SGDRC_THREADS, so re-running them
-    // under a parent env matrix would measure the exact same thing; CI's
-    // extra env-matrix smoke steps pass --skip-probes for that reason.
-    let skip_probes = args.iter().any(|a| a == "--skip-probes");
-    let mut ts_points = Vec::new();
-    let mut fleet_eps: Vec<(usize, f64)> = Vec::new();
-    let probe_threads: &[usize] = if skip_probes { &[] } else { &[1, 2, 4, 8] };
-    if !skip_probes {
-        sgdrc_bench::header("thread scaling — parallel fleet clock, SGDRC_THREADS ∈ {1,2,4,8}");
-    }
-    for &k in probe_threads {
-        let Some(line) = spawn_probe("--scale-probe", k, smoke) else {
-            eprintln!("WARNING: scale probe at {k} threads failed to run");
-            continue;
-        };
-        let pool_workers = probe_field(&line, "pool_workers") as usize;
-        let fleet_events = probe_field(&line, "fleet_events");
-        let fleet_wall = probe_field(&line, "fleet_wall_s");
-        let sweep_cells = probe_field(&line, "sweep_cells");
-        let sweep_wall = probe_field(&line, "sweep_wall_s");
-        let eps = fleet_events / fleet_wall;
-        let cps = sweep_cells / sweep_wall;
-        let oversubscribed = k > detected_cpus;
-        println!(
-            "{k} thread(s): fleet {:>10.0} events/s  sweep {:>7.1} cells/s{}",
-            eps,
-            cps,
-            if oversubscribed {
-                "  (oversubscribed)"
-            } else {
-                ""
-            }
-        );
-        fleet_eps.push((k, eps));
-        ts_points.push(
-            Json::obj()
-                .set("threads", k)
-                .set("pool_workers", pool_workers)
-                .set("oversubscribed", oversubscribed)
-                .set("fleet_events_per_s", eps)
-                .set("fleet_wall_s", fleet_wall)
-                .set("sweep_cells_per_s", cps)
-                .set("sweep_wall_s", sweep_wall),
-        );
-    }
-    let eps_at = |k: usize| {
-        fleet_eps
-            .iter()
-            .find(|&&(t, _)| t == k)
-            .map(|&(_, e)| e)
-            .unwrap_or(f64::NAN)
-    };
-    let speedup_at_4 = eps_at(4) / eps_at(1);
-    if !skip_probes {
-        println!("fleet events/s speedup at 4 threads vs 1: {speedup_at_4:.2}×");
-    }
-
-    // --- pool-dispatch microbenchmark (persistent pool vs thread::scope) --
-    let (pool_ns, scoped_ns, probe_workers) = if skip_probes {
-        (f64::NAN, f64::NAN, 0)
-    } else {
-        sgdrc_bench::header("pool dispatch — persistent pool vs per-call thread::scope");
-        match &spawn_probe("--pool-probe", 4, smoke) {
-            Some(line) => (
-                probe_field(line, "pool_ns_per_batch"),
-                probe_field(line, "scoped_ns_per_batch"),
-                probe_field(line, "workers") as usize,
-            ),
-            None => {
-                eprintln!("WARNING: pool-dispatch probe failed to run");
-                (f64::NAN, f64::NAN, 0)
-            }
-        }
-    };
-    let dispatch_speedup = scoped_ns / pool_ns;
-    if !skip_probes {
-        println!(
-            "8 small tasks × {probe_workers} workers: pool {pool_ns:.0} ns/batch vs scope spawn {scoped_ns:.0} ns/batch ({dispatch_speedup:.1}×)"
-        );
-    }
 
     // --- scale-out: SoA + calendar + streaming at 256–512 replicas --------
     let scale_out_enabled = args.iter().any(|a| a == "--scale-out");
@@ -1779,36 +1321,10 @@ fn main() {
         )
         .set("scaling", scaling_json)
         .set("scale_out", scale_out_json)
-        .set(
-            "thread_scaling",
-            Json::obj()
-                .set("skipped", skip_probes)
-                .set("clock", "epoch-parallel (ClockKind::Parallel)")
-                .set(
-                    "method",
-                    "self-exec child per point; pool built with SGDRC_THREADS=k",
-                )
-                .set("fleet_events_speedup_at_4_threads", speedup_at_4)
-                .set("points", Json::Arr(ts_points)),
-        )
-        .set(
-            "pool_dispatch",
-            Json::obj()
-                .set("skipped", skip_probes)
-                .set("tasks_per_batch", 8usize)
-                .set("workers", probe_workers)
-                .set("pool_ns_per_batch", pool_ns)
-                .set("scoped_spawn_ns_per_batch", scoped_ns)
-                .set("pool_speedup", dispatch_speedup)
-                .set("pool_beats_scoped_spawn_2x", dispatch_speedup >= 2.0),
-        )
         .set("chaos", chaos_json)
         .set("elastic", elastic_json)
         .set("tiers", tiers_json)
-        .set("telemetry", telemetry_json)
-        .set("detected_cpus", detected_cpus)
-        .set("worker_threads", worker_threads)
-        .set("sgdrc_threads_env", threads.env_json());
+        .set("telemetry", telemetry_json);
     std::fs::write("BENCH_cluster.json", doc.pretty()).expect("write BENCH_cluster.json");
     println!("wrote BENCH_cluster.json");
 
@@ -1822,24 +1338,23 @@ fn main() {
         );
         std::process::exit(1);
     }
-    // Scale-out gates: streaming memory bound and clock==oracle identity
-    // bind in smoke too; the 2× clock speedup and the 10M-request
-    // headline only run (and only gate) on full runs — both decided
-    // inside `run_scale_out`.
+    // Scale-out gates: the streaming memory bound binds in smoke too; the
+    // 10M-request headline only runs (and only gates) on full runs —
+    // both decided inside `run_scale_out`.
     if scale_out_enabled && !scale_out_ok {
         eprintln!("WARNING: scale-out gate failed (see scale_out section of BENCH_cluster.json)");
         std::process::exit(1);
     }
-    // Elastic gates: the healing-beats-hole and serial==parallel checks
-    // bind in smoke too (deterministic scenarios); the cost-vs-SLO
-    // frontier gates only full runs — decided inside `run_elastic_bench`.
+    // Elastic gates: the healing-beats-hole check binds in smoke too (a
+    // deterministic scenario); the cost-vs-SLO frontier gates only full
+    // runs — decided inside `run_elastic_bench`.
     if elastic_enabled && !elastic_ok {
         eprintln!("WARNING: elastic gate failed (see elastic section of BENCH_cluster.json)");
         std::process::exit(1);
     }
-    // Tiered-SLO gates: all three (weighted goodput beats tier-blind,
-    // tier-1 availability holds the no-BE floor, serial == parallel)
-    // are deterministic scenarios, so they bind in smoke too.
+    // Tiered-SLO gates: both (weighted goodput beats tier-blind, tier-1
+    // availability holds the no-BE floor) are deterministic scenarios,
+    // so they bind in smoke too.
     if tiers_enabled && !tiers_ok {
         eprintln!("WARNING: tiered-SLO gate failed (see tiers section of BENCH_cluster.json)");
         std::process::exit(1);
@@ -1856,28 +1371,5 @@ fn main() {
             "WARNING: load-aware routing ({best_alt:.0}µs) did not beat round-robin ({rr:.0}µs) on fleet p99"
         );
         std::process::exit(1);
-    }
-    // Parallel-clock perf gates. On a multi-core box the fleet clock
-    // itself must scale (≥1.3× events/s at 4 threads); on a 1-CPU box
-    // the thread curve is oversubscribed by construction, so the
-    // persistent pool's dispatch advantage over per-call thread::scope
-    // (≥2× on small batches) carries the claim instead.
-    if !smoke && !skip_probes {
-        // NaN (a failed probe) must fail the gate too, hence the
-        // negated bindings rather than `< 1.3` / `< 2.0`.
-        let clock_scales = speedup_at_4 >= 1.3;
-        if detected_cpus >= 4 && !clock_scales {
-            eprintln!(
-                "WARNING: fleet clock speedup at 4 threads is {speedup_at_4:.2}× (< 1.3×) on a {detected_cpus}-core box"
-            );
-            std::process::exit(1);
-        }
-        let pool_wins = dispatch_speedup >= 2.0;
-        if !pool_wins {
-            eprintln!(
-                "WARNING: persistent pool dispatch only {dispatch_speedup:.2}× over per-call thread::scope (< 2×)"
-            );
-            std::process::exit(1);
-        }
     }
 }

@@ -842,10 +842,9 @@ impl<'s> ServingState<'s> {
 
 /// A GPU sharing policy: decides resources for LS / BE kernels.
 ///
-/// `Send` is a supertrait: the fleet clock advances each replica —
-/// policy included — on whichever pool worker steals it, so policies
-/// must be movable across threads (they are plain data; no policy in
-/// the workspace ever held thread-affine state).
+/// `Send` is a supertrait, so a replica — policy included — can move to
+/// whichever thread runs it (policies are plain data; no policy in the
+/// workspace ever held thread-affine state).
 pub trait Policy: Send {
     fn name(&self) -> &'static str;
 
@@ -997,8 +996,8 @@ impl<'s> ReplicaSim<'s> {
     }
 
     /// Prefetches the replica's hot advance-path memory toward L1 — a
-    /// pure cache hint the fleet clock issues one lane ahead of its
-    /// epoch batch. See [`Engine::prefetch_hot`].
+    /// pure cache hint the fleet clock issues one lane ahead in its
+    /// epoch sweep. See [`Engine::prefetch_hot`].
     #[inline]
     pub fn prefetch_hot(&self) {
         self.st.prefetch_hot();
@@ -1038,10 +1037,10 @@ impl<'s> ReplicaSim<'s> {
     /// timer — or `None` when the replica is idle. Built on the same
     /// [`pending_candidates`](Self::pending_candidates) fold `advance`
     /// consumes, so `advance(policy, Some(t))` is a guaranteed no-op
-    /// (no state change, returns `true`) whenever
-    /// `next_pending_at() >= Some(t)` — the property the parallel fleet
-    /// clock uses to skip idle replicas without dispatching them to a
-    /// worker.
+    /// (no state change, returns `true`) whenever `t` is within the
+    /// horizon and `next_pending_at() >= Some(t)` or the replica is idle
+    /// — the property the fleet clock uses to skip replicas with no due
+    /// work.
     pub fn next_pending_at(&self, policy: &dyn Policy) -> Option<f64> {
         let (event, timer) = self.pending_candidates(policy);
         fold_pending(event, timer)
@@ -1147,12 +1146,11 @@ impl<'s> ReplicaSim<'s> {
     }
 }
 
-/// Compile-time contract for the parallel fleet clock: the whole
-/// replica stack — contexts, the resumable simulation (engine, queues,
-/// statistics) and, via the `Policy: Send` supertrait, every policy —
-/// crosses worker threads when a cluster advances its replicas in
-/// parallel. A new field that is not `Send` fails here, not in a
-/// distant cluster build error.
+/// Compile-time contract: the whole replica stack — contexts, the
+/// resumable simulation (engine, queues, statistics) and, via the
+/// `Policy: Send` supertrait, every policy — stays movable across
+/// threads. A new field that is not `Send` fails here, not in a distant
+/// build error.
 #[allow(dead_code)]
 fn _assert_replica_stack_is_send() {
     fn assert_send<T: Send>() {}
@@ -1561,5 +1559,91 @@ mod tests {
         sim.advance(&mut policy, None);
         let stepped = sim.finish(&mut ctx);
         assert_eq!(batch, stepped);
+    }
+
+    /// Everything `advance` could change, for the no-op test below.
+    type Snapshot = (
+        RunStats,
+        f64,
+        usize,
+        Vec<(LaunchId, usize, usize)>,
+        u64,
+        usize,
+    );
+
+    fn snapshot(sim: &ReplicaSim<'_>) -> Snapshot {
+        let st = sim.state();
+        let launches = [st.ls_launch, st.be_launch]
+            .into_iter()
+            .flatten()
+            .map(|l| (l.id, l.task, l.kernel_idx))
+            .collect();
+        (
+            st.stats.clone(),
+            st.now(),
+            st.ls_backlog(),
+            launches,
+            st.engine.events_processed(),
+            st.engine.running_count(),
+        )
+    }
+
+    /// The guarantee the fleet clock's calendar relies on when it skips
+    /// lanes with no due work: `advance(policy, Some(t))` with `t` at or
+    /// before `next_pending_at()` — or on an idle replica — returns
+    /// `true` and changes nothing.
+    #[test]
+    fn advance_before_pending_work_is_a_no_op() {
+        let sc = two_be_scenario(200_000.0);
+        let assert_no_op = |sim: &mut ReplicaSim<'_>, policy: &mut Sgdrc, t: f64| {
+            let before = snapshot(sim);
+            assert!(
+                sim.advance(policy, Some(t)),
+                "advance to {t} must stop at t"
+            );
+            assert_eq!(snapshot(sim), before, "advance to {t} changed the replica");
+        };
+
+        // Busy: BE work keeps the engine running; probe at the next
+        // pending instant and halfway to it before every arrival.
+        let mut ctx = SimContext::new();
+        let mut policy = Sgdrc::new(&sc.spec, SgdrcConfig::default());
+        let mut sim = ReplicaSim::prepare(&sc, &mut ctx);
+        sim.begin(&mut policy);
+        let mut probes = 0;
+        for a in sc.arrivals.merged().to_vec() {
+            let now = sim.state().now();
+            let next = sim.next_pending_at(&policy).expect("BE work is pending");
+            for t in [now + 0.5 * (next - now), next] {
+                if t <= sc.horizon_us {
+                    assert_no_op(&mut sim, &mut policy, t);
+                    probes += 1;
+                }
+            }
+            assert!(sim.advance(&mut policy, Some(a.at_us)));
+            sim.inject_arrival(&mut policy, a.task as usize, a.at_us);
+        }
+        assert!(probes >= 20, "too few probes ({probes})");
+
+        // Idle: with every BE task parked, the replica has no pending
+        // work before its first request and again after serving it.
+        let mut ctx = SimContext::new();
+        let mut policy = Sgdrc::new(&sc.spec, SgdrcConfig::default());
+        let mut sim = ReplicaSim::prepare(&sc, &mut ctx);
+        sim.state_mut().set_be_active(0, false);
+        sim.state_mut().set_be_active(1, false);
+        sim.begin(&mut policy);
+        assert_eq!(sim.next_pending_at(&policy), None);
+        for t in [0.0, 1_000.0, 50_000.0] {
+            assert_no_op(&mut sim, &mut policy, t);
+        }
+        assert!(sim.advance(&mut policy, Some(50_000.0)));
+        sim.inject_arrival(&mut policy, 0, 50_000.0);
+        assert!(sim.advance(&mut policy, Some(150_000.0)));
+        assert_eq!(sim.state().stats.ls_completed[0].len(), 1);
+        assert_eq!(sim.next_pending_at(&policy), None);
+        for t in [150_000.0, 199_000.0] {
+            assert_no_op(&mut sim, &mut policy, t);
+        }
     }
 }

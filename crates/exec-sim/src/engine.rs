@@ -551,7 +551,7 @@ impl Engine {
 
     /// Prefetches the per-event working set — integration bookkeeping,
     /// contention contexts, current rates — toward L1. The fleet clock
-    /// issues this one lane ahead of its epoch batch so the first event
+    /// issues this one lane ahead in its epoch sweep so the first event
     /// of the next lane does not stall on a cold miss chain. Purely a
     /// cache hint; never observable.
     #[inline]

@@ -339,19 +339,20 @@ impl<'d> ChannelMarker<'d> {
     // -- Algo 3 step 3: eviction-based classification ----------------------
 
     /// Single eviction probe: does `pool` evict the candidate's first line?
-    /// Each pool member contributes the one cacheline that shares the
-    /// candidate's L2 set (hashed-set geometry).
+    /// Each of the bin's first `depth` members contributes the one
+    /// cacheline that shares the candidate's L2 set (hashed-set geometry).
     fn evicts_once(
         &mut self,
         class: ClassId,
         cand_partition: u64,
         cand_va: VirtAddr,
         bin: usize,
+        depth: usize,
     ) -> Result<bool, MmuError> {
         let lines: Vec<VirtAddr> = self.pools[class as usize].bins[bin]
             .iter()
             .filter(|e| e.partition != cand_partition)
-            .take(self.bin_depth)
+            .take(depth)
             .map(|e| {
                 e.base.offset(gpu_spec::address::same_set_line_offset(
                     cand_partition,
@@ -370,13 +371,14 @@ impl<'d> ChannelMarker<'d> {
         class: ClassId,
         cand_pa: PhysAddr,
         cand_va: VirtAddr,
+        depth: usize,
     ) -> Result<bool, MmuError> {
         let bin = self.set_group(cand_pa);
         let cand_partition = cand_pa.partition();
         let rounds = self.cfg.vote_rounds.max(1);
         let mut yes = 0;
         for r in 0..rounds {
-            if self.evicts_once(class, cand_partition, cand_va, bin)? {
+            if self.evicts_once(class, cand_partition, cand_va, bin, depth)? {
                 yes += 1;
             }
             if yes * 2 > rounds || (r + 1 - yes) * 2 > rounds {
@@ -395,10 +397,17 @@ impl<'d> ChannelMarker<'d> {
         if let Some(pos) = order.iter().position(|&c| c == self.last_class) {
             order.swap(0, pos);
         }
-        for class in order {
-            if self.evicts(class, pa, va)? {
-                self.last_class = class;
-                return Ok(class);
+        // Vote at the working depth first. When no pool claims the
+        // partition, vote once more with every line of each pool's bin
+        // before opening a class: false-positive foreign lines among a
+        // bin's first `bin_depth` can leave fewer than `l2_ways` true
+        // lines, and then the miss is systematic, not noise.
+        for depth in [self.bin_depth, usize::MAX] {
+            for &class in &order {
+                if self.evicts(class, pa, va, depth)? {
+                    self.last_class = class;
+                    return Ok(class);
+                }
             }
         }
         let pool = self.build_pool(index)?;
@@ -529,6 +538,34 @@ mod tests {
         let hash = GpuModel::RtxA2000.channel_hash();
         let (_, acc) = align_classes(&labels, |pa| hash.channel_of(pa), 6);
         assert!(acc > 0.95, "marking accuracy {acc}");
+    }
+
+    /// Regression: on these two devices a partition's own pool once
+    /// missed it at the working depth (foreign lines crowded the bin's
+    /// first `bin_depth`), so marking opened a seventh class at
+    /// partitions 135 and 167. The full-bin re-vote must keep six.
+    #[test]
+    fn full_bin_revote_keeps_six_classes_a2000() {
+        for (device_seed, calibration_seed, count) in [
+            (0xcf54_6a05_0f4d_aa5c, 0x8e1a_29f8_69e6_3697, 160),
+            (0x23e1_2946_1da3_4889, 0x8cf8_6cc1_3cba_7a66, 176),
+        ] {
+            let mut dev = GpuDevice::new(GpuModel::RtxA2000, 96 << 20, device_seed);
+            let cfg = MarkerConfig {
+                calibration_seed,
+                ..MarkerConfig::default()
+            };
+            let mut marker = ChannelMarker::new(&mut dev, cfg).unwrap();
+            let (start, len) = marker.longest_contiguous_run();
+            assert!(len >= count, "need a contiguous run of {count}, got {len}");
+            let labels = marker.mark_indexed(start, count).unwrap();
+            let classes: std::collections::BTreeSet<_> = labels.iter().map(|&(_, c)| c).collect();
+            assert_eq!(
+                classes.len(),
+                6,
+                "device seed {device_seed:#x}: A2000 has 6 channels"
+            );
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //!   ring slot.
 //! - **Canonical emission order.** The collected busy set is sorted
 //!   ascending by lane index before returning — identical to the order
-//!   the linear-scan oracle produces — so parallel-epoch dispatch and
+//!   the linear-scan oracle produces — so the clock's advance order and
 //!   the debug-assert comparison are both order-stable.
 
 /// Sentinel in `pos_of` marking a lane as absent from the calendar.

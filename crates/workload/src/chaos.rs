@@ -8,10 +8,10 @@
 //! enforces while capacity is below demand.
 //!
 //! Everything is data: the same plan against the same
-//! [`ClusterConfig`](crate::cluster::ClusterConfig) produces bit-identical
-//! [`ClusterResult`](crate::cluster::ClusterResult)s under the serial and
-//! the parallel fleet clock, any `advance_order` and any pool worker
-//! count (enforced by `tests/cluster_chaos.rs`). Plans either come from
+//! [`ClusterConfig`](crate::cluster::ClusterConfig) replays to a
+//! bit-identical [`ClusterResult`](crate::cluster::ClusterResult) on
+//! every run, and `tests/cluster_chaos.rs` proptests arrival
+//! conservation over random plans. Plans either come from
 //! [`FaultPlan::generate`] (a seeded splitmix64 chain — the bench's
 //! chaos section records the seed so any run can be replayed from its
 //! JSON) or are built by hand from [`FaultEvent`] constructors.

@@ -22,11 +22,10 @@
 //!   its running kernel (the §7.1 preempt path) and, optionally,
 //!   retunes the destination's `Ch_BE` via [`Sgdrc::reconfigure`];
 //! * replicas are **heterogeneous** ([`Deployment::cached`] per
-//!   [`GpuModel`]) and fully independent between router decisions, so
-//!   the cluster clock can interleave their event loops in *any* order
-//!   — or run them **in parallel** on the persistent work-stealing
-//!   pool. Seeds derive via splitmix64 ([`cell_seed`]) like the
-//!   sweep's;
+//!   [`GpuModel`]) and fully independent between router decisions; the
+//!   fleet clock advances the replicas with pending work inline, in
+//!   ascending lane order, on the calling thread. Seeds derive via
+//!   splitmix64 ([`cell_seed`]) like the sweep's;
 //! * per-replica latency sketches **merge** into fleet-wide percentiles
 //!   without re-sorting — the same [`LatencyHistogram`] path the sweep's
 //!   per-slice output uses.
@@ -40,17 +39,25 @@
 //!   scalars — next-pending time, LS backlog, windowed ratio, liveness
 //!   — in contiguous arrays the router, controller and clock read
 //!   densely; the cold per-replica state (engine, queues, policy,
-//!   sketches) lives in one boxed [`LaneCell`] per lane that only the
-//!   worker advancing that lane touches. Every lane mutation funnels
-//!   through [`Fleet::mutate`], which re-derives the lane's hot mirror
+//!   sketches) lives in one boxed [`LaneCell`] per lane that only that
+//!   lane's advance touches. Every lane mutation funnels through
+//!   [`Fleet::mutate`], which re-derives the lane's hot mirror
 //!   afterwards — the mirrors are provably never stale.
 //! * **Calendar event queue.** Busy-lane selection reads an
 //!   [`EventCalendar`] keyed by each lane's `next_pending_at` and
 //!   updated incrementally on every mutation, instead of linearly
-//!   scanning all replicas per epoch. The linear scan survives as a
-//!   `debug_assert` oracle on every epoch, and [`ClockKind::Serial`]
-//!   retains the scan-based reference clock outright — results are
-//!   bit-identical (proptested under chaos and no-chaos plans).
+//!   scanning all replicas per epoch. The clock's reference is four
+//!   `debug_assertions` oracles that every debug test run exercises:
+//!   the calendar's busy set against a linear scan every epoch, the
+//!   incremental router views against a fresh rebuild every decision,
+//!   the dense mirrors against the live lanes at every rebuild, and
+//!   each advance's refresh hint against `next_pending_at`.
+//! * **One thread.** The clock never fans out: a typical epoch advances
+//!   a handful of lanes in microseconds, about what a pool batch costs
+//!   to dispatch. On a 2-vCPU host a 512-replica streaming fleet
+//!   advanced in two-worker batches ran at 0.81× the inline speed while
+//!   burning ~1.5× the CPU. Parallelism belongs a level up, across
+//!   independent runs (`crate::sweep`).
 //! * **Zero-alloc epochs.** All per-epoch scratch — the busy list, the
 //!   router's view array, due-retry extraction, the controller's
 //!   destination ordering — lives in [`ClusterCtx`] and is reused
@@ -144,14 +151,6 @@ pub struct ClusterConfig {
     /// Policy tuning for SGDRC replicas.
     pub sgdrc: SgdrcConfig,
     pub compile: CompileOptions,
-    /// Replica iteration order used by the serial cluster clock when it
-    /// quiesces the fleet (empty = index order). Results are invariant
-    /// to it — the knob exists so the determinism test can *prove* that
-    /// rather than assume it. The parallel clock ignores it: placement
-    /// on pool workers is scheduling, not semantics.
-    pub advance_order: Vec<usize>,
-    /// Which fleet-clock schedule drives the run (results identical).
-    pub clock: ClockKind,
     /// Optional fault-injection scenario. `None` runs the happy path
     /// with zero resilience overhead and bit-identical results to a
     /// build without the chaos layer; `Some` interleaves the plan's
@@ -185,7 +184,7 @@ pub struct ClusterConfig {
     pub telemetry: Option<TelemetryConfig>,
     /// Tiered SLOs (see [`crate::tiers`]): one [`crate::tiers::TierConfig`]
     /// per LS service driving admission control, the brownout ladder in
-    /// `degrade()`, per-tier retry budgets/deadlines, tier-aware router
+    /// `brownout()`, per-tier retry budgets/deadlines, tier-aware router
     /// tie-breaking and weighted goodput. `None` (the default) keeps
     /// the tier-blind simulator bit-identical to previous behaviour.
     pub tiers: Option<TiersConfig>,
@@ -209,8 +208,6 @@ impl ClusterConfig {
             controller: ControllerConfig::default(),
             sgdrc: SgdrcConfig::default(),
             compile: CompileOptions::default(),
-            advance_order: Vec::new(),
-            clock: ClockKind::default(),
             chaos: None,
             streaming: false,
             elastic: None,
@@ -223,11 +220,10 @@ impl ClusterConfig {
     /// does not depend on run state: deployments (with the same-LS /
     /// `supported_on` checks), the sorted-deduped fleet BE model set,
     /// per-GPU-model BE task sets, initial job placement, per-replica
-    /// scenarios and SLO tables, the advance-order permutation check,
-    /// and — in retained mode — the full arrival trace. Benches that
-    /// re-run one config (scaling curves, system × router matrices over
-    /// a fixed fleet) prepare once and skip all of it on every
-    /// subsequent run.
+    /// scenarios and SLO tables, and — in retained mode — the full
+    /// arrival trace. Benches that re-run one config (scaling curves,
+    /// system × router matrices over a fixed fleet) prepare once and
+    /// skip all of it on every subsequent run.
     pub fn prepare(&self) -> PreparedCluster {
         let n_init = self.gpus.len();
         assert!(n_init > 0, "a fleet needs at least one replica");
@@ -341,22 +337,6 @@ impl ClusterConfig {
             })
             .collect();
 
-        let order: Vec<usize> = if self.advance_order.is_empty() {
-            (0..n).collect()
-        } else {
-            assert_eq!(
-                self.advance_order.len(),
-                n,
-                "advance_order must permute 0..n"
-            );
-            let mut seen = vec![false; n];
-            for &r in &self.advance_order {
-                assert!(r < n && !seen[r], "advance_order must permute 0..n");
-                seen[r] = true;
-            }
-            self.advance_order.clone()
-        };
-
         assert!(
             !self.streaming || self.controller.period_us > 0.0,
             "streaming mode needs controller ticks to bound the retained window"
@@ -386,7 +366,6 @@ impl ClusterConfig {
             lane_gpus,
             fleet_models,
             init_jobs_on,
-            order,
             slos,
             scenarios,
             trace,
@@ -409,7 +388,6 @@ pub struct PreparedCluster {
     lane_gpus: Vec<GpuModel>,
     fleet_models: Vec<usize>,
     init_jobs_on: Vec<Vec<usize>>,
-    order: Vec<usize>,
     slos: Vec<Vec<f64>>,
     scenarios: Vec<Scenario>,
     /// The retained-mode arrival trace (`None` in streaming mode, where
@@ -456,13 +434,12 @@ impl PreparedCluster {
 /// What a [`RoutingPolicy`] sees of each replica at an arrival instant,
 /// always in replica-index order.
 ///
-/// The calendar clock maintains these *incrementally* — backlog patched
+/// The fleet clock maintains these *incrementally* — backlog patched
 /// by every lane refresh, ratio/residency re-derived at controller
 /// ticks and fault instants, health re-evaluated per decision instant
 /// only while some lane is down — so a routing decision costs O(1) in
-/// fleet size instead of the serial reference clock's O(replicas)
-/// rebuild (retained, along with a debug-assert oracle comparing the
-/// incremental views against a fresh rebuild every arrival).
+/// fleet size instead of an O(replicas) rebuild (debug builds compare
+/// the incremental views against a fresh rebuild at every decision).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplicaView {
     pub gpu: GpuModel,
@@ -919,34 +896,9 @@ impl PolicySlot {
     }
 }
 
-/// How the fleet clock schedules replica advances between decision
-/// points (router arrivals, controller ticks). Results are bit-identical
-/// across every variant — enforced by `tests/cluster_parallel.rs` — so
-/// the choice is purely about wall-clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ClockKind {
-    /// The fast clock: busy-lane selection comes from the incremental
-    /// [`EventCalendar`] (O(busy lanes) per epoch, not O(replicas)),
-    /// and the busy set advances as **one** pool batch per epoch on the
-    /// persistent work-stealing pool — or inline, in ascending lane
-    /// order, when the pool has a single worker or the batch a single
-    /// lane. Per-replica events and histogram deltas merge in canonical
-    /// replica order afterwards.
-    #[default]
-    Parallel,
-    /// The reference serial clock: every replica advances in
-    /// [`ClusterConfig::advance_order`], one after another, selected by
-    /// nothing smarter than the linear scan — exactly the pre-calendar
-    /// fleet simulator. Kept as the equivalence oracle the calendar
-    /// clock is tested against.
-    Serial,
-}
-
 /// One replica's cold per-run state: the resumable simulation, its
 /// policy, and the per-lane bookkeeping (sketches, drain cursors,
-/// counters). Boxed so the [`Fleet`]'s hot arrays stay dense and a pool
-/// worker advancing the lane gets exclusive cache lines; shipped across
-/// worker threads as one `&mut LaneCell` per epoch batch.
+/// counters). Boxed so the [`Fleet`]'s hot arrays stay dense.
 struct LaneCell<'s> {
     sim: ReplicaSim<'s>,
     policy: PolicySlot,
@@ -965,16 +917,6 @@ struct LaneCell<'s> {
     /// Completions per LS service that met the replica SLO *and* the
     /// service's soft deadline (`INFINITY` without a tier config).
     met_by_task: Vec<u64>,
-}
-
-/// Compile-time contract for the epoch batch: a [`LaneCell`] crosses
-/// worker threads behind the raw-pointer dispatch in [`quiesce`], which
-/// the compiler cannot check — assert `Send` explicitly so a non-`Send`
-/// field fails here, not in an unsound data race.
-#[allow(dead_code)]
-fn _assert_lane_cell_is_send() {
-    fn assert_send<T: Send>() {}
-    assert_send::<LaneCell<'static>>();
 }
 
 impl<'s> LaneCell<'s> {
@@ -996,7 +938,7 @@ impl<'s> LaneCell<'s> {
 
     /// Prefetches the lane's advance working set (engine buffers, LS
     /// queue headers) toward L1 — issued one lane ahead by the epoch
-    /// batch. The header loads it performs are hits when
+    /// sweep. The header loads it performs are hits when
     /// [`prefetch_lane`] ran two lanes ahead.
     #[inline]
     fn prefetch_hot(&self) {
@@ -1090,7 +1032,7 @@ struct Fleet<'s> {
     // Boxing keeps the hot mirror arrays below dense — an inline
     // `Vec<LaneCell>` would stride the controller/oracle scans across
     // multi-hundred-byte cells — and gives every cell a stable address
-    // for the prefetch and pool-dispatch pointer paths.
+    // for the prefetch path.
     #[allow(clippy::vec_box)]
     cells: Vec<Box<LaneCell<'s>>>,
     /// `next_pending_at` mirror (INFINITY = idle or dead).
@@ -1100,16 +1042,16 @@ struct Fleet<'s> {
     /// Windowed p99/SLO ratio as of the last controller tick.
     ratio: Vec<f64>,
     /// Cleared by a crash fault, restored by its recovery. Dead lanes
-    /// are skipped by both clock schedules, excluded from controller
-    /// decisions, and bounce injected requests into the retry queue.
+    /// are never advanced, excluded from controller decisions, and
+    /// bounce injected requests into the retry queue.
     alive: Vec<bool>,
     /// GPU model per lane (`PreparedCluster::lane_gpus`).
     gpus: &'s [GpuModel],
     /// Lanes the clock may owe work: Active or Draining members.
     /// Warm, provisioning and retired lanes are frozen — their
-    /// `next_at` is `INFINITY` regardless of policy timers, so neither
-    /// clock schedule ever advances them. Always all-true without an
-    /// elastic config.
+    /// `next_at` is `INFINITY` regardless of policy timers, so the
+    /// clock never advances them. Always all-true without an elastic
+    /// config.
     advancing: Vec<bool>,
     /// Lanes in the router's view set: Active members only. Draining
     /// lanes keep advancing (in-flight work finishes in place) but stop
@@ -1133,22 +1075,18 @@ struct Fleet<'s> {
     /// exist.
     identity: bool,
     cal: EventCalendar,
-    /// Whether this run's clock selects busy lanes from the calendar
-    /// ([`ClockKind::Parallel`]) or the serial linear scan.
-    use_cal: bool,
     /// Router-facing snapshot of the *routable* lanes, in ascending
-    /// lane order (slot `s` is lane `view_lane[s]`). The calendar
-    /// clock keeps it *incremental*: backlogs patched by every
-    /// [`refresh`](Self::refresh), ratio/residency re-derived by
+    /// lane order (slot `s` is lane `view_lane[s]`), kept incremental:
+    /// backlogs patched by every [`refresh`](Self::refresh),
+    /// ratio/residency re-derived by
     /// [`rebuild_views`](Self::rebuild_views) at controller ticks and
     /// fault instants, health re-evaluated per decision point by
     /// [`patch_health`](Self::patch_health) — so routing a request is
-    /// O(1) in fleet size. The serial reference clock rebuilds the whole
-    /// vector every decision instant, exactly as the pre-SoA clock did.
+    /// O(1) in fleet size.
     views: Vec<ReplicaView>,
-    /// `views[r].healthy` population count — the calendar clock's O(1)
-    /// form of the all-unhealthy check. Maintained by `rebuild_views`
-    /// and `patch_health`; not meaningful on the serial schedule.
+    /// `views[r].healthy` population count — the O(1) form of the
+    /// all-unhealthy check. Maintained by `rebuild_views` and
+    /// `patch_health`.
     n_healthy: usize,
     /// `!alive` population count. While zero (the overwhelmingly common
     /// case), `patch_health` returns immediately: alive lanes are
@@ -1162,8 +1100,7 @@ impl<'s> Fleet<'s> {
     }
 
     /// Re-derives lane `r`'s hot mirrors (and calendar key) from its
-    /// cell — a pure read of simulation state, identical no matter
-    /// which clock schedule or worker advanced the lane.
+    /// cell — a pure read of simulation state.
     fn refresh(&mut self, r: usize) {
         let cell = &self.cells[r];
         let next = if self.alive[r] && self.advancing[r] {
@@ -1173,27 +1110,10 @@ impl<'s> Fleet<'s> {
         } else {
             f64::INFINITY
         };
-        self.next_at[r] = next;
-        let backlog = cell.sim.state().ls_backlog() as u32;
-        self.backlog[r] = backlog;
-        if self.use_cal {
-            self.cal.set(r as u32, next);
-            // Keep the incremental router view current: backlog is the
-            // only view field that changes outside controller ticks and
-            // fault instants, and every backlog change comes through
-            // here. Non-routable lanes have no view slot to patch.
-            if self.identity {
-                self.views[r].backlog = backlog as usize;
-            } else {
-                let s = self.lane_slot[r];
-                if s != u32::MAX {
-                    self.views[s as usize].backlog = backlog as usize;
-                }
-            }
-        }
+        self.set_mirrors(r, next);
     }
 
-    /// [`refresh`](Self::refresh) for the epoch batch, with the pending
+    /// [`refresh`](Self::refresh) for the epoch sweep, with the pending
     /// instant the lane's advance just computed on its way out
     /// ([`LaneCell::advance_to`]'s return) — the one call site hot
     /// enough that re-deriving `next_pending_at` (two virtual calls into
@@ -1212,39 +1132,38 @@ impl<'s> Fleet<'s> {
                 "advance hint diverged from next_pending_at for lane {r}"
             );
         }
+        self.set_mirrors(r, next);
+    }
+
+    /// Stores lane `r`'s pending instant and re-reads its backlog into
+    /// the mirrors, the calendar and the router view.
+    fn set_mirrors(&mut self, r: usize, next: f64) {
         let backlog = self.cells[r].sim.state().ls_backlog() as u32;
         self.next_at[r] = next;
         self.backlog[r] = backlog;
-        if self.use_cal {
-            self.cal.set(r as u32, next);
-            if self.identity {
-                self.views[r].backlog = backlog as usize;
-            } else {
-                let s = self.lane_slot[r];
-                if s != u32::MAX {
-                    self.views[s as usize].backlog = backlog as usize;
-                }
+        self.cal.set(r as u32, next);
+        // Keep the incremental router view current: backlog is the only
+        // view field that changes outside controller ticks and fault
+        // instants, and every backlog change comes through here.
+        // Non-routable lanes have no view slot to patch.
+        if self.identity {
+            self.views[r].backlog = backlog as usize;
+        } else {
+            let s = self.lane_slot[r];
+            if s != u32::MAX {
+                self.views[s as usize].backlog = backlog as usize;
             }
         }
     }
 
-    /// What the router would see of lane `r` at instant `t`. A lane is
-    /// healthy while alive (it acknowledges every decision instant) or
-    /// until its crash-frozen heartbeat ages past the timeout.
-    ///
-    /// The calendar clock reads the dense backlog mirror (kept current
-    /// by `refresh`); the serial reference clock chases into the cell,
-    /// exactly the per-lane pointer walk the pre-SoA clock paid — its
-    /// quiesce sweep maintains no mirrors (see [`quiesce`]).
+    /// What the router would see of lane `r` at instant `t`, read off
+    /// the dense mirrors. A lane is healthy while alive (it acknowledges
+    /// every decision instant) or until its crash-frozen heartbeat ages
+    /// past the timeout.
     fn compute_view(&self, jobs_on: &[Vec<usize>], rt: &ChaosRt, r: usize, t: f64) -> ReplicaView {
-        let backlog = if self.use_cal {
-            self.backlog[r] as usize
-        } else {
-            self.cells[r].sim.state().ls_backlog()
-        };
         ReplicaView {
             gpu: self.gpus[r],
-            backlog,
+            backlog: self.backlog[r] as usize,
             window_p99_ratio: self.ratio[r],
             resident_be: jobs_on[r].len(),
             healthy: self.alive[r] || t - rt.last_heartbeat[r] <= rt.heartbeat_timeout_us,
@@ -1252,25 +1171,19 @@ impl<'s> Fleet<'s> {
     }
 
     /// Full O(replicas) rebuild of the router views at instant `t`,
-    /// recounting the healthy/dead populations. The serial reference
-    /// clock runs this at every decision instant (the pre-SoA clock's
-    /// behavior); the calendar clock only at structural changes —
-    /// startup, controller ticks, fault instants — and patches
-    /// incrementally in between.
+    /// recounting the healthy/dead populations. Runs only at structural
+    /// changes — startup, controller ticks, fault and activation
+    /// instants; decisions in between patch the views incrementally.
     fn rebuild_views(&mut self, jobs_on: &[Vec<usize>], rt: &ChaosRt, t: f64) {
         // Mirror oracle: the dense arrays must agree with the live
-        // per-lane state a pre-SoA fleet would have read here. Calendar
-        // clock only — the serial schedule does not maintain mirrors
-        // between decision instants.
+        // per-lane state a pre-SoA fleet would have read here.
         #[cfg(debug_assertions)]
-        if self.use_cal {
-            for (r, cell) in self.cells.iter().enumerate() {
-                debug_assert_eq!(
-                    self.backlog[r] as usize,
-                    cell.sim.state().ls_backlog(),
-                    "stale backlog mirror for lane {r}"
-                );
-            }
+        for (r, cell) in self.cells.iter().enumerate() {
+            debug_assert_eq!(
+                self.backlog[r] as usize,
+                cell.sim.state().ls_backlog(),
+                "stale backlog mirror for lane {r}"
+            );
         }
         self.views.clear();
         self.n_healthy = 0;
@@ -1278,8 +1191,7 @@ impl<'s> Fleet<'s> {
         if self.identity {
             // Static membership: the slot↔lane mapping is already the
             // identity and every lane is routable, so skip the mapping
-            // maintenance (the serial reference clock runs this per
-            // decision instant — the extra O(n) writes are measurable).
+            // maintenance.
             for r in 0..self.len() {
                 let v = self.compute_view(jobs_on, rt, r, t);
                 self.n_healthy += usize::from(v.healthy);
@@ -1305,7 +1217,7 @@ impl<'s> Fleet<'s> {
 
     /// Re-evaluates the health bit of every *dead* lane at decision
     /// instant `t` — alive lanes are healthy by definition, so with no
-    /// lane down this is a single branch. Calendar clock only.
+    /// lane down this is a single branch.
     fn patch_health(&mut self, rt: &ChaosRt, t: f64) {
         if self.n_dead == 0 {
             return;
@@ -1329,9 +1241,11 @@ impl<'s> Fleet<'s> {
 
     /// Incremental-views oracle: the patched snapshot must equal a fresh
     /// rebuild at `t`, field for field, and the healthy count must match
-    /// its population.
-    #[cfg(debug_assertions)]
+    /// its population. A no-op without `debug_assertions`.
     fn assert_views_current(&self, jobs_on: &[Vec<usize>], rt: &ChaosRt, t: f64) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
         let fresh: Vec<ReplicaView> = (0..self.len())
             .filter(|&r| self.routable[r])
             .map(|r| self.compute_view(jobs_on, rt, r, t))
@@ -1358,7 +1272,7 @@ impl<'s> Fleet<'s> {
 
     /// Runs a mutation against lane `r`'s cell and refreshes its
     /// mirrors — the only sanctioned way to touch a cell mutably
-    /// outside the epoch batch (which refreshes explicitly).
+    /// outside the epoch sweep (which refreshes explicitly).
     fn mutate<R>(&mut self, r: usize, f: impl FnOnce(&mut LaneCell<'s>) -> R) -> R {
         let out = f(&mut self.cells[r]);
         self.refresh(r);
@@ -1366,44 +1280,8 @@ impl<'s> Fleet<'s> {
     }
 }
 
-/// Shares the `cells` base pointer with pool workers for the epoch
-/// batch. Safety argument lives at the dispatch site in [`quiesce`].
-struct CellsPtr<'a, 's>(
-    *mut Box<LaneCell<'s>>,
-    std::marker::PhantomData<&'a mut LaneCell<'s>>,
-);
-// SAFETY: the pointer is only dereferenced at distinct indices (the busy
-// list holds unique lane ids), yielding disjoint `&mut` — see `quiesce`.
-unsafe impl Sync for CellsPtr<'_, '_> {}
-
-impl<'s> CellsPtr<'_, 's> {
-    /// # Safety
-    /// Callers must guarantee no two live references come from the same
-    /// index and `r` is within the cells slice.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn lane_mut(&self, r: usize) -> &mut LaneCell<'s> {
-        unsafe { &mut *self.0.add(r) }
-    }
-}
-
-/// Companion to [`CellsPtr`] for the per-batch hint buffer: worker `i`
-/// writes only slot `i`, so writes are disjoint by construction.
-struct HintsPtr<'a>(*mut f64, std::marker::PhantomData<&'a mut f64>);
-// SAFETY: each pool worker writes the slot of the batch index it was
-// handed — indices are unique per batch, so no slot is written twice.
-unsafe impl Sync for HintsPtr<'_> {}
-
-impl HintsPtr<'_> {
-    /// # Safety
-    /// Callers must guarantee `i` is in bounds and written at most once
-    /// per batch.
-    unsafe fn write(&self, i: usize, v: f64) {
-        unsafe { *self.0.add(i) = v };
-    }
-}
-
 /// Pulls the head of lane `r`'s cell toward L1 a little ahead of the
-/// epoch batch touching it — the busy list is known up front, and the
+/// epoch sweep touching it — the busy list is known up front, and the
 /// lanes it names have usually been evicted since their last visit (a
 /// 512-replica fleet's working set dwarfs L2). Covers the cell's inline
 /// header region (sim scalars and the engine's `Vec` headers), so the
@@ -1428,122 +1306,75 @@ fn prefetch_lane(cells: &[Box<LaneCell<'_>>], r: usize) {
 /// Quiesces the fleet up to an epoch boundary (`until = Some(t)`) or out
 /// to the horizon (`None`).
 ///
-/// With the calendar clock, the busy set — lanes whose next pending work
-/// precedes the boundary; for the rest `advance` is a proven no-op —
-/// comes from [`EventCalendar::collect_due`] in O(busy + crossed
-/// buckets), is checked against the linear-scan oracle under
-/// `debug_assertions`, and advances as **one** pool batch per epoch
-/// (inline when the pool has one worker): the pool block-partitions the
-/// lanes across its deques and steal-on-empty balances whatever skew the
-/// epoch has. The serial schedule replays the reference clock exactly:
-/// every alive lane, in `order`, advance only — the pre-PR clock kept no
-/// mirrors on the epoch path, so neither does this arm (consumers at
-/// tick/fault instants trigger an explicit sweep instead).
-#[allow(clippy::too_many_arguments)]
+/// The busy set — lanes whose next pending work precedes the boundary;
+/// for the rest `advance` is a proven no-op — comes from
+/// [`EventCalendar::collect_due`] in O(busy + crossed buckets) and is
+/// checked against the linear-scan oracle under `debug_assertions`.
+/// Dead and non-member lanes carry an infinite key, so they are never
+/// due: a crashed replica must not process policy timers or launch
+/// work while down, and a warm or retired lane is frozen outright. The
+/// busy lanes then advance inline, in ascending lane order.
 fn quiesce(
     fleet: &mut Fleet<'_>,
     busy: &mut Vec<u32>,
-    hints: &mut Vec<f64>,
-    order: &[usize],
-    pool_par: bool,
     horizon_us: f64,
     until: Option<f64>,
     tel: &mut TelemetryRt,
 ) {
     tel.prof.epochs += 1;
-    if fleet.use_cal {
-        let t0 = tel.clk();
-        busy.clear();
-        match until {
-            Some(t) => fleet.cal.collect_due(t, true, busy),
-            None => fleet.cal.collect_due(horizon_us, false, busy),
-        }
-        tel.prof.collect_ns += TelemetryRt::lap(t0);
-        // The retained oracle: the calendar's busy set must equal the
-        // linear scan's, every epoch, before anything advances.
-        #[cfg(debug_assertions)]
-        {
-            let expect: Vec<u32> = fleet
-                .cells
-                .iter()
-                .enumerate()
-                .filter_map(|(r, cell)| {
-                    if !fleet.alive[r] || !fleet.advancing[r] {
-                        return None;
-                    }
-                    let at = cell.sim.next_pending_at(cell.policy.as_dyn_ref())?;
-                    let due = match until {
-                        Some(t) => at < t,
-                        None => at <= horizon_us,
-                    };
-                    due.then_some(r as u32)
-                })
-                .collect();
-            debug_assert_eq!(
-                *busy, expect,
-                "calendar busy set diverged from the linear-scan oracle at {until:?}"
-            );
-        }
-        let t0 = tel.clk();
-        tel.prof.lanes_advanced += busy.len() as u64;
-        if pool_par && busy.len() > 1 {
-            hints.clear();
-            hints.resize(busy.len(), f64::NAN);
-            let ptr = CellsPtr(fleet.cells.as_mut_ptr(), std::marker::PhantomData);
-            let hp = HintsPtr(hints.as_mut_ptr(), std::marker::PhantomData);
-            let lanes: &[u32] = busy;
-            rayon::for_each_index(lanes.len(), move |i| {
-                let r = lanes[i] as usize;
-                // SAFETY: `lanes` holds strictly ascending (hence
-                // unique) indices < cells.len(), so every iteration
-                // dereferences a distinct element — disjoint `&mut`,
-                // no aliasing across workers. `LaneCell: Send` is
-                // asserted at compile time. The hint slot is indexed by
-                // the batch position `i`, unique per iteration.
-                let cell = unsafe { ptr.lane_mut(r) };
-                let hint = cell.advance_to(until);
-                unsafe { hp.write(i, hint.unwrap_or(f64::INFINITY)) };
-            });
-            for i in 0..busy.len() {
-                let hint = hints[i];
-                let hint = (hint != f64::INFINITY).then_some(hint);
-                fleet.refresh_hinted(busy[i] as usize, hint);
-            }
-        } else {
-            // Inline schedule: advance and refresh in one pass per lane
-            // (the lane's state is hot; a second sweep would re-touch
-            // every cell from cold), with the next lane's cell
-            // prefetched while this one runs.
-            for i in 0..busy.len() {
-                let r = busy[i] as usize;
-                // Two-stage lookahead: headers of lane i+2 stream in
-                // while lane i runs, so the deep prefetch for lane i+1
-                // (which must *read* those headers to find the engine's
-                // buffers) issues from cache hits.
-                if i + 2 < busy.len() {
-                    prefetch_lane(&fleet.cells, busy[i + 2] as usize);
-                }
-                if i + 1 < busy.len() {
-                    fleet.cells[busy[i + 1] as usize].prefetch_hot();
-                }
-                let hint = fleet.cells[r].advance_to(until);
-                fleet.refresh_hinted(r, hint);
-            }
-        }
-        tel.prof.advance_ns += TelemetryRt::lap(t0);
-    } else {
-        // Dead and non-member lanes are skipped in both schedules — a
-        // crashed replica must not process policy timers or launch work
-        // while down, and a warm or retired lane is frozen outright.
-        let t0 = tel.clk();
-        for &r in order {
-            if fleet.alive[r] && fleet.advancing[r] {
-                tel.prof.lanes_advanced += 1;
-                fleet.cells[r].advance_to(until);
-            }
-        }
-        tel.prof.advance_ns += TelemetryRt::lap(t0);
+    let t0 = tel.clk();
+    busy.clear();
+    match until {
+        Some(t) => fleet.cal.collect_due(t, true, busy),
+        None => fleet.cal.collect_due(horizon_us, false, busy),
     }
+    tel.prof.collect_ns += TelemetryRt::lap(t0);
+    // The busy-set oracle: the calendar's busy set must equal the
+    // linear scan's, every epoch, before anything advances.
+    #[cfg(debug_assertions)]
+    {
+        let expect: Vec<u32> = fleet
+            .cells
+            .iter()
+            .enumerate()
+            .filter_map(|(r, cell)| {
+                if !fleet.alive[r] || !fleet.advancing[r] {
+                    return None;
+                }
+                let at = cell.sim.next_pending_at(cell.policy.as_dyn_ref())?;
+                let due = match until {
+                    Some(t) => at < t,
+                    None => at <= horizon_us,
+                };
+                due.then_some(r as u32)
+            })
+            .collect();
+        debug_assert_eq!(
+            *busy, expect,
+            "calendar busy set diverged from the linear-scan oracle at {until:?}"
+        );
+    }
+    let t0 = tel.clk();
+    tel.prof.lanes_advanced += busy.len() as u64;
+    // Advance and refresh in one pass per lane (the lane's state is
+    // hot; a second sweep would re-touch every cell from cold), with
+    // the next lane's cell prefetched while this one runs.
+    for i in 0..busy.len() {
+        let r = busy[i] as usize;
+        // Two-stage lookahead: headers of lane i+2 stream in while lane
+        // i runs, so the deep prefetch for lane i+1 (which must *read*
+        // those headers to find the engine's buffers) issues from cache
+        // hits.
+        if i + 2 < busy.len() {
+            prefetch_lane(&fleet.cells, busy[i + 2] as usize);
+        }
+        if i + 1 < busy.len() {
+            fleet.cells[busy[i + 1] as usize].prefetch_hot();
+        }
+        let hint = fleet.cells[r].advance_to(until);
+        fleet.refresh_hinted(r, hint);
+    }
+    tel.prof.advance_ns += TelemetryRt::lap(t0);
 }
 
 /// One orphaned request waiting for re-dispatch.
@@ -2072,7 +1903,7 @@ impl ElasticRt {
 /// Starts provisioning the lowest-index available warm lane (warm-pool
 /// hit), or records a miss when the pool is exhausted. The delay draw
 /// comes from the run-seeded splitmix64 chain — deterministic per draw
-/// index, independent of clock schedule.
+/// index.
 fn start_provision(
     ert: &mut ElasticRt,
     e: &ElasticConfig,
@@ -2106,9 +1937,9 @@ fn start_provision(
 }
 
 /// Removes lane `r` from the fleet for good: folds its open membership
-/// stint into the lifetime accounting and freezes the lane (both clock
-/// schedules skip it from here on). Callers rebuild the router views
-/// before the next routing decision.
+/// stint into the lifetime accounting and freezes the lane (the clock
+/// skips it from here on). Callers rebuild the router views before the
+/// next routing decision.
 fn retire_lane(fleet: &mut Fleet, ert: &mut ElasticRt, r: usize, t: f64) {
     ert.active_us[r] += t - ert.activated_at[r];
     ert.state[r] = LaneState::Retired;
@@ -2303,7 +2134,7 @@ fn elastic_step(
 
     // Phase 1 — retirement: a draining lane with nothing queued or in
     // flight leaves the fleet. Tick-granular by design: membership
-    // changes only at decision points both clock schedules share.
+    // changes only at decision points.
     for r in 0..n {
         if ert.state[r] == LaneState::Draining && fleet.cells[r].sim.state().ls_backlog() == 0 {
             ert.drains_completed += 1;
@@ -2582,8 +2413,7 @@ fn apply_fault(
             // the last decision instant (crash shortly after recover).
             rt.last_heartbeat[r] = rt.last_heartbeat[r].max(rt.last_decision_us);
             // Rip queued and in-flight LS work back out to the router,
-            // in the merged stream's canonical (time, task) order so the
-            // retry queue is identical under every clock schedule.
+            // in the merged stream's canonical (time, task) order.
             let mut drained = std::mem::take(&mut rt.drain_buf);
             drained.clear();
             fleet.mutate(r, |cell| cell.sim.state_mut().crash_drain(&mut drained));
@@ -2742,12 +2572,10 @@ fn process_retries(
             true
         }
     });
-    // Health is a function of `t` alone, so the calendar clock patches
-    // it once for the whole drain; injections inside the loop keep the
-    // backlog views current through `refresh`.
-    if fleet.use_cal {
-        fleet.patch_health(rt, t);
-    }
+    // Health is a function of `t` alone, so it is patched once for the
+    // whole drain; injections inside the loop keep the backlog views
+    // current through `refresh`.
+    fleet.patch_health(rt, t);
     for mut e in due.drain(..) {
         // Deadline-aware drop: past the request's hard deadline
         // (per-tier with a config, `RetryConfig::timeout_us` mirrored
@@ -2766,21 +2594,11 @@ fn process_retries(
             }
             continue;
         }
-        if fleet.use_cal {
-            #[cfg(debug_assertions)]
-            fleet.assert_views_current(jobs_on, rt, t);
-        } else {
-            fleet.rebuild_views(jobs_on, rt, t);
-        }
-        let any_healthy = if fleet.use_cal {
-            fleet.n_healthy > 0
-        } else {
-            fleet.views.iter().any(|v| v.healthy)
-        };
+        fleet.assert_views_current(jobs_on, rt, t);
         // With every member drained away (routable set empty) the
         // healthy count is 0, so the entry backs off like a whole-fleet
         // outage until a lane activates.
-        let target = if any_healthy {
+        let target = if fleet.n_healthy > 0 {
             let slot = if trt.enabled {
                 router.route_with_tier(&fleet.views, e.task, trt.rank[e.task], t)
             } else {
@@ -3146,27 +2964,15 @@ fn tier_flush(
     if !trt.enabled || trt.queued_total() == 0 {
         return;
     }
-    if fleet.use_cal {
-        fleet.patch_health(rt, t);
-    }
+    fleet.patch_health(rt, t);
     for rank in 0..trt.n_tiers() {
         if trt.level >= trt.queue_level[rank] {
             continue;
         }
         while let Some(&(task, arrival_us)) = trt.queues[rank].front() {
             let task = task as usize;
-            if fleet.use_cal {
-                #[cfg(debug_assertions)]
-                fleet.assert_views_current(jobs_on, rt, t);
-            } else {
-                fleet.rebuild_views(jobs_on, rt, t);
-            }
-            let any_healthy = if fleet.use_cal {
-                fleet.n_healthy > 0
-            } else {
-                fleet.views.iter().any(|v| v.healthy)
-            };
-            if !any_healthy {
+            fleet.assert_views_current(jobs_on, rt, t);
+            if fleet.n_healthy == 0 {
                 break;
             }
             trt.queues[rank].pop_front();
@@ -3200,9 +3006,8 @@ fn tier_flush(
 
 /// One controller tick's migration decision: move one BE job from the
 /// worst SLO-breaching replica onto the most underloaded replica that
-/// can host it. Scans run in replica-index order, so the decision is
-/// independent of the fleet clock's schedule (serial order or parallel
-/// placement alike). `dests` is caller-owned scratch.
+/// can host it. Scans run in replica-index order. `dests` is
+/// caller-owned scratch.
 #[allow(clippy::too_many_arguments)]
 fn controller_rebalance(
     cfg: &ClusterConfig,
@@ -3330,7 +3135,6 @@ pub struct ClusterCtx {
     cal: EventCalendar,
     views: Vec<ReplicaView>,
     busy: Vec<u32>,
-    hints: Vec<f64>,
     due: Vec<Requeue>,
     dests: Vec<usize>,
 }
@@ -3411,12 +3215,6 @@ pub fn run_cluster_prepared(
         ctx.stores.resize_with(n, LaneStore::default);
     }
 
-    // The calendar clock degenerates to inline (but still
-    // calendar-selected) advancing when there is nothing to overlap: a
-    // 1-replica fleet, or a pool with a single participant.
-    let use_cal = cfg.clock == ClockKind::Parallel;
-    let pool_par = use_cal && n > 1 && rayon::current_pool_workers() > 1;
-
     let mut jobs_on: Vec<Vec<usize>> = prep.init_jobs_on.clone();
 
     // --- the fleet: hot mirrors from the context, cells per run ----------
@@ -3433,7 +3231,6 @@ pub fn run_cluster_prepared(
         lane_slot: std::mem::take(&mut ctx.lane_slot),
         identity: n_init == n,
         cal: std::mem::take(&mut ctx.cal),
-        use_cal,
         views: std::mem::take(&mut ctx.views),
         n_healthy: 0,
         n_dead: 0,
@@ -3522,7 +3319,6 @@ pub fn run_cluster_prepared(
     }
 
     // --- fleet clock state -----------------------------------------------
-    let order = &prep.order;
     let mut arrivals = match &prep.trace {
         Some(trace) => ArrivalSource::Batch {
             merged: trace.merged(),
@@ -3537,7 +3333,6 @@ pub fn run_cluster_prepared(
     };
     let mut migrations: Vec<Migration> = Vec::new();
     let mut busy = std::mem::take(&mut ctx.busy);
-    let mut hints = std::mem::take(&mut ctx.hints);
     let mut due = std::mem::take(&mut ctx.due);
     let mut dests = std::mem::take(&mut ctx.dests);
     let chaos_on = cfg.chaos.is_some();
@@ -3578,8 +3373,7 @@ pub fn run_cluster_prepared(
         let t_scale = ert.next_ready_us;
         // Decision-point priority at equal instants is fixed — fault,
         // then provisioning completion, then controller tick, then
-        // retry re-dispatch, then arrival — so both clock schedules
-        // interleave identically. Without a fault plan or elastic
+        // retry re-dispatch, then arrival. Without a fault plan or elastic
         // config `t_fault`/`t_retry`/`t_scale` are infinite and every
         // condition reduces exactly to the pre-chaos clock.
         let fault_due = t_fault <= t_scale
@@ -3593,22 +3387,10 @@ pub fn run_cluster_prepared(
             quiesce(
                 &mut fleet,
                 &mut busy,
-                &mut hints,
-                order,
-                pool_par,
                 cfg.horizon_us,
                 Some(f.at_us),
                 &mut tel,
             );
-            if !fleet.use_cal {
-                // The serial arm's quiesce maintains no mirrors; fault
-                // handling reads the dense backlogs (drain victims, BE
-                // landing sites), so sweep them current at this rare
-                // instant — the pre-SoA clock's own O(replicas) walk.
-                for r in 0..n {
-                    fleet.refresh(r);
-                }
-            }
             apply_fault(
                 cfg,
                 &f,
@@ -3626,9 +3408,7 @@ pub fn run_cluster_prepared(
             // Faults restructure everything a view reads — aliveness,
             // residency, drained backlogs — so the incremental snapshot
             // re-bases here. O(replicas), but fault instants are rare.
-            if fleet.use_cal {
-                fleet.rebuild_views(&jobs_on, &rt, f.at_us);
-            }
+            fleet.rebuild_views(&jobs_on, &rt, f.at_us);
             continue;
         }
         let scale_due = t_scale <= next_tick
@@ -3641,21 +3421,10 @@ pub fn run_cluster_prepared(
             quiesce(
                 &mut fleet,
                 &mut busy,
-                &mut hints,
-                order,
-                pool_par,
                 cfg.horizon_us,
                 Some(t_scale),
                 &mut tel,
             );
-            if !fleet.use_cal {
-                // Activation re-homes homeless BE jobs off the dense
-                // backlog mirrors, which the serial quiesce leaves
-                // stale; sweep them current at this rare instant.
-                for r in 0..n {
-                    fleet.refresh(r);
-                }
-            }
             rt.last_decision_us = t_scale;
             activate_ready(
                 cfg,
@@ -3669,34 +3438,21 @@ pub fn run_cluster_prepared(
             tel.sync_logs(&migrations, &ert.events);
             // Activation grows the routable set, so the compact views
             // re-base; O(replicas) but activation instants are rare.
-            if fleet.use_cal {
-                fleet.rebuild_views(&jobs_on, &rt, t_scale);
-            }
+            fleet.rebuild_views(&jobs_on, &rt, t_scale);
             continue;
         }
         let tick_due = next_tick < t_arr && next_tick <= t_retry && next_tick < cfg.horizon_us;
         if tick_due {
-            // Quiesce the fleet up to the tick — one epoch, every busy
-            // replica in parallel — then drain and rebalance in
-            // canonical replica order.
+            // Quiesce the fleet up to the tick — one epoch — then drain
+            // and rebalance in canonical replica order.
             quiesce(
                 &mut fleet,
                 &mut busy,
-                &mut hints,
-                order,
-                pool_par,
                 cfg.horizon_us,
                 Some(next_tick),
                 &mut tel,
             );
             let tick_t0 = tel.clk();
-            if !fleet.use_cal {
-                // Rebalance and degradation read the dense backlogs;
-                // the serial quiesce left them stale (see above).
-                for r in 0..n {
-                    fleet.refresh(r);
-                }
-            }
             rt.last_decision_us = next_tick;
             let mut window_done = 0u64;
             for r in 0..n {
@@ -3712,8 +3468,7 @@ pub fn run_cluster_prepared(
             }
             if tel.is_on() {
                 // Sample the registry and record per-lane verdicts off
-                // the cells themselves (not the mirrors), so the sampled
-                // values are schedule-independent by construction.
+                // the cells themselves, not the mirrors.
                 let sample_t0 = tel.clk();
                 tel.begin_tick(next_tick);
                 for (r, jobs) in jobs_on.iter().enumerate().take(n) {
@@ -3759,8 +3514,7 @@ pub fn run_cluster_prepared(
                 );
                 // Per-tier series: queued + in-lane backlog, cumulative
                 // weighted on-SLO completions, cumulative refusals.
-                // Read off the cells (schedule-independent), one pass
-                // per tier — skipped entirely without a tier config so
+                // Read off the cells, one pass per tier — skipped entirely without a tier config so
                 // the telemetry overhead gate is untouched.
                 if trt.enabled {
                     for rank in 0..trt.n_tiers() {
@@ -3847,9 +3601,7 @@ pub fn run_cluster_prepared(
             // snapshot re-bases here — the tick already walked every
             // lane to drain completions, so this adds no complexity
             // class.
-            if fleet.use_cal {
-                fleet.rebuild_views(&jobs_on, &rt, next_tick);
-            }
+            fleet.rebuild_views(&jobs_on, &rt, next_tick);
             // Re-admit queued tiers the receding ladder just released —
             // after the view rebuild so routing sees this tick's state.
             if trt.enabled {
@@ -3866,9 +3618,6 @@ pub fn run_cluster_prepared(
             quiesce(
                 &mut fleet,
                 &mut busy,
-                &mut hints,
-                order,
-                pool_par,
                 cfg.horizon_us,
                 Some(t_retry),
                 &mut tel,
@@ -3886,37 +3635,25 @@ pub fn run_cluster_prepared(
         arrivals_injected += 1;
         arrivals_by_task[a.task as usize] += 1;
         // Quiesce every replica up to the arrival so the router sees a
-        // consistent instant; replicas are independent, so neither the
-        // serial order nor the parallel schedule matters (the
-        // determinism tests permute both).
+        // consistent instant.
         quiesce(
             &mut fleet,
             &mut busy,
-            &mut hints,
-            order,
-            pool_par,
             cfg.horizon_us,
             Some(a.at_us),
             &mut tel,
         );
         let route_t0 = tel.clk();
         rt.last_decision_us = a.at_us;
-        // The calendar clock routes against the incremental views — an
-        // O(1) touch-up of dead lanes' health (a no-op while the fleet
-        // is whole) instead of the serial reference's O(replicas)
-        // rebuild — checked against a fresh rebuild under
-        // debug_assertions.
-        if fleet.use_cal {
-            fleet.patch_health(&rt, a.at_us);
-            #[cfg(debug_assertions)]
-            fleet.assert_views_current(&jobs_on, &rt, a.at_us);
-        } else {
-            fleet.rebuild_views(&jobs_on, &rt, a.at_us);
-        }
+        // Route against the incremental views — an O(1) touch-up of
+        // dead lanes' health (a no-op while the fleet is whole) instead
+        // of an O(replicas) rebuild — checked against a fresh rebuild
+        // under debug_assertions.
+        fleet.patch_health(&rt, a.at_us);
+        fleet.assert_views_current(&jobs_on, &rt, a.at_us);
         // Admission control runs before routing: the decision is a pure
         // function of the brownout level (moved only at ticks) and the
-        // tier queue's occupancy, so it is identical under both clocks.
-        // Without a tier config every arrival admits and this is one
+        // tier queue's occupancy. Without a tier config every arrival admits and this is one
         // predictable branch.
         match trt.admit(a.task as usize) {
             Admission::Admit => {
@@ -3950,13 +3687,8 @@ pub fn run_cluster_prepared(
                 continue;
             }
         }
-        let any_healthy = if fleet.use_cal {
-            fleet.n_healthy > 0
-        } else {
-            fleet.views.iter().any(|v| v.healthy)
-        };
         let no_target = fleet.views.is_empty();
-        if no_target || (chaos_on && !any_healthy) {
+        if no_target || (chaos_on && fleet.n_healthy == 0) {
             // Whole fleet unhealthy (or every lane drained away):
             // the request parks in the retry queue instead of being
             // forced onto a dead replica.
@@ -4041,23 +3773,13 @@ pub fn run_cluster_prepared(
     }
     // Drain: no further arrivals, faults, retries or ticks — run every
     // surviving replica out to the horizon.
-    quiesce(
-        &mut fleet,
-        &mut busy,
-        &mut hints,
-        order,
-        pool_par,
-        cfg.horizon_us,
-        None,
-        &mut tel,
-    );
+    quiesce(&mut fleet, &mut busy, cfg.horizon_us, None, &mut tel);
     for r in 0..n {
         fleet.cells[r].drain(&prep.slos[r], &trt.soft, cfg.streaming, r as u32, &mut tel);
     }
     tel.sync_logs(&migrations, &ert.events);
-    // Read the cells, not the mirrors — the serial arm's quiesce leaves
-    // mirrors stale by design. Requests parked in tier admission queues
-    // are in flight: arrived, neither completed nor dropped.
+    // Requests parked in tier admission queues are in flight: arrived,
+    // neither completed nor dropped.
     let in_flight_at_end = fleet
         .cells
         .iter()
@@ -4259,7 +3981,6 @@ pub fn run_cluster_prepared(
     ctx.view_lane = fleet.view_lane;
     ctx.lane_slot = fleet.lane_slot;
     ctx.busy = busy;
-    ctx.hints = hints;
     ctx.due = due;
     ctx.dests = dests;
     result

@@ -18,8 +18,8 @@
 //! functions of the signals, provisioning jitter comes from a
 //! splitmix64 chain on the run seed, and every membership change is a
 //! clock decision point ordered `fault < scale < tick < retry <
-//! arrival` — so serial and parallel clocks stay bit-identical under
-//! any interleaving of scaling and fault events.
+//! arrival` — so a run replays bit-identically under any interleaving
+//! of scaling and fault events.
 
 use gpu_spec::GpuModel;
 
@@ -324,7 +324,7 @@ impl ElasticConfig {
 }
 
 /// Seeded provisioning-delay draw: deterministic per (run seed, draw
-/// index), independent of clock kind and worker count.
+/// index).
 pub(crate) fn provision_delay(cfg: &WarmPoolConfig, seed: u64, draw: u64) -> f64 {
     let j = cfg.provision_jitter;
     if j == 0.0 || cfg.provision_delay_us == 0.0 {

@@ -28,9 +28,9 @@ pub mod trace;
 pub use calendar::EventCalendar;
 pub use chaos::{DegradationConfig, FaultEvent, FaultKind, FaultPlan, RetryConfig};
 pub use cluster::{
-    run_cluster, run_cluster_in, run_cluster_prepared, ClockKind, ClusterConfig, ClusterCtx,
-    ClusterResult, ControllerConfig, JoinShortestBacklog, PreparedCluster, ReplicaView, RoundRobin,
-    RouterKind, RoutingPolicy, SloAwarePowerOfTwo,
+    run_cluster, run_cluster_in, run_cluster_prepared, ClusterConfig, ClusterCtx, ClusterResult,
+    ControllerConfig, JoinShortestBacklog, PreparedCluster, ReplicaView, RoundRobin, RouterKind,
+    RoutingPolicy, SloAwarePowerOfTwo,
 };
 pub use elastic::{
     ElasticConfig, FleetSignals, HoldPolicy, ScaleCause, ScaleEvent, ScaleEventKind, ScalingPolicy,

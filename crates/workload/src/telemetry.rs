@@ -14,10 +14,9 @@
 //!   bit-identical [`crate::ClusterResult`]s (modulo the `telemetry`
 //!   field itself, which is `None`).
 //! * **Deterministic.** Every event is recorded at a decision point of
-//!   the fleet clock (fault < scale < tick < retry < arrival), which
-//!   both the serial and the epoch-parallel clocks execute in the same
-//!   canonical order — so the merged event streams and sampled series
-//!   are bit-identical across clocks and worker counts. Wall-clock
+//!   the fleet clock, executed in one canonical order (fault < scale <
+//!   tick < retry < arrival) — so the merged event streams and sampled
+//!   series are bit-identical across runs. Wall-clock
 //!   [`ClockProfile`] numbers are *measurements*, not simulation state:
 //!   they are excluded from equality.
 //! * **Allocation at creation only.** Rings are allocated once per run
@@ -264,19 +263,17 @@ pub struct MetricSeries {
 /// These are *measurements of the host machine*, not simulation state:
 /// two bit-identical runs will report different nanosecond counts. The
 /// manual `PartialEq` therefore treats every profile as equal, so
-/// whole-`ClusterResult` equality (the serial-vs-parallel and
-/// recorder-on/off contracts) keeps comparing only deterministic state.
+/// whole-`ClusterResult` equality (the recorder-on/off contract) keeps
+/// comparing only deterministic state.
 #[derive(Debug, Clone, Default)]
 pub struct ClockProfile {
     /// Decision-point epochs executed (quiesce calls).
     pub epochs: u64,
     /// Total lane-advance invocations across all epochs.
     pub lanes_advanced: u64,
-    /// Time selecting due lanes (calendar `collect_due` or the serial
-    /// scan's busy filter).
+    /// Time selecting due lanes (calendar `collect_due`).
     pub collect_ns: u64,
-    /// Time advancing due lanes (pool batch or inline loop) plus
-    /// mirror refreshes.
+    /// Time advancing due lanes plus mirror refreshes.
     pub advance_ns: u64,
     /// Time routing arrivals (router decision + injection).
     pub route_ns: u64,

@@ -4,9 +4,6 @@
 //!   to the single-GPU serving loop — per-BE-scenario `RunStats` match
 //!   `run_system_scenario_stats` exactly, so the assembled Fig. 17
 //!   `SystemResult` is the same number for number;
-//! * cluster results are invariant to the fleet clock's replica
-//!   iteration order (the multi-GPU analogue of the sweep's chunking
-//!   invariance);
 //! * fleet-wide percentiles merged from per-replica sketches match the
 //!   exact sorted percentile within the documented ≤0.5% bound;
 //! * the controller actually migrates BE work off breaching replicas,
@@ -72,45 +69,6 @@ fn one_replica_cluster_is_bit_identical_to_single_gpu_run() {
                     .map(|v| v.iter().filter(|&&t| t <= cfg.horizon_us).count())
                     .sum::<usize>(),
                 "every in-horizon request routes to the only replica"
-            );
-        }
-    }
-}
-
-/// The fleet clock may quiesce replicas in any order: replicas interact
-/// only through router/controller decisions taken at quiesced instants,
-/// so every permutation must give the same `ClusterResult` — including
-/// every completion timestamp, migration and histogram bin.
-#[test]
-fn results_are_invariant_to_replica_iteration_order() {
-    let gpus = vec![
-        GpuModel::RtxA2000,
-        GpuModel::Gtx1080,
-        GpuModel::RtxA2000,
-        GpuModel::TeslaP40,
-    ];
-    for router_kind in RouterKind::all() {
-        let mut cfg = ClusterConfig::new(gpus.clone(), SystemKind::Sgdrc);
-        cfg.horizon_us = short_horizon();
-        // Load the fleet enough that queues build and the controller
-        // has something to do.
-        cfg.trace = TraceConfig::apollo_like()
-            .scaled(2.5)
-            .with_diurnal(0.3, 0.4);
-        cfg.controller.period_us = 2.5e4;
-        cfg.controller.adaptive_ch_be = true;
-        let mut baseline_router = router_kind.make(cfg.seed);
-        let baseline = workload::run_cluster(&cfg, baseline_router.as_mut());
-        for order in [vec![3, 1, 0, 2], vec![2, 3, 1, 0], vec![1, 0, 3, 2]] {
-            let mut cfg2 = cfg.clone();
-            cfg2.advance_order = order.clone();
-            let mut router = router_kind.make(cfg.seed);
-            let permuted = workload::run_cluster(&cfg2, router.as_mut());
-            assert_eq!(
-                baseline,
-                permuted,
-                "{}: order {order:?} changed the fleet result",
-                router_kind.name()
             );
         }
     }

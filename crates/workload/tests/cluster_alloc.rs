@@ -60,13 +60,6 @@ fn fleet_cfg(horizon_us: f64) -> ClusterConfig {
 /// doubled epoch count adds (essentially) zero allocations.
 #[test]
 fn epoch_path_allocates_nothing_in_steady_state() {
-    if rayon::current_pool_workers() > 1 {
-        // The pool's batch dispatch may allocate when it actually fans
-        // out; the zero-alloc contract targets the clock itself.
-        // CI's default (1-worker) run enforces the gate.
-        eprintln!("skipping: pool has >1 worker; epoch batches may allocate in dispatch");
-        return;
-    }
     if cfg!(debug_assertions) {
         // Debug builds run the retained linear-scan oracle every epoch
         // (it materializes its expected busy set) plus the engine's own
@@ -127,10 +120,6 @@ fn epoch_path_allocates_nothing_in_steady_state() {
 /// thousands of times here.
 #[test]
 fn enabled_recorder_allocates_only_at_creation() {
-    if rayon::current_pool_workers() > 1 {
-        eprintln!("skipping: pool has >1 worker; epoch batches may allocate in dispatch");
-        return;
-    }
     if cfg!(debug_assertions) {
         eprintln!("skipping: debug_assertions oracle allocates by design; run under --release");
         return;

@@ -1,14 +1,14 @@
 //! Fault-injection contracts for the fleet clock.
 //!
-//! Three pillars:
-//! * **bit-identity** — serial and parallel clocks produce identical
-//!   `ClusterResult`s (stats, sketches, migrations, resilience
-//!   counters) under *any* seeded `FaultPlan`, proptested across
-//!   systems, fleet sizes, routers, `advance_order` permutations and
-//!   plan seeds (the CI matrix supplies multi-worker pools);
+//! Three pillars, with the clock's own `debug_assertions` oracles (busy
+//! set vs. linear scan, incremental views vs. fresh rebuild) checking
+//! every epoch of every debug run:
 //! * **conservation** — every injected arrival is exactly one of
 //!   {completed (possibly after retries), timeout-dropped, shed,
-//!   in-flight-at-horizon}, proptested over random fault plans;
+//!   in-flight-at-horizon}, proptested over random fault plans on
+//!   random heterogeneous fleets;
+//! * **recycling** — a clock run on a `ClusterCtx` dirtied by another
+//!   faulted fleet agrees bit for bit with a fresh clock;
 //! * **resilience semantics** — crashes requeue to survivors, recovery
 //!   restores service, BE jobs evacuate, throttles slow replicas
 //!   deterministically, degradation sheds BE before LS, and requeue
@@ -17,7 +17,7 @@
 use gpu_spec::GpuModel;
 use proptest::prelude::*;
 use workload::chaos::{FaultEvent, FaultKind, FaultPlan};
-use workload::cluster::{ClockKind, ClusterConfig, ControllerConfig, RouterKind};
+use workload::cluster::{ClusterConfig, ClusterCtx, ControllerConfig, RouterKind};
 use workload::trace::TraceConfig;
 use workload::SystemKind;
 
@@ -29,15 +29,9 @@ fn short_horizon() -> f64 {
     }
 }
 
-fn run_with_clock(
-    cfg: &ClusterConfig,
-    router: RouterKind,
-    clock: ClockKind,
-) -> workload::ClusterResult {
-    let mut cfg = cfg.clone();
-    cfg.clock = clock;
+fn run(cfg: &ClusterConfig, router: RouterKind) -> workload::ClusterResult {
     let mut r = router.make(cfg.seed);
-    workload::run_cluster(&cfg, r.as_mut())
+    workload::run_cluster(cfg, r.as_mut())
 }
 
 /// A busy two-GPU fleet with a fast controller — the base scenario the
@@ -55,6 +49,59 @@ fn base_cfg() -> ClusterConfig {
         adaptive_ch_be: true,
         ..Default::default()
     };
+    cfg
+}
+
+/// Runs `cfg` on a fresh [`ClusterCtx`] and again on a context recycled
+/// from a run of `dirty`, returning `(fresh, recycled)`. The recycled
+/// run inherits the calendar, hot mirrors, router views, lane stores and
+/// retry scratch that `dirty` left behind.
+fn fresh_and_recycled(
+    cfg: &ClusterConfig,
+    dirty: &ClusterConfig,
+    router: RouterKind,
+) -> (workload::ClusterResult, workload::ClusterResult) {
+    let fresh = run(cfg, router);
+    let mut ctx = ClusterCtx::new();
+    let mut r = router.make(dirty.seed);
+    let _ = workload::run_cluster_in(dirty, r.as_mut(), &mut ctx);
+    let mut r = router.make(cfg.seed);
+    let recycled = workload::run_cluster_in(cfg, r.as_mut(), &mut ctx);
+    (fresh, recycled)
+}
+
+/// The proptests' faulted fleet: replica `r` is an A2000 or a GTX 1080
+/// by bit `r` of `gpu_bits`, the controller ticks every 12 ms, and
+/// `adaptive` adds eager migrations with Ch_BE retuning on both ends.
+fn faulted_fleet(
+    n_replicas: usize,
+    gpu_bits: u64,
+    system: SystemKind,
+    scale: f64,
+    seed: u64,
+    fault: (u64, f64),
+    adaptive: bool,
+) -> ClusterConfig {
+    let (fault_seed, intensity) = fault;
+    let models = [GpuModel::RtxA2000, GpuModel::Gtx1080];
+    let gpus: Vec<GpuModel> = (0..n_replicas)
+        .map(|r| models[((gpu_bits >> r) & 1) as usize])
+        .collect();
+    let mut cfg = ClusterConfig::new(gpus, system);
+    cfg.horizon_us = if cfg!(debug_assertions) { 2.5e4 } else { 6e4 };
+    cfg.trace = TraceConfig::apollo_like().scaled(scale);
+    cfg.seed = seed;
+    cfg.controller.period_us = 1.2e4;
+    if adaptive {
+        cfg.controller.breach_ratio = 0.9;
+        cfg.controller.adaptive_ch_be = true;
+    }
+    cfg.chaos = Some(FaultPlan::generate(
+        fault_seed,
+        n_replicas,
+        cfg.horizon_us,
+        intensity,
+    ));
     cfg
 }
 
@@ -83,7 +130,7 @@ fn crash_requeues_to_survivor_and_recovery_restores_service() {
     cfg.chaos = Some(FaultPlan::new(vec![FaultEvent::crash(
         0, crash_at, down_for,
     )]));
-    let res = run_with_clock(&cfg, RouterKind::ShortestBacklog, ClockKind::Parallel);
+    let res = run(&cfg, RouterKind::ShortestBacklog);
 
     assert_eq!(res.faults_injected, 1);
     assert_eq!(res.faults_recovered, 1);
@@ -115,7 +162,7 @@ fn crash_requeues_to_survivor_and_recovery_restores_service() {
     // Against the same fleet without faults: the outage costs goodput.
     let mut happy = cfg.clone();
     happy.chaos = None;
-    let base = run_with_clock(&happy, RouterKind::ShortestBacklog, ClockKind::Parallel);
+    let base = run(&happy, RouterKind::ShortestBacklog);
     assert!(
         res.slo_met < base.slo_met,
         "an outage must cost SLO-met completions ({} vs {})",
@@ -139,7 +186,7 @@ fn requeue_delivers_more_than_drop_on_crash() {
         cfg.horizon_us * 0.25,
     )]));
 
-    let requeue = run_with_clock(&cfg, RouterKind::ShortestBacklog, ClockKind::Parallel);
+    let requeue = run(&cfg, RouterKind::ShortestBacklog);
     let mut drop_cfg = cfg.clone();
     drop_cfg
         .chaos
@@ -147,7 +194,7 @@ fn requeue_delivers_more_than_drop_on_crash() {
         .expect("set above")
         .retry
         .max_retries = 0;
-    let drop = run_with_clock(&drop_cfg, RouterKind::ShortestBacklog, ClockKind::Parallel);
+    let drop = run(&drop_cfg, RouterKind::ShortestBacklog);
 
     // Identical history up to the crash, identical drained set — the
     // retry policy decides its fate.
@@ -180,13 +227,13 @@ fn throttle_slows_progress_deterministically() {
         f64::INFINITY,
     );
     cfg.chaos = Some(FaultPlan::new(vec![slow]));
-    let throttled = run_with_clock(&cfg, RouterKind::RoundRobin, ClockKind::Serial);
-    let again = run_with_clock(&cfg, RouterKind::RoundRobin, ClockKind::Serial);
+    let throttled = run(&cfg, RouterKind::RoundRobin);
+    let again = run(&cfg, RouterKind::RoundRobin);
     assert_eq!(throttled, again, "chaos runs must replay exactly");
 
     let mut happy = cfg.clone();
     happy.chaos = None;
-    let base = run_with_clock(&happy, RouterKind::RoundRobin, ClockKind::Serial);
+    let base = run(&happy, RouterKind::RoundRobin);
     assert!(
         throttled.requests < base.requests / 2,
         "a 20×-slowed replica must complete far fewer requests ({} vs {})",
@@ -217,7 +264,7 @@ fn degradation_sheds_be_first_then_low_priority_ls() {
     plan.degradation.shed_ls_backlog = 12;
     plan.degradation.ls_shed_per_tick = 8;
     cfg.chaos = Some(plan);
-    let res = run_with_clock(&cfg, RouterKind::ShortestBacklog, ClockKind::Parallel);
+    let res = run(&cfg, RouterKind::ShortestBacklog);
     assert!(
         res.be_shed > 0,
         "survivor overload must park BE work (be_shed = {})",
@@ -263,7 +310,7 @@ fn shed_victim_skips_draining_lanes() {
     elastic.breach_drain_ratio = 0.5;
     cfg.elastic = Some(elastic);
     cfg.telemetry = Some(TelemetryConfig::default());
-    let res = run_with_clock(&cfg, RouterKind::ShortestBacklog, ClockKind::Parallel);
+    let res = run(&cfg, RouterKind::ShortestBacklog);
     let tel = res.telemetry.as_ref().expect("telemetry on");
 
     // Reconstruct each lane's non-member window from the scale log.
@@ -304,35 +351,18 @@ fn empty_fault_plan_matches_no_plan_exactly() {
     let mut without = base_cfg();
     without.chaos = None;
     for router in RouterKind::all() {
-        let a = run_with_clock(&with_plan, router, ClockKind::Parallel);
-        let b = run_with_clock(&without, router, ClockKind::Parallel);
+        let a = run(&with_plan, router);
+        let b = run(&without, router);
         assert_eq!(a, b, "{}: empty plan diverged from no plan", router.name());
     }
 }
 
-/// Deterministic permutation of `0..n` from a seed (Fisher–Yates over a
-/// splitmix64 chain).
-fn permutation(n: usize, mut seed: u64) -> Vec<usize> {
-    let split = |z: &mut u64| {
-        *z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut x = *z;
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^ (x >> 31)
-    };
-    let mut perm: Vec<usize> = (0..n).collect();
-    for i in (1..n).rev() {
-        let j = (split(&mut seed) % (i as u64 + 1)) as usize;
-        perm.swap(i, j);
-    }
-    perm
-}
-
 proptest! {
-    /// The acceptance property: random fleets under random seeded fault
-    /// plans — serial and parallel clocks agree bit for bit on every
-    /// field, including the resilience counters and the re-dispatch
-    /// sketch, for any `advance_order`.
+    /// A recycled fleet clock agrees with a fresh one: running a random
+    /// faulted fleet on a [`ClusterCtx`] left behind by a differently
+    /// sized, differently seeded faulted run is bit-identical to running
+    /// it on a fresh context, over random fault plans on random
+    /// heterogeneous fleets × systems × routers.
     #[test]
     fn clocks_agree_under_any_fault_plan(
         n_replicas in 1usize..5,
@@ -342,66 +372,50 @@ proptest! {
         scale in 0.8f64..2.4,
         seed in 0u64..1_000_000,
         fault in (0u64..1_000_000, 0.5f64..2.5),
-        perm_seed in 0u64..1_000_000,
+        dirty_seed in 0u64..1_000_000,
     ) {
-        let (fault_seed, intensity) = fault;
-        let models = [GpuModel::RtxA2000, GpuModel::Gtx1080];
-        let gpus: Vec<GpuModel> = (0..n_replicas)
-            .map(|r| models[((gpu_bits >> r) & 1) as usize])
-            .collect();
         let system = SystemKind::all()[system_idx];
         let router = RouterKind::all()[router_idx];
-        let mut cfg = ClusterConfig::new(gpus, system);
-        cfg.horizon_us = if cfg!(debug_assertions) { 2.5e4 } else { 6e4 };
-        cfg.trace = TraceConfig::apollo_like().scaled(scale);
-        cfg.seed = seed;
-        cfg.controller = ControllerConfig {
-            period_us: 1.2e4,
-            breach_ratio: 0.9,
-            adaptive_ch_be: true,
-            ..Default::default()
-        };
-        cfg.chaos = Some(FaultPlan::generate(
-            fault_seed,
-            n_replicas,
-            cfg.horizon_us,
-            intensity,
-        ));
-        cfg.advance_order = permutation(n_replicas, perm_seed);
-        let serial = run_with_clock(&cfg, router, ClockKind::Serial);
-        let parallel = run_with_clock(&cfg, router, ClockKind::Parallel);
-        prop_assert_eq!(serial, parallel);
+        let cfg = faulted_fleet(n_replicas, gpu_bits, system, scale, seed, fault, true);
+        let mut dirty = faulted_fleet(
+            1 + (dirty_seed % 4) as usize,
+            !gpu_bits,
+            SystemKind::all()[(dirty_seed % 6) as usize],
+            scale,
+            dirty_seed,
+            (dirty_seed, fault.1),
+            true,
+        );
+        dirty.horizon_us /= 2.0;
+        let (fresh, recycled) = fresh_and_recycled(&cfg, &dirty, router);
+        prop_assert_eq!(recycled, fresh);
     }
 
     /// Conservation under faults: every injected arrival is exactly one
     /// of completed / timeout-dropped / shed / in-flight-at-horizon,
-    /// over random fault plans, systems and retry budgets.
+    /// over random fault plans, heterogeneous fleets, systems, routers,
+    /// controllers and retry budgets.
     #[test]
     fn arrivals_are_conserved_under_faults(
-        n_replicas in 1usize..5,
+        fleet in (1usize..5, 0u64..16),
         system_idx in 0usize..6,
         router_idx in 0usize..3,
         scale in 0.8f64..2.4,
         seed in 0u64..1_000_000,
-        fault_seed in 0u64..1_000_000,
-        intensity in 0.5f64..3.0,
+        fault in (0u64..1_000_000, 0.5f64..3.0),
         max_retries in 0u32..6,
+        adaptive in 0u32..2,
     ) {
-        let gpus = vec![GpuModel::RtxA2000; n_replicas];
+        let (n_replicas, gpu_bits) = fleet;
         let system = SystemKind::all()[system_idx];
         let router = RouterKind::all()[router_idx];
-        let mut cfg = ClusterConfig::new(gpus, system);
-        cfg.horizon_us = if cfg!(debug_assertions) { 2.5e4 } else { 6e4 };
-        cfg.trace = TraceConfig::apollo_like().scaled(scale);
-        cfg.seed = seed;
-        cfg.controller.period_us = 1.2e4;
-        let mut plan = FaultPlan::generate(fault_seed, n_replicas, cfg.horizon_us, intensity);
+        let mut cfg = faulted_fleet(n_replicas, gpu_bits, system, scale, seed, fault, adaptive == 1);
+        let plan = cfg.chaos.as_mut().expect("faulted fleet");
         plan.retry.max_retries = max_retries;
         // Tight degradation thresholds so the shed paths actually run.
         plan.degradation.shed_be_backlog = 6;
         plan.degradation.shed_ls_backlog = 18;
-        cfg.chaos = Some(plan);
-        let res = run_with_clock(&cfg, router, ClockKind::Parallel);
+        let res = run(&cfg, router);
         prop_assert_eq!(
             res.arrivals_injected,
             res.requests + res.timeout_drops + res.ls_shed + res.in_flight_at_end,

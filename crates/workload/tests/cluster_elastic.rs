@@ -1,17 +1,18 @@
 //! Elastic-fleet contracts for the fleet clock.
 //!
-//! Four pillars:
+//! Four pillars, with the clock's own `debug_assertions` oracles
+//! (busy set vs. linear scan, incremental views vs. fresh rebuild)
+//! checking every epoch of every debug run:
 //! * **no-op bit-identity** — an elastic config that can never change
 //!   membership (empty warm pool, `Hold`, min == max == initial)
 //!   reproduces the pre-elastic simulator exactly, for every system
 //!   and router;
-//! * **clock bit-identity** — serial and parallel clocks agree bit for
-//!   bit under random `ScalingPolicy` + `FaultPlan` combinations (the
-//!   CI matrix supplies multi-worker pools);
 //! * **conservation** — arrivals == completions + timeout-drops +
 //!   shed + in-flight-at-horizon across random
-//!   join/drain/crash-replacement schedules, all systems and clock
-//!   kinds;
+//!   join/drain/crash-replacement schedules, fault plans, controllers
+//!   and all systems;
+//! * **recycling** — a clock run on a `ClusterCtx` dirtied by another
+//!   elastic, faulted fleet agrees bit for bit with a fresh clock;
 //! * **lifecycle semantics** — scale-up pays the provisioning delay
 //!   before a lane turns routable, scale-down drains and retires
 //!   without losing work, breach draining swaps out a hot lane, and
@@ -21,7 +22,7 @@
 use gpu_spec::GpuModel;
 use proptest::prelude::*;
 use workload::chaos::{FaultEvent, FaultPlan};
-use workload::cluster::{ClockKind, ClusterConfig, ControllerConfig, RouterKind};
+use workload::cluster::{ClusterConfig, ClusterCtx, ControllerConfig, RouterKind};
 use workload::elastic::{
     ElasticConfig, ScaleCause, ScaleEventKind, ScalingPolicyKind, ThresholdPolicy, WarmPoolConfig,
 };
@@ -36,15 +37,9 @@ fn short_horizon() -> f64 {
     }
 }
 
-fn run_with_clock(
-    cfg: &ClusterConfig,
-    router: RouterKind,
-    clock: ClockKind,
-) -> workload::ClusterResult {
-    let mut cfg = cfg.clone();
-    cfg.clock = clock;
+fn run(cfg: &ClusterConfig, router: RouterKind) -> workload::ClusterResult {
     let mut r = router.make(cfg.seed);
-    workload::run_cluster(&cfg, r.as_mut())
+    workload::run_cluster(cfg, r.as_mut())
 }
 
 /// A busy two-GPU fleet with a fast controller — the base scenario the
@@ -75,6 +70,24 @@ fn fast_pool(gpus: Vec<GpuModel>) -> WarmPoolConfig {
     }
 }
 
+/// Runs `cfg` on a fresh [`ClusterCtx`] and again on a context recycled
+/// from a run of `dirty`, returning `(fresh, recycled)`. The recycled
+/// run inherits the calendar, hot mirrors, router views, lane stores and
+/// retry scratch that `dirty` left behind.
+fn fresh_and_recycled(
+    cfg: &ClusterConfig,
+    dirty: &ClusterConfig,
+    router: RouterKind,
+) -> (workload::ClusterResult, workload::ClusterResult) {
+    let fresh = run(cfg, router);
+    let mut ctx = ClusterCtx::new();
+    let mut r = router.make(dirty.seed);
+    let _ = workload::run_cluster_in(dirty, r.as_mut(), &mut ctx);
+    let mut r = router.make(cfg.seed);
+    let recycled = workload::run_cluster_in(cfg, r.as_mut(), &mut ctx);
+    (fresh, recycled)
+}
+
 fn assert_conserved(r: &workload::ClusterResult) {
     assert_eq!(
         r.arrivals_injected,
@@ -90,7 +103,7 @@ fn assert_conserved(r: &workload::ClusterResult) {
 
 /// The acceptance baseline: a pinned elastic config (no warm lanes,
 /// `Hold`, min == max == initial) is bit-identical to `elastic: None`
-/// for every `SystemKind` and router, on both clocks.
+/// for every `SystemKind` and router.
 #[test]
 fn noop_elasticity_matches_disabled_exactly() {
     for system in SystemKind::all() {
@@ -103,17 +116,15 @@ fn noop_elasticity_matches_disabled_exactly() {
             pinned.max_replicas = cfg.gpus.len();
             let mut elastic = cfg.clone();
             elastic.elastic = Some(pinned);
-            for clock in [ClockKind::Serial, ClockKind::Parallel] {
-                let a = run_with_clock(&elastic, router, clock);
-                let b = run_with_clock(&cfg, router, clock);
-                assert_eq!(
-                    a,
-                    b,
-                    "{:?}/{}: pinned elastic config diverged from elastic: None",
-                    system,
-                    router.name()
-                );
-            }
+            let a = run(&elastic, router);
+            let b = run(&cfg, router);
+            assert_eq!(
+                a,
+                b,
+                "{:?}/{}: pinned elastic config diverged from elastic: None",
+                system,
+                router.name()
+            );
         }
     }
 }
@@ -130,8 +141,8 @@ fn untouched_warm_pool_leaves_serving_identical() {
     hold.max_replicas = n_init;
     let mut elastic = cfg.clone();
     elastic.elastic = Some(hold);
-    let a = run_with_clock(&elastic, RouterKind::ShortestBacklog, ClockKind::Parallel);
-    let b = run_with_clock(&cfg, RouterKind::ShortestBacklog, ClockKind::Parallel);
+    let a = run(&elastic, RouterKind::ShortestBacklog);
+    let b = run(&cfg, RouterKind::ShortestBacklog);
     cfg.elastic = None;
     assert_eq!(a.requests, b.requests);
     assert_eq!(a.slo_met, b.slo_met);
@@ -165,7 +176,7 @@ fn scale_up_pays_provision_delay_then_serves() {
     );
     e.min_replicas = n_init;
     cfg.elastic = Some(e);
-    let res = run_with_clock(&cfg, RouterKind::P2cSlo, ClockKind::Parallel);
+    let res = run(&cfg, RouterKind::P2cSlo);
     assert!(res.warm_hits > 0, "pressure must draw from the warm pool");
     assert!(res.provision_delay_total_us > 0.0);
     let provision = res
@@ -224,7 +235,7 @@ fn scale_down_drains_retires_and_saves_replica_seconds() {
     );
     e.min_replicas = 1;
     cfg.elastic = Some(e);
-    let res = run_with_clock(&cfg, RouterKind::ShortestBacklog, ClockKind::Parallel);
+    let res = run(&cfg, RouterKind::ShortestBacklog);
     assert!(res.drains_started > 0, "an idle fleet must scale down");
     assert!(
         res.drains_completed > 0,
@@ -247,11 +258,7 @@ fn scale_down_drains_retires_and_saves_replica_seconds() {
     // scale-down costs capacity, never correctness.
     let mut static_cfg = cfg.clone();
     static_cfg.elastic = None;
-    let base = run_with_clock(
-        &static_cfg,
-        RouterKind::ShortestBacklog,
-        ClockKind::Parallel,
-    );
+    let base = run(&static_cfg, RouterKind::ShortestBacklog);
     assert_eq!(res.arrivals_injected, base.arrivals_injected);
     assert_conserved(&base);
 }
@@ -272,7 +279,7 @@ fn breach_drain_swaps_out_the_hot_lane() {
     e.breach_drain_ticks = 2;
     e.breach_drain_ratio = 0.5;
     cfg.elastic = Some(e);
-    let res = run_with_clock(&cfg, RouterKind::P2cSlo, ClockKind::Parallel);
+    let res = run(&cfg, RouterKind::P2cSlo);
     assert!(
         res.scale_events.iter().any(|ev| matches!(
             ev.kind,
@@ -315,8 +322,8 @@ fn crash_replacement_beats_no_replacement() {
     let mut healing = cfg.clone();
     healing.elastic = Some(e);
 
-    let healed = run_with_clock(&healing, RouterKind::ShortestBacklog, ClockKind::Parallel);
-    let hole = run_with_clock(&cfg, RouterKind::ShortestBacklog, ClockKind::Parallel);
+    let healed = run(&healing, RouterKind::ShortestBacklog);
+    let hole = run(&cfg, RouterKind::ShortestBacklog);
 
     assert_eq!(healed.replacements, 1, "the dead lane must be replaced");
     assert!(healed.scale_events.iter().any(|ev| matches!(
@@ -348,7 +355,7 @@ fn crash_replacement_beats_no_replacement() {
 fn out_of_range_fault_target_is_rejected() {
     let mut cfg = base_cfg();
     cfg.chaos = Some(FaultPlan::new(vec![FaultEvent::crash(7, 1e4, 1e4)]));
-    run_with_clock(&cfg, RouterKind::RoundRobin, ClockKind::Parallel);
+    run(&cfg, RouterKind::RoundRobin);
 }
 
 /// Warm lanes are legal fault targets: a crash on a provisioning lane
@@ -378,7 +385,7 @@ fn crash_mid_provisioning_cancels_the_scale_up() {
     );
     e.min_replicas = cfg.gpus.len();
     cfg.elastic = Some(e);
-    let res = run_with_clock(&cfg, RouterKind::ShortestBacklog, ClockKind::Parallel);
+    let res = run(&cfg, RouterKind::ShortestBacklog);
     assert!(res.warm_hits > 0, "pressure must start a provisioning");
     assert!(
         res.scale_events
@@ -394,24 +401,6 @@ fn crash_mid_provisioning_cancels_the_scale_up() {
         "a cancelled provisioning never activates"
     );
     assert_conserved(&res);
-}
-
-/// Deterministic permutation of `0..n` from a seed (Fisher–Yates over a
-/// splitmix64 chain).
-fn permutation(n: usize, mut seed: u64) -> Vec<usize> {
-    let split = |z: &mut u64| {
-        *z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut x = *z;
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^ (x >> 31)
-    };
-    let mut perm: Vec<usize> = (0..n).collect();
-    for i in (1..n).rev() {
-        let j = (split(&mut seed) % (i as u64 + 1)) as usize;
-        perm.swap(i, j);
-    }
-    perm
 }
 
 /// A random-but-valid elastic config over `n_init` configured lanes and
@@ -449,11 +438,47 @@ fn random_elastic(n_init: usize, warm: usize, bits: u64) -> ElasticConfig {
     e
 }
 
+/// The proptests' elastic fleet: `n_replicas` A2000s with a random
+/// warm pool and scaling policy drawn from `pool`, the controller
+/// ticking every 12 ms, a generated fault plan when `fault` is set, and
+/// `adaptive` adding eager migrations with Ch_BE retuning on both ends.
+fn elastic_fleet(
+    n_replicas: usize,
+    pool: (usize, u64),
+    system: SystemKind,
+    scale: f64,
+    seed: u64,
+    fault: Option<(u64, f64)>,
+    adaptive: bool,
+) -> ClusterConfig {
+    let (warm, elastic_bits) = pool;
+    let mut cfg = ClusterConfig::new(vec![GpuModel::RtxA2000; n_replicas], system);
+    cfg.horizon_us = if cfg!(debug_assertions) { 2.5e4 } else { 6e4 };
+    cfg.trace = TraceConfig::apollo_like().scaled(scale);
+    cfg.seed = seed;
+    cfg.controller.period_us = 1.2e4;
+    if adaptive {
+        cfg.controller.breach_ratio = 0.9;
+        cfg.controller.adaptive_ch_be = true;
+    }
+    cfg.elastic = Some(random_elastic(n_replicas, warm, elastic_bits));
+    if let Some((fault_seed, intensity)) = fault {
+        cfg.chaos = Some(FaultPlan::generate(
+            fault_seed,
+            n_replicas + warm,
+            cfg.horizon_us,
+            intensity,
+        ));
+    }
+    cfg
+}
+
 proptest! {
-    /// The acceptance property: random fleets under random scaling
-    /// policies *and* fault plans — serial and parallel clocks agree
-    /// bit for bit on every field, including the scale-event log and
-    /// the membership accounting, for any `advance_order`.
+    /// A recycled fleet clock agrees with a fresh one under elasticity:
+    /// random fleets under random scaling policies *and* fault plans,
+    /// run on a [`ClusterCtx`] left behind by a differently shaped
+    /// elastic run, match a fresh context bit for bit on every field,
+    /// including the scale-event log and the membership accounting.
     #[test]
     fn clocks_agree_under_scaling_and_faults(
         n_replicas in 1usize..4,
@@ -463,39 +488,29 @@ proptest! {
         scale in 0.8f64..2.4,
         seed in 0u64..1_000_000,
         fault in (0u64..1_000_000, 0.5f64..2.0),
-        perm_seed in 0u64..1_000_000,
+        dirty_seed in 0u64..1_000_000,
     ) {
-        let (warm, elastic_bits) = pool;
-        let (fault_seed, intensity) = fault;
         let system = SystemKind::all()[system_idx];
         let router = RouterKind::all()[router_idx];
-        let mut cfg = ClusterConfig::new(vec![GpuModel::RtxA2000; n_replicas], system);
-        cfg.horizon_us = if cfg!(debug_assertions) { 2.5e4 } else { 6e4 };
-        cfg.trace = TraceConfig::apollo_like().scaled(scale);
-        cfg.seed = seed;
-        cfg.controller = ControllerConfig {
-            period_us: 1.2e4,
-            breach_ratio: 0.9,
-            adaptive_ch_be: true,
-            ..Default::default()
-        };
-        cfg.elastic = Some(random_elastic(n_replicas, warm, elastic_bits));
-        cfg.chaos = Some(FaultPlan::generate(
-            fault_seed,
-            n_replicas + warm,
-            cfg.horizon_us,
-            intensity,
-        ));
-        cfg.advance_order = permutation(n_replicas + warm, perm_seed);
-        let serial = run_with_clock(&cfg, router, ClockKind::Serial);
-        let parallel = run_with_clock(&cfg, router, ClockKind::Parallel);
-        prop_assert_eq!(serial, parallel);
+        let cfg = elastic_fleet(n_replicas, pool, system, scale, seed, Some(fault), true);
+        let mut dirty = elastic_fleet(
+            1 + (dirty_seed % 3) as usize,
+            ((dirty_seed / 3 % 3) as usize, dirty_seed % 8192),
+            SystemKind::all()[(dirty_seed % 6) as usize],
+            scale,
+            dirty_seed,
+            Some((dirty_seed, fault.1)),
+            true,
+        );
+        dirty.horizon_us /= 2.0;
+        let (fresh, recycled) = fresh_and_recycled(&cfg, &dirty, router);
+        prop_assert_eq!(recycled, fresh);
     }
 
     /// Satellite: conservation under elasticity — every injected
     /// arrival is exactly one of completed / timeout-dropped / shed /
     /// in-flight-at-horizon, across random join/drain/crash-replacement
-    /// schedules, all systems and both clock kinds.
+    /// schedules, fault plans, controllers and all systems.
     #[test]
     fn arrivals_are_conserved_under_elasticity(
         n_replicas in 1usize..4,
@@ -505,29 +520,22 @@ proptest! {
         mode_bits in 0u64..4,
         scale in 0.8f64..2.4,
         seed in 0u64..1_000_000,
-        fault_seed in 0u64..1_000_000,
+        fault in (0u64..1_000_000, 0.5f64..2.0),
     ) {
-        let (warm, elastic_bits) = pool;
-        let serial_clock = mode_bits & 1 == 1;
+        let adaptive = mode_bits & 1 == 1;
         let with_chaos = mode_bits & 2 == 2;
         let system = SystemKind::all()[system_idx];
         let router = RouterKind::all()[router_idx];
-        let mut cfg = ClusterConfig::new(vec![GpuModel::RtxA2000; n_replicas], system);
-        cfg.horizon_us = if cfg!(debug_assertions) { 2.5e4 } else { 6e4 };
-        cfg.trace = TraceConfig::apollo_like().scaled(scale);
-        cfg.seed = seed;
-        cfg.controller.period_us = 1.2e4;
-        cfg.elastic = Some(random_elastic(n_replicas, warm, elastic_bits));
-        if with_chaos {
-            cfg.chaos = Some(FaultPlan::generate(
-                fault_seed,
-                n_replicas + warm,
-                cfg.horizon_us,
-                1.5,
-            ));
-        }
-        let clock = if serial_clock { ClockKind::Serial } else { ClockKind::Parallel };
-        let res = run_with_clock(&cfg, router, clock);
+        let cfg = elastic_fleet(
+            n_replicas,
+            pool,
+            system,
+            scale,
+            seed,
+            with_chaos.then_some(fault),
+            adaptive,
+        );
+        let res = run(&cfg, router);
         prop_assert_eq!(
             res.arrivals_injected,
             res.requests + res.timeout_drops + res.ls_shed + res.in_flight_at_end,

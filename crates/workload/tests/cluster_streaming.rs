@@ -6,13 +6,11 @@
 //!   counters, same migrations, same per-replica summaries — with and
 //!   without a fault plan;
 //! * the memory bound is real: streaming runs end with zero retained
-//!   completion records, retained runs hold one per completion;
-//! * the serial reference clock and the calendar/parallel clock remain
-//!   bit-identical under streaming.
+//!   completion records, retained runs hold one per completion.
 
 use gpu_spec::GpuModel;
 use workload::chaos::{FaultEvent, FaultPlan};
-use workload::cluster::{ClockKind, ClusterConfig, ControllerConfig, RouterKind};
+use workload::cluster::{ClusterConfig, ControllerConfig, RouterKind};
 use workload::elastic::{ElasticConfig, ScalingPolicyKind, ThresholdPolicy, WarmPoolConfig};
 use workload::trace::TraceConfig;
 use workload::SystemKind;
@@ -114,25 +112,6 @@ fn streaming_equals_retained_under_chaos() {
     assert_eq!(strip_retained(retained), streaming);
 }
 
-/// Serial reference clock vs calendar/parallel clock, both streaming:
-/// bit-identical, so the long-horizon mode does not depend on the
-/// clock's selection or dispatch strategy.
-#[test]
-fn streaming_serial_and_parallel_clocks_agree() {
-    let mut cfg = base_cfg();
-    cfg.streaming = true;
-    for system in [SystemKind::Sgdrc, SystemKind::Tgs] {
-        let mut c = cfg.clone();
-        c.system = system;
-        c.clock = ClockKind::Serial;
-        let serial = run(&c, RouterKind::ShortestBacklog);
-        c.clock = ClockKind::Parallel;
-        let parallel = run(&c, RouterKind::ShortestBacklog);
-        assert_eq!(serial, parallel, "{}", system.name());
-        assert!(serial.requests > 0);
-    }
-}
-
 /// Streaming requires a ticking controller (its window bound); the
 /// config assert fires otherwise.
 #[test]
@@ -147,8 +126,7 @@ fn streaming_without_controller_is_rejected() {
 /// Elastic membership churn (warm-pool provisions, drains, retires)
 /// composes with streaming: stripping the retained run's completion
 /// logs still yields the streaming run exactly — scale events, warm
-/// hit/miss counters, replica-seconds and all — and both clocks stay
-/// bit-identical while lanes join and leave mid-run.
+/// hit/miss counters, replica-seconds and all.
 #[test]
 fn streaming_equals_retained_under_elasticity() {
     let mut retained_cfg = base_cfg();
@@ -179,14 +157,4 @@ fn streaming_equals_retained_under_elasticity() {
     );
     assert_eq!(streaming.retained_completions, 0);
     assert_eq!(strip_retained(retained), streaming);
-
-    for system in [SystemKind::Sgdrc, SystemKind::Tgs] {
-        let mut c = streaming_cfg.clone();
-        c.system = system;
-        c.clock = ClockKind::Serial;
-        let serial = run(&c, RouterKind::ShortestBacklog);
-        c.clock = ClockKind::Parallel;
-        let parallel = run(&c, RouterKind::ShortestBacklog);
-        assert_eq!(serial, parallel, "{}", system.name());
-    }
 }

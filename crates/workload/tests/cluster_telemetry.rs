@@ -4,20 +4,21 @@
 //! * **feature-off-free** — enabling the recorder never perturbs the
 //!   simulation: a recorder-on run with its `telemetry` field stripped
 //!   is bit-identical to the recorder-off run, across random fault
-//!   plans × scaling policies × systems × clocks × ring capacities;
-//! * **clock-independent streams** — serial and parallel clocks agree
-//!   bit for bit on the *entire* result including the merged event
-//!   stream and sampled series (wall-clock `ClockProfile` numbers are
-//!   excluded from equality by construction);
+//!   plans × scaling policies × systems × routers × ring capacities
+//!   (wall-clock `ClockProfile` numbers are excluded from equality by
+//!   construction);
 //! * **stream/counter consistency** — the merged stream is sorted and
 //!   uniquely sequenced, `Completed` events reconcile exactly with the
 //!   fleet counters when no history was overwritten, and the per-lane
-//!   requeue/retry attribution sums to the fleet totals.
+//!   requeue/retry attribution sums to the fleet totals;
+//! * **recycling** — a recorder-on clock run on a `ClusterCtx` dirtied
+//!   by another recorded fleet agrees bit for bit with a fresh clock,
+//!   merged event stream included.
 
 use gpu_spec::GpuModel;
 use proptest::prelude::*;
 use workload::chaos::FaultPlan;
-use workload::cluster::{ClockKind, ClusterConfig, ControllerConfig, RouterKind};
+use workload::cluster::{ClusterConfig, ClusterCtx, ControllerConfig, RouterKind};
 use workload::elastic::{ElasticConfig, ScalingPolicyKind, ThresholdPolicy, WarmPoolConfig};
 use workload::trace::TraceConfig;
 use workload::{ClusterResult, EventKind, SystemKind, TelemetryConfig};
@@ -33,14 +34,32 @@ fn short_horizon() -> f64 {
 fn run_with(
     cfg: &ClusterConfig,
     router: RouterKind,
-    clock: ClockKind,
     telemetry: Option<TelemetryConfig>,
 ) -> ClusterResult {
     let mut cfg = cfg.clone();
-    cfg.clock = clock;
     cfg.telemetry = telemetry;
     let mut r = router.make(cfg.seed);
     workload::run_cluster(&cfg, r.as_mut())
+}
+
+/// Runs `cfg` with the recorder `telemetry` on a fresh [`ClusterCtx`]
+/// and again on a context recycled from a recorder-on run of `dirty`,
+/// returning `(fresh, recycled)`.
+fn fresh_and_recycled(
+    cfg: &ClusterConfig,
+    dirty: &ClusterConfig,
+    router: RouterKind,
+    telemetry: TelemetryConfig,
+) -> (ClusterResult, ClusterResult) {
+    let fresh = run_with(cfg, router, Some(telemetry.clone()));
+    let mut cfg = cfg.clone();
+    cfg.telemetry = Some(telemetry);
+    let mut ctx = ClusterCtx::new();
+    let mut r = router.make(dirty.seed);
+    let _ = workload::run_cluster_in(dirty, r.as_mut(), &mut ctx);
+    let mut r = router.make(cfg.seed);
+    let recycled = workload::run_cluster_in(&cfg, r.as_mut(), &mut ctx);
+    (fresh, recycled)
 }
 
 /// Drops the recorder's own output so a recorder-on run can be compared
@@ -110,62 +129,54 @@ fn assert_canonical_order(tel: &workload::TelemetryResult) {
 }
 
 /// Recorder on vs off on the chaos scenario: stripped results are
-/// bit-identical on both clocks, and the recorded stream reconciles
-/// with the fleet counters (`Completed` events == completions, SLO-ok
-/// events == `slo_met`, per lane and fleet-wide) when nothing was
-/// overwritten.
+/// bit-identical, and the recorded stream reconciles with the fleet
+/// counters (`Completed` events == completions, SLO-ok events ==
+/// `slo_met`, per lane and fleet-wide) when nothing was overwritten.
 #[test]
 fn recorder_is_invisible_and_reconciles_with_counters() {
     let cfg = chaos_cfg(42);
-    for clock in [ClockKind::Serial, ClockKind::Parallel] {
-        let off = run_with(&cfg, RouterKind::ShortestBacklog, clock, None);
-        let on = run_with(
-            &cfg,
-            RouterKind::ShortestBacklog,
-            clock,
-            Some(TelemetryConfig::default()),
-        );
-        let tel = on.telemetry.clone().expect("recorder was enabled");
-        assert_eq!(
-            stripped(on.clone()),
-            off,
-            "{clock:?}: recorder perturbed the run"
-        );
+    let off = run_with(&cfg, RouterKind::ShortestBacklog, None);
+    let on = run_with(
+        &cfg,
+        RouterKind::ShortestBacklog,
+        Some(TelemetryConfig::default()),
+    );
+    let tel = on.telemetry.clone().expect("recorder was enabled");
+    assert_eq!(stripped(on.clone()), off, "recorder perturbed the run");
 
-        assert_canonical_order(&tel);
+    assert_canonical_order(&tel);
+    assert_eq!(
+        tel.dropped_events, 0,
+        "default ring must hold this scenario"
+    );
+    let completed: Vec<_> = tel
+        .events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Completed { slo_ok, .. } => Some((e.lane, slo_ok)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(completed.len() as u64, on.requests);
+    assert_eq!(
+        completed.iter().filter(|(_, ok)| *ok).count() as u64,
+        on.slo_met
+    );
+    for (r, lane) in on.replicas.iter().enumerate() {
         assert_eq!(
-            tel.dropped_events, 0,
-            "default ring must hold this scenario"
+            completed.iter().filter(|(l, _)| *l == r as u32).count() as u64,
+            lane.requests,
+            "lane {r} completion events disagree with its counter"
         );
-        let completed: Vec<_> = tel
-            .events
-            .iter()
-            .filter_map(|e| match e.kind {
-                EventKind::Completed { slo_ok, .. } => Some((e.lane, slo_ok)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(completed.len() as u64, on.requests);
-        assert_eq!(
-            completed.iter().filter(|(_, ok)| *ok).count() as u64,
-            on.slo_met
-        );
-        for (r, lane) in on.replicas.iter().enumerate() {
-            assert_eq!(
-                completed.iter().filter(|(l, _)| *l == r as u32).count() as u64,
-                lane.requests,
-                "lane {r} completion events disagree with its counter"
-            );
-        }
-        assert!(
-            tel.events
-                .iter()
-                .any(|e| matches!(e.kind, EventKind::FaultOnset { .. })),
-            "the fault plan must leave onset events in the stream"
-        );
-        assert!(!tel.tick_us.is_empty(), "controller ticks must sample");
-        assert!(!tel.series.is_empty(), "series registry must populate");
     }
+    assert!(
+        tel.events
+            .iter()
+            .any(|e| matches!(e.kind, EventKind::FaultOnset { .. })),
+        "the fault plan must leave onset events in the stream"
+    );
+    assert!(!tel.tick_us.is_empty(), "controller ticks must sample");
+    assert!(!tel.series.is_empty(), "series registry must populate");
 }
 
 /// Per-lane requeue/retry attribution sums to the fleet totals under
@@ -175,12 +186,7 @@ fn recorder_is_invisible_and_reconciles_with_counters() {
 fn requeue_attribution_sums_to_fleet_totals() {
     for fault_seed in [7u64, 1234, 98765] {
         let cfg = chaos_cfg(fault_seed);
-        let res = run_with(
-            &cfg,
-            RouterKind::P2cSlo,
-            ClockKind::Parallel,
-            Some(TelemetryConfig::default()),
-        );
+        let res = run_with(&cfg, RouterKind::P2cSlo, Some(TelemetryConfig::default()));
         let lane_requeued: u64 = res.replicas.iter().map(|l| l.requeued).sum();
         let lane_retries: u64 = res.replicas.iter().map(|l| l.retries).sum();
         assert_eq!(
@@ -201,11 +207,10 @@ fn requeue_attribution_sums_to_fleet_totals() {
 #[test]
 fn tiny_ring_overwrites_oldest_and_stays_invisible() {
     let cfg = chaos_cfg(42);
-    let off = run_with(&cfg, RouterKind::ShortestBacklog, ClockKind::Parallel, None);
+    let off = run_with(&cfg, RouterKind::ShortestBacklog, None);
     let on = run_with(
         &cfg,
         RouterKind::ShortestBacklog,
-        ClockKind::Parallel,
         Some(TelemetryConfig {
             ring_capacity: 8,
             profile: false,
@@ -230,24 +235,6 @@ fn tiny_ring_overwrites_oldest_and_stays_invisible() {
         tel.events.iter().all(|e| e.at_us <= cfg.horizon_us * 1.01),
         "events past the horizon"
     );
-}
-
-/// Deterministic permutation of `0..n` from a seed (Fisher–Yates over a
-/// splitmix64 chain).
-fn permutation(n: usize, mut seed: u64) -> Vec<usize> {
-    let split = |z: &mut u64| {
-        *z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut x = *z;
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^ (x >> 31)
-    };
-    let mut perm: Vec<usize> = (0..n).collect();
-    for i in (1..n).rev() {
-        let j = (split(&mut seed) % (i as u64 + 1)) as usize;
-        perm.swap(i, j);
-    }
-    perm
 }
 
 /// A random-but-valid elastic config over `n_init` configured lanes and
@@ -284,7 +271,7 @@ fn random_elastic(n_init: usize, warm: usize, bits: u64) -> ElasticConfig {
     e
 }
 
-/// A random cluster config shared by both acceptance properties.
+/// A random chaotic, elastic cluster config.
 #[allow(clippy::too_many_arguments)]
 fn random_cfg(
     n_replicas: usize,
@@ -295,7 +282,6 @@ fn random_cfg(
     seed: u64,
     fault_seed: u64,
     intensity: f64,
-    perm_seed: u64,
 ) -> ClusterConfig {
     let mut cfg = ClusterConfig::new(
         vec![GpuModel::RtxA2000; n_replicas],
@@ -317,7 +303,6 @@ fn random_cfg(
         cfg.horizon_us,
         intensity,
     ));
-    cfg.advance_order = permutation(n_replicas + warm, perm_seed);
     cfg
 }
 
@@ -327,45 +312,44 @@ const RING_CAPS: [usize; 3] = [16, 256, 4096];
 proptest! {
     /// The acceptance property: enabling the recorder never changes the
     /// simulation. Across random fault plans × scaling policies ×
-    /// systems × clocks × routers × ring capacities, a recorder-on run
-    /// with its `telemetry` field stripped is bit-identical to the
-    /// recorder-off run.
+    /// systems × routers × ring capacities, a recorder-on run with its
+    /// `telemetry` field stripped is bit-identical to the recorder-off
+    /// run, and its merged stream is canonically ordered.
     #[test]
     fn recorder_presence_never_perturbs_the_simulation(
         n_replicas in 1usize..4,
         pool in (0usize..3, 0u64..8192),
         system_idx in 0usize..6,
-        mode in (0usize..3, 0usize..2, 0usize..3),
+        mode in (0usize..3, 0usize..3),
         scale in 0.8f64..2.4,
         seed in 0u64..1_000_000,
         fault in (0u64..1_000_000, 0.5f64..2.0),
-        perm_seed in 0u64..1_000_000,
     ) {
         let (warm, elastic_bits) = pool;
-        let (router_idx, clock_idx, ring_idx) = mode;
-        let clock_serial = clock_idx == 1;
+        let (router_idx, ring_idx) = mode;
         let (fault_seed, intensity) = fault;
         let cfg = random_cfg(
             n_replicas, warm, elastic_bits, system_idx, scale, seed,
-            fault_seed, intensity, perm_seed,
+            fault_seed, intensity,
         );
         let router = RouterKind::all()[router_idx];
-        let clock = if clock_serial { ClockKind::Serial } else { ClockKind::Parallel };
         let tcfg = TelemetryConfig {
             ring_capacity: RING_CAPS[ring_idx],
             profile: ring_idx != 1,
         };
-        let off = run_with(&cfg, router, clock, None);
-        let on = run_with(&cfg, router, clock, Some(tcfg));
-        prop_assert!(on.telemetry.is_some());
+        let off = run_with(&cfg, router, None);
+        let on = run_with(&cfg, router, Some(tcfg));
+        assert_canonical_order(on.telemetry.as_ref().expect("recorder on"));
         prop_assert_eq!(stripped(on), off);
     }
 
-    /// Serial and parallel clocks agree bit for bit on the *entire*
+    /// A recycled fleet clock agrees with a fresh one on the *entire*
     /// recorder-on result — merged event stream, dropped counts,
-    /// sampled series — under random fault plans and scaling policies.
-    /// (Wall-clock profile numbers compare equal by construction: they
-    /// are measurements, not simulation state.)
+    /// sampled series — under random fault plans and scaling policies,
+    /// when its [`ClusterCtx`] was left behind by a differently shaped
+    /// run recording into rings of another capacity. (Wall-clock
+    /// profile numbers compare equal by construction: they are
+    /// measurements, not simulation state.)
     #[test]
     fn clocks_agree_on_merged_event_streams(
         n_replicas in 1usize..4,
@@ -375,24 +359,37 @@ proptest! {
         scale in 0.8f64..2.4,
         seed in 0u64..1_000_000,
         fault in (0u64..1_000_000, 0.5f64..2.0),
-        perm_seed in 0u64..1_000_000,
+        dirty_seed in 0u64..1_000_000,
     ) {
         let (warm, elastic_bits) = pool;
         let (router_idx, ring_idx) = mode;
         let (fault_seed, intensity) = fault;
         let cfg = random_cfg(
             n_replicas, warm, elastic_bits, system_idx, scale, seed,
-            fault_seed, intensity, perm_seed,
+            fault_seed, intensity,
         );
+        let mut dirty = random_cfg(
+            1 + (dirty_seed % 3) as usize,
+            (dirty_seed / 3 % 3) as usize,
+            dirty_seed % 8192,
+            (dirty_seed % 6) as usize,
+            scale,
+            dirty_seed,
+            dirty_seed,
+            intensity,
+        );
+        dirty.horizon_us /= 2.0;
+        dirty.telemetry = Some(TelemetryConfig {
+            ring_capacity: RING_CAPS[(ring_idx + 1) % RING_CAPS.len()],
+            profile: true,
+        });
         let router = RouterKind::all()[router_idx];
         let tcfg = TelemetryConfig {
             ring_capacity: RING_CAPS[ring_idx],
             profile: true,
         };
-        let serial = run_with(&cfg, router, ClockKind::Serial, Some(tcfg.clone()));
-        let parallel = run_with(&cfg, router, ClockKind::Parallel, Some(tcfg));
-        let stream = serial.telemetry.as_ref().expect("recorder on");
-        assert_canonical_order(stream);
-        prop_assert_eq!(serial, parallel);
+        let (fresh, recycled) = fresh_and_recycled(&cfg, &dirty, router, tcfg);
+        assert_canonical_order(recycled.telemetry.as_ref().expect("recorder on"));
+        prop_assert_eq!(recycled, fresh);
     }
 }

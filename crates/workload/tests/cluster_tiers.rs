@@ -1,21 +1,23 @@
 //! Tiered-SLO contracts for the fleet clock.
 //!
-//! Four pillars:
+//! Four pillars, with the clock's own `debug_assertions` oracles
+//! (busy set vs. linear scan, incremental views vs. fresh rebuild)
+//! checking every epoch of every debug run:
 //! * **inertness** — attaching [`TiersConfig::inert`] (one Guaranteed
 //!   tier mirroring the fleet `RetryConfig`, ladder thresholds
 //!   unreachable) produces results equal to `tiers: None` up to the
-//!   tier-only report fields, for every `SystemKind` × router × clock —
-//!   the tier machinery rides the same code path as the legacy one and
+//!   tier-only report fields, for every `SystemKind` × router — the
+//!   tier machinery rides the same code path as the legacy one and
 //!   the no-tiers default is proven bit-identical to pre-tiers
 //!   behavior;
-//! * **bit-identity** — serial and parallel clocks agree on every
-//!   `ClusterResult` field (including `tier_outcomes`) under random
-//!   tier maps × fault plans × scaling policies × systems × routers ×
-//!   `advance_order` permutations;
 //! * **conservation** — globally, `injected = completed + dropped +
 //!   shed + refused + in-flight`, and per tier via
 //!   [`TierOutcome::assert_conserved`], with the tier ledgers summing
-//!   back to the global counters;
+//!   back to the global counters, under random tier maps × fault plans
+//!   × scaling policies × controllers × systems × routers;
+//! * **recycling** — a clock run on a `ClusterCtx` dirtied by another
+//!   tiered fleet agrees bit for bit with a fresh clock, tier outcomes
+//!   included;
 //! * **brownout semantics** — under crash-driven overload the ladder
 //!   refuses best-effort work first and never touches the Guaranteed
 //!   tier, queued admissions drain after recovery, and zero-retry
@@ -24,7 +26,7 @@
 use gpu_spec::GpuModel;
 use proptest::prelude::*;
 use workload::chaos::{FaultEvent, FaultPlan};
-use workload::cluster::{ClockKind, ClusterConfig, ControllerConfig, RouterKind};
+use workload::cluster::{ClusterConfig, ClusterCtx, ControllerConfig, RouterKind};
 use workload::elastic::{ElasticConfig, ScalingPolicyKind, ThresholdPolicy, WarmPoolConfig};
 use workload::trace::TraceConfig;
 use workload::{AdmissionClass, SystemKind, TierConfig, TierOutcome, TiersConfig};
@@ -37,15 +39,9 @@ fn short_horizon() -> f64 {
     }
 }
 
-fn run_with_clock(
-    cfg: &ClusterConfig,
-    router: RouterKind,
-    clock: ClockKind,
-) -> workload::ClusterResult {
-    let mut cfg = cfg.clone();
-    cfg.clock = clock;
+fn run(cfg: &ClusterConfig, router: RouterKind) -> workload::ClusterResult {
     let mut r = router.make(cfg.seed);
-    workload::run_cluster(&cfg, r.as_mut())
+    workload::run_cluster(cfg, r.as_mut())
 }
 
 /// A busy two-GPU fleet with a fast controller — the base scenario the
@@ -152,22 +148,60 @@ fn random_elastic(n_init: usize, warm: usize, bits: u64) -> ElasticConfig {
     e
 }
 
-/// Deterministic index permutation for `advance_order` (seeded
-/// splitmix64 chain).
-fn permutation(n: usize, mut seed: u64) -> Vec<usize> {
-    let split = |z: &mut u64| {
-        *z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut x = *z;
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^ (x >> 31)
-    };
-    let mut perm: Vec<usize> = (0..n).collect();
-    for i in (1..n).rev() {
-        let j = (split(&mut seed) % (i as u64 + 1)) as usize;
-        perm.swap(i, j);
+/// The proptests' tiered fleet: `n_replicas` A2000s with a random tier
+/// map, warm pool and scaling policy drawn from `seeds` and `pool`, the
+/// controller ticking every 12 ms, a generated fault plan when `fault`
+/// is set, and `adaptive` adding eager migrations with Ch_BE retuning
+/// on both ends.
+fn tiered_fleet(
+    n_replicas: usize,
+    pool: (usize, u64),
+    system: SystemKind,
+    scale: f64,
+    seeds: (u64, u64),
+    fault: Option<(u64, f64)>,
+    adaptive: bool,
+) -> ClusterConfig {
+    let (warm, elastic_bits) = pool;
+    let (seed, tier_bits) = seeds;
+    let mut cfg = ClusterConfig::new(vec![GpuModel::RtxA2000; n_replicas], system);
+    cfg.horizon_us = if cfg!(debug_assertions) { 2.5e4 } else { 6e4 };
+    cfg.trace = TraceConfig::apollo_like().scaled(scale);
+    cfg.seed = seed;
+    cfg.controller.period_us = 1.2e4;
+    if adaptive {
+        cfg.controller.breach_ratio = 0.9;
+        cfg.controller.adaptive_ch_be = true;
     }
-    perm
+    cfg.tiers = Some(random_tiers(cfg.prepare().n_ls(), tier_bits));
+    cfg.elastic = Some(random_elastic(n_replicas, warm, elastic_bits));
+    if let Some((fault_seed, intensity)) = fault {
+        cfg.chaos = Some(FaultPlan::generate(
+            fault_seed,
+            n_replicas + warm,
+            cfg.horizon_us,
+            intensity,
+        ));
+    }
+    cfg
+}
+
+/// Runs `cfg` on a fresh [`ClusterCtx`] and again on a context recycled
+/// from a run of `dirty`, returning `(fresh, recycled)`. The recycled
+/// run inherits the calendar, hot mirrors, router views, lane stores and
+/// retry scratch that `dirty` left behind.
+fn fresh_and_recycled(
+    cfg: &ClusterConfig,
+    dirty: &ClusterConfig,
+    router: RouterKind,
+) -> (workload::ClusterResult, workload::ClusterResult) {
+    let fresh = run(cfg, router);
+    let mut ctx = ClusterCtx::new();
+    let mut r = router.make(dirty.seed);
+    let _ = workload::run_cluster_in(dirty, r.as_mut(), &mut ctx);
+    let mut r = router.make(cfg.seed);
+    let recycled = workload::run_cluster_in(cfg, r.as_mut(), &mut ctx);
+    (fresh, recycled)
 }
 
 /// The conservation identity every tiered run must satisfy: globally
@@ -206,7 +240,7 @@ fn assert_conserved_tiered(r: &workload::ClusterResult) {
 
 /// An inert tier config must be a true no-op: equal to `tiers: None`
 /// on every report field except the tier-only ledger, for every
-/// system, router and clock. This is also the proof that the no-tiers
+/// system and router. This is also the proof that the no-tiers
 /// default is bit-identical to pre-tiers behavior — both arms run the
 /// mirrored `TierRt` runtime, and the `None` arm is the default path.
 #[test]
@@ -214,27 +248,24 @@ fn inert_tiers_match_disabled_exactly() {
     let n_ls = n_ls();
     for system in SystemKind::all() {
         for router in RouterKind::all() {
-            for clock in [ClockKind::Serial, ClockKind::Parallel] {
-                let mut cfg = base_cfg();
-                cfg.system = system;
-                cfg.horizon_us = if cfg!(debug_assertions) { 2.5e4 } else { 6e4 };
-                let plain = run_with_clock(&cfg, router, clock);
-                cfg.tiers = Some(TiersConfig::inert(n_ls, 4, 250_000.0));
-                let mut inert = run_with_clock(&cfg, router, clock);
-                assert_eq!(
-                    inert.tier_outcomes.len(),
-                    1,
-                    "inert config reports its single Guaranteed tier"
-                );
-                inert.tier_outcomes[0].assert_conserved();
-                assert_eq!(inert.tier_outcomes[0].refused(), 0);
-                inert.tier_outcomes.clear();
-                assert_eq!(
-                    plain, inert,
-                    "inert tiers diverged from tiers: None \
-                     ({system:?} / {router:?} / {clock:?})"
-                );
-            }
+            let mut cfg = base_cfg();
+            cfg.system = system;
+            cfg.horizon_us = if cfg!(debug_assertions) { 2.5e4 } else { 6e4 };
+            let plain = run(&cfg, router);
+            cfg.tiers = Some(TiersConfig::inert(n_ls, 4, 250_000.0));
+            let mut inert = run(&cfg, router);
+            assert_eq!(
+                inert.tier_outcomes.len(),
+                1,
+                "inert config reports its single Guaranteed tier"
+            );
+            inert.tier_outcomes[0].assert_conserved();
+            assert_eq!(inert.tier_outcomes[0].refused(), 0);
+            inert.tier_outcomes.clear();
+            assert_eq!(
+                plain, inert,
+                "inert tiers diverged from tiers: None ({system:?} / {router:?})"
+            );
         }
     }
 }
@@ -253,7 +284,7 @@ fn overload_refuses_best_effort_first_and_recovers() {
         cfg.horizon_us * 0.25,
         f64::INFINITY,
     )]));
-    let res = run_with_clock(&cfg, RouterKind::ShortestBacklog, ClockKind::Parallel);
+    let res = run(&cfg, RouterKind::ShortestBacklog);
     assert_conserved_tiered(&res);
 
     let by_class = |class: AdmissionClass| {
@@ -314,7 +345,7 @@ fn zero_retry_tier_drops_orphans_immediately() {
         cfg.horizon_us * 0.25,
         f64::INFINITY,
     )]));
-    let res = run_with_clock(&cfg, RouterKind::P2cSlo, ClockKind::Parallel);
+    let res = run(&cfg, RouterKind::P2cSlo);
     assert_conserved_tiered(&res);
     let be = res
         .tier_outcomes
@@ -328,10 +359,11 @@ fn zero_retry_tier_drops_orphans_immediately() {
 }
 
 proptest! {
-    /// The acceptance property: serial and parallel clocks agree bit
-    /// for bit — tier outcomes included — under random tier maps ×
-    /// fault plans × scaling policies × systems × routers ×
-    /// `advance_order` permutations.
+    /// A recycled fleet clock agrees with a fresh one under tiers: a
+    /// random tier map × fault plan × scaling policy × system × router,
+    /// run on a [`ClusterCtx`] left behind by a differently shaped
+    /// tiered run, matches a fresh context bit for bit, tier outcomes
+    /// included.
     #[test]
     fn clocks_agree_under_any_tier_config(
         n_replicas in 1usize..4,
@@ -341,43 +373,31 @@ proptest! {
         scale in 0.8f64..2.8,
         seeds in (0u64..1_000_000, 0u64..u64::MAX),
         fault in (0u64..1_000_000, 0.5f64..2.0),
-        perm_seed in 0u64..1_000_000,
+        dirty_seed in 0u64..1_000_000,
     ) {
-        let (warm, elastic_bits) = pool;
-        let (seed, tier_bits) = seeds;
-        let (fault_seed, intensity) = fault;
         let system = SystemKind::all()[system_idx];
         let router = RouterKind::all()[router_idx];
-        let mut cfg = ClusterConfig::new(vec![GpuModel::RtxA2000; n_replicas], system);
-        cfg.horizon_us = if cfg!(debug_assertions) { 2.5e4 } else { 6e4 };
-        cfg.trace = TraceConfig::apollo_like().scaled(scale);
-        cfg.seed = seed;
-        cfg.controller = ControllerConfig {
-            period_us: 1.2e4,
-            breach_ratio: 0.9,
-            adaptive_ch_be: true,
-            ..Default::default()
-        };
-        cfg.tiers = Some(random_tiers(cfg.prepare().n_ls(), tier_bits));
-        cfg.elastic = Some(random_elastic(n_replicas, warm, elastic_bits));
-        cfg.chaos = Some(FaultPlan::generate(
-            fault_seed,
-            n_replicas + warm,
-            cfg.horizon_us,
-            intensity,
-        ));
-        cfg.advance_order = permutation(n_replicas + warm, perm_seed);
-        let serial = run_with_clock(&cfg, router, ClockKind::Serial);
-        let parallel = run_with_clock(&cfg, router, ClockKind::Parallel);
-        prop_assert_eq!(serial, parallel);
+        let cfg = tiered_fleet(n_replicas, pool, system, scale, seeds, Some(fault), true);
+        let mut dirty = tiered_fleet(
+            1 + (dirty_seed % 3) as usize,
+            ((dirty_seed / 3 % 3) as usize, dirty_seed % 8192),
+            SystemKind::all()[(dirty_seed % 6) as usize],
+            scale,
+            (dirty_seed, !seeds.1),
+            Some((dirty_seed, fault.1)),
+            true,
+        );
+        dirty.horizon_us /= 2.0;
+        let (fresh, recycled) = fresh_and_recycled(&cfg, &dirty, router);
+        prop_assert_eq!(recycled, fresh);
     }
 
     /// Conservation under tiers: every injected arrival is exactly one
     /// of {completed, timeout-dropped, shed, refused,
     /// in-flight-at-horizon}, per tier and globally, with the tier
     /// ledgers summing back to the global counters — across random
-    /// tier maps, fault plans, scaling policies, systems and both
-    /// clocks.
+    /// tier maps, fault plans, scaling policies, controllers, systems
+    /// and routers.
     #[test]
     fn tiers_are_conserved(
         n_replicas in 1usize..4,
@@ -387,33 +407,20 @@ proptest! {
         mode_bits in 0u64..4,
         scale in 0.8f64..2.8,
         seeds in (0u64..1_000_000, 0u64..u64::MAX),
-        fault_seed in 0u64..1_000_000,
+        fault in (0u64..1_000_000, 0.5f64..2.0),
     ) {
-        let (warm, elastic_bits) = pool;
-        let (seed, tier_bits) = seeds;
         let system = SystemKind::all()[system_idx];
         let router = RouterKind::all()[router_idx];
-        let mut cfg = ClusterConfig::new(vec![GpuModel::RtxA2000; n_replicas], system);
-        cfg.horizon_us = if cfg!(debug_assertions) { 2.5e4 } else { 6e4 };
-        cfg.trace = TraceConfig::apollo_like().scaled(scale);
-        cfg.seed = seed;
-        cfg.controller.period_us = 1.2e4;
-        cfg.tiers = Some(random_tiers(cfg.prepare().n_ls(), tier_bits));
-        cfg.elastic = Some(random_elastic(n_replicas, warm, elastic_bits));
-        if mode_bits & 2 == 2 {
-            cfg.chaos = Some(FaultPlan::generate(
-                fault_seed,
-                n_replicas + warm,
-                cfg.horizon_us,
-                1.5,
-            ));
-        }
-        let clock = if mode_bits & 1 == 1 {
-            ClockKind::Serial
-        } else {
-            ClockKind::Parallel
-        };
-        let res = run_with_clock(&cfg, router, clock);
+        let cfg = tiered_fleet(
+            n_replicas,
+            pool,
+            system,
+            scale,
+            seeds,
+            (mode_bits & 2 == 2).then_some(fault),
+            mode_bits & 1 == 1,
+        );
+        let res = run(&cfg, router);
         assert_conserved_tiered(&res);
     }
 }

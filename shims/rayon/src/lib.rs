@@ -1,8 +1,7 @@
 //! Offline shim for the subset of `rayon` this workspace uses — plus
 //! `join`/`par_iter_mut`, rounding out the standard structured-parallel
-//! surface for callers the fleet layer grows next. The container builds
-//! without network access, so the real crate cannot be fetched. Call
-//! sites stay source-compatible
+//! surface. The workspace builds without network access, so the real
+//! crate cannot be fetched. Call sites stay source-compatible
 //! (`collection.into_par_iter().filter(..).map(..).collect()`,
 //! `slice.par_iter().map(..).collect()`, `rayon::join(a, b)`,
 //! `slice.par_chunks(n)`).
@@ -11,15 +10,12 @@
 //! work-stealing pool** ([`pool`]): per-worker deques with
 //! steal-on-empty, built once per process with the worker count
 //! [`current_num_threads`] reports at that moment (`SGDRC_THREADS`
-//! honored at pool build), workers parked between calls. Dispatching a
-//! batch therefore costs no thread spawn — the property fine-grained
-//! callers like the fleet simulator's epoch clock depend on. Tiny
-//! batches (`len() <= 1`), empty inputs and 1-worker pools run
-//! sequentially inline without touching the pool machinery at all.
-//! Worker panics propagate to the caller, as with rayon.
-//!
-//! The per-call `thread::scope` dispatch this pool replaced survives in
-//! [`legacy`] as the "before" arm of the pool-dispatch microbenchmark.
+//! honored at pool build), workers parked between calls, so a batch
+//! costs no thread spawn. Its callers are coarse-grained: the sweep
+//! engine's cell chunks and the Fig. 17 runner's cells. Tiny batches
+//! (`len() <= 1`), empty inputs and 1-worker pools run sequentially
+//! inline without touching the pool machinery at all. Worker panics
+//! propagate to the caller, as with rayon.
 
 mod pool;
 
@@ -67,17 +63,6 @@ fn detected_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(4)
-}
-
-/// Runs `f(i)` for every `i in 0..n` across the persistent pool and
-/// returns when all have finished — the index-batch primitive the fleet
-/// clock's epoch dispatch uses directly, bypassing the materializing
-/// `ParIter` adapters (no per-epoch `Vec<&mut Lane>` build, no result
-/// collection). Sequential inline when `n <= 1` or the pool has a
-/// single participant, in which case the call allocates nothing.
-/// Closure panics propagate to the caller, as with rayon scopes.
-pub fn for_each_index<F: Fn(usize) + Sync>(n: usize, f: F) {
-    pool::run_batch(n, &f);
 }
 
 /// Runs both closures, potentially in parallel, and returns both
@@ -299,51 +284,6 @@ fn par_map_vec<T: Send, R: Send, F: Fn(T) -> R + Sync>(items: Vec<T>, f: &F) -> 
         .collect()
 }
 
-/// The pre-pool dispatch, kept as the microbenchmark's "before" arm: a
-/// fresh `std::thread::scope` worker set per call pulling indices from
-/// one shared queue (no stealing, no persistence). `bench_cluster`'s
-/// pool-dispatch probe measures the persistent pool against exactly
-/// this.
-pub mod legacy {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    /// Order-preserving map over `items` with `workers` scoped threads
-    /// spawned for this one call — the shim's dispatch before the
-    /// persistent pool existed.
-    pub fn scoped_map_vec<T: Send, R: Send, F: Fn(T) -> R + Sync>(
-        items: Vec<T>,
-        workers: usize,
-        f: &F,
-    ) -> Vec<R> {
-        let n = items.len();
-        let workers = workers.min(n);
-        if n <= 1 || workers <= 1 {
-            return items.into_iter().map(f).collect();
-        }
-        let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let item = slots[i].lock().unwrap().take().expect("slot claimed once");
-                    let out = f(item);
-                    *results[i].lock().unwrap() = Some(out);
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|m| m.into_inner().unwrap().expect("worker filled every slot"))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
@@ -478,13 +418,6 @@ mod tests {
             crate::join(|| 1, || -> i32 { panic!("right side") });
         });
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn legacy_scoped_map_matches_sequential() {
-        let items: Vec<u32> = (0..77).collect();
-        let out = crate::legacy::scoped_map_vec(items.clone(), 4, &|x| x * x + 1);
-        assert_eq!(out, items.iter().map(|&x| x * x + 1).collect::<Vec<_>>());
     }
 
     /// Serializes the tests that touch or read `SGDRC_THREADS`: env

@@ -5,14 +5,13 @@
 //! [`crate::current_num_threads`] (so `SGDRC_THREADS` is honored **at
 //! pool build**) and keeps its workers parked on a condvar between
 //! calls. A parallel operation then costs one batch submission — no
-//! thread spawn — which is what makes fine-grained fan-outs like the
-//! fleet simulator's per-epoch replica advances affordable.
+//! thread spawn.
 //!
 //! Scheduling is work-stealing over per-worker deques: a batch of `n`
 //! indexed tasks is block-partitioned across `min(workers, n)` deques;
 //! each participant pops from the front of its own deque and, when that
 //! runs dry, steals from the **back** of the others — contiguous blocks
-//! stay with their worker while imbalance drains across the fleet. The
+//! stay with their worker while imbalance drains across the pool. The
 //! submitting thread participates (deque 0 is its home), so a batch can
 //! never deadlock waiting for busy workers, and nested submissions from
 //! inside a pool task are safe for the same reason.
