@@ -135,7 +135,7 @@ fn bench_contention_model(c: &mut Criterion) {
     }
 }
 
-fn bench_serving_slice(c: &mut Criterion) {
+fn bench_sgdrc_serving(c: &mut Criterion) {
     use dnn::zoo::{build, ModelId};
     use dnn::CompileOptions;
     use sgdrc_core::serving::{run, Scenario, Task};
@@ -215,7 +215,7 @@ criterion_group!(
     bench_colored_alloc,
     bench_mlp_predict,
     bench_contention_model,
-    bench_serving_slice,
+    bench_sgdrc_serving,
     bench_latency_histogram
 );
 criterion_main!(benches);

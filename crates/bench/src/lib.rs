@@ -1,12 +1,14 @@
 //! # sgdrc-bench — figure/table regeneration and micro-benchmarks
 //!
-//! One binary per paper artefact (see DESIGN.md's per-experiment index):
-//! `cargo run --release -p sgdrc-bench --bin <target>`. Criterion
-//! micro-benchmarks live in `benches/`.
+//! One binary per paper artefact (`fig*`, `tab*`, `sec*`, `ablation_*`,
+//! `headline`), plus the sweep and fleet harnesses (`bench_sweep`,
+//! `bench_cluster`): `cargo run --release -p sgdrc-bench --bin <target>`.
+//! Criterion micro-benchmarks live in `benches/`.
 //!
-//! Machine-readable outputs (`fig17_results.json`, `BENCH_exec_sim.json`)
-//! are emitted through the dependency-free [`json`] writer — the build
-//! environment has no network access, so serde is not available.
+//! Machine-readable outputs (`fig17_results.json`, `BENCH_sweep.json`,
+//! `BENCH_cluster.json`) are emitted through the dependency-free
+//! [`json`] writer — the build environment has no network access, so
+//! serde is not available.
 
 pub mod json;
 pub mod trace_export;
@@ -18,15 +20,12 @@ pub fn header(title: &str) {
 
 /// Worker-thread attribution shared by every bench JSON: the detected
 /// CPU count, the effective rayon worker count (the `SGDRC_THREADS`
-/// override when set), the persistent pool's actual participant count,
-/// and the raw env value — so a scaling curve collected by sweeping the
-/// override is attributable from the JSON alone.
+/// override when set) and the raw env value — so a scaling curve
+/// collected by sweeping the override is attributable from the JSON
+/// alone.
 pub struct ThreadAttribution {
     pub detected_cpus: usize,
     pub worker_threads: usize,
-    /// Participants in the persistent work-stealing pool (fixed at pool
-    /// build; capturing this builds the pool if nothing else has).
-    pub pool_workers: usize,
     pub env: Option<String>,
 }
 
@@ -37,7 +36,6 @@ impl ThreadAttribution {
                 .map(|p| p.get())
                 .unwrap_or(1),
             worker_threads: rayon::current_num_threads(),
-            pool_workers: rayon::current_pool_workers(),
             env: std::env::var(rayon::THREADS_ENV).ok(),
         }
     }
@@ -53,15 +51,5 @@ impl ThreadAttribution {
             Some(v) => json::Json::Str(v.clone()),
             None => json::Json::Null,
         }
-    }
-
-    /// Appends the standard attribution fields to a scaling/parallel
-    /// section: `effective_threads`, `pool_workers` +
-    /// `threads_overridden`.
-    pub fn annotate(&self, section: json::Json) -> json::Json {
-        section
-            .set("effective_threads", self.worker_threads)
-            .set("pool_workers", self.pool_workers)
-            .set("threads_overridden", self.overridden())
     }
 }

@@ -20,7 +20,7 @@ pub use profiler::{
     is_memory_bound_probe, min_tpcs_for, profile_kernel, profile_model, KernelProfile, ModelProfile,
 };
 pub use serving::{
-    run, run_configured_in, run_in_context, run_with_mode, CompletedRequest, Policy, RunStats,
-    Scenario, ServingState, SimContext, Task,
+    run, run_in_context, CompletedRequest, Policy, RunStats, Scenario, ServingState, SimContext,
+    Task,
 };
 pub use sgdrc::{Sgdrc, SgdrcConfig};

@@ -11,9 +11,7 @@
 use crate::profiler::ModelProfile;
 use dnn::kernel::KernelDesc;
 use dnn::zoo::Model;
-use exec_sim::{
-    ChannelSet, Engine, EngineEvent, LaunchConfig, LaunchId, PreparedKernel, RateMode, TpcMask,
-};
+use exec_sim::{ChannelSet, Engine, EngineEvent, LaunchConfig, LaunchId, PreparedKernel, TpcMask};
 use gpu_spec::GpuSpec;
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -55,9 +53,10 @@ pub struct Arrival {
 }
 
 /// Merges per-task sorted arrival lists into one stream ordered by
-/// `(time, task index)` — exactly the sequence the seed per-cursor scan
-/// consumed arrivals in (on a time tie the lowest task index wins, and
-/// equal-time arrivals of one task keep their within-task order).
+/// `(time, task index)`: on a time tie the lowest task index wins, and
+/// equal-time arrivals of one task keep their within-task order — the
+/// sequence a per-task cursor scan yields (proptested against one in
+/// `core/tests/arrival_order.rs`).
 pub fn merge_arrivals(per_task: &[Vec<f64>]) -> Vec<Arrival> {
     let mut merged: Vec<Arrival> = Vec::with_capacity(per_task.iter().map(Vec::len).sum());
     for (task, list) in per_task.iter().enumerate() {
@@ -74,9 +73,9 @@ pub fn merge_arrivals(per_task: &[Vec<f64>]) -> Vec<Arrival> {
 /// An immutable request trace shared by every scenario built from it.
 ///
 /// The per-task sorted arrival lists are the source of truth — metrics
-/// and tests keep reading them. The merged single stream is derived
-/// lazily, once per trace, and then shared by every scenario holding an
-/// `Arc` to this trace; the seed-style scan path never pays for it.
+/// and tests keep reading them. The merged single stream the serving
+/// loop consumes is derived lazily, once per trace, and then shared by
+/// every scenario holding an `Arc` to this trace.
 #[derive(Debug, Default)]
 pub struct ArrivalTrace {
     per_task: Vec<Vec<f64>>,
@@ -228,7 +227,7 @@ pub struct ActiveLaunch {
 /// A sweep over thousands of short cells rebuilds the engine, the LS/BE
 /// queues and the statistics vectors once per cell when it goes through
 /// [`run`]; threading one `SimContext` through
-/// [`run_configured_in`] instead makes every structure's allocation a
+/// [`run_in_context`] instead makes every structure's allocation a
 /// one-time cost — the engine is [`reset`](Engine::reset) in place, the
 /// queues are cleared, and consumed [`RunStats`] hand their buffers back
 /// via [`SimContext::recycle`]. Results are bit-identical to the
@@ -266,9 +265,6 @@ impl SimContext {
 pub struct ServingState<'s> {
     pub scenario: &'s Scenario,
     pub engine: Engine,
-    /// Which serving-loop implementation drives this state (admission
-    /// granularity differs; results do not).
-    mode: ServingMode,
     /// Arrived but not yet admitted requests, per LS task.
     pending: Vec<VecDeque<f64>>,
     /// Admitted inferences, per LS task (front is oldest).
@@ -288,8 +284,7 @@ pub struct ServingState<'s> {
     /// memoized across the events that cannot change them (BE
     /// completions, preemptions, timers).
     ls_version: u64,
-    /// Memoized `peek_ls` result, valid while `ls_version` is unchanged
-    /// (consulted in fast mode only; the seed path always rescans).
+    /// Memoized `peek_ls` result, valid while `ls_version` is unchanged.
     peek_ls_cache: Cell<(u64, Option<(usize, usize)>)>,
     ls_rr: usize,
     be_rr: usize,
@@ -311,7 +306,7 @@ impl<'s> ServingState<'s> {
     /// engine resets in place, queue vectors clear and re-size, and the
     /// statistics vectors come from the last recycled run. On an empty
     /// context this is exactly the fresh-allocation construction.
-    fn new_in(scenario: &'s Scenario, mode: ServingMode, ctx: &mut SimContext) -> Self {
+    fn new_in(scenario: &'s Scenario, ctx: &mut SimContext) -> Self {
         let n_ls = scenario.ls.len();
         let n_be = scenario.be.len();
         let engine = match ctx.engine.take() {
@@ -348,7 +343,6 @@ impl<'s> ServingState<'s> {
         Self {
             scenario,
             engine,
-            mode,
             pending,
             inflight,
             backlog: 0,
@@ -406,7 +400,7 @@ impl<'s> ServingState<'s> {
     /// Moves pending requests of one LS task into its free inference
     /// slots. A task's admission state only changes when one of its
     /// requests arrives or one of its inferences completes, so this is
-    /// all the fast serving loop ever re-evaluates.
+    /// all the serving loop ever re-evaluates.
     fn admit_task(&mut self, t: usize) {
         while self.inflight[t].len() < self.scenario.ls_instances {
             match self.pending[t].pop_front() {
@@ -423,12 +417,17 @@ impl<'s> ServingState<'s> {
         }
     }
 
-    /// Moves pending requests into free inference slots across every LS
-    /// task — the seed path's full walk after each event.
-    fn admit(&mut self) {
-        for t in 0..self.scenario.ls.len() {
-            self.admit_task(t);
-        }
+    /// Debug oracle for the targeted admission: a full re-admission walk
+    /// over every LS task would be a no-op, i.e. no task holds a waiting
+    /// request next to a free inference slot.
+    fn debug_assert_admitted(&self) {
+        debug_assert!(
+            self.pending
+                .iter()
+                .zip(&self.inflight)
+                .all(|(p, i)| p.is_empty() || i.len() >= self.scenario.ls_instances),
+            "an LS request waits next to a free inference slot"
+        );
     }
 
     /// Records an arrived request and admits it if a slot is free.
@@ -436,10 +435,8 @@ impl<'s> ServingState<'s> {
         self.pending[t].push_back(at);
         self.backlog += 1;
         self.ls_version += 1;
-        match self.mode {
-            ServingMode::Seed => self.admit(),
-            ServingMode::Fast => self.admit_task(t),
-        }
+        self.admit_task(t);
+        self.debug_assert_admitted();
     }
 
     /// Version of the LS queue state; unchanged means every LS-side
@@ -449,13 +446,6 @@ impl<'s> ServingState<'s> {
     /// to memoize per-dispatch work across BE-side events.
     pub fn ls_version(&self) -> u64 {
         self.ls_version
-    }
-
-    /// Which serving-loop implementation drives this run. Policies that
-    /// memoize dispatch work consult this so the `Seed` benchmark arm
-    /// keeps the seed's recompute-everything behaviour.
-    pub fn serving_mode(&self) -> ServingMode {
-        self.mode
     }
 
     /// Number of LS requests admitted or waiting (queue pressure).
@@ -471,17 +461,14 @@ impl<'s> ServingState<'s> {
 
     /// Number of LS requests admitted and in flight (excluding the
     /// pending queue) — the fleet telemetry layer samples this as a
-    /// per-lane gauge at controller ticks. O(1) in fast mode.
+    /// per-lane gauge at controller ticks. O(1).
     pub fn ls_inflight(&self) -> usize {
-        if self.mode == ServingMode::Fast {
-            debug_assert_eq!(
-                self.inflight_total,
-                self.inflight.iter().map(VecDeque::len).sum::<usize>(),
-                "incremental inflight counter drifted from the queues"
-            );
-            return self.inflight_total;
-        }
-        self.inflight.iter().map(VecDeque::len).sum()
+        debug_assert_eq!(
+            self.inflight_total,
+            self.inflight.iter().map(VecDeque::len).sum::<usize>(),
+            "incremental inflight counter drifted from the queues"
+        );
+        self.inflight_total
     }
 
     /// Pending + in-flight LS requests of one task — the per-service
@@ -492,38 +479,36 @@ impl<'s> ServingState<'s> {
         self.pending[task].len() + self.inflight[task].len()
     }
 
-    /// Is any LS kernel ready to launch? O(1) in fast mode; the seed
-    /// path re-scans every queue, as the seed serving state did.
+    /// Is any LS kernel ready to launch? O(1).
     pub fn ls_ready(&self) -> bool {
-        if self.mode == ServingMode::Fast {
-            debug_assert_eq!(
-                self.inflight_total > 0,
-                self.inflight.iter().any(|q| !q.is_empty()),
-                "incremental inflight counter drifted from the queues"
-            );
-            return self.inflight_total > 0;
-        }
-        self.inflight.iter().any(|q| !q.is_empty())
+        debug_assert_eq!(
+            self.inflight_total > 0,
+            self.inflight.iter().any(|q| !q.is_empty()),
+            "incremental inflight counter drifted from the queues"
+        );
+        self.inflight_total > 0
     }
 
     /// Peeks the next LS kernel in round-robin order. Memoized on
-    /// [`ls_version`](Self::ls_version) in fast mode: policies and
-    /// `launch_ls` both peek on every dispatch, and most events leave
-    /// the LS queues untouched.
+    /// [`ls_version`](Self::ls_version): policies and `launch_ls` both
+    /// peek on every dispatch, and most events leave the LS queues
+    /// untouched. Debug builds check every memo hit against a fresh scan.
     pub fn peek_ls(&self) -> Option<(usize, usize)> {
-        if self.mode == ServingMode::Fast {
-            let (version, cached) = self.peek_ls_cache.get();
-            if version == self.ls_version {
-                return cached;
-            }
+        let (version, cached) = self.peek_ls_cache.get();
+        if version == self.ls_version {
+            debug_assert_eq!(
+                cached,
+                self.peek_ls_scan(),
+                "memoized peek_ls diverged from a fresh scan"
+            );
+            return cached;
         }
         let result = self.peek_ls_scan();
         self.peek_ls_cache.set((self.ls_version, result));
         result
     }
 
-    /// The seed implementation of [`peek_ls`](Self::peek_ls): a fresh
-    /// round-robin scan over every LS queue.
+    /// A fresh round-robin scan over every LS queue.
     fn peek_ls_scan(&self) -> Option<(usize, usize)> {
         let n = self.scenario.ls.len();
         for off in 0..n {
@@ -555,14 +540,6 @@ impl<'s> ServingState<'s> {
                 }
             }
         }
-    }
-
-    /// Allocating convenience wrapper around
-    /// [`upcoming_ls_kernels_into`](Self::upcoming_ls_kernels_into).
-    pub fn upcoming_ls_kernels(&self, window: usize) -> Vec<(usize, usize)> {
-        let mut out = Vec::with_capacity(window);
-        self.upcoming_ls_kernels_into(window, &mut out);
-        out
     }
 
     /// Peeks the next *active* BE kernel in round-robin order. With every
@@ -826,17 +803,12 @@ impl<'s> ServingState<'s> {
                 }
             }
         }
-        match self.mode {
-            // Seed behaviour: re-walk every LS task after every event.
-            ServingMode::Seed => self.admit(),
-            // Only the task whose inference completed can admit anything
-            // new; every other event leaves the queues untouched.
-            ServingMode::Fast => {
-                if let Some(t) = freed_slot {
-                    self.admit_task(t);
-                }
-            }
+        // Only the task whose inference completed can admit anything
+        // new; every other event leaves the queues untouched.
+        if let Some(t) = freed_slot {
+            self.admit_task(t);
         }
+        self.debug_assert_admitted();
     }
 }
 
@@ -863,12 +835,13 @@ pub trait Policy: Send {
         None
     }
 
-    /// Whether this policy ever schedules internal timers. The fast
-    /// serving loop skips the per-event [`next_timer`](Self::next_timer)
-    /// query entirely when this returns `false`. Defaults to `true` so a
-    /// policy that implements [`next_timer`](Self::next_timer) without
-    /// overriding this still gets its timers; timer-less policies
-    /// override it to `false` as a pure optimization.
+    /// Whether this policy ever schedules internal timers. The serving
+    /// loop skips the per-event [`next_timer`](Self::next_timer) query
+    /// entirely when this returns `false` (debug builds check that
+    /// `next_timer` is then `None`). Defaults to `true` so a policy that
+    /// implements [`next_timer`](Self::next_timer) without overriding
+    /// this still gets its timers; timer-less policies override it to
+    /// `false` as a pure optimization.
     fn has_timers(&self) -> bool {
         true
     }
@@ -882,59 +855,15 @@ pub trait Policy: Send {
     }
 }
 
-/// Selects the serving-loop implementation. Both modes yield identical
-/// [`RunStats`]; only the per-event cost differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServingMode {
-    /// The pre-refactor hot path: an O(n_ls) scan over per-task arrival
-    /// cursors once per simulated event, a full re-admission walk over
-    /// every LS task after every event, per-dispatch policy recomputes
-    /// (no version-keyed memoization), and the engine's eager rate
-    /// maintenance (full recompute + emit per running-set change). Kept
-    /// as the "before" arm of the `BENCH_serving` measurement and as the
-    /// oracle for the equivalence tests.
-    Seed,
-    /// Consumes the pre-merged arrival stream with a single cursor (O(1)
-    /// per event) and re-admits only the task whose queues changed.
-    #[default]
-    Fast,
-}
-
-/// The seed path's arrival source: a fresh O(n_ls) scan over per-task
-/// cursors on every peek. (The fast path consumes the pre-merged stream
-/// through [`ReplicaSim`] instead.)
-struct SeedArrivalCursor<'t> {
-    per_task: &'t [Vec<f64>],
-    cursors: Vec<usize>,
-}
-
-impl SeedArrivalCursor<'_> {
-    fn peek(&self) -> Option<(usize, f64)> {
-        let mut best: Option<(usize, f64)> = None;
-        for (t, &c) in self.cursors.iter().enumerate() {
-            if let Some(&at) = self.per_task[t].get(c) {
-                if best.is_none_or(|(_, b)| at < b) {
-                    best = Some((t, at));
-                }
-            }
-        }
-        best
-    }
-
-    fn pop(&mut self, task: usize) {
-        self.cursors[task] += 1;
-    }
-}
-
 /// A resumable serving simulation for one GPU replica.
 ///
-/// [`run_configured_in`]'s fast path drives a whole scenario to the
-/// horizon in one call; a *cluster* interleaves many replicas behind a
-/// request router, which needs to (a) quiesce every replica up to an
-/// arrival's timestamp, (b) read replica state to pick a target, and
-/// (c) inject the arrival into that target only. `ReplicaSim` exposes the
-/// fast serving loop in exactly those increments — the batch fast path is
-/// itself implemented on top of it, so a 1-replica cluster fed the same
+/// [`run_in_context`] drives a whole scenario to the horizon in one
+/// call; a *cluster* interleaves many replicas behind a request router,
+/// which needs to (a) quiesce every replica up to an arrival's
+/// timestamp, (b) read replica state to pick a target, and (c) inject
+/// the arrival into that target only. `ReplicaSim` exposes the serving
+/// loop in exactly those increments — the batch run is itself
+/// implemented on top of it, so a 1-replica cluster fed the same
 /// merged stream reproduces a batch run bit for bit (enforced by
 /// `workload/tests/cluster.rs`).
 ///
@@ -962,21 +891,12 @@ fn fold_pending(event: Option<f64>, timer: Option<f64>) -> Option<f64> {
 }
 
 impl<'s> ReplicaSim<'s> {
-    /// Builds the simulation (fast serving mode) from a context's
-    /// recycled storage without touching the policy — callers may
-    /// configure the state (BE activity, rate mode) before the first
-    /// dispatch.
+    /// Builds the simulation from a context's recycled storage without
+    /// touching the policy — callers may configure the state (e.g. BE
+    /// activity) before the first dispatch.
     pub fn prepare(scenario: &'s Scenario, ctx: &mut SimContext) -> Self {
-        Self::prepare_with_rate(scenario, RateMode::Fast, ctx)
-    }
-
-    /// [`prepare`](Self::prepare) with an explicit engine rate mode.
-    pub fn prepare_with_rate(scenario: &'s Scenario, rate: RateMode, ctx: &mut SimContext) -> Self {
-        let mut st = ServingState::new_in(scenario, ServingMode::Fast, ctx);
-        st.engine.set_rate_mode(rate);
-        st.engine.set_eager_rates(false);
         Self {
-            st,
+            st: ServingState::new_in(scenario, ctx),
             use_timers: true,
         }
     }
@@ -1028,6 +948,10 @@ impl<'s> ReplicaSim<'s> {
         let timer = if self.use_timers {
             policy.next_timer().filter(|&t| t > self.st.now() + 1e-9)
         } else {
+            debug_assert!(
+                policy.next_timer().is_none(),
+                "a policy without timers scheduled one"
+            );
             None
         };
         (event, timer)
@@ -1161,134 +1085,41 @@ fn _assert_replica_stack_is_send() {
 
 /// Runs a scenario under a policy to the horizon; returns the statistics.
 pub fn run(policy: &mut dyn Policy, scenario: &Scenario) -> RunStats {
-    run_configured(policy, scenario, RateMode::Fast, ServingMode::Fast)
+    run_in_context(policy, scenario, &mut SimContext::new())
 }
 
-/// [`run`] with an explicit engine rate mode. `RateMode::Reference`
-/// replays the seed engine's per-event behaviour (descriptor deep-clones,
-/// allocating rate evaluation, no memoization) — the "before" arm of the
-/// `BENCH_exec_sim` measurement.
-pub fn run_with_mode(policy: &mut dyn Policy, scenario: &Scenario, mode: RateMode) -> RunStats {
-    run_configured(policy, scenario, mode, ServingMode::Fast)
-}
-
-/// [`run`] with both the engine rate mode and the serving-loop mode
-/// explicit — the full before/after matrix used by the benchmarks and
-/// the equivalence tests.
-pub fn run_configured(
-    policy: &mut dyn Policy,
-    scenario: &Scenario,
-    rate: RateMode,
-    serving: ServingMode,
-) -> RunStats {
-    run_configured_in(policy, scenario, rate, serving, &mut SimContext::new())
-}
-
-/// [`run`] against a reusable [`SimContext`] (default fast modes): the
-/// sweep subsystem's per-cell entry point.
+/// [`run`] with the simulation storage supplied by the caller — the
+/// sweep subsystem's per-cell entry point. A fresh [`SimContext`]
+/// reproduces [`run`] exactly; a reused one costs zero steady-state
+/// allocation per run.
 pub fn run_in_context(
     policy: &mut dyn Policy,
     scenario: &Scenario,
     ctx: &mut SimContext,
 ) -> RunStats {
-    run_configured_in(policy, scenario, RateMode::Fast, ServingMode::Fast, ctx)
-}
-
-/// [`run_configured`] with the simulation storage supplied by the
-/// caller. A fresh [`SimContext`] reproduces the fresh-allocation path
-/// exactly; a reused one costs zero steady-state allocation per run.
-pub fn run_configured_in(
-    policy: &mut dyn Policy,
-    scenario: &Scenario,
-    rate: RateMode,
-    serving: ServingMode,
-    ctx: &mut SimContext,
-) -> RunStats {
-    // The fast path is the resumable replica pump fed the merged stream —
-    // the same machinery a cluster drives arrival-by-arrival, here run to
+    // The resumable replica pump fed the merged stream — the same
+    // machinery a cluster drives arrival-by-arrival, here run to
     // completion in one call.
-    if serving == ServingMode::Fast {
-        let mut sim = ReplicaSim::prepare_with_rate(scenario, rate, ctx);
-        sim.begin(policy);
-        let merged = scenario.arrivals.merged();
-        let mut next = 0usize;
-        loop {
-            match merged.get(next) {
-                Some(a) => {
-                    if !sim.advance(policy, Some(a.at_us)) {
-                        break; // horizon reached before the arrival
-                    }
-                    next += 1;
-                    sim.inject_arrival(policy, a.task as usize, a.at_us);
+    let mut sim = ReplicaSim::prepare(scenario, ctx);
+    sim.begin(policy);
+    let merged = scenario.arrivals.merged();
+    let mut next = 0usize;
+    loop {
+        match merged.get(next) {
+            Some(a) => {
+                if !sim.advance(policy, Some(a.at_us)) {
+                    break; // horizon reached before the arrival
                 }
-                None => {
-                    sim.advance(policy, None);
-                    break;
-                }
+                next += 1;
+                sim.inject_arrival(policy, a.task as usize, a.at_us);
+            }
+            None => {
+                sim.advance(policy, None);
+                break;
             }
         }
-        return sim.finish(ctx);
     }
-
-    let mut st = ServingState::new_in(scenario, serving, ctx);
-    st.engine.set_rate_mode(rate);
-    st.engine.set_eager_rates(true);
-    let mut arrivals = SeedArrivalCursor {
-        per_task: scenario.arrivals.per_task(),
-        cursors: vec![0usize; scenario.arrivals.num_tasks()],
-    };
-
-    policy.on_run_start(&mut st);
-    policy.dispatch(&mut st);
-    loop {
-        let arrival = arrivals.peek();
-        // Memoized inside the engine — the same value serves the min fold
-        // below and the engine's own integration this iteration.
-        let event = st.engine.next_event_at();
-        // Stale (non-future) timers cannot make progress; drop them. The
-        // seed loop queried the policy timer on every iteration.
-        let timer = policy.next_timer().filter(|&t| t > st.now() + 1e-9);
-        // Earliest of the three candidate times, without materializing a
-        // candidate list (this runs once per simulated event).
-        let mut next = f64::INFINITY;
-        if let Some((_, at)) = arrival {
-            next = at;
-        }
-        if let Some(at) = event {
-            next = next.min(at);
-        }
-        if let Some(at) = timer {
-            next = next.min(at);
-        }
-        if next == f64::INFINITY {
-            break; // idle with no arrivals left
-        }
-        if next > scenario.horizon_us {
-            break;
-        }
-        // Arrival strictly first?
-        if arrival.is_some_and(|(_, at)| at <= next + 1e-9)
-            && event.is_none_or(|e| arrival.expect("checked").1 <= e)
-        {
-            let (t, at) = arrival.expect("checked");
-            st.engine.advance_idle(at);
-            arrivals.pop(t);
-            st.push_arrival(t, at);
-            policy.on_ls_arrival(&mut st);
-        } else if event.is_some_and(|e| e <= next + 1e-9) {
-            let ev = st.engine.step().expect("event was due");
-            st.on_event(ev);
-        } else {
-            // Timer only.
-            st.engine.advance_idle(next);
-        }
-        policy.dispatch(&mut st);
-    }
-    // Record the actually simulated time (the loop can end early when the
-    // trace drains), not unconditionally the configured horizon.
-    st.stats.horizon_us = st.now().min(scenario.horizon_us);
-    st.stats.engine_events = st.engine.events_processed();
-    st.finish_into(ctx)
+    sim.finish(ctx)
 }
 
 #[cfg(test)]
@@ -1541,7 +1372,7 @@ mod tests {
     #[test]
     fn replica_sim_injection_reproduces_the_batch_run() {
         // Driving the pump arrival-by-arrival (the cluster's usage) must
-        // equal the batch fast path bit for bit.
+        // equal the batch run bit for bit.
         let sc = two_be_scenario(200_000.0);
         let mut batch_policy = Sgdrc::new(&sc.spec, SgdrcConfig::default());
         let batch = run(&mut batch_policy, &sc);

@@ -15,7 +15,7 @@
 //! *SGDRC (Static)* baseline: a fixed even SM split and fixed channel
 //! split, with no tidal scaling.
 
-use crate::serving::{Policy, ServingMode, ServingState};
+use crate::serving::{Policy, ServingState};
 use coloring::split_channels;
 use exec_sim::{ChannelSet, TpcMask};
 use gpu_spec::GpuSpec;
@@ -64,9 +64,8 @@ pub struct Sgdrc {
     /// Memoized `(ls_version, SM_LS)` of the last sliding-window query.
     /// BE completions, preemptions and timers leave the LS queues — and
     /// therefore the window — untouched, so roughly half of all
-    /// dispatches reuse the previous answer. Only consulted in
-    /// `ServingMode::Fast`; the seed benchmark arm recomputes every
-    /// dispatch, as the seed policy did.
+    /// dispatches reuse the previous answer. Debug builds check every
+    /// hit against a fresh query.
     sm_ls_cache: (u64, u32),
 }
 
@@ -102,28 +101,36 @@ impl Sgdrc {
         self.sm_ls_cache = (0, 0);
     }
 
-    /// §7.1: `SM_LS` for the next LS kernel — the max of the profiled
-    /// minimum TPC counts over the sliding window of upcoming LS kernels.
+    /// §7.1: `SM_LS` for the next LS kernel, memoized on
+    /// [`ServingState::ls_version`].
     fn sm_ls(&mut self, st: &ServingState) -> u32 {
         if self.cfg.static_partition {
             return self.num_tpcs / 2;
         }
-        let memoizable = st.serving_mode() == ServingMode::Fast;
-        if memoizable && self.sm_ls_cache.0 == st.ls_version() {
-            return self.sm_ls_cache.1;
+        let (version, cached) = self.sm_ls_cache;
+        if version == st.ls_version() {
+            debug_assert_eq!(
+                cached,
+                self.window_query(st),
+                "memoized SM_LS diverged from a fresh window query"
+            );
+            return cached;
         }
+        let sm = self.window_query(st);
+        self.sm_ls_cache = (st.ls_version(), sm);
+        sm
+    }
+
+    /// The max of the profiled minimum TPC counts over the sliding
+    /// window of upcoming LS kernels.
+    fn window_query(&mut self, st: &ServingState) -> u32 {
         st.upcoming_ls_kernels_into(self.cfg.window, &mut self.window_buf);
-        let sm = self
-            .window_buf
+        self.window_buf
             .iter()
             .map(|&(t, k)| st.scenario.ls[t].profile.kernels[k].min_tpcs)
             .max()
             .unwrap_or(1)
-            .min(self.num_tpcs);
-        if memoizable {
-            self.sm_ls_cache = (st.ls_version(), sm);
-        }
-        sm
+            .min(self.num_tpcs)
     }
 }
 

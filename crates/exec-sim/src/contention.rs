@@ -32,9 +32,10 @@
 //!   adjusts the aggregates and pairwise sums incrementally instead of
 //!   recomputing the O(n²) interference terms from scratch.
 //!
-//! The original straight-line evaluation survives in [`reference`]: it is
-//! the oracle for equivalence tests/assertions and the "before" arm of
-//! the `BENCH_exec_sim` harness.
+//! The original straight-line evaluation survives in
+//! [`reference`](mod@reference) as this layer's one oracle: a unit test,
+//! the exec-sim proptests and the engine's event-sequence test compare
+//! the optimized paths against it.
 
 use crate::types::{ChannelSet, TpcMask};
 use dnn::kernel::KernelDesc;
@@ -539,10 +540,10 @@ pub mod reference {
     //!
     //! This is the seed implementation: per-call `Vec` aggregates,
     //! per-bit loops over every TPC/channel slot, and full `perf::`
-    //! re-derivation from the (deep-cloned) kernel descriptor. It serves
-    //! two purposes: the *oracle* that the optimized [`RateState`] paths
-    //! are asserted against (debug assertions + property tests), and the
-    //! honest "before" arm of the `BENCH_exec_sim` speedup measurement.
+    //! re-derivation from the (deep-cloned) kernel descriptor. It is the
+    //! *oracle* the optimized [`RateState`](super::RateState) paths are
+    //! tested against (unit and property tests, and the engine's
+    //! event-sequence test).
 
     use super::KernelRate;
     use crate::types::{ChannelSet, TpcMask};

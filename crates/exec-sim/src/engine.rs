@@ -25,11 +25,13 @@
 //!   (absolute finish times are invariant under `advance_to`), so the
 //!   serving loop's repeated queries cost a `Cell` read.
 //!
-//! [`RateMode::Reference`] switches the engine back to the seed rate
-//! path (deep-cloned descriptors, allocating evaluation) — the "before"
-//! arm for `BENCH_exec_sim.json` and the oracle for equivalence tests.
+//! Debug builds check both shortcuts on every use: deferred and
+//! incremental rates against a full recompute, and every memoized
+//! next-event time against a fresh computation. The unit tests check
+//! whole event sequences against a piecewise integration over the
+//! [`reference`](crate::contention::reference) contention model.
 
-use crate::contention::{reference, KernelRate, PreparedKernel, RateState, RunningCtx};
+use crate::contention::{KernelRate, PreparedKernel, RateState, RunningCtx};
 use crate::types::{ChannelSet, EngineEvent, LaunchId, TpcMask};
 use dnn::kernel::KernelDesc;
 use gpu_spec::GpuSpec;
@@ -58,18 +60,6 @@ impl LaunchConfig {
             preempt_poll_us: None,
         }
     }
-}
-
-/// Which contention-model implementation the engine evaluates rates with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RateMode {
-    /// Allocation-free incremental path (the default).
-    #[default]
-    Fast,
-    /// The preserved seed path: deep-clones every descriptor and
-    /// re-derives all invariants on every event. Exists for before/after
-    /// benchmarking and as the equivalence oracle.
-    Reference,
 }
 
 /// Per-kernel integration bookkeeping (parallel to the context array).
@@ -101,20 +91,11 @@ pub struct Engine {
     /// Persistent aggregates backing the fast rate path.
     state: RefCell<RateState>,
     /// Set when the running set changed and `rates` no longer describes
-    /// it. In `Fast` mode launches and completions only mark this flag;
-    /// the recompute happens at the next read. A completion immediately
-    /// followed by a relaunch at the same timestamp — the serving loop's
-    /// steady state — then pays one rate evaluation instead of two.
-    /// (`Reference` mode refreshes eagerly on every change, as the seed
-    /// engine did.)
+    /// it. Launches and completions only mark this flag; the recompute
+    /// happens at the next read. A completion immediately followed by a
+    /// relaunch at the same timestamp — the serving loop's steady state —
+    /// then pays one rate evaluation instead of two.
     rates_stale: Cell<bool>,
-    /// Replay the pre-refactor maintenance discipline: a full recompute
-    /// and emit on every running-set change instead of the incremental
-    /// deferred path. The serving benchmark's "before" arm sets this so
-    /// the measurement captures the whole hot-path overhaul; results are
-    /// identical either way.
-    eager_rates: bool,
-    mode: RateMode,
     /// Memoized next-event time (`None` = stale, recompute on demand).
     next_event: Cell<Option<Option<f64>>>,
     /// Completion/preemption events delivered so far.
@@ -138,8 +119,6 @@ impl Engine {
             rates: RefCell::new(Vec::new()),
             state: RefCell::new(RateState::default()),
             rates_stale: Cell::new(false),
-            eager_rates: false,
-            mode: RateMode::Fast,
             next_event: Cell::new(Some(None)),
             events: 0,
             clock_scale: 1.0,
@@ -161,25 +140,9 @@ impl Engine {
         self.rates.get_mut().clear();
         self.state.get_mut().reset();
         self.rates_stale.set(false);
-        self.eager_rates = false;
-        self.mode = RateMode::Fast;
         self.next_event.set(Some(None));
         self.events = 0;
         self.clock_scale = 1.0;
-    }
-
-    /// Selects the rate-evaluation implementation (see [`RateMode`]).
-    pub fn set_rate_mode(&mut self, mode: RateMode) {
-        self.mode = mode;
-        self.refresh_rates_full();
-    }
-
-    /// Replays the pre-refactor rate-maintenance discipline (full
-    /// recompute and emit on every launch/finish) — the serving
-    /// benchmark's "before" arm. Results are identical; only the
-    /// per-event cost differs.
-    pub fn set_eager_rates(&mut self, eager: bool) {
-        self.eager_rates = eager;
     }
 
     pub fn spec(&self) -> &GpuSpec {
@@ -199,23 +162,6 @@ impl Engine {
     /// Completion + preemption events delivered since construction.
     pub fn events_processed(&self) -> u64 {
         self.events
-    }
-
-    /// Union of all running kernels' TPC masks.
-    pub fn busy_tpcs(&self) -> TpcMask {
-        self.ctxs.iter().fold(TpcMask(0), |m, r| m.union(r.mask))
-    }
-
-    /// IDs of the currently running kernels.
-    pub fn running_ids(&self) -> Vec<LaunchId> {
-        self.meta.iter().map(|r| r.id).collect()
-    }
-
-    /// Current per-kernel rates, parallel to [`Engine::running_ids`].
-    /// Exposed for equivalence tests and diagnostics.
-    pub fn current_rates(&self) -> Vec<KernelRate> {
-        self.ensure_rates();
-        self.rates.borrow().clone()
     }
 
     fn index_of(&self, id: LaunchId) -> Option<usize> {
@@ -242,31 +188,6 @@ impl Engine {
                 );
             }
         }
-    }
-
-    /// Full rate recomputation (mode switches and eager callers).
-    fn refresh_rates_full(&mut self) {
-        match self.mode {
-            RateMode::Fast => {
-                self.state.borrow_mut().recompute_full(
-                    &self.spec,
-                    &self.ctxs,
-                    &mut self.rates.borrow_mut(),
-                );
-                self.rates_stale.set(false);
-            }
-            RateMode::Reference => self.refresh_rates_reference(),
-        }
-        self.invalidate_next_event();
-    }
-
-    /// The seed refresh: deep-clone every running kernel's descriptor and
-    /// evaluate the allocating reference model.
-    fn refresh_rates_reference(&mut self) {
-        let ctxs: Vec<reference::Ctx> =
-            self.ctxs.iter().map(reference::Ctx::from_running).collect();
-        *self.rates.borrow_mut() = reference::compute_rates(&self.spec, &ctxs);
-        self.rates_stale.set(false);
     }
 
     /// Launches a kernel; work equals its exclusive-resource runtime.
@@ -299,14 +220,8 @@ impl Engine {
             poll_us: cfg.preempt_poll_us,
             evicting: None,
         });
-        match self.mode {
-            RateMode::Fast if self.eager_rates => self.refresh_rates_full(),
-            RateMode::Fast => {
-                self.state.get_mut().add_last(&self.spec, &self.ctxs);
-                self.rates_stale.set(true);
-            }
-            RateMode::Reference => self.refresh_rates_reference(),
-        }
+        self.state.get_mut().add_last(&self.spec, &self.ctxs);
+        self.rates_stale.set(true);
         self.invalidate_next_event();
         id
     }
@@ -344,16 +259,10 @@ impl Engine {
         };
         self.meta.remove(idx);
         let removed = self.ctxs.remove(idx);
-        match self.mode {
-            RateMode::Fast if self.eager_rates => self.refresh_rates_full(),
-            RateMode::Fast => {
-                self.state
-                    .get_mut()
-                    .remove_at(&self.spec, &self.ctxs, idx, &removed);
-                self.rates_stale.set(true);
-            }
-            RateMode::Reference => self.refresh_rates_reference(),
-        }
+        self.state
+            .get_mut()
+            .remove_at(&self.spec, &self.ctxs, idx, &removed);
+        self.rates_stale.set(true);
         self.invalidate_next_event();
         true
     }
@@ -398,29 +307,23 @@ impl Engine {
         // applies directly; `update_one` re-emits fresh rates.
         self.ctxs[i].mask = mask;
         self.ctxs[i].channels = channels;
-        match self.mode {
-            RateMode::Fast => {
-                self.state.get_mut().update_one(
-                    &self.spec,
-                    &self.ctxs,
-                    i,
-                    old_mask,
-                    old_channels,
-                    self.rates.get_mut(),
-                );
-                self.rates_stale.set(false);
-                #[cfg(debug_assertions)]
-                {
-                    let full = crate::contention::compute_rates(&self.spec, &self.ctxs);
-                    let div =
-                        crate::contention::max_relative_divergence(&self.rates.borrow(), &full);
-                    debug_assert!(
-                        div < crate::contention::RATE_EQUIVALENCE_TOL,
-                        "incremental remask diverged from full recompute: {div}"
-                    );
-                }
-            }
-            RateMode::Reference => self.refresh_rates_reference(),
+        self.state.get_mut().update_one(
+            &self.spec,
+            &self.ctxs,
+            i,
+            old_mask,
+            old_channels,
+            self.rates.get_mut(),
+        );
+        self.rates_stale.set(false);
+        #[cfg(debug_assertions)]
+        {
+            let full = crate::contention::compute_rates(&self.spec, &self.ctxs);
+            let div = crate::contention::max_relative_divergence(&self.rates.borrow(), &full);
+            debug_assert!(
+                div < crate::contention::RATE_EQUIVALENCE_TOL,
+                "incremental remask diverged from full recompute: {div}"
+            );
         }
         self.invalidate_next_event();
         true
@@ -432,18 +335,30 @@ impl Engine {
 
     /// Time of the next event, if any kernel is resident. Memoized: the
     /// event loop queries this several times between events, and absolute
-    /// finish times do not change under [`Engine::advance_idle`].
-    /// (`Reference` mode recomputes every call, as the seed engine did.)
+    /// finish times do not change under [`Engine::advance_idle`]. Debug
+    /// builds check every cached answer against a fresh computation.
     pub fn next_event_at(&self) -> Option<f64> {
-        if self.mode == RateMode::Fast {
-            if let Some(cached) = self.next_event.get() {
-                return cached;
-            }
+        if let Some(cached) = self.next_event.get() {
+            debug_assert!(
+                match (cached, self.compute_next_event()) {
+                    (Some(c), Some(f)) => (c - f).abs() <= 1e-9 * f.abs().max(1.0),
+                    (c, f) => c == f,
+                },
+                "memoized next event {cached:?} diverged from a fresh computation {:?}",
+                self.compute_next_event()
+            );
+            return cached;
         }
+        let computed = self.compute_next_event();
+        self.next_event.set(Some(computed));
+        computed
+    }
+
+    /// The earliest finish or eviction deadline over the running set.
+    fn compute_next_event(&self) -> Option<f64> {
         self.ensure_rates();
         let rates = self.rates.borrow();
-        let computed = self
-            .meta
+        self.meta
             .iter()
             .zip(rates.iter())
             .map(|(r, rate)| {
@@ -456,9 +371,7 @@ impl Engine {
             })
             .fold(None, |acc: Option<f64>, t| {
                 Some(acc.map_or(t, |a| a.min(t)))
-            });
-        self.next_event.set(Some(computed));
-        computed
+            })
     }
 
     /// Advances virtual time to the next completion/preemption and returns
@@ -484,16 +397,10 @@ impl Engine {
         let (idx, preempted) = fired.expect("an event was due");
         let r = self.meta.remove(idx);
         let removed = self.ctxs.remove(idx);
-        match self.mode {
-            RateMode::Fast if self.eager_rates => self.refresh_rates_full(),
-            RateMode::Fast => {
-                self.state
-                    .get_mut()
-                    .remove_at(&self.spec, &self.ctxs, idx, &removed);
-                self.rates_stale.set(true);
-            }
-            RateMode::Reference => self.refresh_rates_reference(),
-        }
+        self.state
+            .get_mut()
+            .remove_at(&self.spec, &self.ctxs, idx, &removed);
+        self.rates_stale.set(true);
         self.invalidate_next_event();
         self.events += 1;
         Some(if preempted {
@@ -572,6 +479,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::contention::reference;
     use dnn::kernel::{KernelDesc, KernelKind};
     use gpu_spec::GpuModel;
 
@@ -822,58 +730,105 @@ mod tests {
         }
     }
 
+    /// Test-local oracle: integrates `(id, kernel, remaining work)` from
+    /// `*now` to `until` under piecewise-constant rates from the
+    /// reference contention model, recording each completion as
+    /// `(id, time)`.
+    fn integrate_reference(
+        spec: &GpuSpec,
+        running: &mut Vec<(LaunchId, reference::Ctx, f64)>,
+        now: &mut f64,
+        until: f64,
+        done: &mut Vec<(LaunchId, f64)>,
+    ) {
+        while !running.is_empty() {
+            let ctxs: Vec<reference::Ctx> = running.iter().map(|(_, c, _)| c.clone()).collect();
+            let rates = reference::compute_rates(spec, &ctxs);
+            let (first, to_finish) = running
+                .iter()
+                .zip(&rates)
+                .map(|((_, _, remaining), r)| remaining / r.relative_speed)
+                .enumerate()
+                .min_by(|a, b| a.1.total_cmp(&b.1))
+                .expect("non-empty");
+            let dt = to_finish.min(until - *now);
+            for ((_, _, remaining), r) in running.iter_mut().zip(&rates) {
+                *remaining -= dt * r.relative_speed;
+            }
+            *now += dt;
+            if dt < to_finish {
+                return;
+            }
+            let (id, _, _) = running.remove(first);
+            done.push((id, *now));
+        }
+    }
+
     #[test]
-    fn reference_mode_reproduces_fast_mode_events() {
-        // The same launch/remask/evict script under both rate modes must
-        // deliver the same events at the same (±1e-9-relative) times.
-        let script = |mode: RateMode| {
-            let mut e = engine();
-            e.set_rate_mode(mode);
-            let spec = e.spec().clone();
-            let a = e.launch(
-                &kernel(3e9, 2e7),
-                &LaunchConfig {
-                    mask: TpcMask::first(8),
-                    channels: ChannelSet::all(&spec),
-                    thread_fraction: 1.0,
-                    preempt_poll_us: None,
-                },
-            );
-            let b = e.launch(
-                &kernel(8e9, 3e8),
-                &LaunchConfig {
-                    mask: TpcMask::range(4, 9),
-                    channels: ChannelSet::from_channels(&[0, 1, 2]),
-                    thread_fraction: 1.0,
-                    preempt_poll_us: Some(2.0),
-                },
-            );
-            e.remask(b, TpcMask::range(8, 5), ChannelSet::from_channels(&[0, 1]));
-            let _ = a;
-            let mut events = Vec::new();
-            while let Some(ev) = e.step() {
-                events.push(ev);
+    fn engine_events_match_reference_integration() {
+        // Launch two overlapping kernels, run a while, then remask the
+        // second: every completion must carry the same id at the same
+        // (±1e-9-relative) time as the reference integration. The second
+        // kernel is memory-bound, so its channel change moves its finish
+        // too, not only its TPC change.
+        let mut e = engine();
+        let spec = e.spec().clone();
+        let launches = [
+            (
+                kernel(3e9, 2e7),
+                TpcMask::first(8),
+                ChannelSet::all(&spec),
+                None,
+            ),
+            (
+                kernel(8e9, 3e9),
+                TpcMask::range(4, 9),
+                ChannelSet::from_channels(&[0, 1, 2]),
+                Some(2.0),
+            ),
+        ];
+        let mut running = Vec::new();
+        for (k, mask, channels, poll) in launches {
+            let cfg = LaunchConfig {
+                mask,
+                channels,
+                thread_fraction: 1.0,
+                preempt_poll_us: poll,
+            };
+            let id = e.launch(&k, &cfg);
+            let work = dnn::perf::isolated_runtime_us(&k, &spec);
+            let ctx = reference::Ctx {
+                kernel: k,
+                mask,
+                channels,
+                thread_fraction: 1.0,
+            };
+            running.push((id, ctx, work));
+        }
+        let remask_at = 0.5 * e.next_event_at().expect("two kernels resident");
+        e.advance_idle(remask_at);
+        let (mask, channels) = (TpcMask::range(8, 5), ChannelSet::from_channels(&[0, 1]));
+        assert!(e.remask(running[1].0, mask, channels));
+        let mut events = Vec::new();
+        while let Some(ev) = e.step() {
+            match ev {
+                EngineEvent::Finished { id, at_us } => events.push((id, at_us)),
+                other => panic!("no eviction flag was raised: {other:?}"),
             }
-            events
-        };
-        let fast = script(RateMode::Fast);
-        let slow = script(RateMode::Reference);
-        assert_eq!(fast.len(), slow.len());
-        for (f, s) in fast.iter().zip(&slow) {
-            match (f, s) {
-                (
-                    EngineEvent::Finished { id: fi, at_us: ft },
-                    EngineEvent::Finished { id: si, at_us: st },
-                )
-                | (
-                    EngineEvent::Preempted { id: fi, at_us: ft },
-                    EngineEvent::Preempted { id: si, at_us: st },
-                ) => {
-                    assert_eq!(fi, si);
-                    assert!((ft - st).abs() / st.max(1e-9) < 1e-9, "{ft} vs {st}");
-                }
-                other => panic!("event kind mismatch {other:?}"),
-            }
+        }
+
+        let (mut now, mut expected) = (0.0, Vec::new());
+        integrate_reference(&spec, &mut running, &mut now, remask_at, &mut expected);
+        assert!(expected.is_empty(), "the remask precedes every completion");
+        running[1].1.mask = mask;
+        running[1].1.channels = channels;
+        integrate_reference(&spec, &mut running, &mut now, f64::INFINITY, &mut expected);
+
+        assert_eq!(events.len(), 2);
+        assert_eq!(events.len(), expected.len());
+        for (&(id, at), &(ref_id, ref_at)) in events.iter().zip(&expected) {
+            assert_eq!(id, ref_id);
+            assert!((at - ref_at).abs() / ref_at < 1e-9, "{at} vs {ref_at}");
         }
     }
 }

@@ -23,5 +23,5 @@ pub use contention::{
     compute_rates, max_relative_divergence, KernelRate, PreparedKernel, RateState, RunningCtx,
     RATE_EQUIVALENCE_TOL,
 };
-pub use engine::{Engine, LaunchConfig, RateMode};
+pub use engine::{Engine, LaunchConfig};
 pub use types::{BitIter, ChannelSet, EngineEvent, LaunchId, TpcMask};

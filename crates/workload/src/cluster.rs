@@ -468,14 +468,16 @@ pub trait RoutingPolicy {
     /// arrival time. Returns a replica index `< views.len()`.
     fn route(&mut self, views: &[ReplicaView], task: usize, at_us: f64) -> usize;
 
-    /// Tier-aware variant, called instead of [`route`](Self::route)
-    /// when the run carries a [`crate::tiers::TiersConfig`]. `tier_rank`
-    /// is the request's tier rank (0 = highest-priority tier); built-in
+    /// Tier-aware variant: the fleet clock routes every request through
+    /// it. `tier_rank` is the request's tier rank (0 = highest-priority
+    /// tier; every request has rank 0 without a
+    /// [`crate::tiers::TiersConfig`]). Rank 0 must pick exactly what
+    /// `route` picks and advance the router's state exactly as `route`
+    /// does, so tier-blind runs route as `route` would. Built-in
     /// implementations break ties toward higher tiers on healthy,
-    /// non-breaching lanes and must keep rank 0 identical to the
-    /// tier-blind `route` (so a single-tier config reproduces tier-blind
-    /// routing exactly). Stateful routers must consume the same internal
-    /// state either way — the p2c chain draws exactly twice per call.
+    /// non-breaching lanes at lower ranks; stateful routers must consume
+    /// the same internal state at every rank — the p2c chain draws
+    /// exactly twice per call.
     fn route_with_tier(
         &mut self,
         views: &[ReplicaView],
@@ -609,34 +611,23 @@ impl RoutingPolicy for SloAwarePowerOfTwo {
     }
 
     /// Tier-aware tie-break with the same two draws per call: the top
-    /// tier keeps the full SLO-aware key (identical to the tier-blind
-    /// route); lower tiers lose the breach-avoidance privilege and
-    /// compare on health + backlog only, yielding non-breaching lanes
-    /// to higher tiers when both candidates are loaded.
+    /// tier is the tier-blind route; lower tiers lose the
+    /// breach-avoidance privilege and compare on health + backlog only,
+    /// yielding non-breaching lanes to higher tiers when both candidates
+    /// are loaded.
     fn route_with_tier(
         &mut self,
         views: &[ReplicaView],
-        _task: usize,
+        task: usize,
         tier_rank: u32,
-        _at_us: f64,
+        at_us: f64,
     ) -> usize {
+        if tier_rank == 0 {
+            return self.route(views, task, at_us);
+        }
         let n = views.len();
         let i = self.draw(n);
         let j = self.draw(n);
-        if tier_rank == 0 {
-            let key = |r: usize| {
-                (
-                    !views[r].healthy,
-                    views[r].window_p99_ratio > 1.0,
-                    views[r].backlog,
-                    r,
-                )
-            };
-            if key(i) <= key(j) {
-                return i;
-            }
-            return j;
-        }
         let key = |r: usize| (!views[r].healthy, views[r].backlog, r);
         if key(i) <= key(j) {
             i
@@ -2599,11 +2590,7 @@ fn process_retries(
         // healthy count is 0, so the entry backs off like a whole-fleet
         // outage until a lane activates.
         let target = if fleet.n_healthy > 0 {
-            let slot = if trt.enabled {
-                router.route_with_tier(&fleet.views, e.task, trt.rank[e.task], t)
-            } else {
-                router.route(&fleet.views, e.task, t)
-            };
+            let slot = router.route_with_tier(&fleet.views, e.task, trt.rank[e.task], t);
             assert!(
                 slot < fleet.views.len(),
                 "router picked slot {slot} of {}",
@@ -2961,7 +2948,7 @@ fn tier_flush(
     trt: &mut TierRt,
     tel: &mut TelemetryRt,
 ) {
-    if !trt.enabled || trt.queued_total() == 0 {
+    if trt.queued_total() == 0 {
         return;
     }
     fleet.patch_health(rt, t);
@@ -3604,11 +3591,9 @@ pub fn run_cluster_prepared(
             fleet.rebuild_views(&jobs_on, &rt, next_tick);
             // Re-admit queued tiers the receding ladder just released —
             // after the view rebuild so routing sees this tick's state.
-            if trt.enabled {
-                tier_flush(
-                    next_tick, router, &mut fleet, &jobs_on, &mut rt, &mut trt, &mut tel,
-                );
-            }
+            tier_flush(
+                next_tick, router, &mut fleet, &jobs_on, &mut rt, &mut trt, &mut tel,
+            );
             tel.prof.tick_ns += TelemetryRt::lap(tick_t0);
             next_tick += period;
             continue;
@@ -3719,16 +3704,12 @@ pub fn run_cluster_prepared(
             tel.prof.route_ns += TelemetryRt::lap(route_t0);
             continue;
         }
-        let slot = if trt.enabled {
-            router.route_with_tier(
-                &fleet.views,
-                a.task as usize,
-                trt.rank[a.task as usize],
-                a.at_us,
-            )
-        } else {
-            router.route(&fleet.views, a.task as usize, a.at_us)
-        };
+        let slot = router.route_with_tier(
+            &fleet.views,
+            a.task as usize,
+            trt.rank[a.task as usize],
+            a.at_us,
+        );
         debug_assert!(
             slot < fleet.views.len(),
             "router picked slot {slot} of {}",

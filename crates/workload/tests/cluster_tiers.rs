@@ -22,11 +22,16 @@
 //!   refuses best-effort work first and never touches the Guaranteed
 //!   tier, queued admissions drain after recovery, and zero-retry
 //!   tiers drop crash-orphaned work immediately.
+//!
+//! The fleet clock routes every request through `route_with_tier`
+//! (rank 0 throughout a tier-blind run), so inertness also rests on the
+//! router contract that rank 0 routes exactly like `route`, pinned per
+//! router by `rank_zero_routes_exactly_like_route`.
 
 use gpu_spec::GpuModel;
 use proptest::prelude::*;
 use workload::chaos::{FaultEvent, FaultPlan};
-use workload::cluster::{ClusterConfig, ClusterCtx, ControllerConfig, RouterKind};
+use workload::cluster::{ClusterConfig, ClusterCtx, ControllerConfig, ReplicaView, RouterKind};
 use workload::elastic::{ElasticConfig, ScalingPolicyKind, ThresholdPolicy, WarmPoolConfig};
 use workload::trace::TraceConfig;
 use workload::{AdmissionClass, SystemKind, TierConfig, TierOutcome, TiersConfig};
@@ -422,5 +427,46 @@ proptest! {
         );
         let res = run(&cfg, router);
         assert_conserved_tiered(&res);
+    }
+
+    /// The rank-0 router contract: for each built-in router, two
+    /// same-seed instances fed the same random view sequences pick
+    /// identical slots under `route` and `route_with_tier(.., 0, ..)`.
+    #[test]
+    fn rank_zero_routes_exactly_like_route(
+        seed in 0u64..u64::MAX,
+        steps in prop::collection::vec(
+            (
+                0usize..8,
+                prop::collection::vec((0usize..16, 0.0f64..2.0, 0usize..3, 0u8..4), 1..9),
+            ),
+            1..48,
+        ),
+    ) {
+        for kind in RouterKind::all() {
+            let (mut blind, mut ranked) = (kind.make(seed), kind.make(seed));
+            for (i, (task, lanes)) in steps.iter().enumerate() {
+                let views: Vec<ReplicaView> = lanes
+                    .iter()
+                    .map(|&(backlog, window_p99_ratio, resident_be, health)| ReplicaView {
+                        gpu: GpuModel::RtxA2000,
+                        backlog,
+                        window_p99_ratio,
+                        resident_be,
+                        // One lane in four unhealthy, so all-unhealthy
+                        // fallbacks are sampled too.
+                        healthy: health != 0,
+                    })
+                    .collect();
+                let at_us = i as f64 * 100.0;
+                prop_assert_eq!(
+                    blind.route(&views, *task, at_us),
+                    ranked.route_with_tier(&views, *task, 0, at_us),
+                    "{} diverged at step {}",
+                    kind.name(),
+                    i
+                );
+            }
+        }
     }
 }

@@ -1,60 +1,12 @@
-//! RunStats equivalence: the merged-stream, incremental serving path
-//! must be indistinguishable from the seed scan path — identical
-//! completions, BE progress and preemption counts — for every evaluated
-//! system on a fixed Fig. 17-style scenario.
+//! Serving-run reuse contracts: a reused `SimContext` reproduces a
+//! fresh-allocation run bit for bit, and the memoized deployment cache
+//! is shared, concurrency-safe and hit by repeated sweeps.
 
 use dnn::CompileOptions;
-use exec_sim::RateMode;
 use gpu_spec::GpuModel;
-use sgdrc_core::serving::{run_configured, run_in_context, Scenario, ServingMode, SimContext};
+use sgdrc_core::serving::{run_in_context, Scenario, SimContext};
 use std::sync::Arc;
 use workload::runner::{cell_trace, Deployment, EndToEndConfig, Load, SystemKind};
-
-#[test]
-fn seed_and_fast_serving_paths_agree_for_every_system() {
-    let gpu = GpuModel::RtxA2000;
-    let dep = Deployment::cached(gpu);
-    let mut cfg = EndToEndConfig::new(gpu, Load::Heavy);
-    cfg.horizon_us = if cfg!(debug_assertions) { 1.5e5 } else { 4e5 };
-    let trace = cell_trace(&dep, &cfg);
-
-    for system in SystemKind::all() {
-        if !system.supported_on(&dep.spec) {
-            continue;
-        }
-        for i in 0..dep.be_tasks.len() {
-            let scenario = Scenario {
-                spec: dep.spec.clone(),
-                ls: Arc::clone(&dep.ls_tasks),
-                be: dep.be_singleton(i),
-                ls_instances: cfg.ls_instances,
-                arrivals: Arc::clone(&trace),
-                horizon_us: cfg.horizon_us,
-            };
-            let mut seed_policy = system.make(&dep.spec);
-            let seed = run_configured(
-                seed_policy.as_mut(),
-                &scenario,
-                RateMode::Fast,
-                ServingMode::Seed,
-            );
-            let mut fast_policy = system.make(&dep.spec);
-            let fast = run_configured(
-                fast_policy.as_mut(),
-                &scenario,
-                RateMode::Fast,
-                ServingMode::Fast,
-            );
-            assert_eq!(
-                seed,
-                fast,
-                "serving paths diverged for {} on BE scenario {i}",
-                system.name()
-            );
-            assert!(seed.engine_events > 0, "scenario actually ran");
-        }
-    }
-}
 
 /// A reused `SimContext` (and a reused policy instance) must produce
 /// `RunStats` bit-identical to a fresh-allocation run, for every system.
