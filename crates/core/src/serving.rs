@@ -130,10 +130,10 @@ impl From<Vec<Vec<f64>>> for ArrivalTrace {
 
 /// One end-to-end serving scenario.
 ///
-/// Task sets and the arrival trace sit behind `Arc`s: sweeps build one
-/// scenario per (system × BE co-location) pair, and constructing or
-/// cloning one costs pointer bumps — not deep copies of compiled models,
-/// profiles and traces.
+/// Task sets and the arrival trace sit behind `Arc`s: the Fig. 17
+/// runner builds one scenario per (system × BE co-location) pair and a
+/// fleet one per replica, and constructing or cloning one costs pointer
+/// bumps — not deep copies of compiled models, profiles and traces.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     pub spec: GpuSpec,
@@ -224,13 +224,13 @@ pub struct ActiveLaunch {
 
 /// Reusable simulation storage for repeated serving runs.
 ///
-/// A sweep over thousands of short cells rebuilds the engine, the LS/BE
-/// queues and the statistics vectors once per cell when it goes through
-/// [`run`]; threading one `SimContext` through
-/// [`run_in_context`] instead makes every structure's allocation a
-/// one-time cost — the engine is [`reset`](Engine::reset) in place, the
-/// queues are cleared, and consumed [`RunStats`] hand their buffers back
-/// via [`SimContext::recycle`]. Results are bit-identical to the
+/// A run through [`run`] builds the engine, the LS/BE queues and the
+/// statistics vectors from scratch; threading one `SimContext` through
+/// repeated runs instead makes every structure's allocation a one-time
+/// cost — the engine is [`reset`](Engine::reset) in place, the queues
+/// are cleared, and consumed [`RunStats`] hand their buffers back via
+/// [`SimContext::recycle`]. The fleet's `ClusterCtx` keeps one per
+/// replica across runs. Results are bit-identical to the
 /// fresh-allocation path (enforced by `workload/tests/serving_equiv.rs`).
 #[derive(Default)]
 pub struct SimContext {
@@ -1088,8 +1088,8 @@ pub fn run(policy: &mut dyn Policy, scenario: &Scenario) -> RunStats {
     run_in_context(policy, scenario, &mut SimContext::new())
 }
 
-/// [`run`] with the simulation storage supplied by the caller — the
-/// sweep subsystem's per-cell entry point. A fresh [`SimContext`]
+/// [`run`] with the simulation storage supplied by the caller, for
+/// callers that run many scenarios back to back. A fresh [`SimContext`]
 /// reproduces [`run`] exactly; a reused one costs zero steady-state
 /// allocation per run.
 pub fn run_in_context(

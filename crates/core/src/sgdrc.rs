@@ -87,9 +87,10 @@ impl Sgdrc {
 
     /// Re-targets an existing instance at a (possibly different) GPU and
     /// configuration, reusing the sliding-window buffer's allocation.
-    /// Sweeps keep one `Sgdrc` per worker across thousands of cells and
-    /// reconfigure it when the cell's GPU changes instead of building a
-    /// fresh policy per cell.
+    /// The fleet controller retunes a replica's `Ch_BE` (and follows a
+    /// throttled clock) through it instead of building a fresh policy;
+    /// a reconfigured instance runs bit-identically to a fresh one on
+    /// any GPU (`workload/tests/serving_equiv.rs`).
     pub fn reconfigure(&mut self, spec: &GpuSpec, cfg: SgdrcConfig) {
         let split = split_channels(spec, cfg.ch_be);
         self.ls_channels = ChannelSet::from_channels(&split.ls_channels);
@@ -334,7 +335,7 @@ mod tests {
         // The serving loop and engine share no hidden global state: two
         // invocations of the same scenario produce identical statistics
         // (including every completion timestamp), which is what makes
-        // sweep results reproducible across parallel runs.
+        // results reproducible across parallel runs.
         let sc = scenario(5_000.0, 150_000.0);
         let mut a = Sgdrc::new(&sc.spec, SgdrcConfig::default());
         let first = run(&mut a, &sc);

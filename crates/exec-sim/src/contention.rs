@@ -212,9 +212,8 @@ fn l2_term(spec: &GpuSpec, victim: &RunningCtx, other: &RunningCtx) -> f64 {
 
 impl RateState {
     /// Returns the state to its post-construction condition while
-    /// retaining every buffer's capacity — the reusable-`SimContext`
-    /// path resets one `RateState` per sweep cell instead of allocating
-    /// six fresh vectors.
+    /// retaining every buffer's capacity — a reused `SimContext` resets
+    /// one `RateState` per run instead of allocating six fresh vectors.
     pub fn reset(&mut self) {
         self.channel_demand = [0.0; MAX_CHANNELS];
         self.tpc_occupancy = [0.0; MAX_TPCS];

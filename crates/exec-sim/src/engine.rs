@@ -8,7 +8,7 @@
 //!
 //! ## Hot-path design
 //!
-//! The engine processes millions of events per experiment sweep, so the
+//! The engine processes millions of events per experiment, so the
 //! per-event path allocates nothing and recomputes nothing it can keep:
 //!
 //! * running kernels are stored struct-of-arrays ([`RunningCtx`] contexts
@@ -129,8 +129,8 @@ impl Engine {
     /// `spec`, retaining every internal buffer's capacity. Launch ids,
     /// the clock and the event counter restart, so a run driven through
     /// a reset engine is bit-identical to one driven through a freshly
-    /// allocated engine — the invariant the reusable-`SimContext` sweep
-    /// path relies on (enforced by `workload/tests/serving_equiv.rs`).
+    /// allocated engine — the invariant a reused `SimContext` relies on
+    /// (enforced by `workload/tests/serving_equiv.rs`).
     pub fn reset(&mut self, spec: &GpuSpec) {
         self.spec = spec.clone();
         self.now = 0.0;

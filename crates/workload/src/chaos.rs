@@ -16,7 +16,7 @@
 //! chaos section records the seed so any run can be replayed from its
 //! JSON) or are built by hand from [`FaultEvent`] constructors.
 
-use crate::sweep::splitmix64;
+use crate::seed::splitmix64;
 
 /// What kind of fault strikes a replica.
 ///

@@ -24,11 +24,10 @@
 //! * replicas are **heterogeneous** ([`Deployment::cached`] per
 //!   [`GpuModel`]) and fully independent between router decisions; the
 //!   fleet clock advances the replicas with pending work inline, in
-//!   ascending lane order, on the calling thread. Seeds derive via
-//!   splitmix64 ([`cell_seed`]) like the sweep's;
+//!   ascending lane order, on the calling thread. Each replica's seed
+//!   derives from the fleet seed via splitmix64 ([`cell_seed`]);
 //! * per-replica latency sketches **merge** into fleet-wide percentiles
-//!   without re-sorting — the same [`LatencyHistogram`] path the sweep's
-//!   per-slice output uses.
+//!   without re-sorting ([`LatencyHistogram::merge`]).
 //!
 //! ## Scale-out architecture (500–1000 replicas, 10M+ requests)
 //!
@@ -53,11 +52,11 @@
 //!   the dense mirrors against the live lanes at every rebuild, and
 //!   each advance's refresh hint against `next_pending_at`.
 //! * **One thread.** The clock never fans out: a typical epoch advances
-//!   a handful of lanes in microseconds, about what a pool batch costs
+//!   a handful of lanes in microseconds, about what a parallel batch costs
 //!   to dispatch. On a 2-vCPU host a 512-replica streaming fleet
 //!   advanced in two-worker batches ran at 0.81× the inline speed while
 //!   burning ~1.5× the CPU. Parallelism belongs a level up, across
-//!   independent runs (`crate::sweep`).
+//!   independent runs (the Fig. 17 runner's systems × BE co-locations).
 //! * **Zero-alloc epochs.** All per-epoch scratch — the busy list, the
 //!   router's view array, due-retry extraction, the controller's
 //!   destination ordering — lives in [`ClusterCtx`] and is reused
@@ -80,7 +79,7 @@ use crate::elastic::{
 };
 use crate::metrics::{slo_for, LatencyHistogram};
 use crate::runner::Deployment;
-use crate::sweep::{cell_seed, splitmix64};
+use crate::seed::{cell_seed, splitmix64};
 use crate::telemetry::{
     EventKind, RefusalReason, RequeueCause, TelemetryConfig, TelemetryResult, TelemetryRt,
     FLEET_TRACK,
@@ -88,7 +87,6 @@ use crate::telemetry::{
 use crate::tiers::{AdmissionClass, TierOutcome, TiersConfig};
 use crate::trace::{per_service_traces, ArrivalStream, TraceConfig};
 use crate::SystemKind;
-use dnn::CompileOptions;
 use gpu_spec::GpuModel;
 use sgdrc_core::serving::{
     Arrival, ArrivalTrace, Policy, ReplicaSim, RunStats, Scenario, SimContext, Task,
@@ -150,7 +148,6 @@ pub struct ClusterConfig {
     pub controller: ControllerConfig,
     /// Policy tuning for SGDRC replicas.
     pub sgdrc: SgdrcConfig,
-    pub compile: CompileOptions,
     /// Optional fault-injection scenario. `None` runs the happy path
     /// with zero resilience overhead and bit-identical results to a
     /// build without the chaos layer; `Some` interleaves the plan's
@@ -207,7 +204,6 @@ impl ClusterConfig {
             be_jobs,
             controller: ControllerConfig::default(),
             sgdrc: SgdrcConfig::default(),
-            compile: CompileOptions::default(),
             chaos: None,
             streaming: false,
             elastic: None,
@@ -245,10 +241,7 @@ impl ClusterConfig {
             plan.validate_targets(n_init, n);
         }
 
-        let deps: Vec<Arc<Deployment>> = lane_gpus
-            .iter()
-            .map(|&g| Deployment::cached_with_options(g, self.compile))
-            .collect();
+        let deps: Vec<Arc<Deployment>> = lane_gpus.iter().map(|&g| Deployment::cached(g)).collect();
         let n_ls = deps[0].ls_tasks.len();
         for (r, dep) in deps.iter().enumerate() {
             assert_eq!(

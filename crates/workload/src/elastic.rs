@@ -23,7 +23,7 @@
 
 use gpu_spec::GpuModel;
 
-use crate::sweep::splitmix64;
+use crate::seed::splitmix64;
 
 /// The reserve of pre-provisioned lanes scale-up and crash replacement
 /// draw from. Warm lanes are fully prepared at config time (scenarios,

@@ -4,9 +4,9 @@
 //! ([`trace`]), SLO/latency/throughput metrics plus the mergeable
 //! latency-histogram sketch ([`metrics`]), the Fig. 17 runner that
 //! deploys the Tab. 3 zoo against every system ([`runner`]), the
-//! cluster-scale short-cell sweep engine ([`sweep`]), the multi-GPU
-//! fleet simulator with SLO-aware routing and dynamic BE placement
-//! ([`cluster`]), deterministic fault injection with
+//! multi-GPU fleet simulator with SLO-aware routing and dynamic BE
+//! placement ([`cluster`]) and its SplitMix64 seed derivation
+//! ([`seed`]), deterministic fault injection with
 //! requeue-on-crash resilience ([`chaos`]), warm-pool autoscaling
 //! with SLO-breach draining and crash replacement ([`elastic`]), and
 //! the deterministic flight recorder / metrics registry / clock
@@ -20,7 +20,7 @@ pub mod cluster;
 pub mod elastic;
 pub mod metrics;
 pub mod runner;
-pub mod sweep;
+pub mod seed;
 pub mod telemetry;
 pub mod tiers;
 pub mod trace;
@@ -38,10 +38,7 @@ pub use elastic::{
 };
 pub use metrics::{ls_metrics, percentile, slo_for, LatencyHistogram, LsMetrics, SystemResult};
 pub use runner::{run_cell, run_system, Deployment, EndToEndConfig, Load, SystemKind};
-pub use sweep::{
-    cell_seed, naive_cell_summary, run_sweep, CellSpec, CellSummary, SliceHist, SweepGrid,
-    SweepOptions, SweepResult,
-};
+pub use seed::cell_seed;
 pub use telemetry::{
     ClockProfile, EventKind, FlightEvent, MetricSeries, RefusalReason, RequeueCause,
     TelemetryConfig, TelemetryResult, FLEET_TRACK,

@@ -42,20 +42,20 @@ pub const HIST_BINS: usize = 2560;
 
 /// A mergeable fixed-bin log-histogram sketch of a latency population.
 ///
-/// Percentile queries over a sweep's latency populations are the
-/// collect-then-sort hot spot once cells get short: every cell pays an
-/// `O(n log n)` sort per LS service, and cross-cell aggregation has to
-/// re-sort the union. This sketch records each latency into one of
-/// [`HIST_BINS`] geometrically spaced bins (`O(1)`, allocation-free in
-/// steady state), merges across cells by element-wise addition (never
-/// re-sorting), and answers any percentile within a documented
-/// ±[`HIST_REL_ERROR`] relative error of the exact sorted answer —
-/// `count`, `sum`, `min` and `max` stay exact.
+/// A fleet asks for percentiles over many latency populations: every
+/// replica's controller window at every tick, and the fleet-wide union
+/// at the end. Collect-then-sort pays an `O(n log n)` sort per query
+/// and a re-sort of the union. This sketch records each latency into
+/// one of [`HIST_BINS`] geometrically spaced bins (`O(1)`,
+/// allocation-free in steady state), merges across replicas by
+/// element-wise addition (never re-sorting), and answers any
+/// percentile within a documented ±[`HIST_REL_ERROR`] relative error of
+/// the exact sorted answer — `count`, `sum`, `min` and `max` stay exact.
 ///
 /// A touched-bin list keeps the sparse operations proportional to the
-/// number of *occupied* bins rather than [`HIST_BINS`]: short cells
-/// touch tens of bins, so per-cell `reset`/`merge`/`==` cost tens of
-/// reads and writes, not a 20 KiB memset or full-array walk. The bin
+/// number of *occupied* bins rather than [`HIST_BINS`]: a controller
+/// window touches tens of bins, so per-window `reset`/`merge`/`==` cost
+/// tens of reads and writes, not a 20 KiB memset or full-array walk. The bin
 /// array itself is allocated lazily on the first `record`/`merge`, so a
 /// fleet of mostly-idle sketches (512 replicas × per-task windows)
 /// costs O(occupied sketches), not 20 KiB per sketch up front.

@@ -17,7 +17,7 @@ use gpu_spec::{GpuModel, GpuSpec};
 use rayon::prelude::*;
 use sgdrc_core::serving::{run, ArrivalTrace, CompletedRequest, Policy, RunStats, Scenario, Task};
 use sgdrc_core::{Sgdrc, SgdrcConfig};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 
 /// The systems of Fig. 17.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,8 +181,8 @@ impl Deployment {
     }
 
     /// Memoized [`Deployment::new`]: compiling and profiling the 11-model
-    /// zoo dominates short sweeps, and every `run_cell` caller and bench
-    /// binary needs the same deployment — hits are `Arc` bumps.
+    /// zoo costs milliseconds, and every fleet replica, `run_cell` caller
+    /// and bench binary needs the same deployment — hits are `Arc` bumps.
     pub fn cached(gpu: GpuModel) -> Arc<Deployment> {
         Self::cached_with_options(gpu, CompileOptions::default())
     }
@@ -205,10 +205,7 @@ impl Deployment {
         // Build outside any lock so concurrent callers wanting *other*
         // keys aren't serialized behind a multi-second compile. Two racing
         // builders of the same key are harmless: the loser adopts the
-        // winner's entry. Every build is tallied (before the re-check, so
-        // race losers count too) — the counter tracks work actually done,
-        // independent of the cache's own lookup logic.
-        count_build(key);
+        // winner's entry.
         let built = Arc::new(Self::with_options(gpu, opts));
         let mut cache = deployment_cache().write().expect("deployment cache");
         if let Some((_, dep)) = cache.iter().find(|(k, _)| *k == key) {
@@ -216,22 +213,6 @@ impl Deployment {
         }
         cache.push((key, Arc::clone(&built)));
         built
-    }
-
-    /// How many compile+profile builds [`Deployment::cached_with_options`]
-    /// has actually performed for this key (0 = never requested). A cache
-    /// that works stays at 1 no matter how many sweeps request the key —
-    /// which is what the cache tests assert, rather than racy wall-clock
-    /// comparisons. (Benign construction races can push it above 1; a
-    /// *hit* never increments it.)
-    pub fn cached_build_count(gpu: GpuModel, opts: CompileOptions) -> u64 {
-        let key = cache_key(gpu, opts);
-        build_counters()
-            .lock()
-            .expect("deployment build counters")
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map_or(0, |(_, builds)| *builds)
     }
 }
 
@@ -248,22 +229,6 @@ fn cache_key(gpu: GpuModel, opts: CompileOptions) -> CacheKey {
 fn deployment_cache() -> &'static RwLock<Vec<(CacheKey, Arc<Deployment>)>> {
     static CACHE: RwLock<Vec<(CacheKey, Arc<Deployment>)>> = RwLock::new(Vec::new());
     &CACHE
-}
-
-/// Per-key tally of builds performed through the memoized entry point.
-/// Kept separate from the cache so a broken cache lookup cannot also
-/// break the accounting that would expose it.
-fn build_counters() -> &'static Mutex<Vec<(CacheKey, u64)>> {
-    static COUNTERS: Mutex<Vec<(CacheKey, u64)>> = Mutex::new(Vec::new());
-    &COUNTERS
-}
-
-fn count_build(key: CacheKey) {
-    let mut counters = build_counters().lock().expect("deployment build counters");
-    match counters.iter_mut().find(|(k, _)| *k == key) {
-        Some((_, n)) => *n += 1,
-        None => counters.push((key, 1)),
-    }
 }
 
 /// The shared arrival trace for one (GPU, load) cell: generated once and
@@ -306,7 +271,7 @@ pub fn run_system_scenario_stats(
     system: SystemKind,
     trace: &Arc<ArrivalTrace>,
 ) -> Vec<RunStats> {
-    // The BE co-location scenarios are independent runs — sweep them in
+    // The BE co-location scenarios are independent runs — map them in
     // parallel (each is a multi-second simulation; `run_cell` additionally
     // parallelizes over systems). Scenario construction is pointer bumps:
     // the task sets and the trace are shared, never cloned.

@@ -75,7 +75,7 @@ fn one_replica_cluster_is_bit_identical_to_single_gpu_run() {
 }
 
 /// Reused contexts across fleet runs must not change results (the
-/// cluster analogue of the sweep's reused-`SimContext` equivalence).
+/// fleet analogue of `serving_equiv`'s reused-`SimContext` equivalence).
 #[test]
 fn reused_contexts_match_fresh_runs() {
     let mut cfg = ClusterConfig::new(

@@ -12,10 +12,15 @@
 //! slack absorbs data-dependent growth that is O(log) or
 //! O(replicas)-bounded per run: histogram touched-list doubling and the
 //! migration log.
+//!
+//! The counter is process-wide and cargo runs tests on parallel
+//! threads, so each test holds [`MEASURE_LOCK`] for its whole body:
+//! another test's allocations must never land in a measured window.
 
 use gpu_spec::GpuModel;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use workload::cluster::{ClusterConfig, ClusterCtx, RouterKind};
 use workload::runner::Deployment;
 use workload::trace::TraceConfig;
@@ -46,6 +51,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Serializes the tests that read [`ALLOC_CALLS`].
+static MEASURE_LOCK: Mutex<()> = Mutex::new(());
+
 fn fleet_cfg(horizon_us: f64) -> ClusterConfig {
     let mut cfg = ClusterConfig::new(vec![GpuModel::RtxA2000; 64], SystemKind::Sgdrc);
     cfg.horizon_us = horizon_us;
@@ -70,6 +78,7 @@ fn epoch_path_allocates_nothing_in_steady_state() {
         eprintln!("skipping: debug_assertions oracle allocates by design; run under --release");
         return;
     }
+    let _serial = MEASURE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let h = 2e5;
     let _ = Deployment::cached(GpuModel::RtxA2000);
     let prep_short = fleet_cfg(h).prepare();
@@ -124,6 +133,7 @@ fn enabled_recorder_allocates_only_at_creation() {
         eprintln!("skipping: debug_assertions oracle allocates by design; run under --release");
         return;
     }
+    let _serial = MEASURE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let telemetry_cfg = |horizon_us: f64| {
         let mut cfg = fleet_cfg(horizon_us);
         // Small rings force steady-state overwrites — the hot path is

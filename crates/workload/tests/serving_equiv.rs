@@ -1,10 +1,12 @@
 //! Serving-run reuse contracts: a reused `SimContext` reproduces a
-//! fresh-allocation run bit for bit, and the memoized deployment cache
-//! is shared, concurrency-safe and hit by repeated sweeps.
+//! fresh-allocation run bit for bit, a reconfigured `Sgdrc` reproduces a
+//! fresh instance on every GPU, and the memoized deployment cache is
+//! shared and concurrency-safe.
 
 use dnn::CompileOptions;
 use gpu_spec::GpuModel;
 use sgdrc_core::serving::{run_in_context, Scenario, SimContext};
+use sgdrc_core::{Sgdrc, SgdrcConfig};
 use std::sync::Arc;
 use workload::runner::{cell_trace, Deployment, EndToEndConfig, Load, SystemKind};
 
@@ -80,47 +82,50 @@ fn deployment_cache_is_concurrency_safe() {
     }
 }
 
-/// Two sweeps over the same (GpuModel, CompileOptions) hit the memoized
-/// entry: the per-key build counter stays at 1 — asserted structurally,
-/// not via wall-clock.
+/// One `Sgdrc` instance (and one `SimContext`), dirtied by a run on one
+/// GPU and then retargeted with [`Sgdrc::reconfigure`] onto every other
+/// GPU model, must run bit-identically to a freshly built instance there
+/// — for both the dynamic and the static-partition variant.
 #[test]
-fn second_sweep_hits_the_deployment_memo() {
-    use workload::sweep::{run_sweep, SweepGrid, SweepOptions};
-    // A key no other test uses, so parallel tests cannot interfere.
-    let opts = CompileOptions {
-        fuse: false,
-        coloring: false,
-        ..Default::default()
+fn reconfigured_sgdrc_matches_a_fresh_instance_on_every_gpu() {
+    let horizon_us = if cfg!(debug_assertions) { 4e4 } else { 1e5 };
+    let scenario_on = |gpu: GpuModel| {
+        let dep = Deployment::cached(gpu);
+        let mut cfg = EndToEndConfig::new(gpu, Load::Heavy);
+        cfg.horizon_us = horizon_us;
+        Scenario {
+            spec: dep.spec.clone(),
+            ls: Arc::clone(&dep.ls_tasks),
+            be: dep.be_singleton(0),
+            ls_instances: cfg.ls_instances,
+            arrivals: cell_trace(&dep, &cfg),
+            horizon_us,
+        }
     };
-    let grid = SweepGrid {
-        gpus: vec![GpuModel::Gtx1080],
-        loads: vec![Load::Heavy],
-        systems: vec![SystemKind::Sgdrc, SystemKind::Orion],
-        be_indices: vec![0],
-        replications: 1,
-        horizon_us: 4e3,
-        ls_instances: 4,
-        base_seed: 0xCAFE,
-        trace: workload::trace::TraceConfig::apollo_like(),
-    };
-    let cells = grid.cells();
-    let sweep_opts = SweepOptions {
-        compile: opts,
-        ..Default::default()
-    };
-    let first = run_sweep(&cells, &sweep_opts);
-    assert_eq!(
-        Deployment::cached_build_count(GpuModel::Gtx1080, opts),
-        1,
-        "first sweep builds the deployment exactly once"
-    );
-    let second = run_sweep(&cells, &sweep_opts);
-    assert_eq!(
-        Deployment::cached_build_count(GpuModel::Gtx1080, opts),
-        1,
-        "second sweep must hit the memoized entry, not rebuild"
-    );
-    assert_eq!(first, second, "identical sweeps produce identical results");
+    let [first, rest @ ..] = GpuModel::all();
+    for static_partition in [false, true] {
+        let cfg = SgdrcConfig {
+            static_partition,
+            ..Default::default()
+        };
+        let mut ctx = SimContext::new();
+        let warm = scenario_on(first);
+        let mut policy = Sgdrc::new(&warm.spec, cfg.clone());
+        let dirty = run_in_context(&mut policy, &warm, &mut ctx);
+        ctx.recycle(dirty);
+        for gpu in rest {
+            let scenario = scenario_on(gpu);
+            policy.reconfigure(&scenario.spec, cfg.clone());
+            let reused = run_in_context(&mut policy, &scenario, &mut ctx);
+            let fresh =
+                sgdrc_core::serving::run(&mut Sgdrc::new(&scenario.spec, cfg.clone()), &scenario);
+            assert_eq!(
+                fresh, reused,
+                "reconfigure onto {gpu:?} diverged (static_partition {static_partition})"
+            );
+            ctx.recycle(reused);
+        }
+    }
 }
 
 #[test]
