@@ -293,9 +293,9 @@ fn run_elastic_bench(smoke: bool, ctx: &mut ClusterCtx) -> (Json, bool) {
     // Retirement is terminal — a drained lane never rejoins; re-growth
     // always draws fresh warm lanes. The pool and the floor are sized
     // so the ~1.5 diurnal cycles in the horizon never strand the fleet
-    // below trough capacity: min 4 keeps the trough served, and the
+    // below trough capacity: min 5 keeps the trough served, and the
     // slow down-cooldown spends at most the pool per cycle.
-    let mut e = ElasticConfig::new(
+    let mut auto_e = ElasticConfig::new(
         WarmPoolConfig {
             provision_delay_us: 2e4,
             provision_jitter: 0.2,
@@ -307,10 +307,10 @@ fn run_elastic_bench(smoke: bool, ctx: &mut ClusterCtx) -> (Json, bool) {
             ..Default::default()
         }),
     );
-    e.min_replicas = 5;
-    e.up_cooldown_us = 5e4;
-    e.down_cooldown_us = 2e5;
-    auto_cfg.elastic = Some(e);
+    auto_e.min_replicas = 5;
+    auto_e.up_cooldown_us = 5e4;
+    auto_e.down_cooldown_us = 2e5;
+    auto_cfg.elastic = Some(auto_e.clone());
 
     let (stat, stat_wall) = run_elastic_arm(&static_cfg, RouterKind::ShortestBacklog, ctx);
     let (auto_r, auto_wall) = run_elastic_arm(&auto_cfg, RouterKind::ShortestBacklog, ctx);
@@ -352,13 +352,10 @@ fn run_elastic_bench(smoke: bool, ctx: &mut ClusterCtx) -> (Json, bool) {
     hole_cfg.horizon_us = horizon;
     hole_cfg.trace = fleet_trace(1.8 * n_rep as f64, horizon);
     hole_cfg.controller.period_us = 5e4;
-    hole_cfg.chaos = Some(FaultPlan::new(vec![FaultEvent::crash(
-        0,
-        0.25 * horizon,
-        f64::INFINITY,
-    )]));
+    let crash = FaultEvent::crash(0, 0.25 * horizon, f64::INFINITY);
+    hole_cfg.chaos = Some(FaultPlan::new(vec![crash]));
     let mut heal_cfg = hole_cfg.clone();
-    let mut e = ElasticConfig::new(
+    let mut heal_e = ElasticConfig::new(
         WarmPoolConfig {
             provision_delay_us: 2e4,
             provision_jitter: 0.2,
@@ -366,9 +363,9 @@ fn run_elastic_bench(smoke: bool, ctx: &mut ClusterCtx) -> (Json, bool) {
         },
         ScalingPolicyKind::Hold,
     );
-    e.min_replicas = 1;
-    e.replace_after_us = 0.04 * horizon;
-    heal_cfg.elastic = Some(e);
+    heal_e.min_replicas = 1;
+    heal_e.replace_after_us = 0.04 * horizon;
+    heal_cfg.elastic = Some(heal_e.clone());
 
     let (hole, hole_wall) = run_elastic_arm(&hole_cfg, RouterKind::ShortestBacklog, ctx);
     let (heal, heal_wall) = run_elastic_arm(&heal_cfg, RouterKind::ShortestBacklog, ctx);
@@ -400,6 +397,12 @@ fn run_elastic_bench(smoke: bool, ctx: &mut ClusterCtx) -> (Json, bool) {
         healing_wins,
     );
 
+    // The JSON below records the configs the arms ran; its crash
+    // scenario text assumes a permanent loss.
+    assert!(
+        crash.duration_us.is_infinite(),
+        "the crash arms model a permanent loss"
+    );
     let json = Json::obj()
         .set("skipped", false)
         .set("horizon_us", horizon)
@@ -411,12 +414,12 @@ fn run_elastic_bench(smoke: bool, ctx: &mut ClusterCtx) -> (Json, bool) {
                 .set(
                     "policy",
                     Json::obj()
-                        .set("kind", "threshold")
-                        .set("min_replicas", 2u64)
-                        .set("warm_pool", 4u64)
-                        .set("provision_delay_us", 2e4)
-                        .set("up_cooldown_us", 5e4)
-                        .set("down_cooldown_us", 1e5),
+                        .set("kind", auto_e.policy.name())
+                        .set("min_replicas", auto_e.min_replicas)
+                        .set("warm_pool", auto_e.warm_pool.gpus.len())
+                        .set("provision_delay_us", auto_e.warm_pool.provision_delay_us)
+                        .set("up_cooldown_us", auto_e.up_cooldown_us)
+                        .set("down_cooldown_us", auto_e.down_cooldown_us),
                 )
                 .set("static_peak", elastic_arm_json(&stat, stat_wall))
                 .set("autoscaled", elastic_arm_json(&auto_r, auto_wall))
@@ -426,8 +429,15 @@ fn run_elastic_bench(smoke: bool, ctx: &mut ClusterCtx) -> (Json, bool) {
             "crash_replacement",
             Json::obj()
                 .set("replicas", n_rep)
-                .set("scenario", "replica 0 permanently dead at 30% of horizon")
-                .set("replace_after_us", 0.05 * horizon)
+                .set(
+                    "scenario",
+                    format!(
+                        "replica {} permanently dead at {}% of horizon",
+                        crash.replica,
+                        100.0 * crash.at_us / horizon
+                    ),
+                )
+                .set("replace_after_us", heal_e.replace_after_us)
                 .set("no_replacement", elastic_arm_json(&hole, hole_wall))
                 .set("self_healing", elastic_arm_json(&heal, heal_wall)),
         )
@@ -841,16 +851,16 @@ fn peak_rss_mib() -> f64 {
         .map_or(f64::NAN, |kb| kb / 1024.0)
 }
 
-/// The `--scale-out` section: the SoA + calendar + streaming fleet
-/// clock at sizes the per-epoch linear scan could not touch. Records a
-/// 1→512 streaming scaling curve (smoke: 64→256 on a short horizon, so
-/// CI exercises big fleets on every push) and — on full runs — a
-/// 512-replica ≥10M-request streaming headline with bounded memory
-/// (zero retained completion records, peak RSS recorded).
+/// The `--scale-out` section: the SoA + busy-set scan + streaming
+/// fleet clock at 256–512 replicas. Records a 1→512 streaming scaling
+/// curve (smoke: 64→256 on a short horizon, so CI exercises big fleets
+/// on every push) and — on full runs — a 512-replica ≥10M-request
+/// streaming headline with bounded memory (zero retained completion
+/// records, peak RSS recorded).
 ///
 /// Returns the JSON section and whether every enforced gate passed.
 fn run_scale_out(smoke: bool) -> (Json, bool) {
-    sgdrc_bench::header("scale-out — SoA lanes, calendar clock, streaming mode");
+    sgdrc_bench::header("scale-out — SoA lanes, busy-set scan, streaming mode");
     let mut gates_ok = true;
     let mut ctx = ClusterCtx::new();
 
@@ -874,7 +884,7 @@ fn run_scale_out(smoke: bool) -> (Json, bool) {
     for &nrep in sizes {
         let cfg = scale_cfg(nrep, curve_horizon);
         let prep = cfg.prepare();
-        // Warm pass (deployments, contexts, calendar), then measure.
+        // Warm pass (deployments, contexts), then measure.
         let mut router = RouterKind::ShortestBacklog.make(cfg.seed);
         let _ = workload::run_cluster_prepared(&prep, router.as_mut(), &mut ctx);
         let mut router = RouterKind::ShortestBacklog.make(cfg.seed);
@@ -1062,7 +1072,7 @@ fn main() {
         .set("horizon_us", scaling_horizon)
         .set("points", Json::Arr(points));
 
-    // --- scale-out: SoA + calendar + streaming at 256–512 replicas --------
+    // --- scale-out: SoA + busy-set scan + streaming at 256–512 replicas -
     let scale_out_enabled = args.iter().any(|a| a == "--scale-out");
     let (scale_out_json, scale_out_ok) = if scale_out_enabled {
         run_scale_out(smoke)
@@ -1361,7 +1371,8 @@ fn main() {
     }
     // Telemetry gate: bit-identity is hard-asserted inside the section;
     // the ≤5% recorder overhead binds in every mode (the scenario is
-    // smoke-scale by construction, min-of-5 damps scheduler noise).
+    // smoke-scale by construction; the minimum of 7 interleaved off/on
+    // pairs damps scheduler noise).
     if !telemetry_ok {
         eprintln!("WARNING: flight recorder overhead exceeded 5% (see telemetry section)");
         std::process::exit(1);

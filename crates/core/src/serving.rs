@@ -749,19 +749,6 @@ impl<'s> ServingState<'s> {
         }
     }
 
-    /// Prefetches the state's hot event-path memory (engine working set
-    /// and the LS queue headers) toward L1 — see [`Engine::prefetch_hot`].
-    #[inline]
-    pub fn prefetch_hot(&self) {
-        self.engine.prefetch_hot();
-        #[cfg(target_arch = "x86_64")]
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            _mm_prefetch(self.pending.as_ptr() as *const i8, _MM_HINT_T0);
-            _mm_prefetch(self.inflight.as_ptr() as *const i8, _MM_HINT_T0);
-        }
-    }
-
     fn on_event(&mut self, ev: EngineEvent) {
         // Which LS task freed an inference slot (if any): the only event
         // kind that can unblock an admission.
@@ -913,14 +900,6 @@ impl<'s> ReplicaSim<'s> {
     /// accumulated statistics.
     pub fn state(&self) -> &ServingState<'s> {
         &self.st
-    }
-
-    /// Prefetches the replica's hot advance-path memory toward L1 — a
-    /// pure cache hint the fleet clock issues one lane ahead in its
-    /// epoch sweep. See [`Engine::prefetch_hot`].
-    #[inline]
-    pub fn prefetch_hot(&self) {
-        self.st.prefetch_hot();
     }
 
     /// Mutable serving state access for controllers (BE activity
@@ -1419,7 +1398,7 @@ mod tests {
         )
     }
 
-    /// The guarantee the fleet clock's calendar relies on when it skips
+    /// The guarantee the fleet clock's busy-set scan relies on when it skips
     /// lanes with no due work: `advance(policy, Some(t))` with `t` at or
     /// before `next_pending_at()` — or on an idle replica — returns
     /// `true` and changes nothing.

@@ -455,25 +455,6 @@ impl Engine {
         self.index_of(id)
             .map(|i| 1.0 - self.meta[i].remaining / self.meta[i].total)
     }
-
-    /// Prefetches the per-event working set — integration bookkeeping,
-    /// contention contexts, current rates — toward L1. The fleet clock
-    /// issues this one lane ahead in its epoch sweep so the first event
-    /// of the next lane does not stall on a cold miss chain. Purely a
-    /// cache hint; never observable.
-    #[inline]
-    pub fn prefetch_hot(&self) {
-        #[cfg(target_arch = "x86_64")]
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            _mm_prefetch(self.meta.as_ptr() as *const i8, _MM_HINT_T0);
-            _mm_prefetch(self.ctxs.as_ptr() as *const i8, _MM_HINT_T0);
-            // Reading the buffer pointer out of the RefCell is a plain
-            // header load (the header lives inline in this struct);
-            // no borrow flag is taken or checked.
-            _mm_prefetch((*self.rates.as_ptr()).as_ptr() as *const i8, _MM_HINT_T0);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -31,8 +31,8 @@
 //!
 //! ## Scale-out architecture (500–1000 replicas, 10M+ requests)
 //!
-//! The fleet clock is built to hold its per-epoch cost at O(busy
-//! replicas), not O(fleet size), with steady-state allocations at zero:
+//! The fleet clock touches a lane's cold state only when that lane has
+//! work, and its steady-state allocations are zero:
 //!
 //! * **Struct-of-arrays lanes.** [`Fleet`] keeps the per-epoch hot
 //!   scalars — next-pending time, LS backlog, windowed ratio, liveness
@@ -42,12 +42,12 @@
 //!   lane's advance touches. Every lane mutation funnels through
 //!   [`Fleet::mutate`], which re-derives the lane's hot mirror
 //!   afterwards — the mirrors are provably never stale.
-//! * **Calendar event queue.** Busy-lane selection reads an
-//!   [`EventCalendar`] keyed by each lane's `next_pending_at` and
-//!   updated incrementally on every mutation, instead of linearly
-//!   scanning all replicas per epoch. The clock's reference is four
-//!   `debug_assertions` oracles that every debug test run exercises:
-//!   the calendar's busy set against a linear scan every epoch, the
+//! * **Busy-set scan.** Busy-lane selection is one pass over the dense
+//!   `next_at` mirror (8 bytes per lane). The router already reads
+//!   every view on each arrival, so the scan adds no complexity class
+//!   to an epoch. The clock's reference is four `debug_assertions`
+//!   oracles that every debug test run exercises: the scanned busy set
+//!   against `next_pending_at` over the live lanes every epoch, the
 //!   incremental router views against a fresh rebuild every decision,
 //!   the dense mirrors against the live lanes at every rebuild, and
 //!   each advance's refresh hint against `next_pending_at`.
@@ -62,16 +62,17 @@
 //!   destination ordering — lives in [`ClusterCtx`] and is reused
 //!   across epochs and runs (asserted by the counting-allocator test in
 //!   `tests/cluster_alloc.rs`).
+//! * **Streamed arrivals.** Arrivals always come from
+//!   [`ArrivalStream`], which replays the exact batch trace without
+//!   materializing it, so arrival memory is O(LS services) for any
+//!   horizon.
 //! * **Streaming long-horizon mode.** With
 //!   [`ClusterConfig::streaming`], per-replica completion logs are
 //!   folded into the latency sketches and conservation counters at
 //!   every controller tick and then discarded, bounding memory at
-//!   O(replicas) for any horizon; arrivals come from
-//!   [`ArrivalStream`], which replays the exact batch trace without
-//!   materializing it. Aggregate results are identical to the retained
-//!   mode (`tests/cluster_streaming.rs`).
+//!   O(replicas) for any horizon. Aggregate results are identical to
+//!   the retained mode (`tests/cluster_streaming.rs`).
 
-use crate::calendar::EventCalendar;
 use crate::chaos::{DegradationConfig, FaultOp, FaultPlan, RetryConfig, ScheduledFault};
 use crate::elastic::{
     provision_delay, ElasticConfig, FleetSignals, ScaleCause, ScaleEvent, ScaleEventKind,
@@ -85,12 +86,10 @@ use crate::telemetry::{
     FLEET_TRACK,
 };
 use crate::tiers::{AdmissionClass, TierOutcome, TiersConfig};
-use crate::trace::{per_service_traces, ArrivalStream, TraceConfig};
+use crate::trace::{ArrivalStream, TraceConfig};
 use crate::SystemKind;
 use gpu_spec::GpuModel;
-use sgdrc_core::serving::{
-    Arrival, ArrivalTrace, Policy, ReplicaSim, RunStats, Scenario, SimContext, Task,
-};
+use sgdrc_core::serving::{ArrivalTrace, Policy, ReplicaSim, RunStats, Scenario, SimContext, Task};
 use sgdrc_core::{Sgdrc, SgdrcConfig};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -154,10 +153,11 @@ pub struct ClusterConfig {
     /// crash/recovery/slowdown timeline with the router and controller
     /// epochs (see [`crate::chaos`]).
     pub chaos: Option<FaultPlan>,
-    /// Long-horizon streaming mode: arrivals are generated on the fly
-    /// ([`ArrivalStream`]) and per-replica completion logs are folded
-    /// into the sketches at every controller tick instead of being
-    /// retained, bounding memory at O(replicas) regardless of horizon.
+    /// Long-horizon streaming mode: per-replica completion logs are
+    /// folded into the sketches at every controller tick and then
+    /// discarded instead of being retained, bounding memory at
+    /// O(replicas) regardless of horizon (arrivals stream in either
+    /// mode).
     /// Aggregate results (fleet sketch, counters, goodput, SLO
     /// attainment) are identical to the retained mode; only the
     /// per-request `ls_completed` logs in [`ReplicaSummary::stats`] are
@@ -215,11 +215,11 @@ impl ClusterConfig {
     /// Validates the config and hoists every per-run derivation that
     /// does not depend on run state: deployments (with the same-LS /
     /// `supported_on` checks), the sorted-deduped fleet BE model set,
-    /// per-GPU-model BE task sets, initial job placement, per-replica
-    /// scenarios and SLO tables, and — in retained mode — the full
-    /// arrival trace. Benches that re-run one config (scaling curves,
-    /// system × router matrices over a fixed fleet) prepare once and
-    /// skip all of it on every subsequent run.
+    /// per-GPU-model BE task sets, initial job placement, and
+    /// per-replica scenarios and SLO tables. Arrivals are not
+    /// materialized: each run streams them. Benches that re-run one
+    /// config (scaling curves, system × router matrices over a fixed
+    /// fleet) prepare once and skip all of it on every subsequent run.
     pub fn prepare(&self) -> PreparedCluster {
         let n_init = self.gpus.len();
         assert!(n_init > 0, "a fleet needs at least one replica");
@@ -334,22 +334,6 @@ impl ClusterConfig {
             !self.streaming || self.controller.period_us > 0.0,
             "streaming mode needs controller ticks to bound the retained window"
         );
-        let trace = if self.streaming {
-            None
-        } else {
-            Some(ArrivalTrace::new(per_service_traces(
-                &self.trace,
-                n_ls,
-                self.horizon_us,
-                self.seed,
-            )))
-        };
-
-        // Calendar bucket width ≈ the merged stream's mean inter-arrival
-        // gap, so a typical epoch crosses O(1) buckets. Correctness does
-        // not depend on the choice; only sweep cost does.
-        let merged_hz = self.trace.mean_rate_hz * n_ls as f64;
-        let cal_width_us = (1e6 / merged_hz).clamp(0.5, 50_000.0);
 
         PreparedCluster {
             cfg: self.clone(),
@@ -361,15 +345,14 @@ impl ClusterConfig {
             init_jobs_on,
             slos,
             scenarios,
-            trace,
-            cal_width_us,
         }
     }
 }
 
 /// A validated [`ClusterConfig`] with every config-only derivation done:
 /// build once with [`ClusterConfig::prepare`], then run any number of
-/// times via [`run_cluster_prepared`].
+/// times via [`run_cluster_prepared`]. It holds no arrivals; every run
+/// streams them from the config's trace shape and seed.
 pub struct PreparedCluster {
     cfg: ClusterConfig,
     deps: Vec<Arc<Deployment>>,
@@ -383,10 +366,6 @@ pub struct PreparedCluster {
     init_jobs_on: Vec<Vec<usize>>,
     slos: Vec<Vec<f64>>,
     scenarios: Vec<Scenario>,
-    /// The retained-mode arrival trace (`None` in streaming mode, where
-    /// arrivals generate on the fly).
-    trace: Option<ArrivalTrace>,
-    cal_width_us: f64,
 }
 
 impl PreparedCluster {
@@ -402,25 +381,21 @@ impl PreparedCluster {
         self.n_ls
     }
 
-    /// Total LS arrivals the run will inject (materializes the batch
-    /// trace's count directly; streams re-derive it generatively).
+    /// Total LS arrivals the run will inject, counted by draining a
+    /// fresh [`ArrivalStream`] — O(arrivals) time, O(LS services)
+    /// memory.
     pub fn arrival_count(&self) -> usize {
-        match &self.trace {
-            Some(t) => t.len(),
-            None => {
-                let mut stream = ArrivalStream::new(
-                    &self.cfg.trace,
-                    self.n_ls,
-                    self.cfg.horizon_us,
-                    self.cfg.seed,
-                );
-                let mut count = 0;
-                while stream.pop().is_some() {
-                    count += 1;
-                }
-                count
-            }
+        let mut stream = ArrivalStream::new(
+            &self.cfg.trace,
+            self.n_ls,
+            self.cfg.horizon_us,
+            self.cfg.seed,
+        );
+        let mut count = 0;
+        while stream.pop().is_some() {
+            count += 1;
         }
+        count
     }
 }
 
@@ -920,15 +895,6 @@ impl<'s> LaneCell<'s> {
         }
     }
 
-    /// Prefetches the lane's advance working set (engine buffers, LS
-    /// queue headers) toward L1 — issued one lane ahead by the epoch
-    /// sweep. The header loads it performs are hits when
-    /// [`prefetch_lane`] ran two lanes ahead.
-    #[inline]
-    fn prefetch_hot(&self) {
-        self.sim.prefetch_hot();
-    }
-
     fn dispatch(&mut self) {
         self.sim.dispatch(self.policy.as_dyn());
     }
@@ -1005,21 +971,21 @@ impl<'s> LaneCell<'s> {
 /// views and the controller's scans read), the cold per-lane state boxed
 /// in [`LaneCell`]s.
 ///
-/// Invariant: `next_at`, `backlog` and the calendar are *mirrors* of the
-/// lane state, re-derived by [`refresh`](Self::refresh) after every lane
-/// mutation — route all mutations through [`mutate`](Self::mutate).
-/// `next_at[r]` is `INFINITY` for idle or dead lanes, and a lane is
-/// stored in the calendar iff its key is finite. Staleness is caught by
-/// the debug-assert linear-scan oracle in [`quiesce`] and the view
-/// oracle in [`Fleet::assert_views_current`].
+/// Invariant: `next_at`, `backlog` and the views' backlogs are
+/// *mirrors* of the lane state, re-derived by [`refresh`](Self::refresh)
+/// after every lane mutation — route all mutations through
+/// [`mutate`](Self::mutate). `next_at[r]` is `INFINITY` for idle, dead,
+/// warm, provisioning and retired lanes, so [`quiesce`]'s scan never
+/// finds them due. Staleness is caught by the debug-assert busy-set
+/// oracle in [`quiesce`] and the view oracle in
+/// [`Fleet::assert_views_current`].
 struct Fleet<'s> {
     // Boxing keeps the hot mirror arrays below dense — an inline
     // `Vec<LaneCell>` would stride the controller/oracle scans across
-    // multi-hundred-byte cells — and gives every cell a stable address
-    // for the prefetch path.
+    // multi-hundred-byte cells.
     #[allow(clippy::vec_box)]
     cells: Vec<Box<LaneCell<'s>>>,
-    /// `next_pending_at` mirror (INFINITY = idle or dead).
+    /// `next_pending_at` mirror (INFINITY = idle, dead or not advancing).
     next_at: Vec<f64>,
     /// `ls_backlog` mirror.
     backlog: Vec<u32>,
@@ -1050,15 +1016,6 @@ struct Fleet<'s> {
     view_lane: Vec<u32>,
     /// Lane id → view slot (`u32::MAX` = not routable).
     lane_slot: Vec<u32>,
-    /// Membership has never changed: every lane is routable and the
-    /// slot↔lane mapping is the identity. The static-fleet fast path —
-    /// `refresh` writes `views[r]` directly and `rebuild_views` skips
-    /// the mapping maintenance, restoring the pre-elastic memory
-    /// traffic on the hot path. Cleared (forever) at the first
-    /// provision/drain/retire; false from the start when warm lanes
-    /// exist.
-    identity: bool,
-    cal: EventCalendar,
     /// Router-facing snapshot of the *routable* lanes, in ascending
     /// lane order (slot `s` is lane `view_lane[s]`), kept incremental:
     /// backlogs patched by every [`refresh`](Self::refresh),
@@ -1083,7 +1040,7 @@ impl<'s> Fleet<'s> {
         self.cells.len()
     }
 
-    /// Re-derives lane `r`'s hot mirrors (and calendar key) from its
+    /// Re-derives lane `r`'s hot mirrors (and view backlog) from its
     /// cell — a pure read of simulation state.
     fn refresh(&mut self, r: usize) {
         let cell = &self.cells[r];
@@ -1120,23 +1077,18 @@ impl<'s> Fleet<'s> {
     }
 
     /// Stores lane `r`'s pending instant and re-reads its backlog into
-    /// the mirrors, the calendar and the router view.
+    /// the mirrors and the router view.
     fn set_mirrors(&mut self, r: usize, next: f64) {
         let backlog = self.cells[r].sim.state().ls_backlog() as u32;
         self.next_at[r] = next;
         self.backlog[r] = backlog;
-        self.cal.set(r as u32, next);
         // Keep the incremental router view current: backlog is the only
         // view field that changes outside controller ticks and fault
         // instants, and every backlog change comes through here.
         // Non-routable lanes have no view slot to patch.
-        if self.identity {
-            self.views[r].backlog = backlog as usize;
-        } else {
-            let s = self.lane_slot[r];
-            if s != u32::MAX {
-                self.views[s as usize].backlog = backlog as usize;
-            }
+        let s = self.lane_slot[r];
+        if s != u32::MAX {
+            self.views[s as usize].backlog = backlog as usize;
         }
     }
 
@@ -1172,18 +1124,6 @@ impl<'s> Fleet<'s> {
         self.views.clear();
         self.n_healthy = 0;
         self.n_dead = 0;
-        if self.identity {
-            // Static membership: the slot↔lane mapping is already the
-            // identity and every lane is routable, so skip the mapping
-            // maintenance.
-            for r in 0..self.len() {
-                let v = self.compute_view(jobs_on, rt, r, t);
-                self.n_healthy += usize::from(v.healthy);
-                self.n_dead += usize::from(!self.alive[r]);
-                self.views.push(v);
-            }
-            return;
-        }
         self.view_lane.clear();
         for r in 0..self.len() {
             if !self.routable[r] {
@@ -1264,40 +1204,18 @@ impl<'s> Fleet<'s> {
     }
 }
 
-/// Pulls the head of lane `r`'s cell toward L1 a little ahead of the
-/// epoch sweep touching it — the busy list is known up front, and the
-/// lanes it names have usually been evicted since their last visit (a
-/// 512-replica fleet's working set dwarfs L2). Covers the cell's inline
-/// header region (sim scalars and the engine's `Vec` headers), so the
-/// pointer reads in [`LaneCell::prefetch_hot`] one lane later are hits.
-/// No-op architecturally where unsupported; never changes behavior.
-#[inline(always)]
-fn prefetch_lane(cells: &[Box<LaneCell<'_>>], r: usize) {
-    #[cfg(target_arch = "x86_64")]
-    unsafe {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        let p = std::ptr::addr_of!(**cells.get_unchecked(r)) as *const i8;
-        for line in 0..6 {
-            _mm_prefetch(p.add(line * 64), _MM_HINT_T0);
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (cells, r);
-    }
-}
-
 /// Quiesces the fleet up to an epoch boundary (`until = Some(t)`) or out
 /// to the horizon (`None`).
 ///
-/// The busy set — lanes whose next pending work precedes the boundary;
-/// for the rest `advance` is a proven no-op — comes from
-/// [`EventCalendar::collect_due`] in O(busy + crossed buckets) and is
-/// checked against the linear-scan oracle under `debug_assertions`.
-/// Dead and non-member lanes carry an infinite key, so they are never
-/// due: a crashed replica must not process policy timers or launch
-/// work while down, and a warm or retired lane is frozen outright. The
-/// busy lanes then advance inline, in ascending lane order.
+/// The busy set — lanes whose next pending work precedes the boundary
+/// (`next_at < t`), or falls at or before the horizon for the final
+/// drain; for the rest `advance` is a proven no-op — comes from one
+/// ascending pass over the dense `next_at` mirror, checked against
+/// `next_pending_at` under `debug_assertions`. Dead and non-member
+/// lanes carry an infinite `next_at`, so they are never due: a crashed
+/// replica must not process policy timers or launch work while down,
+/// and a warm or retired lane is frozen outright. The busy lanes then
+/// advance inline, in ascending lane order.
 fn quiesce(
     fleet: &mut Fleet<'_>,
     busy: &mut Vec<u32>,
@@ -1308,13 +1226,19 @@ fn quiesce(
     tel.prof.epochs += 1;
     let t0 = tel.clk();
     busy.clear();
-    match until {
-        Some(t) => fleet.cal.collect_due(t, true, busy),
-        None => fleet.cal.collect_due(horizon_us, false, busy),
+    for (r, &at) in fleet.next_at.iter().enumerate() {
+        let due = match until {
+            Some(t) => at < t,
+            None => at <= horizon_us,
+        };
+        if due {
+            busy.push(r as u32);
+        }
     }
     tel.prof.collect_ns += TelemetryRt::lap(t0);
-    // The busy-set oracle: the calendar's busy set must equal the
-    // linear scan's, every epoch, before anything advances.
+    // The busy-set oracle: the mirror scan's busy set must equal the
+    // one `next_pending_at` gives over the live lanes, every epoch,
+    // before anything advances.
     #[cfg(debug_assertions)]
     {
         let expect: Vec<u32> = fleet
@@ -1335,26 +1259,15 @@ fn quiesce(
             .collect();
         debug_assert_eq!(
             *busy, expect,
-            "calendar busy set diverged from the linear-scan oracle at {until:?}"
+            "mirror busy set diverged from the next_pending_at oracle at {until:?}"
         );
     }
     let t0 = tel.clk();
     tel.prof.lanes_advanced += busy.len() as u64;
     // Advance and refresh in one pass per lane (the lane's state is
-    // hot; a second sweep would re-touch every cell from cold), with
-    // the next lane's cell prefetched while this one runs.
-    for i in 0..busy.len() {
-        let r = busy[i] as usize;
-        // Two-stage lookahead: headers of lane i+2 stream in while lane
-        // i runs, so the deep prefetch for lane i+1 (which must *read*
-        // those headers to find the engine's buffers) issues from cache
-        // hits.
-        if i + 2 < busy.len() {
-            prefetch_lane(&fleet.cells, busy[i + 2] as usize);
-        }
-        if i + 1 < busy.len() {
-            fleet.cells[busy[i + 1] as usize].prefetch_hot();
-        }
+    // hot; a second sweep would re-touch every cell from cold).
+    for &r in busy.iter() {
+        let r = r as usize;
         let hint = fleet.cells[r].advance_to(until);
         fleet.refresh_hinted(r, hint);
     }
@@ -1702,9 +1615,9 @@ impl TierRt {
     }
 
     /// Admission decision for one arrival — a pure function of the
-    /// current ladder level and the tier queue's occupancy, so it is
-    /// identical under both fleet clocks (the ladder only moves at
-    /// ticks, which order before arrivals at equal timestamps).
+    /// current ladder level and the tier queue's occupancy (the ladder
+    /// only moves at ticks, which order before arrivals at equal
+    /// timestamps).
     fn admit(&self, task: usize) -> Admission {
         if !self.enabled {
             return Admission::Admit;
@@ -1929,7 +1842,6 @@ fn retire_lane(fleet: &mut Fleet, ert: &mut ElasticRt, r: usize, t: f64) {
     ert.state[r] = LaneState::Retired;
     fleet.advancing[r] = false;
     fleet.routable[r] = false;
-    fleet.identity = false;
     fleet.refresh(r);
     ert.events.push(ScaleEvent {
         at_us: t,
@@ -1963,7 +1875,6 @@ fn drain_lane_start(
 ) {
     ert.state[v] = LaneState::Draining;
     fleet.routable[v] = false;
-    fleet.identity = false;
     ert.drains_started += 1;
     ert.events.push(ScaleEvent {
         at_us: t,
@@ -2058,7 +1969,6 @@ fn activate_ready(
         ert.ready_at[r] = f64::INFINITY;
         fleet.advancing[r] = true;
         fleet.routable[r] = true;
-        fleet.identity = false;
         rt.last_heartbeat[r] = t;
         fleet.mutate(r, |cell| {
             cell.sim.state_mut().engine.advance_idle(t);
@@ -3094,12 +3004,12 @@ struct LaneStore {
 }
 
 /// Reusable storage for fleet runs: per-replica [`SimContext`]s and
-/// lane stores, the hot mirror arrays, the calendar, and every piece of
-/// per-epoch scratch (busy list, router views, retry extraction,
-/// controller ordering). Passing the same context across runs makes
-/// repeated fleet simulations — a bench sweeping systems × routers, a
-/// scaling curve — allocation-free in steady state (asserted by
-/// `tests/cluster_alloc.rs`).
+/// lane stores, the hot mirror arrays, the view slot mapping, and every
+/// piece of per-epoch scratch (busy list, router views, retry
+/// extraction, controller ordering). Passing the same context across
+/// runs makes repeated fleet simulations — a bench sweeping systems ×
+/// routers, a scaling curve — allocation-free in steady state (asserted
+/// by `tests/cluster_alloc.rs`).
 #[derive(Default)]
 pub struct ClusterCtx {
     sims: Vec<SimContext>,
@@ -3112,7 +3022,6 @@ pub struct ClusterCtx {
     routable: Vec<bool>,
     view_lane: Vec<u32>,
     lane_slot: Vec<u32>,
-    cal: EventCalendar,
     views: Vec<ReplicaView>,
     busy: Vec<u32>,
     due: Vec<Requeue>,
@@ -3125,41 +3034,6 @@ impl ClusterCtx {
     }
 }
 
-/// How arrivals reach the fleet clock: the materialized batch trace
-/// (retained mode — bit-identical by construction) or the streaming
-/// generator (long-horizon mode — bit-identical by the stream==batch
-/// equivalence proven in `trace::tests`).
-enum ArrivalSource<'a> {
-    Batch { merged: &'a [Arrival], next: usize },
-    Stream(ArrivalStream),
-}
-
-impl ArrivalSource<'_> {
-    fn peek(&self) -> Option<Arrival> {
-        match self {
-            Self::Batch { merged, next } => merged.get(*next).copied(),
-            Self::Stream(s) => s.peek(),
-        }
-    }
-
-    fn pop(&mut self) -> Option<Arrival> {
-        match self {
-            Self::Batch { merged, next } => {
-                let a = merged.get(*next).copied();
-                if a.is_some() {
-                    *next += 1;
-                }
-                a
-            }
-            Self::Stream(s) => s.pop(),
-        }
-    }
-}
-
-/// Ring size of the calendar queue — plenty of buckets per revolution at
-/// the mean-gap width without chasing pathological slot counts.
-const CAL_SLOTS: usize = 1024;
-
 /// [`run_cluster_in`] with a fresh context.
 pub fn run_cluster(cfg: &ClusterConfig, router: &mut dyn RoutingPolicy) -> ClusterResult {
     run_cluster_in(cfg, router, &mut ClusterCtx::new())
@@ -3167,8 +3041,8 @@ pub fn run_cluster(cfg: &ClusterConfig, router: &mut dyn RoutingPolicy) -> Clust
 
 /// Prepares `cfg` and runs it once. Benches re-running one config should
 /// call [`ClusterConfig::prepare`] themselves and use
-/// [`run_cluster_prepared`] so validation, deployment resolution and
-/// trace materialization happen once, not per run.
+/// [`run_cluster_prepared`] so validation and deployment resolution
+/// happen once, not per run.
 pub fn run_cluster_in(
     cfg: &ClusterConfig,
     router: &mut dyn RoutingPolicy,
@@ -3209,8 +3083,6 @@ pub fn run_cluster_prepared(
         routable: std::mem::take(&mut ctx.routable),
         view_lane: std::mem::take(&mut ctx.view_lane),
         lane_slot: std::mem::take(&mut ctx.lane_slot),
-        identity: n_init == n,
-        cal: std::mem::take(&mut ctx.cal),
         views: std::mem::take(&mut ctx.views),
         n_healthy: 0,
         n_dead: 0,
@@ -3251,7 +3123,6 @@ pub fn run_cluster_prepared(
             healthy: true,
         });
     }
-    fleet.cal.reset(n, prep.cal_width_us, CAL_SLOTS);
 
     for (r, jobs) in jobs_on.iter().enumerate() {
         let policy = match cfg.system {
@@ -3299,18 +3170,7 @@ pub fn run_cluster_prepared(
     }
 
     // --- fleet clock state -----------------------------------------------
-    let mut arrivals = match &prep.trace {
-        Some(trace) => ArrivalSource::Batch {
-            merged: trace.merged(),
-            next: 0,
-        },
-        None => ArrivalSource::Stream(ArrivalStream::new(
-            &cfg.trace,
-            n_ls,
-            cfg.horizon_us,
-            cfg.seed,
-        )),
-    };
+    let mut arrivals = ArrivalStream::new(&cfg.trace, n_ls, cfg.horizon_us, cfg.seed);
     let mut migrations: Vec<Migration> = Vec::new();
     let mut busy = std::mem::take(&mut ctx.busy);
     let mut due = std::mem::take(&mut ctx.due);
@@ -3948,7 +3808,6 @@ pub fn run_cluster_prepared(
     ctx.backlog = fleet.backlog;
     ctx.ratio = fleet.ratio;
     ctx.alive = fleet.alive;
-    ctx.cal = fleet.cal;
     ctx.views = fleet.views;
     ctx.advancing = fleet.advancing;
     ctx.routable = fleet.routable;

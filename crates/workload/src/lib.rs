@@ -14,7 +14,6 @@
 //! SLO classes with admission control, brownout degradation and
 //! deadline-aware retry budgets ([`tiers`]).
 
-pub mod calendar;
 pub mod chaos;
 pub mod cluster;
 pub mod elastic;
@@ -25,7 +24,6 @@ pub mod telemetry;
 pub mod tiers;
 pub mod trace;
 
-pub use calendar::EventCalendar;
 pub use chaos::{DegradationConfig, FaultEvent, FaultKind, FaultPlan, RetryConfig};
 pub use cluster::{
     run_cluster, run_cluster_in, run_cluster_prepared, ClusterConfig, ClusterCtx, ClusterResult,

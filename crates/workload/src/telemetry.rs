@@ -271,7 +271,7 @@ pub struct ClockProfile {
     pub epochs: u64,
     /// Total lane-advance invocations across all epochs.
     pub lanes_advanced: u64,
-    /// Time selecting due lanes (calendar `collect_due`).
+    /// Time selecting due lanes (the scan over the `next_at` mirror).
     pub collect_ns: u64,
     /// Time advancing due lanes plus mirror refreshes.
     pub advance_ns: u64,

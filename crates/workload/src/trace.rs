@@ -176,9 +176,9 @@ pub fn arrival_trace(
 /// Stateful single-service generator producing the **exact** arrival
 /// sequence of [`generate`] — same RNG draws in the same order, same
 /// thinning — one value at a time, without materializing the whole
-/// trace. This is the streaming long-horizon mode's arrival source: a
-/// tens-of-millions-request horizon costs O(1) memory per service
-/// instead of a multi-GiB `Vec<f64>` per task.
+/// trace. This is the fleet clock's per-service arrival source (via
+/// [`ArrivalStream`]): a tens-of-millions-request horizon costs O(1)
+/// memory per service instead of a multi-GiB `Vec<f64>` per task.
 #[derive(Debug, Clone)]
 pub struct ArrivalGen {
     cfg: TraceConfig,
@@ -207,7 +207,8 @@ impl ArrivalGen {
 
     // The loop body is a statement-for-statement transcription of
     // `generate`'s: any divergence would break the stream==batch
-    // equivalence the streaming cluster mode's bit-identity rests on.
+    // equivalence that makes a 1-replica fleet bit-identical to the
+    // single-GPU batch loop.
     fn advance(&mut self) {
         loop {
             let u: f64 = self.rng.gen_range(1e-12..1.0);
@@ -243,7 +244,9 @@ impl ArrivalGen {
 /// produce for [`per_service_traces`] with the same parameters (same
 /// per-service seed offsets). Equivalence holds because each service's
 /// times are strictly increasing, so the stable sort the batch path
-/// applies reduces to min-selection with a lowest-task tie-break.
+/// applies reduces to min-selection with a lowest-task tie-break. The
+/// fleet clock reads every run's arrivals from one of these; the
+/// single-GPU runner keeps the batch [`per_service_traces`].
 #[derive(Debug, Clone)]
 pub struct ArrivalStream {
     gens: Vec<ArrivalGen>,

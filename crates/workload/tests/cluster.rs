@@ -29,8 +29,10 @@ fn short_horizon() -> f64 {
 /// A 1-replica fleet must reproduce the single-GPU batch loop bit for
 /// bit: same trace, same BE co-location, same policy → identical
 /// `RunStats` (every completion timestamp, preemption and event count),
-/// for every system. The fleet controller runs (ticking, reading
-/// windows) and must not perturb anything.
+/// for every system. The fleet streams its arrivals while the
+/// single-GPU loop replays the materialized trace, so this also pins
+/// stream == batch end to end. The fleet controller runs (ticking,
+/// reading windows) and must not perturb anything.
 #[test]
 fn one_replica_cluster_is_bit_identical_to_single_gpu_run() {
     let gpu = GpuModel::RtxA2000;

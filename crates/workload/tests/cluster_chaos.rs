@@ -54,8 +54,8 @@ fn base_cfg() -> ClusterConfig {
 
 /// Runs `cfg` on a fresh [`ClusterCtx`] and again on a context recycled
 /// from a run of `dirty`, returning `(fresh, recycled)`. The recycled
-/// run inherits the calendar, hot mirrors, router views, lane stores and
-/// retry scratch that `dirty` left behind.
+/// run inherits the hot mirrors, view slot mapping, router views, lane
+/// stores and retry scratch that `dirty` left behind.
 fn fresh_and_recycled(
     cfg: &ClusterConfig,
     dirty: &ClusterConfig,

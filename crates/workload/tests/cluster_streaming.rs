@@ -71,6 +71,9 @@ fn streaming_equals_retained_modulo_completion_logs() {
         let retained = run(&retained_cfg, router);
         let streaming = run(&streaming_cfg, router);
 
+        for (cfg, r) in [(&retained_cfg, &retained), (&streaming_cfg, &streaming)] {
+            assert_eq!(cfg.prepare().arrival_count() as u64, r.arrivals_injected);
+        }
         assert!(retained.requests > 0, "degenerate scenario");
         assert_eq!(
             retained.retained_completions, retained.requests,

@@ -193,8 +193,8 @@ fn tiered_fleet(
 
 /// Runs `cfg` on a fresh [`ClusterCtx`] and again on a context recycled
 /// from a run of `dirty`, returning `(fresh, recycled)`. The recycled
-/// run inherits the calendar, hot mirrors, router views, lane stores and
-/// retry scratch that `dirty` left behind.
+/// run inherits the hot mirrors, view slot mapping, router views, lane
+/// stores and retry scratch that `dirty` left behind.
 fn fresh_and_recycled(
     cfg: &ClusterConfig,
     dirty: &ClusterConfig,
