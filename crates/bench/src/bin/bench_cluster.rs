@@ -186,10 +186,7 @@ fn plan_json(plan: &FaultPlan) -> Json {
         )
         .set(
             "degradation",
-            Json::obj()
-                .set("shed_be_backlog", plan.degradation.shed_be_backlog)
-                .set("shed_ls_backlog", plan.degradation.shed_ls_backlog)
-                .set("ls_shed_per_tick", plan.degradation.ls_shed_per_tick),
+            Json::obj().set("shed_be_backlog", plan.degradation.shed_be_backlog),
         )
         .set(
             "events",
@@ -514,8 +511,9 @@ fn tier_attribution_json(r: &ClusterResult, tiers: &TiersConfig) -> Json {
 /// 1. **tiered** — the three-class tier map: admission control queues
 ///    then refuses best-effort work first, deadline-aware retry
 ///    budgets, tier-ordered brownout;
-/// 2. **tier_blind** — the legacy single-threshold degradation path
-///    (no tiers attached), which sheds without looking at class;
+/// 2. **tier_blind** — no tier map: the one-tier brownout ladder parks
+///    BE under backlog but cannot tell services apart, so it never
+///    queues, refuses or sheds LS by class;
 /// 3. **no_be** — tier-blind with BE jobs removed entirely, the
 ///    baseline tier-1 availability must not fall below.
 ///
@@ -541,8 +539,9 @@ fn run_tiers_bench(smoke: bool, ctx: &mut ClusterCtx) -> (Json, bool) {
         ..Default::default()
     };
     let mut plan = FaultPlan::new(vec![FaultEvent::crash(0, 0.25 * horizon, f64::INFINITY)]);
-    // Same aggressive BE parking the chaos section uses, so the
-    // tier-blind arm is the strongest version of the legacy path.
+    // Same aggressive BE-parking threshold the chaos section uses: it
+    // sets the tier-blind arm's one ladder rung (the tiered arm's map
+    // brings its own ladder).
     plan.degradation.shed_be_backlog = 2;
     base.chaos = Some(plan);
 
@@ -1125,10 +1124,10 @@ fn main() {
             0.5 * chaos_horizon,
             0.25 * chaos_horizon,
         )]);
-        // Shed BE the moment the degraded fleet starts queueing: the
+        // Arm BE parking at a low per-alive backlog (2), so BE gives
+        // way if the crash makes the survivors queue. The
         // goodput gate below checks that BE filling costs no LS goodput
-        // even through the crash, which holds only if degradation parks
-        // BE while capacity is short.
+        // even through the crash.
         plan.degradation.shed_be_backlog = 2;
         cfg.chaos = Some(plan.clone());
         let requeue = run_chaos_arm(&cfg, RouterKind::ShortestBacklog, &mut ctxs);
@@ -1139,7 +1138,8 @@ fn main() {
 
         // The no-BE baseline: same fleet, same faults, zero BE work —
         // SGDRC's claim is that BE filling costs no LS goodput, and that
-        // must survive a crash (degradation sheds BE when it matters).
+        // must survive a crash (the brownout ladder parks BE if the
+        // survivors queue).
         let mut no_be_cfg = cfg.clone();
         no_be_cfg.be_jobs = Vec::new();
         let no_be = run_chaos_arm(&no_be_cfg, RouterKind::ShortestBacklog, &mut ctxs);

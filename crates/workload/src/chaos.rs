@@ -4,8 +4,8 @@
 //! [`FaultEvent`]s (replica crashes, transient stalls, stragglers,
 //! thermal throttling — each with an optional recovery), plus the
 //! retry/timeout policy the router applies to requests orphaned by a
-//! crash and the graceful-degradation thresholds the fleet controller
-//! enforces while capacity is below demand.
+//! crash and the backlog at which a fleet without a tier map parks BE
+//! work under overload.
 //!
 //! Everything is data: the same plan against the same
 //! [`ClusterConfig`](crate::cluster::ClusterConfig) replays to a
@@ -129,39 +129,27 @@ impl Default for RetryConfig {
     }
 }
 
-/// Graceful-degradation thresholds the fleet controller applies while
-/// capacity is below demand (evaluated every controller tick). BE work
-/// is shed first; pending LS requests of the lowest-priority service go
-/// only under sustained overload.
-///
-/// This is the tier-blind legacy path: with a
-/// [`TiersConfig`](crate::tiers::TiersConfig) attached to the cluster
-/// config it is replaced by the tier-ordered brownout ladder (park BE →
-/// queue low tiers → shed low tiers, with hysteresis), which also runs
-/// without a fault plan — overload needs no crash to matter.
+/// Graceful degradation under a fault plan: the threshold at which a
+/// fleet without a tier map parks BE work. It sets the one rung of
+/// [`TiersConfig::tier_blind`](crate::tiers::TiersConfig::tier_blind)'s
+/// brownout ladder, evaluated every controller tick; an attached tier
+/// map brings its own ladder and ignores this. LS work is never shed
+/// without a tier map.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DegradationConfig {
-    /// Shed BE: with at least one replica dead and either the mean
-    /// per-alive backlog above this or any surviving replica's windowed
-    /// p99 breaching its SLO, every resident BE job on the survivors is
-    /// parked (eviction flag on running kernels, cursors preserved).
-    /// Shed jobs resume once the fleet is whole, the backlog has halved
-    /// below the threshold, and no survivor is breaching.
+    /// Park BE: while the mean per-alive backlog exceeds this, or any
+    /// alive member's windowed p99 breaches its SLO while the backlog
+    /// exceeds half of this, every resident BE job on the alive members
+    /// is parked (eviction flag on running kernels, cursors preserved).
+    /// Parked jobs resume at the first tick with the backlog at most
+    /// half of this and no breach.
     pub shed_be_backlog: usize,
-    /// Shed LS: with the mean per-alive backlog above this, the most
-    /// backlogged survivor drops pending (never in-flight) requests of
-    /// the lowest-priority LS service — highest task index first.
-    pub shed_ls_backlog: usize,
-    /// At most this many LS requests are shed per controller tick.
-    pub ls_shed_per_tick: usize,
 }
 
 impl Default for DegradationConfig {
     fn default() -> Self {
         Self {
             shed_be_backlog: 48,
-            shed_ls_backlog: 160,
-            ls_shed_per_tick: 32,
         }
     }
 }
@@ -196,8 +184,11 @@ impl FaultPlan {
         }
     }
 
-    /// An empty plan (no faults) — resilience machinery armed but idle;
-    /// results are bit-identical to running without a plan.
+    /// An empty plan (no faults) — resilience machinery armed but idle.
+    /// Its results are bit-identical to running without a plan as long
+    /// as the BE-parking rung never fires: the per-alive backlog stays at
+    /// most `degradation.shed_be_backlog`, and no windowed p99 breach
+    /// coincides with a backlog above half of it.
     pub fn none() -> Self {
         Self::new(Vec::new())
     }

@@ -73,7 +73,7 @@
 //!   O(replicas) for any horizon. Aggregate results are identical to
 //!   the retained mode (`tests/cluster_streaming.rs`).
 
-use crate::chaos::{DegradationConfig, FaultOp, FaultPlan, RetryConfig, ScheduledFault};
+use crate::chaos::{FaultOp, FaultPlan, RetryConfig, ScheduledFault};
 use crate::elastic::{
     provision_delay, ElasticConfig, FleetSignals, ScaleCause, ScaleEvent, ScaleEventKind,
     ScalingPolicy,
@@ -182,8 +182,10 @@ pub struct ClusterConfig {
     /// Tiered SLOs (see [`crate::tiers`]): one [`crate::tiers::TierConfig`]
     /// per LS service driving admission control, the brownout ladder in
     /// `brownout()`, per-tier retry budgets/deadlines, tier-aware router
-    /// tie-breaking and weighted goodput. `None` (the default) keeps
-    /// the tier-blind simulator bit-identical to previous behaviour.
+    /// tie-breaking and weighted goodput. `None` (the default) runs the
+    /// same machinery over [`TiersConfig::tier_blind`] — one Guaranteed
+    /// tier mirroring the fault plan's retry policy, whose ladder only
+    /// parks BE — and reports no per-tier results.
     pub tiers: Option<TiersConfig>,
 }
 
@@ -257,9 +259,18 @@ impl ClusterConfig {
             );
         }
 
-        if let Some(tiers) = &self.tiers {
-            tiers.validate(n_ls);
-        }
+        // Every fleet runs a tier map: the attached one (validated), or
+        // the tier-blind map built from the fault plan's policies.
+        let tiers = match (&self.tiers, &self.chaos) {
+            (Some(tiers), _) => {
+                tiers.validate(n_ls);
+                tiers.clone()
+            }
+            (None, Some(plan)) => {
+                TiersConfig::tier_blind(n_ls, &plan.retry, Some(&plan.degradation))
+            }
+            (None, None) => TiersConfig::tier_blind(n_ls, &RetryConfig::default(), None),
+        };
 
         // The distinct BE models the fleet runs, ascending — every
         // replica's scenario lists exactly these tasks, and placement
@@ -345,6 +356,7 @@ impl ClusterConfig {
             init_jobs_on,
             slos,
             scenarios,
+            tiers,
         }
     }
 }
@@ -366,6 +378,8 @@ pub struct PreparedCluster {
     init_jobs_on: Vec<Vec<usize>>,
     slos: Vec<Vec<f64>>,
     scenarios: Vec<Scenario>,
+    /// The tier map every run uses: `cfg.tiers`, or the tier-blind map.
+    tiers: TiersConfig,
 }
 
 impl PreparedCluster {
@@ -717,9 +731,10 @@ pub struct ClusterResult {
     /// Requests dropped after exhausting their retry budget or the
     /// retry timeout.
     pub timeout_drops: u64,
-    /// Pending LS requests shed by graceful degradation.
+    /// Pending LS requests shed by the brownout ladder (only a tier map
+    /// with non-Guaranteed tiers sheds).
     pub ls_shed: u64,
-    /// BE-job park actions taken by graceful degradation.
+    /// BE-job park actions taken by the brownout ladder.
     pub be_shed: u64,
     /// Requests still queued — on replicas or in the retry queue — when
     /// the horizon closed.
@@ -1290,14 +1305,16 @@ struct Requeue {
 
 /// The fleet clock's chaos runtime: the expanded fault timeline, the
 /// retry queue, heartbeat/health bookkeeping and resilience counters.
-/// Instantiated even without a plan (empty timeline, infinite heartbeat
-/// timeout) so the clock has one code path; everything here stays inert
-/// and zero-valued on happy-path runs.
+/// Every requeue and timeout drop goes through [`ChaosRt::requeue`] and
+/// [`ChaosRt::timeout_drop`], which keep the counters and the flight
+/// recorder's events in step. Instantiated even without a plan (empty
+/// timeline, infinite heartbeat timeout) so the clock has one code
+/// path; everything here stays inert and zero-valued on happy-path
+/// runs.
 struct ChaosRt {
     timeline: Vec<ScheduledFault>,
     next_fault: usize,
     retry: RetryConfig,
-    degradation: DegradationConfig,
     heartbeat_timeout_us: f64,
     retry_q: Vec<Requeue>,
     /// Last decision instant each replica was seen alive. Alive replicas
@@ -1311,8 +1328,8 @@ struct ChaosRt {
     /// The most recent tick/retry/arrival instant — what every alive
     /// replica's heartbeat would read had it been stamped individually.
     last_decision_us: f64,
-    /// Jobs parked by graceful degradation (stay parked across
-    /// migrations until the resume rule fires).
+    /// Jobs parked by the brownout ladder (stay parked across
+    /// migrations until the ladder returns to level 0).
     job_shed: Vec<bool>,
     /// Jobs with no eligible surviving host, re-placed at recoveries.
     homeless: Vec<usize>,
@@ -1345,25 +1362,14 @@ struct ChaosRt {
 
 impl ChaosRt {
     fn new(plan: Option<&FaultPlan>, n: usize, n_jobs: usize, n_ls: usize) -> Self {
-        let (timeline, retry, degradation, heartbeat_timeout_us) = match plan {
-            Some(p) => (
-                p.timeline(n),
-                p.retry.clone(),
-                p.degradation.clone(),
-                p.heartbeat_timeout_us,
-            ),
-            None => (
-                Vec::new(),
-                RetryConfig::default(),
-                DegradationConfig::default(),
-                f64::INFINITY,
-            ),
+        let (timeline, retry, heartbeat_timeout_us) = match plan {
+            Some(p) => (p.timeline(n), p.retry.clone(), p.heartbeat_timeout_us),
+            None => (Vec::new(), RetryConfig::default(), f64::INFINITY),
         };
         Self {
             timeline,
             next_fault: 0,
             retry,
-            degradation,
             heartbeat_timeout_us,
             retry_q: Vec::new(),
             last_heartbeat: vec![0.0; n],
@@ -1400,14 +1406,13 @@ impl ChaosRt {
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// Hands an orphaned request to the retry queue — or straight to the
-    /// drop counter when the effective policy is drop-on-crash
-    /// (`max_retries` 0; per-tier with a tier config, fleet-wide
-    /// `RetryConfig::max_retries` otherwise — the caller passes
-    /// [`TierRt::max_retries_for`], which folds both cases). `from`
-    /// attributes the requeue to the lane the request was ripped out of
-    /// (`None` = an arrival refused fleet-wide). Returns whether the
-    /// request was actually queued (`false` = dropped immediately).
+    /// Hands an orphaned request to the retry queue — or drops it at
+    /// once when its tier's retry budget `max_retries` is 0
+    /// (drop-on-crash). `from` attributes the requeue to the lane the
+    /// request was ripped out of (`None` = an arrival refused
+    /// fleet-wide); the recorder logs the `Requeued` event, and an
+    /// immediate drop, on that lane's track (the fleet track for `None`).
+    #[allow(clippy::too_many_arguments)]
     fn requeue(
         &mut self,
         task: usize,
@@ -1415,16 +1420,26 @@ impl ChaosRt {
         t: f64,
         from: Option<usize>,
         max_retries: u32,
-    ) -> bool {
+        cause: RequeueCause,
+        tel: &mut TelemetryRt,
+    ) {
         self.requeued += 1;
-        match from {
-            Some(r) => self.lane_requeued[r] += 1,
-            None => self.refused += 1,
+        let track = match from {
+            Some(r) => {
+                self.lane_requeued[r] += 1;
+                r as u32
+            }
+            None => {
+                self.refused += 1;
+                FLEET_TRACK
+            }
+        };
+        if tel.is_on() {
+            let task = task as u32;
+            tel.record(t, track, EventKind::Requeued { task, cause });
         }
         if max_retries == 0 {
-            self.timeout_drops += 1;
-            self.drops_by_task[task] += 1;
-            false
+            self.timeout_drop(task, t, track, tel);
         } else {
             self.retry_q.push(Requeue {
                 task,
@@ -1433,7 +1448,17 @@ impl ChaosRt {
                 attempt: 1,
                 ready_at: t + self.retry.backoff_us,
             });
-            true
+        }
+    }
+
+    /// Drops a request for good — its retry budget or hard deadline is
+    /// spent — and records the drop on `track`.
+    fn timeout_drop(&mut self, task: usize, t: f64, track: u32, tel: &mut TelemetryRt) {
+        self.timeout_drops += 1;
+        self.drops_by_task[task] += 1;
+        if tel.is_on() {
+            let task = task as u32;
+            tel.record(t, track, EventKind::TimeoutDropped { task });
         }
     }
 }
@@ -1441,8 +1466,8 @@ impl ChaosRt {
 /// What the admission controller decided for one arrival.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Admission {
-    /// Route immediately — the tier is not browned out (or tiers are
-    /// off, in which case every arrival admits).
+    /// Route immediately — the tier is not browned out (a Guaranteed
+    /// tier, such as the tier-blind map's only one, always admits).
     Admit,
     /// Park in the tier's bounded FIFO queue; flushed at the first tick
     /// where the brownout ladder recedes below the tier's queue level.
@@ -1453,28 +1478,23 @@ enum Admission {
 }
 
 /// The fleet clock's tiered-SLO runtime: per-service tier attributes,
-/// the brownout ladder, bounded admission queues and refusal ledgers.
-/// Like [`ChaosRt`], it is instantiated unconditionally; without a
-/// [`TiersConfig`] the per-task vectors mirror the fleet-wide
-/// [`RetryConfig`] exactly (same retry budget, same hard deadline,
-/// weight 1, rank 0, infinite soft deadline) so the requeue/retry/drain
-/// paths run one code path with bit-identical behavior.
+/// the brownout ladder, bounded admission queues and refusal ledgers,
+/// built from [`PreparedCluster`]'s tier map — the attached one or
+/// [`TiersConfig::tier_blind`] — so admission, retry and degradation
+/// each run one code path.
 struct TierRt {
-    enabled: bool,
     /// Per-service priority rank: 0 = highest tier, ascending = lower.
     /// Services of the same tier id share a rank.
     rank: Vec<u32>,
-    /// Per-service goodput weight (1.0 when tiers are off).
+    /// Per-service goodput weight.
     weight: Vec<f64>,
-    /// Per-service soft (SLO-credit) deadline in µs; +inf when tiers
-    /// are off so every completion counts, matching plain goodput.
+    /// Per-service soft (SLO-credit) deadline in µs; +inf counts every
+    /// on-SLO completion, matching plain goodput.
     soft: Vec<f64>,
     /// Per-service hard deadline in µs — past it a queued or retried
-    /// request is doomed and dropped. Mirrors `RetryConfig::timeout_us`
-    /// when tiers are off.
+    /// request is doomed and dropped.
     hard: Vec<f64>,
-    /// Per-service retry budget. Mirrors `RetryConfig::max_retries`
-    /// when tiers are off.
+    /// Per-service retry budget.
     max_retries: Vec<u32>,
     /// Per-service tier id (telemetry labels only — control decisions
     /// use `rank`).
@@ -1501,8 +1521,7 @@ struct TierRt {
     exit_backlog: usize,
     hold_ticks: u32,
     shed_per_tick: usize,
-    /// Per-service admission ledgers (always maintained; zero when
-    /// tiers are off since every arrival admits).
+    /// Per-service admission ledgers.
     admitted_by_task: Vec<u64>,
     queued_by_task: Vec<u64>,
     refused_overload_by_task: Vec<u64>,
@@ -1510,96 +1529,63 @@ struct TierRt {
 }
 
 impl TierRt {
-    fn new(tiers: Option<&TiersConfig>, n_ls: usize, retry: &RetryConfig) -> Self {
-        match tiers {
-            Some(cfg) => {
-                let tier_ids = cfg.tier_ids();
-                let n_tiers = tier_ids.len();
-                let rank_of =
-                    |id: u32| tier_ids.iter().position(|&x| x == id).expect("known tier") as u32;
-                let mut tier_class = vec![AdmissionClass::Guaranteed; n_tiers];
-                let mut tier_weight = vec![1.0; n_tiers];
-                for tc in &cfg.tiers {
-                    let r = rank_of(tc.tier) as usize;
-                    tier_class[r] = tc.class;
-                    tier_weight[r] = tc.weight;
-                }
-                // Brownout ladder order: most-sheddable class first
-                // (BestEffort before Burstable), then lower-priority
-                // tiers (higher rank) first within a class. Guaranteed
-                // tiers never appear on the ladder.
-                let mut eligible: Vec<usize> = (0..n_tiers)
-                    .filter(|&r| tier_class[r] != AdmissionClass::Guaranteed)
-                    .collect();
-                eligible.sort_by_key(|&r| {
-                    (
-                        std::cmp::Reverse(tier_class[r].brown_severity()),
-                        std::cmp::Reverse(r),
-                    )
-                });
-                let mut queue_level = vec![u32::MAX; n_tiers];
-                let mut shed_level = vec![u32::MAX; n_tiers];
-                for (p, &r) in eligible.iter().enumerate() {
-                    let p = p as u32;
-                    queue_level[r] = 2 * p + 2;
-                    shed_level[r] = 2 * p + 3;
-                }
-                let max_level = 1 + 2 * eligible.len() as u32;
-                Self {
-                    enabled: true,
-                    rank: cfg.tiers.iter().map(|tc| rank_of(tc.tier)).collect(),
-                    weight: cfg.tiers.iter().map(|tc| tc.weight).collect(),
-                    soft: cfg.tiers.iter().map(|tc| tc.soft_deadline_us).collect(),
-                    hard: cfg.tiers.iter().map(|tc| tc.hard_deadline_us).collect(),
-                    max_retries: cfg.tiers.iter().map(|tc| tc.max_retries).collect(),
-                    tier_id_of: cfg.tiers.iter().map(|tc| tc.tier).collect(),
-                    tier_ids,
-                    tier_class,
-                    tier_weight,
-                    queue_level,
-                    shed_level,
-                    level: 0,
-                    max_level,
-                    calm_ticks: 0,
-                    queues: vec![VecDeque::new(); n_tiers],
-                    queue_capacity: cfg.queue_capacity,
-                    enter_backlog: cfg.enter_backlog,
-                    exit_backlog: cfg.exit_backlog,
-                    hold_ticks: cfg.hold_ticks,
-                    shed_per_tick: cfg.shed_per_tick,
-                    admitted_by_task: vec![0; n_ls],
-                    queued_by_task: vec![0; n_ls],
-                    refused_overload_by_task: vec![0; n_ls],
-                    refused_queue_full_by_task: vec![0; n_ls],
-                }
-            }
-            None => Self {
-                enabled: false,
-                rank: vec![0; n_ls],
-                weight: vec![1.0; n_ls],
-                soft: vec![f64::INFINITY; n_ls],
-                hard: vec![retry.timeout_us; n_ls],
-                max_retries: vec![retry.max_retries; n_ls],
-                tier_id_of: vec![0; n_ls],
-                tier_ids: Vec::new(),
-                tier_class: Vec::new(),
-                tier_weight: Vec::new(),
-                queue_level: Vec::new(),
-                shed_level: Vec::new(),
-                level: 0,
-                max_level: 0,
-                calm_ticks: 0,
-                queues: Vec::new(),
-                queue_capacity: 0,
-                enter_backlog: usize::MAX,
-                exit_backlog: usize::MAX,
-                hold_ticks: 0,
-                shed_per_tick: 0,
-                admitted_by_task: vec![0; n_ls],
-                queued_by_task: vec![0; n_ls],
-                refused_overload_by_task: vec![0; n_ls],
-                refused_queue_full_by_task: vec![0; n_ls],
-            },
+    fn new(cfg: &TiersConfig, n_ls: usize) -> Self {
+        let tier_ids = cfg.tier_ids();
+        let n_tiers = tier_ids.len();
+        let rank_of = |id: u32| tier_ids.iter().position(|&x| x == id).expect("known tier") as u32;
+        let mut tier_class = vec![AdmissionClass::Guaranteed; n_tiers];
+        let mut tier_weight = vec![1.0; n_tiers];
+        for tc in &cfg.tiers {
+            let r = rank_of(tc.tier) as usize;
+            tier_class[r] = tc.class;
+            tier_weight[r] = tc.weight;
+        }
+        // Brownout ladder order: most-sheddable class first (BestEffort
+        // before Burstable), then lower-priority tiers (higher rank)
+        // first within a class. Guaranteed tiers never appear on the
+        // ladder.
+        let mut eligible: Vec<usize> = (0..n_tiers)
+            .filter(|&r| tier_class[r] != AdmissionClass::Guaranteed)
+            .collect();
+        eligible.sort_by_key(|&r| {
+            (
+                std::cmp::Reverse(tier_class[r].brown_severity()),
+                std::cmp::Reverse(r),
+            )
+        });
+        let mut queue_level = vec![u32::MAX; n_tiers];
+        let mut shed_level = vec![u32::MAX; n_tiers];
+        for (p, &r) in eligible.iter().enumerate() {
+            let p = p as u32;
+            queue_level[r] = 2 * p + 2;
+            shed_level[r] = 2 * p + 3;
+        }
+        let max_level = 1 + 2 * eligible.len() as u32;
+        Self {
+            rank: cfg.tiers.iter().map(|tc| rank_of(tc.tier)).collect(),
+            weight: cfg.tiers.iter().map(|tc| tc.weight).collect(),
+            soft: cfg.tiers.iter().map(|tc| tc.soft_deadline_us).collect(),
+            hard: cfg.tiers.iter().map(|tc| tc.hard_deadline_us).collect(),
+            max_retries: cfg.tiers.iter().map(|tc| tc.max_retries).collect(),
+            tier_id_of: cfg.tiers.iter().map(|tc| tc.tier).collect(),
+            tier_ids,
+            tier_class,
+            tier_weight,
+            queue_level,
+            shed_level,
+            level: 0,
+            max_level,
+            calm_ticks: 0,
+            queues: vec![VecDeque::new(); n_tiers],
+            queue_capacity: cfg.queue_capacity,
+            enter_backlog: cfg.enter_backlog,
+            exit_backlog: cfg.exit_backlog,
+            hold_ticks: cfg.hold_ticks,
+            shed_per_tick: cfg.shed_per_tick,
+            admitted_by_task: vec![0; n_ls],
+            queued_by_task: vec![0; n_ls],
+            refused_overload_by_task: vec![0; n_ls],
+            refused_queue_full_by_task: vec![0; n_ls],
         }
     }
 
@@ -1607,21 +1593,11 @@ impl TierRt {
         self.tier_ids.len()
     }
 
-    /// Effective retry budget for `task` — per-tier with a config,
-    /// the fleet-wide `RetryConfig` value otherwise (mirrored at
-    /// construction, so this is always just an index).
-    fn max_retries_for(&self, task: usize) -> u32 {
-        self.max_retries[task]
-    }
-
     /// Admission decision for one arrival — a pure function of the
     /// current ladder level and the tier queue's occupancy (the ladder
     /// only moves at ticks, which order before arrivals at equal
     /// timestamps).
     fn admit(&self, task: usize) -> Admission {
-        if !self.enabled {
-            return Admission::Admit;
-        }
         let r = self.rank[task] as usize;
         if self.level >= self.shed_level[r] {
             return Admission::Refuse(RefusalReason::Overload);
@@ -1886,22 +1862,10 @@ fn drain_lane_start(
     fleet.mutate(v, |cell| cell.sim.state_mut().drain_pending(&mut drained));
     drained.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
     ert.drain_requeued += drained.len() as u64;
+    let cause = RequeueCause::Drain;
     for &(task, arrival_us) in &drained {
-        let queued = rt.requeue(task, arrival_us, t, Some(v), trt.max_retries_for(task));
-        if tel.is_on() {
-            let task = task as u32;
-            tel.record(
-                t,
-                v as u32,
-                EventKind::Requeued {
-                    task,
-                    cause: RequeueCause::Drain,
-                },
-            );
-            if !queued {
-                tel.record(t, v as u32, EventKind::TimeoutDropped { task });
-            }
-        }
+        let budget = trt.max_retries[task];
+        rt.requeue(task, arrival_us, t, Some(v), budget, cause, tel);
     }
     rt.drain_buf = drained;
     let jobs = std::mem::take(&mut jobs_on[v]);
@@ -2312,28 +2276,10 @@ fn apply_fault(
             drained.clear();
             fleet.mutate(r, |cell| cell.sim.state_mut().crash_drain(&mut drained));
             drained.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+            let cause = RequeueCause::Crash;
             for &(task, arrival_us) in &drained {
-                let queued = rt.requeue(
-                    task,
-                    arrival_us,
-                    f.at_us,
-                    Some(r),
-                    trt.max_retries_for(task),
-                );
-                if tel.is_on() {
-                    let task = task as u32;
-                    tel.record(
-                        f.at_us,
-                        r as u32,
-                        EventKind::Requeued {
-                            task,
-                            cause: RequeueCause::Crash,
-                        },
-                    );
-                    if !queued {
-                        tel.record(f.at_us, r as u32, EventKind::TimeoutDropped { task });
-                    }
-                }
+                let budget = trt.max_retries[task];
+                rt.requeue(task, arrival_us, f.at_us, Some(r), budget, cause, tel);
             }
             rt.drain_buf = drained;
             // Evacuate resident BE jobs onto survivors via the migration
@@ -2471,21 +2417,11 @@ fn process_retries(
     // current through `refresh`.
     fleet.patch_health(rt, t);
     for mut e in due.drain(..) {
-        // Deadline-aware drop: past the request's hard deadline
-        // (per-tier with a config, `RetryConfig::timeout_us` mirrored
-        // otherwise) re-dispatching is doomed work — drop it now.
+        // Deadline-aware drop: past the request's hard deadline (the
+        // tier's; `RetryConfig::timeout_us` without a tier map)
+        // re-dispatching is doomed work — drop it now.
         if t - e.arrival_us > trt.hard[e.task] {
-            rt.timeout_drops += 1;
-            rt.drops_by_task[e.task] += 1;
-            if tel.is_on() {
-                tel.record(
-                    t,
-                    FLEET_TRACK,
-                    EventKind::TimeoutDropped {
-                        task: e.task as u32,
-                    },
-                );
-            }
+            rt.timeout_drop(e.task, t, FLEET_TRACK, tel);
             continue;
         }
         fleet.assert_views_current(jobs_on, rt, t);
@@ -2522,18 +2458,8 @@ fn process_retries(
             }
             _ => {
                 e.attempt += 1;
-                if e.attempt > trt.max_retries_for(e.task) {
-                    rt.timeout_drops += 1;
-                    rt.drops_by_task[e.task] += 1;
-                    if tel.is_on() {
-                        tel.record(
-                            t,
-                            FLEET_TRACK,
-                            EventKind::TimeoutDropped {
-                                task: e.task as u32,
-                            },
-                        );
-                    }
+                if e.attempt > trt.max_retries[e.task] {
+                    rt.timeout_drop(e.task, t, FLEET_TRACK, tel);
                 } else {
                     e.ready_at = t + rt.retry.backoff_us * f64::from(e.attempt);
                     rt.retry_q.push(e);
@@ -2543,137 +2469,8 @@ fn process_retries(
     }
 }
 
-/// Graceful degradation, evaluated every controller tick while a fault
-/// plan is active: when capacity drops below demand, shed BE work first
-/// (park every resident job), and under sustained overload drop pending
-/// requests of the lowest-priority LS service on the most backlogged
-/// survivor. Shed BE jobs resume once the fleet is whole and queues have
-/// drained to half the shed threshold.
-#[allow(clippy::too_many_arguments)]
-fn degrade(
-    cfg: &ClusterConfig,
-    at_us: f64,
-    n_ls: usize,
-    fleet_models: &[usize],
-    jobs_on: &mut [Vec<usize>],
-    fleet: &mut Fleet,
-    rt: &mut ChaosRt,
-    tel: &mut TelemetryRt,
-) {
-    let n = fleet.len();
-    // Degradation reasons over the routable membership: non-member
-    // lanes (warm, draining, retired) are neither capacity nor demand.
-    // With a static fleet every lane is routable, so this reduces
-    // exactly to the pre-elastic alive/total accounting.
-    let members = fleet.routable.iter().filter(|&&m| m).count();
-    let alive = (0..n)
-        .filter(|&r| fleet.routable[r] && fleet.alive[r])
-        .count();
-    if alive == 0 {
-        return;
-    }
-    let degraded = alive < members;
-    let backlog: usize = (0..n)
-        .filter(|&r| fleet.routable[r] && fleet.alive[r])
-        .map(|r| fleet.backlog[r] as usize)
-        .sum();
-    let per_alive = backlog / alive;
-    // Queueing shows up two ways depending on regime: as pending
-    // requests when arrivals outrun admission, and as windowed p99
-    // breach when the engine itself is the bottleneck. Either one while
-    // a replica is down means capacity dropped below demand.
-    let slo_pressure = (0..n).any(|r| fleet.routable[r] && fleet.alive[r] && fleet.ratio[r] > 1.0);
-    let slot_of = |model: usize| {
-        fleet_models
-            .iter()
-            .position(|&m| m == model)
-            .expect("job model is a fleet model")
-    };
-    if degraded && (per_alive > rt.degradation.shed_be_backlog || slo_pressure) {
-        for (r, jobs) in jobs_on.iter().enumerate() {
-            if !fleet.alive[r] || !fleet.routable[r] {
-                continue;
-            }
-            let mut parked = 0u32;
-            for &j in jobs {
-                if rt.job_shed[j] {
-                    continue;
-                }
-                rt.job_shed[j] = true;
-                rt.be_shed += 1;
-                let b = slot_of(cfg.be_jobs[j]);
-                fleet.mutate(r, |cell| {
-                    let st = cell.sim.state_mut();
-                    st.set_be_active(b, false);
-                    if st.be_launch.map(|l| l.task) == Some(b) {
-                        st.preempt_be();
-                    }
-                });
-                parked += 1;
-            }
-            if parked > 0 {
-                fleet.mutate(r, |cell| cell.dispatch());
-                if tel.is_on() {
-                    tel.record(at_us, r as u32, EventKind::BeParked { count: parked });
-                }
-            }
-        }
-    } else if !degraded && per_alive * 2 <= rt.degradation.shed_be_backlog && !slo_pressure {
-        for (r, jobs) in jobs_on.iter().enumerate() {
-            let mut resumed = false;
-            for &j in jobs {
-                if !rt.job_shed[j] {
-                    continue;
-                }
-                rt.job_shed[j] = false;
-                let b = slot_of(cfg.be_jobs[j]);
-                fleet.mutate(r, |cell| cell.sim.state_mut().set_be_active(b, true));
-                resumed = true;
-            }
-            if resumed {
-                fleet.mutate(r, |cell| cell.dispatch());
-            }
-        }
-    }
-    if per_alive > rt.degradation.shed_ls_backlog {
-        // Victim selection must respect elastic membership: a draining
-        // or retired lane (`routable` false) may still carry backlog it
-        // is flushing out, but shedding there would double-punish work
-        // that is already exiting — the victim is the most backlogged
-        // lane among alive *routable* members only (regression-tested
-        // in cluster_chaos::shed_victim_skips_draining_lanes).
-        let victim = (0..n)
-            .filter(|&r| fleet.alive[r] && fleet.routable[r])
-            .max_by_key(|&r| (fleet.backlog[r], std::cmp::Reverse(r)));
-        if let Some(v) = victim {
-            let mut budget = rt.degradation.ls_shed_per_tick;
-            // Lowest priority = highest task index, shed first.
-            for task in (0..n_ls).rev() {
-                if budget == 0 {
-                    break;
-                }
-                let dropped =
-                    fleet.mutate(v, |cell| cell.sim.state_mut().shed_pending(task, budget));
-                budget -= dropped;
-                rt.ls_shed += dropped as u64;
-                if dropped > 0 && tel.is_on() {
-                    tel.record(
-                        at_us,
-                        v as u32,
-                        EventKind::LsShed {
-                            task: task as u32,
-                            count: dropped as u32,
-                        },
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Tier-ordered brownout, evaluated every controller tick when a
-/// [`TiersConfig`] is attached — replaces the single-threshold
-/// [`degrade`] path. The ladder escalates one level per pressured tick
+/// Tier-ordered brownout, the fleet's one overload path, evaluated every
+/// controller tick. The ladder escalates one level per pressured tick
 /// (per-alive backlog above `enter_backlog`, or a windowed p99 breach
 /// on any routable survivor while backlog exceeds the `exit_backlog`
 /// calm floor): level 1 parks every BE job fleet-wide, then
@@ -2682,7 +2479,8 @@ fn degrade(
 /// Recovery runs the ladder in reverse: after `hold_ticks` consecutive
 /// calm ticks (backlog at or below `exit_backlog`, no SLO pressure)
 /// the level drops by one, re-admitting tiers in the opposite order
-/// they were browned. Guaranteed tiers never queue or shed.
+/// they were browned. Guaranteed tiers never queue or shed, so the
+/// tier-blind map's ladder only parks and resumes BE.
 #[allow(clippy::too_many_arguments)]
 fn brownout(
     cfg: &ClusterConfig,
@@ -2710,9 +2508,9 @@ fn brownout(
     let slo_pressure = (0..n).any(|r| fleet.routable[r] && fleet.alive[r] && fleet.ratio[r] > 1.0);
     // SLO pressure only escalates when backlog sits above the calm
     // floor: a windowed p99 breach with near-empty queues is a
-    // capacity artifact shedding cannot fix, and gating it keeps
-    // [`TiersConfig::inert`] (both thresholds unreachable) a true
-    // no-op, matching `tiers: None` bit for bit.
+    // capacity artifact shedding cannot fix, and gating it keeps the
+    // tier-blind map without a fault plan (both thresholds
+    // unreachable) a true no-op.
     let pressured = per_alive > trt.enter_backlog || (slo_pressure && per_alive > trt.exit_backlog);
     let calm = per_alive <= trt.exit_backlog && !slo_pressure;
     trt.step_ladder(pressured, calm);
@@ -2779,11 +2577,7 @@ fn brownout(
         for q in queues.iter_mut() {
             q.retain(|&(task, arrival_us)| {
                 if at_us - arrival_us > hard[task as usize] {
-                    rt.timeout_drops += 1;
-                    rt.drops_by_task[task as usize] += 1;
-                    if tel.is_on() {
-                        tel.record(at_us, FLEET_TRACK, EventKind::TimeoutDropped { task });
-                    }
+                    rt.timeout_drop(task as usize, at_us, FLEET_TRACK, tel);
                     false
                 } else {
                     true
@@ -2793,15 +2587,11 @@ fn brownout(
     }
 
     // Active shed: tiers at or past their shed level lose already
-    // admitted pending work on the most backlogged routable survivor
-    // (same victim rule the legacy path uses — draining/retired lanes
-    // are never victims), lowest tier first within the budget.
+    // admitted pending work on the victim lane, lowest tier first
+    // within the budget.
     let any_shedding = (0..trt.n_tiers()).any(|r| trt.level >= trt.shed_level[r]);
     if any_shedding {
-        let victim = (0..n)
-            .filter(|&r| fleet.alive[r] && fleet.routable[r])
-            .max_by_key(|&r| (fleet.backlog[r], std::cmp::Reverse(r)));
-        if let Some(v) = victim {
+        if let Some(v) = shed_victim(&fleet.alive, &fleet.routable, &fleet.backlog) {
             let mut budget = trt.shed_per_tick;
             'ranks: for rank in (0..trt.n_tiers()).rev() {
                 if trt.level < trt.shed_level[rank] {
@@ -2833,6 +2623,16 @@ fn brownout(
             }
         }
     }
+}
+
+/// The LS-shed victim: the most backlogged alive *routable* lane, the
+/// lowest index on ties. A draining or retired lane may still carry the
+/// backlog it is flushing out, but shedding there would double-punish
+/// work that is already leaving.
+fn shed_victim(alive: &[bool], routable: &[bool], backlog: &[u32]) -> Option<usize> {
+    (0..backlog.len())
+        .filter(|&r| alive[r] && routable[r])
+        .max_by_key(|&r| (backlog[r], std::cmp::Reverse(r)))
 }
 
 /// Flush tier admission queues whose queue level has receded — called
@@ -2888,7 +2688,11 @@ fn tier_flush(
                     );
                 }
             } else {
-                rt.requeue(task, arrival_us, t, Some(r), trt.max_retries_for(task));
+                // A dead-but-fresh target: bounce like an arrival routed
+                // at a dead lane.
+                let budget = trt.max_retries[task];
+                let cause = RequeueCause::DeadRoute;
+                rt.requeue(task, arrival_us, t, Some(r), budget, cause, tel);
             }
         }
     }
@@ -2943,7 +2747,7 @@ fn controller_rebalance(
     });
     for &dst in dests.iter() {
         // First job of the source whose model the destination lacks
-        // (degradation-shed jobs stay parked where they are).
+        // (brownout-parked jobs stay parked where they are).
         let movable = jobs_on[src].iter().copied().find(|&j| {
             let model = cfg.be_jobs[j];
             !job_shed[j] && !jobs_on[dst].iter().any(|&k| cfg.be_jobs[k] == model)
@@ -3179,7 +2983,10 @@ pub fn run_cluster_prepared(
     let elastic_on = cfg.elastic.is_some();
     let mut rt = ChaosRt::new(cfg.chaos.as_ref(), n, cfg.be_jobs.len(), n_ls);
     let mut ert = ElasticRt::new(cfg.elastic.as_ref(), n, n_init);
-    let mut trt = TierRt::new(cfg.tiers.as_ref(), n_ls, &rt.retry);
+    let mut trt = TierRt::new(&prep.tiers, n_ls);
+    // Only an attached tier map is reported per tier (ledgers, series);
+    // the tier-blind map's single tier stays out of the results.
+    let tiered = cfg.tiers.is_some();
     fleet.rebuild_views(&jobs_on, &rt, 0.0);
 
     let period = cfg.controller.period_us;
@@ -3199,7 +3006,8 @@ pub fn run_cluster_prepared(
             } else {
                 0
             };
-            TelemetryRt::new(tcfg, n, trt.n_tiers(), expected_ticks)
+            let n_tiers = if tiered { trt.n_tiers() } else { 0 };
+            TelemetryRt::new(tcfg, n, n_tiers, expected_ticks)
         }
         None => TelemetryRt::off(),
     };
@@ -3354,9 +3162,10 @@ pub fn run_cluster_prepared(
                 );
                 // Per-tier series: queued + in-lane backlog, cumulative
                 // weighted on-SLO completions, cumulative refusals.
-                // Read off the cells, one pass per tier — skipped entirely without a tier config so
-                // the telemetry overhead gate is untouched.
-                if trt.enabled {
+                // Read off the cells, one pass per tier — skipped entirely
+                // without an attached tier map so the telemetry overhead
+                // gate is untouched.
+                if tiered {
                     for rank in 0..trt.n_tiers() {
                         let mut backlog = trt.queues[rank].len() as f64;
                         let mut met_w = 0.0;
@@ -3379,7 +3188,7 @@ pub fn run_cluster_prepared(
                 tel.prof.telemetry_ns += TelemetryRt::lap(sample_t0);
             }
             if elastic_on {
-                // Capacity decisions run before rebalance/degradation so
+                // Capacity decisions run before rebalance/brownout so
                 // the migration controller sees the post-scaling
                 // membership at this same tick.
                 elastic_step(
@@ -3408,36 +3217,22 @@ pub fn run_cluster_prepared(
                 &rt.job_shed,
                 &mut dests,
             );
-            if trt.enabled {
-                // Tiered brownout replaces the legacy single-threshold
-                // path — it runs every tick (overload needs no fault
-                // plan: diurnal peaks and autoscaler lag qualify).
-                brownout(
-                    cfg,
-                    next_tick,
-                    n_ls,
-                    &prep.fleet_models,
-                    &mut jobs_on,
-                    &mut fleet,
-                    &mut rt,
-                    &mut trt,
-                    &mut tel,
-                );
-            } else if chaos_on {
-                degrade(
-                    cfg,
-                    next_tick,
-                    n_ls,
-                    &prep.fleet_models,
-                    &mut jobs_on,
-                    &mut fleet,
-                    &mut rt,
-                    &mut tel,
-                );
-            }
+            // The brownout ladder runs every tick: overload needs no
+            // fault plan (diurnal peaks and autoscaler lag qualify).
+            brownout(
+                cfg,
+                next_tick,
+                n_ls,
+                &prep.fleet_models,
+                &mut jobs_on,
+                &mut fleet,
+                &mut rt,
+                &mut trt,
+                &mut tel,
+            );
             tel.sync_logs(&migrations, &ert.events);
             // Ticks move the two slow view fields (windowed ratio, BE
-            // residency via rebalance/degrade), so the incremental
+            // residency via rebalance/brownout), so the incremental
             // snapshot re-bases here — the tick already walked every
             // lane to drain completions, so this adds no complexity
             // class.
@@ -3491,8 +3286,8 @@ pub fn run_cluster_prepared(
         fleet.assert_views_current(&jobs_on, &rt, a.at_us);
         // Admission control runs before routing: the decision is a pure
         // function of the brownout level (moved only at ticks) and the
-        // tier queue's occupancy. Without a tier config every arrival admits and this is one
-        // predictable branch.
+        // tier queue's occupancy. The tier-blind map's Guaranteed tier
+        // admits every arrival.
         match trt.admit(a.task as usize) {
             Admission::Admit => {
                 trt.admitted_by_task[a.task as usize] += 1;
@@ -3530,30 +3325,10 @@ pub fn run_cluster_prepared(
             // Whole fleet unhealthy (or every lane drained away):
             // the request parks in the retry queue instead of being
             // forced onto a dead replica.
-            let queued = rt.requeue(
-                a.task as usize,
-                a.at_us,
-                a.at_us,
-                None,
-                trt.max_retries_for(a.task as usize),
-            );
-            if tel.is_on() {
-                tel.record(
-                    a.at_us,
-                    FLEET_TRACK,
-                    EventKind::Requeued {
-                        task: a.task,
-                        cause: RequeueCause::NoHealthy,
-                    },
-                );
-                if !queued {
-                    tel.record(
-                        a.at_us,
-                        FLEET_TRACK,
-                        EventKind::TimeoutDropped { task: a.task },
-                    );
-                }
-            }
+            let task = a.task as usize;
+            let budget = trt.max_retries[task];
+            let cause = RequeueCause::NoHealthy;
+            rt.requeue(task, a.at_us, a.at_us, None, budget, cause, &mut tel);
             tel.prof.route_ns += TelemetryRt::lap(route_t0);
             continue;
         }
@@ -3578,30 +3353,18 @@ pub fn run_cluster_prepared(
             // Routed at a dead replica still inside its heartbeat
             // window — the crash has not aged out yet, so the request
             // bounces into the retry path like a failed delivery.
-            let queued = rt.requeue(
-                a.task as usize,
+            let task = a.task as usize;
+            let budget = trt.max_retries[task];
+            let cause = RequeueCause::DeadRoute;
+            rt.requeue(
+                task,
                 a.at_us,
                 a.at_us,
                 Some(target),
-                trt.max_retries_for(a.task as usize),
+                budget,
+                cause,
+                &mut tel,
             );
-            if tel.is_on() {
-                tel.record(
-                    a.at_us,
-                    target as u32,
-                    EventKind::Requeued {
-                        task: a.task,
-                        cause: RequeueCause::DeadRoute,
-                    },
-                );
-                if !queued {
-                    tel.record(
-                        a.at_us,
-                        target as u32,
-                        EventKind::TimeoutDropped { task: a.task },
-                    );
-                }
-            }
         }
         tel.prof.route_ns += TelemetryRt::lap(route_t0);
     }
@@ -3624,19 +3387,17 @@ pub fn run_cluster_prepared(
     // Per-service in-flight split for the tier conservation ledgers:
     // in-lane residue + retry-queue entries + admission-queue entries.
     let mut in_flight_by_task = vec![0u64; n_ls];
-    if trt.enabled {
-        for c in &fleet.cells {
-            for (task, slot) in in_flight_by_task.iter_mut().enumerate() {
-                *slot += c.sim.state().ls_backlog_of(task) as u64;
-            }
+    for c in &fleet.cells {
+        for (task, slot) in in_flight_by_task.iter_mut().enumerate() {
+            *slot += c.sim.state().ls_backlog_of(task) as u64;
         }
-        for e in &rt.retry_q {
-            in_flight_by_task[e.task] += 1;
-        }
-        for q in &trt.queues {
-            for &(task, _) in q {
-                in_flight_by_task[task as usize] += 1;
-            }
+    }
+    for e in &rt.retry_q {
+        in_flight_by_task[e.task] += 1;
+    }
+    for q in &trt.queues {
+        for &(task, _) in q {
+            in_flight_by_task[task as usize] += 1;
         }
     }
 
@@ -3755,8 +3516,8 @@ pub fn run_cluster_prepared(
     }
     result.goodput_hz = result.slo_met as f64 / (cfg.horizon_us / 1e6);
     // Weighted goodput: tier-weight × on-SLO (soft-deadline) completions
-    // per second. Without a tier config every weight is 1 and every soft
-    // deadline infinite, so this equals `goodput_hz` exactly.
+    // per second. Under the tier-blind map every weight is 1 and every
+    // soft deadline infinite, so this equals `goodput_hz` exactly.
     let horizon_s = cfg.horizon_us / 1e6;
     result.weighted_goodput_hz = result
         .slo_met_by_task
@@ -3765,7 +3526,7 @@ pub fn run_cluster_prepared(
         .map(|(&met, &w)| met as f64 * w)
         .sum::<f64>()
         / horizon_s;
-    if trt.enabled {
+    if tiered {
         for rank in 0..trt.n_tiers() {
             let mut o = TierOutcome {
                 tier: trt.tier_ids[rank],
@@ -3817,4 +3578,22 @@ pub fn run_cluster_prepared(
     ctx.due = due;
     ctx.dests = dests;
     result
+}
+
+#[cfg(test)]
+mod tests {
+    use super::shed_victim;
+
+    #[test]
+    fn shed_victim_is_the_most_backlogged_routable_lane() {
+        // Lane 1 (draining: alive, not routable) and lane 3 (dead) hold
+        // the largest backlogs; neither may be the victim.
+        let alive = [true, true, true, false];
+        let routable = [true, false, true, true];
+        assert_eq!(shed_victim(&alive, &routable, &[5, 50, 7, 90]), Some(2));
+        // Ties go to the lowest index.
+        assert_eq!(shed_victim(&alive, &routable, &[7, 50, 7, 90]), Some(0));
+        // No alive routable lane, no victim.
+        assert_eq!(shed_victim(&[true, false], &[false, true], &[1, 2]), None);
+    }
 }

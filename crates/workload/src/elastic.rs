@@ -310,17 +310,6 @@ impl ElasticConfig {
             "elastic: replace_after_us must be >= 0 (use INFINITY to disable)"
         );
     }
-
-    /// True when the config can never change membership: no warm lanes
-    /// and bounds pinned to the initial size. Used to keep the static
-    /// fast path bit-identical.
-    pub fn is_static(&self, initial: usize) -> bool {
-        self.warm_pool.gpus.is_empty()
-            && self.min_replicas == initial
-            && self.max_replicas == initial
-            && self.breach_drain_ticks == 0
-            && self.replace_after_us.is_infinite()
-    }
 }
 
 /// Seeded provisioning-delay draw: deterministic per (run seed, draw
@@ -417,15 +406,5 @@ mod tests {
             e.validate(4, 4);
         });
         assert!(r.is_err(), "jitter of 1.0 must be rejected");
-    }
-
-    #[test]
-    fn static_detection() {
-        let mut e = ElasticConfig::new(WarmPoolConfig::new(vec![]), ScalingPolicyKind::Hold);
-        e.min_replicas = 4;
-        e.max_replicas = 4;
-        assert!(e.is_static(4));
-        e.replace_after_us = 1.0;
-        assert!(!e.is_static(4));
     }
 }

@@ -16,10 +16,10 @@
 //!   p99-pressure observation the autoscaler reads). Under overload,
 //!   lower tiers are first *queued* in bounded per-tier queues, then
 //!   *refused* outright, with the reason recorded in telemetry.
-//! * **Brownout ladder** — `degrade()` becomes a tier-ordered state
-//!   machine: park BE → queue the lowest tier → shed it → queue the
-//!   next tier → … Recovery steps back down one level per calm window
-//!   (hysteresis), re-admitting tiers in reverse order.
+//! * **Brownout ladder** — a tier-ordered state machine evaluated at
+//!   every controller tick: park BE → queue the lowest tier → shed it →
+//!   queue the next tier → … Recovery steps back down one level per
+//!   calm window (hysteresis), re-admitting tiers in reverse order.
 //! * **Deadline-aware retries** — each tier carries its own max-retry
 //!   budget and a hard deadline measured from *original* arrival;
 //!   doomed redispatches are dropped instead of burning survivor
@@ -27,9 +27,13 @@
 //! * **Weighted goodput** — Σ tier-weight × on-SLO completions, the
 //!   figure of merit tiered admission is judged on.
 //!
-//! With `ClusterConfig::tiers == None` nothing here runs: the arrival
-//! fast path, the legacy degradation thresholds and the retry rules are
-//! bit-identical to the tier-blind simulator.
+//! A fleet without a tier map runs the same machinery over
+//! [`TiersConfig::tier_blind`]: one `Guaranteed` tier that mirrors the
+//! fleet `RetryConfig`, whose ladder has a single rung — park BE — driven
+//! by the fault plan's `DegradationConfig::shed_be_backlog` (and never
+//! moving without a plan). Only an attached map is reported per tier.
+
+use crate::chaos::{DegradationConfig, RetryConfig};
 
 /// How the admission controller may treat a tier's arrivals under
 /// overload.
@@ -133,8 +137,8 @@ impl TierConfig {
 }
 
 /// Fleet-level tiered-SLO configuration attached to
-/// `ClusterConfig::tiers`. `None` keeps the tier-blind simulator
-/// bit-identical to previous behaviour.
+/// `ClusterConfig::tiers`. A fleet with `None` runs
+/// [`TiersConfig::tier_blind`] instead.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TiersConfig {
     /// One entry per LS service, indexed by task id.
@@ -172,25 +176,35 @@ impl TiersConfig {
         }
     }
 
-    /// An inert tier config: every service in one `Guaranteed` tier of
-    /// weight 1 with the given retry budget/deadline, ladder thresholds
-    /// unreachable. Runs configured with this produce results equal to
-    /// `tiers: None` up to the tier-only report fields — the equality
-    /// the `cluster_tiers` suite proves.
-    pub fn inert(n_ls: usize, max_retries: u32, hard_deadline_us: f64) -> Self {
+    /// The tier map of a fleet without one: every service in one
+    /// `Guaranteed` tier 1 of weight 1, no soft deadline, and the fleet
+    /// `retry`'s budget and timeout. Its ladder has one rung, park BE:
+    /// with a `degradation` config a tick escalates while the per-alive
+    /// backlog exceeds `shed_be_backlog` (or a windowed p99 breaches
+    /// while it exceeds half of that), and the first calm tick — backlog
+    /// at most half, no breach — resumes BE. Without one (no fault plan)
+    /// both thresholds are unreachable and the ladder never moves.
+    pub fn tier_blind(
+        n_ls: usize,
+        retry: &RetryConfig,
+        degradation: Option<&DegradationConfig>,
+    ) -> Self {
         let mut cfg = TiersConfig::new(vec![
             TierConfig {
                 tier: 1,
                 weight: 1.0,
                 soft_deadline_us: f64::INFINITY,
-                hard_deadline_us,
+                hard_deadline_us: retry.timeout_us,
                 class: AdmissionClass::Guaranteed,
-                max_retries,
+                max_retries: retry.max_retries,
             };
             n_ls
         ]);
-        cfg.enter_backlog = usize::MAX;
-        cfg.exit_backlog = usize::MAX;
+        (cfg.enter_backlog, cfg.exit_backlog) = match degradation {
+            Some(d) => (d.shed_be_backlog, d.shed_be_backlog / 2),
+            None => (usize::MAX, usize::MAX),
+        };
+        cfg.hold_ticks = 1;
         cfg
     }
 
@@ -286,8 +300,7 @@ pub struct TierOutcome {
     pub refused_overload: u64,
     /// Arrivals refused because the tier's admission queue was full.
     pub refused_queue_full: u64,
-    /// Pending requests dropped by brownout shedding (plus legacy-path
-    /// sheds attributed to the tier's services).
+    /// Pending requests dropped by brownout shedding.
     pub shed: u64,
     /// Requests dropped on deadline/retry exhaustion (retry queue and
     /// admission-queue expiry combined).
@@ -348,7 +361,9 @@ mod tests {
     #[test]
     fn validate_accepts_sane_config() {
         three_tier().validate(3);
-        TiersConfig::inert(5, 4, 250_000.0).validate(5);
+        let retry = RetryConfig::default();
+        TiersConfig::tier_blind(5, &retry, None).validate(5);
+        TiersConfig::tier_blind(5, &retry, Some(&DegradationConfig::default())).validate(5);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   faulted fleet agrees bit for bit with a fresh clock;
 //! * **resilience semantics** — crashes requeue to survivors, recovery
 //!   restores service, BE jobs evacuate, throttles slow replicas
-//!   deterministically, degradation sheds BE before LS, and requeue
-//!   beats drop-on-crash on delivered requests.
+//!   deterministically, degradation parks BE (and sheds no LS without a
+//!   tier map), and requeue beats drop-on-crash on delivered requests.
 
 use gpu_spec::GpuModel;
 use proptest::prelude::*;
@@ -248,11 +248,12 @@ fn throttle_slows_progress_deterministically() {
     assert_conserved(&throttled);
 }
 
-/// With one replica permanently down and aggressive thresholds, the
-/// controller sheds BE work first and then pending low-priority LS
-/// requests on the overloaded survivor.
+/// With one replica permanently down and an aggressive BE-parking
+/// threshold, the tier-blind ladder parks BE work on the overloaded
+/// survivor — and, with no tier map to say what matters less, never
+/// sheds pending LS requests.
 #[test]
-fn degradation_sheds_be_first_then_low_priority_ls() {
+fn degradation_parks_be_and_sheds_no_ls_without_tiers() {
     let mut cfg = base_cfg();
     cfg.trace = TraceConfig::apollo_like().scaled(3.0).with_bursts(2.0, 0.4);
     let mut plan = FaultPlan::new(vec![FaultEvent::crash(
@@ -261,8 +262,6 @@ fn degradation_sheds_be_first_then_low_priority_ls() {
         f64::INFINITY,
     )]);
     plan.degradation.shed_be_backlog = 4;
-    plan.degradation.shed_ls_backlog = 12;
-    plan.degradation.ls_shed_per_tick = 8;
     cfg.chaos = Some(plan);
     let res = run(&cfg, RouterKind::ShortestBacklog);
     assert!(
@@ -270,80 +269,15 @@ fn degradation_sheds_be_first_then_low_priority_ls() {
         "survivor overload must park BE work (be_shed = {})",
         res.be_shed
     );
-    assert!(
-        res.ls_shed > 0,
-        "sustained overload must shed pending low-priority LS (ls_shed = {})",
-        res.ls_shed
-    );
+    assert_eq!(res.ls_shed, 0, "a tier-blind fleet never sheds LS");
     assert_conserved(&res);
 }
 
-/// Regression (tiered-SLO PR audit): `degrade()`'s most-backlogged
-/// shed victim must respect elastic membership — a lane that is
-/// Draining or Retired is not routable and must never be the LS-shed
-/// target, even when it still carries the largest flushing backlog.
-/// Breach draining under a crash-driven overload makes the drained
-/// lane exactly that hot lane, so a victim filter keyed on backlog
-/// alone would pick it.
-#[test]
-fn shed_victim_skips_draining_lanes() {
-    use workload::elastic::{ElasticConfig, ScalingPolicyKind, WarmPoolConfig};
-    use workload::telemetry::{EventKind, TelemetryConfig};
-    use workload::ScaleEventKind;
-
-    let mut cfg = base_cfg();
-    cfg.gpus = vec![GpuModel::RtxA2000, GpuModel::RtxA2000, GpuModel::Gtx1080];
-    cfg.trace = TraceConfig::apollo_like().scaled(3.0).with_bursts(2.0, 0.4);
-    let mut plan = FaultPlan::new(vec![FaultEvent::crash(
-        0,
-        cfg.horizon_us * 0.2,
-        f64::INFINITY,
-    )]);
-    plan.degradation.shed_be_backlog = 4;
-    plan.degradation.shed_ls_backlog = 8;
-    plan.degradation.ls_shed_per_tick = 16;
-    cfg.chaos = Some(plan);
-    let mut elastic = ElasticConfig::new(WarmPoolConfig::new(vec![]), ScalingPolicyKind::Hold);
-    elastic.min_replicas = 2;
-    elastic.max_replicas = cfg.gpus.len();
-    elastic.breach_drain_ticks = 1;
-    elastic.breach_drain_ratio = 0.5;
-    cfg.elastic = Some(elastic);
-    cfg.telemetry = Some(TelemetryConfig::default());
-    let res = run(&cfg, RouterKind::ShortestBacklog);
-    let tel = res.telemetry.as_ref().expect("telemetry on");
-
-    // Reconstruct each lane's non-member window from the scale log.
-    let mut drain_start = vec![f64::INFINITY; cfg.gpus.len()];
-    for ev in &res.scale_events {
-        if matches!(ev.kind, ScaleEventKind::DrainStart { .. }) {
-            drain_start[ev.replica] = drain_start[ev.replica].min(ev.at_us);
-        }
-    }
-    assert!(
-        drain_start.iter().any(|t| t.is_finite()),
-        "scenario must actually drain a lane (got {:?})",
-        res.scale_events
-    );
-    let mut shed_seen = 0u64;
-    for e in &tel.events {
-        if let EventKind::LsShed { count, .. } = e.kind {
-            shed_seen += u64::from(count);
-            let lane = e.lane as usize;
-            assert!(
-                e.at_us < drain_start[lane],
-                "LS shed hit lane {lane} at {} but it started draining at {}",
-                e.at_us,
-                drain_start[lane]
-            );
-        }
-    }
-    assert!(shed_seen > 0, "overload must shed LS work for the audit");
-    assert_conserved(&res);
-}
-
-/// An armed-but-empty fault plan is bit-identical to no plan at all:
-/// the resilience machinery must cost nothing on the happy path.
+/// An armed-but-empty fault plan is bit-identical to no plan at all
+/// while its BE-parking rung stays idle — here the per-alive backlog
+/// never exceeds the default `shed_be_backlog` (nor half of it during a
+/// p99 breach): the resilience machinery must cost nothing on the happy
+/// path.
 #[test]
 fn empty_fault_plan_matches_no_plan_exactly() {
     let mut with_plan = base_cfg();
@@ -412,9 +346,8 @@ proptest! {
         let mut cfg = faulted_fleet(n_replicas, gpu_bits, system, scale, seed, fault, adaptive == 1);
         let plan = cfg.chaos.as_mut().expect("faulted fleet");
         plan.retry.max_retries = max_retries;
-        // Tight degradation thresholds so the shed paths actually run.
+        // A tight BE-parking threshold so the ladder actually moves.
         plan.degradation.shed_be_backlog = 6;
-        plan.degradation.shed_ls_backlog = 18;
         let res = run(&cfg, router);
         prop_assert_eq!(
             res.arrivals_injected,

@@ -8,9 +8,11 @@
 //!   (wall-clock `ClockProfile` numbers are excluded from equality by
 //!   construction);
 //! * **stream/counter consistency** — the merged stream is sorted and
-//!   uniquely sequenced, `Completed` events reconcile exactly with the
-//!   fleet counters when no history was overwritten, and the per-lane
-//!   requeue/retry attribution sums to the fleet totals;
+//!   uniquely sequenced; when no history was overwritten, `Completed`
+//!   events reconcile exactly with the completion counters and the
+//!   requeue, drop, shed, park, retry and refusal events with theirs;
+//!   and the per-lane requeue/retry attribution sums to the fleet
+//!   totals;
 //! * **recycling** — a recorder-on clock run on a `ClusterCtx` dirtied
 //!   by another recorded fleet agrees bit for bit with a fresh clock,
 //!   merged event stream included.
@@ -21,7 +23,9 @@ use workload::chaos::FaultPlan;
 use workload::cluster::{ClusterConfig, ClusterCtx, ControllerConfig, RouterKind};
 use workload::elastic::{ElasticConfig, ScalingPolicyKind, ThresholdPolicy, WarmPoolConfig};
 use workload::trace::TraceConfig;
-use workload::{ClusterResult, EventKind, SystemKind, TelemetryConfig};
+use workload::{
+    ClusterResult, EventKind, SystemKind, TelemetryConfig, TelemetryResult, TierConfig, TiersConfig,
+};
 
 fn short_horizon() -> f64 {
     if cfg!(debug_assertions) {
@@ -102,6 +106,33 @@ fn chaos_cfg(fault_seed: u64) -> ClusterConfig {
     cfg
 }
 
+/// `chaos_cfg` with a three-class tier map on a tight, fast ladder:
+/// admission refuses, brownout sheds LS as well as parking BE, and the
+/// zero-retry best-effort tier drops crash orphans at once. One
+/// inference slot per service and a 2.5 ms tick let pending LS queues
+/// build up before the shed rung, even within the debug horizon.
+fn tiered_chaos_cfg(fault_seed: u64) -> ClusterConfig {
+    let mut cfg = chaos_cfg(fault_seed);
+    cfg.ls_instances = 1;
+    cfg.controller.period_us = 2.5e3;
+    let n_ls = cfg.prepare().n_ls();
+    let mut tiers = TiersConfig::new(
+        (0..n_ls)
+            .map(|task| match task {
+                0 => TierConfig::guaranteed(8.0),
+                t if t < n_ls / 2 => TierConfig::burstable(2, 3.0),
+                _ => TierConfig::best_effort(3, 1.0),
+            })
+            .collect(),
+    );
+    tiers.enter_backlog = 2;
+    tiers.exit_backlog = 1;
+    tiers.hold_ticks = 1;
+    tiers.queue_capacity = 4;
+    cfg.tiers = Some(tiers);
+    cfg
+}
+
 /// The merged stream is canonically ordered: non-decreasing in time,
 /// globally unique sequence numbers, strictly increasing at equal
 /// instants.
@@ -128,55 +159,101 @@ fn assert_canonical_order(tel: &workload::TelemetryResult) {
     }
 }
 
-/// Recorder on vs off on the chaos scenario: stripped results are
-/// bit-identical, and the recorded stream reconciles with the fleet
-/// counters (`Completed` events == completions, SLO-ok events ==
-/// `slo_met`, per lane and fleet-wide) when nothing was overwritten.
+/// The six fleet counters the recorder must explain event by event:
+/// `requeued`, `timeout_drops`, `ls_shed`, `be_shed`, `retries` and
+/// `refused_admission`, as recorded in `tel`.
+fn recorded_counters(tel: &TelemetryResult) -> [u64; 6] {
+    let mut c = [0u64; 6];
+    for e in &tel.events {
+        match e.kind {
+            EventKind::Requeued { .. } => c[0] += 1,
+            EventKind::TimeoutDropped { .. } => c[1] += 1,
+            EventKind::LsShed { count, .. } => c[2] += u64::from(count),
+            EventKind::BeParked { count } => c[3] += u64::from(count),
+            // Attempt 0 is a queued admission's dispatch, not a retry.
+            EventKind::RetryDispatched { attempt, .. } if attempt > 0 => c[4] += 1,
+            EventKind::Refused { .. } => c[5] += 1,
+            _ => {}
+        }
+    }
+    c
+}
+
+/// Recorder on vs off on chaos scenarios, tier-blind and tiered:
+/// stripped results are bit-identical, and when nothing was overwritten
+/// the recorded stream reconciles with the fleet counters — `Completed`
+/// events == completions and SLO-ok events == `slo_met` (per lane and
+/// fleet-wide), and one event (or one event's count) per requeue, drop,
+/// LS shed, BE park, retry and admission refusal. Together the inputs
+/// drive all six of those counters above 0, so no check is vacuous.
 #[test]
 fn recorder_is_invisible_and_reconciles_with_counters() {
-    let cfg = chaos_cfg(42);
-    let off = run_with(&cfg, RouterKind::ShortestBacklog, None);
-    let on = run_with(
-        &cfg,
-        RouterKind::ShortestBacklog,
-        Some(TelemetryConfig::default()),
-    );
-    let tel = on.telemetry.clone().expect("recorder was enabled");
-    assert_eq!(stripped(on.clone()), off, "recorder perturbed the run");
-
-    assert_canonical_order(&tel);
-    assert_eq!(
-        tel.dropped_events, 0,
-        "default ring must hold this scenario"
-    );
-    let completed: Vec<_> = tel
-        .events
-        .iter()
-        .filter_map(|e| match e.kind {
-            EventKind::Completed { slo_ok, .. } => Some((e.lane, slo_ok)),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(completed.len() as u64, on.requests);
-    assert_eq!(
-        completed.iter().filter(|(_, ok)| *ok).count() as u64,
-        on.slo_met
-    );
-    for (r, lane) in on.replicas.iter().enumerate() {
-        assert_eq!(
-            completed.iter().filter(|(l, _)| *l == r as u32).count() as u64,
-            lane.requests,
-            "lane {r} completion events disagree with its counter"
+    let mut totals = [0u64; 6];
+    for cfg in [chaos_cfg(42), chaos_cfg(7), tiered_chaos_cfg(1234)] {
+        let off = run_with(&cfg, RouterKind::ShortestBacklog, None);
+        let on = run_with(
+            &cfg,
+            RouterKind::ShortestBacklog,
+            Some(TelemetryConfig::default()),
         );
+        let tel = on.telemetry.clone().expect("recorder was enabled");
+        assert_eq!(stripped(on.clone()), off, "recorder perturbed the run");
+
+        assert_canonical_order(&tel);
+        assert_eq!(
+            tel.dropped_events, 0,
+            "default ring must hold this scenario"
+        );
+        let completed: Vec<_> = tel
+            .events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Completed { slo_ok, .. } => Some((e.lane, slo_ok)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(completed.len() as u64, on.requests);
+        assert_eq!(
+            completed.iter().filter(|(_, ok)| *ok).count() as u64,
+            on.slo_met
+        );
+        for (r, lane) in on.replicas.iter().enumerate() {
+            assert_eq!(
+                completed.iter().filter(|(l, _)| *l == r as u32).count() as u64,
+                lane.requests,
+                "lane {r} completion events disagree with its counter"
+            );
+        }
+        let counters = [
+            on.requeued,
+            on.timeout_drops,
+            on.ls_shed,
+            on.be_shed,
+            on.retries,
+            on.refused_admission,
+        ];
+        assert_eq!(
+            recorded_counters(&tel),
+            counters,
+            "events disagree with [requeued, timeout_drops, ls_shed, be_shed, retries, \
+             refused_admission]"
+        );
+        for (total, c) in totals.iter_mut().zip(counters) {
+            *total += c;
+        }
+        assert!(
+            tel.events
+                .iter()
+                .any(|e| matches!(e.kind, EventKind::FaultOnset { .. })),
+            "the fault plan must leave onset events in the stream"
+        );
+        assert!(!tel.tick_us.is_empty(), "controller ticks must sample");
+        assert!(!tel.series.is_empty(), "series registry must populate");
     }
     assert!(
-        tel.events
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::FaultOnset { .. })),
-        "the fault plan must leave onset events in the stream"
+        totals.iter().all(|&t| t > 0),
+        "the inputs must drive every reconciled counter above 0: {totals:?}"
     );
-    assert!(!tel.tick_us.is_empty(), "controller ticks must sample");
-    assert!(!tel.series.is_empty(), "series registry must populate");
 }
 
 /// Per-lane requeue/retry attribution sums to the fleet totals under

@@ -3,13 +3,12 @@
 //! Four pillars, with the clock's own `debug_assertions` oracles
 //! (busy set vs. linear scan, incremental views vs. fresh rebuild)
 //! checking every epoch of every debug run:
-//! * **inertness** — attaching [`TiersConfig::inert`] (one Guaranteed
-//!   tier mirroring the fleet `RetryConfig`, ladder thresholds
-//!   unreachable) produces results equal to `tiers: None` up to the
-//!   tier-only report fields, for every `SystemKind` × router — the
-//!   tier machinery rides the same code path as the legacy one and
-//!   the no-tiers default is proven bit-identical to pre-tiers
-//!   behavior;
+//! * **one path** — attaching [`TiersConfig::tier_blind`] (one
+//!   Guaranteed tier mirroring the fleet `RetryConfig`, a ladder whose
+//!   one rung parks BE) produces results equal to `tiers: None` up to
+//!   the tier-only report fields, with and without a fault plan, for
+//!   every `SystemKind` × router — a fleet without a tier map runs
+//!   exactly that map;
 //! * **conservation** — globally, `injected = completed + dropped +
 //!   shed + refused + in-flight`, and per tier via
 //!   [`TierOutcome::assert_conserved`], with the tier ledgers summing
@@ -24,9 +23,10 @@
 //!   tiers drop crash-orphaned work immediately.
 //!
 //! The fleet clock routes every request through `route_with_tier`
-//! (rank 0 throughout a tier-blind run), so inertness also rests on the
-//! router contract that rank 0 routes exactly like `route`, pinned per
-//! router by `rank_zero_routes_exactly_like_route`.
+//! (rank 0 throughout a tier-blind run), so a tier-blind fleet routes
+//! as `route` would only through the router contract that rank 0
+//! routes exactly like `route`, pinned per router by
+//! `rank_zero_routes_exactly_like_route`.
 
 use gpu_spec::GpuModel;
 use proptest::prelude::*;
@@ -34,7 +34,7 @@ use workload::chaos::{FaultEvent, FaultPlan};
 use workload::cluster::{ClusterConfig, ClusterCtx, ControllerConfig, ReplicaView, RouterKind};
 use workload::elastic::{ElasticConfig, ScalingPolicyKind, ThresholdPolicy, WarmPoolConfig};
 use workload::trace::TraceConfig;
-use workload::{AdmissionClass, SystemKind, TierConfig, TierOutcome, TiersConfig};
+use workload::{AdmissionClass, RetryConfig, SystemKind, TierConfig, TierOutcome, TiersConfig};
 
 fn short_horizon() -> f64 {
     if cfg!(debug_assertions) {
@@ -243,36 +243,51 @@ fn assert_conserved_tiered(r: &workload::ClusterResult) {
     assert_eq!(sum(|o| o.in_flight_at_end), r.in_flight_at_end);
 }
 
-/// An inert tier config must be a true no-op: equal to `tiers: None`
-/// on every report field except the tier-only ledger, for every
-/// system and router. This is also the proof that the no-tiers
-/// default is bit-identical to pre-tiers behavior — both arms run the
-/// mirrored `TierRt` runtime, and the `None` arm is the default path.
+/// A fleet without a tier map runs the tier-blind map: attaching
+/// [`TiersConfig::tier_blind`] is equal to `tiers: None` on every report
+/// field except the tier-only ledger, for every system and router —
+/// without a fault plan (the ladder never moves) and with one whose
+/// crash and tight `shed_be_backlog` make the ladder park BE.
 #[test]
-fn inert_tiers_match_disabled_exactly() {
+fn tier_blind_map_matches_no_map_exactly() {
     let n_ls = n_ls();
-    for system in SystemKind::all() {
-        for router in RouterKind::all() {
-            let mut cfg = base_cfg();
-            cfg.system = system;
-            cfg.horizon_us = if cfg!(debug_assertions) { 2.5e4 } else { 6e4 };
-            let plain = run(&cfg, router);
-            cfg.tiers = Some(TiersConfig::inert(n_ls, 4, 250_000.0));
-            let mut inert = run(&cfg, router);
-            assert_eq!(
-                inert.tier_outcomes.len(),
-                1,
-                "inert config reports its single Guaranteed tier"
-            );
-            inert.tier_outcomes[0].assert_conserved();
-            assert_eq!(inert.tier_outcomes[0].refused(), 0);
-            inert.tier_outcomes.clear();
-            assert_eq!(
-                plain, inert,
-                "inert tiers diverged from tiers: None ({system:?} / {router:?})"
-            );
+    let mut plan = FaultPlan::new(vec![FaultEvent::crash(0, 5e3, 1e4)]);
+    plan.degradation.shed_be_backlog = 2;
+    let mut parked = 0;
+    for chaos in [None, Some(plan)] {
+        for system in SystemKind::all() {
+            for router in RouterKind::all() {
+                let mut cfg = base_cfg();
+                cfg.system = system;
+                cfg.horizon_us = if cfg!(debug_assertions) { 2.5e4 } else { 6e4 };
+                cfg.chaos = chaos.clone();
+                let plain = run(&cfg, router);
+                let retry = chaos
+                    .as_ref()
+                    .map_or(RetryConfig::default(), |p| p.retry.clone());
+                let degradation = chaos.as_ref().map(|p| &p.degradation);
+                cfg.tiers = Some(TiersConfig::tier_blind(n_ls, &retry, degradation));
+                let mut blind = run(&cfg, router);
+                assert_eq!(
+                    blind.tier_outcomes.len(),
+                    1,
+                    "the tier-blind map reports its single Guaranteed tier"
+                );
+                blind.tier_outcomes[0].assert_conserved();
+                assert_eq!(blind.tier_outcomes[0].refused(), 0);
+                blind.tier_outcomes.clear();
+                assert_eq!(
+                    plain, blind,
+                    "tier-blind map diverged from tiers: None ({system:?} / {router:?})"
+                );
+                if chaos.is_none() {
+                    assert_eq!(plain.be_shed, 0, "no fault plan, no BE parking");
+                }
+                parked += plain.be_shed;
+            }
         }
     }
+    assert!(parked > 0, "the fault plan must make the ladder park BE");
 }
 
 /// Crash-driven overload on the canonical three-class map: the ladder
