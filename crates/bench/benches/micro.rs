@@ -85,14 +85,14 @@ fn bench_contention_model(c: &mut Criterion) {
     let running = vec![
         RunningCtx::new(
             &spec,
-            k.clone(),
+            &k,
             TpcMask::first(6),
             ChannelSet::from_channels(&[2, 3, 4, 5]),
             1.0,
         ),
         RunningCtx::new(
             &spec,
-            k.clone(),
+            &k,
             TpcMask::range(6, 7),
             ChannelSet::from_channels(&[0, 1]),
             1.0,
@@ -109,7 +109,7 @@ fn bench_contention_model(c: &mut Criterion) {
             .map(|i| {
                 RunningCtx::new(
                     &spec,
-                    KernelDesc {
+                    &KernelDesc {
                         kind: if i % 2 == 0 {
                             KernelKind::Gemm
                         } else {

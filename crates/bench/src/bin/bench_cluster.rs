@@ -850,6 +850,21 @@ fn peak_rss_mib() -> f64 {
         .map_or(f64::NAN, |kb| kb / 1024.0)
 }
 
+/// On-CPU seconds of every thread of this process so far: the sum of
+/// field 1 (nanoseconds on CPU) of `/proc/self/task/*/schedstat`, as of
+/// each thread's last scheduler tick. NaN off Linux. Unlike wall time it
+/// leaves out the time a busy host keeps this process waiting.
+fn process_cpu_s() -> f64 {
+    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+        return f64::NAN;
+    };
+    let ns: u64 = tasks
+        .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("schedstat")).ok())
+        .filter_map(|s| s.split_whitespace().next()?.parse::<u64>().ok())
+        .sum();
+    ns as f64 / 1e9
+}
+
 /// The `--scale-out` section: the SoA + busy-set scan + streaming
 /// fleet clock at 256–512 replicas. Records a 1→512 streaming scaling
 /// curve (smoke: 64→256 on a short horizon, so CI exercises big fleets
@@ -887,13 +902,16 @@ fn run_scale_out(smoke: bool) -> (Json, bool) {
         let mut router = RouterKind::ShortestBacklog.make(cfg.seed);
         let _ = workload::run_cluster_prepared(&prep, router.as_mut(), &mut ctx);
         let mut router = RouterKind::ShortestBacklog.make(cfg.seed);
-        let start = Instant::now();
+        let (start, cpu_start) = (Instant::now(), process_cpu_s());
         let r = workload::run_cluster_prepared(&prep, router.as_mut(), &mut ctx);
         let wall_s = start.elapsed().as_secs_f64();
+        let cpu_s = process_cpu_s() - cpu_start;
         let eps = r.engine_events as f64 / wall_s;
+        let eps_cpu = r.engine_events as f64 / cpu_s;
         println!(
-            "{nrep:>4} replicas: {:>8} req  {:>10.0} events/s (wall)  retained {}  {:>6.2}s",
-            r.requests, eps, r.retained_completions, wall_s
+            "{nrep:>4} replicas: {:>8} req  {:>10.0} events/s (wall)  {:>10.0} events/s (on-CPU)  \
+             retained {}  {:>6.2}s wall  {:>6.2}s on-CPU",
+            r.requests, eps, eps_cpu, r.retained_completions, wall_s, cpu_s
         );
         // Streaming's memory bound is a correctness property — enforce
         // it at every size, smoke included.
@@ -907,7 +925,9 @@ fn run_scale_out(smoke: bool) -> (Json, bool) {
                 .set("slo_attainment", r.slo_attainment())
                 .set("retained_completions", r.retained_completions)
                 .set("wall_s", wall_s)
-                .set("events_per_wall_s", eps),
+                .set("events_per_wall_s", eps)
+                .set("cpu_s", cpu_s)
+                .set("events_per_cpu_s", eps_cpu),
         );
     }
 
@@ -924,16 +944,19 @@ fn run_scale_out(smoke: bool) -> (Json, bool) {
         let cfg = scale_cfg(n, horizon);
         let prep = cfg.prepare();
         let mut router = RouterKind::ShortestBacklog.make(cfg.seed);
-        let start = Instant::now();
+        let (start, cpu_start) = (Instant::now(), process_cpu_s());
         let r = workload::run_cluster_prepared(&prep, router.as_mut(), &mut ctx);
         let wall_s = start.elapsed().as_secs_f64();
+        let cpu_s = process_cpu_s() - cpu_start;
         let rss_after_mib = peak_rss_mib();
         let eps = r.engine_events as f64 / wall_s;
+        let eps_cpu = r.engine_events as f64 / cpu_s;
         let bounded_memory = r.retained_completions == 0;
         let gate_10m = r.arrivals_injected >= 10_000_000;
         println!(
-            "512-replica headline: {} arrivals, {} served, {:.0} events/s, retained {}, \
-             peak RSS {rss_after_mib:.0} MiB, {:.1}s wall",
+            "512-replica headline: {} arrivals, {} served, {:.0} events/s (wall), \
+             {eps_cpu:.0} events/s (on-CPU), retained {}, peak RSS {rss_after_mib:.0} MiB, \
+             {:.1}s wall, {cpu_s:.1}s on-CPU",
             r.arrivals_injected, r.requests, eps, r.retained_completions, wall_s
         );
         gates_ok &= bounded_memory && gate_10m;
@@ -953,6 +976,8 @@ fn run_scale_out(smoke: bool) -> (Json, bool) {
             .set("gate_10m_requests", gate_10m)
             .set("events_per_wall_s", eps)
             .set("wall_s", wall_s)
+            .set("events_per_cpu_s", eps_cpu)
+            .set("cpu_s", cpu_s)
     };
 
     let json = Json::obj()

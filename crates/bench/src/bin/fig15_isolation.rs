@@ -36,29 +36,23 @@ fn main() {
         for id in ModelId::ls_models() {
             let m = dnn::compile(build(id), &spec, CompileOptions::default());
             for k in &m.kernels {
-                let victim_shared = RunningCtx::new(
-                    &spec,
-                    k.clone(),
-                    TpcMask::first(half),
-                    ChannelSet::all(&spec),
-                    1.0,
-                );
+                let victim_shared =
+                    RunningCtx::new(&spec, k, TpcMask::first(half), ChannelSet::all(&spec), 1.0);
                 let thrash_shared = RunningCtx::new(
                     &spec,
-                    thrasher.clone(),
+                    &thrasher,
                     TpcMask::range(half, spec.num_tpcs - half),
                     ChannelSet::all(&spec),
                     1.0,
                 );
-                let shared =
-                    compute_rates(&spec, &[victim_shared.clone(), thrash_shared])[0].duration_us;
+                let shared = compute_rates(&spec, &[victim_shared, thrash_shared])[0].duration_us;
                 let victim_iso = RunningCtx {
                     channels: ls_set,
                     ..victim_shared
                 };
                 let thrash_iso = RunningCtx::new(
                     &spec,
-                    thrasher.clone(),
+                    &thrasher,
                     TpcMask::range(half, spec.num_tpcs - half),
                     be_set,
                     1.0,

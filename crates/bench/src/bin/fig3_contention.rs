@@ -25,7 +25,7 @@ fn main() {
     let all = TpcMask::all(&spec);
     let chans = ChannelSet::all(&spec);
     // Matrix-multiply victim.
-    let victim = RunningCtx::new(&spec, kernel(KernelKind::Gemm, 2e9, 1e7), all, chans, 1.0);
+    let victim = RunningCtx::new(&spec, &kernel(KernelKind::Gemm, 2e9, 1e7), all, chans, 1.0);
     let alone = compute_rates(&spec, std::slice::from_ref(&victim))[0].duration_us;
 
     sgdrc_bench::header("Fig. 3a — intra-SM conflicts (victim p99 slowdown)");
@@ -36,11 +36,11 @@ fn main() {
     println!("{:<24} {:>12.1} {:>10.2}", "none", alone, 1.0);
     for n in 1..=3 {
         // Compute-unit interferers (matrix multiplication).
-        let mut set = vec![victim.clone()];
+        let mut set = vec![victim];
         for _ in 0..n {
             set.push(RunningCtx::new(
                 &spec,
-                kernel(KernelKind::Gemm, 2e9, 1e6),
+                &kernel(KernelKind::Gemm, 2e9, 1e6),
                 all,
                 chans,
                 1.0,
@@ -54,11 +54,11 @@ fn main() {
             t / alone
         );
         // L1-thrashing interferers.
-        let mut set = vec![victim.clone()];
+        let mut set = vec![victim];
         for _ in 0..n {
             set.push(RunningCtx::new(
                 &spec,
-                kernel(KernelKind::Elementwise, 1e8, 2e7),
+                &kernel(KernelKind::Elementwise, 1e8, 2e7),
                 all,
                 chans,
                 1.0,
@@ -77,7 +77,7 @@ fn main() {
     let half = spec.num_tpcs / 2;
     let victim = RunningCtx::new(
         &spec,
-        kernel(KernelKind::Gemm, 2e9, 4e7),
+        &kernel(KernelKind::Gemm, 2e9, 4e7),
         TpcMask::first(half),
         chans,
         1.0,
@@ -89,11 +89,11 @@ fn main() {
     );
     println!("{:<24} {:>12.1} {:>10.2}", "none", alone, 1.0);
     for n in 1..=3 {
-        let mut set = vec![victim.clone()];
+        let mut set = vec![victim];
         for i in 0..n {
             set.push(RunningCtx::new(
                 &spec,
-                kernel(KernelKind::Elementwise, 1e7, 3e8),
+                &kernel(KernelKind::Elementwise, 1e7, 3e8),
                 TpcMask::range(half + i, 1),
                 chans,
                 1.0,

@@ -186,7 +186,7 @@ pub fn perfetto_trace(result: &ClusterResult) -> Option<Json> {
                         .set("count", u64::from(count)),
                 ));
             }
-            EventKind::BeParked { count } => {
+            EventKind::BeParked { count } | EventKind::BeResumed { count } => {
                 events.push(instant(
                     name,
                     tid,

@@ -97,16 +97,10 @@ fn thrasher_kernel(spec: &GpuSpec) -> KernelDesc {
 /// compare against running alone with the same mask.
 pub fn is_memory_bound_probe(k: &KernelDesc, spec: &GpuSpec) -> bool {
     let half = spec.num_tpcs / 2;
-    let victim = RunningCtx::new(
-        spec,
-        k.clone(),
-        TpcMask::first(half),
-        ChannelSet::all(spec),
-        1.0,
-    );
+    let victim = RunningCtx::new(spec, k, TpcMask::first(half), ChannelSet::all(spec), 1.0);
     let thrash = RunningCtx::new(
         spec,
-        thrasher_kernel(spec),
+        &thrasher_kernel(spec),
         TpcMask::range(half, spec.num_tpcs - half),
         ChannelSet::all(spec),
         1.0,

@@ -7,6 +7,11 @@
 //! resident at any time (§4) — every evaluated system fits this structure;
 //! only the *resource decisions* differ, which is what the [`Policy`]
 //! trait captures.
+//!
+//! A scenario has at most [`MAX_TASKS`] LS and [`MAX_TASKS`] BE tasks:
+//! the round-robin queues are `u64` bitmasks, so picking the next LS or
+//! BE kernel visits only the tasks that have work (the zoo deploys 8 LS
+//! and 3 BE models).
 
 use crate::profiler::ModelProfile;
 use dnn::kernel::KernelDesc;
@@ -17,14 +22,54 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 
+/// Most LS tasks, and most BE tasks, one scenario may deploy: the
+/// round-robin queues keep one bit per task in a `u64`.
+pub const MAX_TASKS: usize = 64;
+
+/// Mask with bits `0..n` set (`n <= MAX_TASKS`).
+fn low_bits(n: usize) -> u64 {
+    if n == 0 {
+        0
+    } else {
+        u64::MAX >> (MAX_TASKS - n)
+    }
+}
+
+/// The set bits of `mask` in round-robin order from bit `rr < 64`: those
+/// at or above `rr` ascending, then those below — the order in which a
+/// `(rr + off) % n` scan over `n` tasks meets them.
+fn round_robin(mask: u64, rr: usize) -> impl Iterator<Item = usize> {
+    let bits = |mut m: u64| {
+        std::iter::from_fn(move || {
+            (m != 0).then(|| {
+                let t = m.trailing_zeros() as usize;
+                m &= m - 1;
+                t
+            })
+        })
+    };
+    let hi = mask & (u64::MAX << rr);
+    bits(hi).chain(bits(mask & !hi))
+}
+
+/// The round-robin successor of `task` among `n` tasks.
+fn next_rr(task: usize, n: usize) -> usize {
+    if task + 1 == n {
+        0
+    } else {
+        task + 1
+    }
+}
+
 /// A deployed task: compiled model + offline profile.
 #[derive(Debug, Clone)]
 pub struct Task {
     pub model: Model,
     pub profile: ModelProfile,
     /// Launch-ready kernels (shared descriptor + precomputed performance
-    /// invariants), parallel to `model.kernels`. Dispatching one costs an
-    /// `Arc` bump — no descriptor copy, no invariant derivation.
+    /// invariants), parallel to `model.kernels`. Dispatching one copies
+    /// its invariants — no descriptor copy, no invariant derivation, no
+    /// reference count.
     pub kernels: Vec<PreparedKernel>,
 }
 
@@ -238,7 +283,6 @@ pub struct SimContext {
     pending: Vec<VecDeque<f64>>,
     inflight: Vec<VecDeque<Inference>>,
     be_cursor: Vec<usize>,
-    be_active: Vec<bool>,
     ls_completed: Vec<Vec<CompletedRequest>>,
     be_completed: Vec<u64>,
 }
@@ -269,6 +313,10 @@ pub struct ServingState<'s> {
     pending: Vec<VecDeque<f64>>,
     /// Admitted inferences, per LS task (front is oldest).
     inflight: Vec<VecDeque<Inference>>,
+    /// Bit `t` is set iff `inflight[t]` is non-empty: the LS tasks the
+    /// round-robin scans visit. Admission sets a bit; the pop that
+    /// empties a queue and a crash drain clear it.
+    ls_mask: u64,
     /// Running count of pending + in-flight requests, maintained
     /// incrementally (+1 per arrival, −1 per completed inference) so
     /// [`ls_backlog`](Self::ls_backlog) is O(1) instead of re-summing
@@ -286,16 +334,21 @@ pub struct ServingState<'s> {
     ls_version: u64,
     /// Memoized `peek_ls` result, valid while `ls_version` is unchanged.
     peek_ls_cache: Cell<(u64, Option<(usize, usize)>)>,
+    /// Round-robin position of the LS queues: the scan starts at this
+    /// task (always `< scenario.ls.len()`, or 0).
     ls_rr: usize,
+    /// Round-robin position of the BE tasks (always `< scenario.be.len()`,
+    /// or 0).
     be_rr: usize,
     /// Closed-loop BE inference cursor per BE task.
     be_cursor: Vec<usize>,
-    /// Which BE tasks are currently resident on this GPU. Every task
-    /// starts active; a cluster's fleet controller parks/resumes BE work
-    /// by toggling entries (see [`set_be_active`](Self::set_be_active)).
-    /// [`peek_be`](Self::peek_be) skips inactive tasks, so with all tasks
-    /// active the single-GPU behaviour is unchanged.
-    be_active: Vec<bool>,
+    /// Bit `t` is set iff BE task `t` is currently resident on this GPU.
+    /// Every task starts active; a cluster's fleet controller
+    /// parks/resumes BE work by toggling bits (see
+    /// [`set_be_active`](Self::set_be_active)). [`peek_be`](Self::peek_be)
+    /// skips inactive tasks, so with all tasks active the single-GPU
+    /// behaviour is unchanged.
+    be_mask: u64,
     pub ls_launch: Option<ActiveLaunch>,
     pub be_launch: Option<ActiveLaunch>,
     pub stats: RunStats,
@@ -306,9 +359,16 @@ impl<'s> ServingState<'s> {
     /// engine resets in place, queue vectors clear and re-size, and the
     /// statistics vectors come from the last recycled run. On an empty
     /// context this is exactly the fresh-allocation construction.
+    ///
+    /// Panics if the scenario has more than [`MAX_TASKS`] LS or BE tasks.
     fn new_in(scenario: &'s Scenario, ctx: &mut SimContext) -> Self {
         let n_ls = scenario.ls.len();
         let n_be = scenario.be.len();
+        assert!(
+            n_ls <= MAX_TASKS && n_be <= MAX_TASKS,
+            "a scenario has at most {MAX_TASKS} LS and {MAX_TASKS} BE tasks \
+             (got {n_ls} LS, {n_be} BE)"
+        );
         let engine = match ctx.engine.take() {
             Some(mut e) => {
                 e.reset(&scenario.spec);
@@ -329,9 +389,6 @@ impl<'s> ServingState<'s> {
         let mut be_cursor = std::mem::take(&mut ctx.be_cursor);
         be_cursor.clear();
         be_cursor.resize(n_be, 0);
-        let mut be_active = std::mem::take(&mut ctx.be_active);
-        be_active.clear();
-        be_active.resize(n_be, true);
         let mut ls_completed = std::mem::take(&mut ctx.ls_completed);
         for v in &mut ls_completed {
             v.clear();
@@ -345,6 +402,7 @@ impl<'s> ServingState<'s> {
             engine,
             pending,
             inflight,
+            ls_mask: 0,
             backlog: 0,
             inflight_total: 0,
             // Starts past the cache's initial version so the first peek
@@ -354,7 +412,7 @@ impl<'s> ServingState<'s> {
             ls_rr: 0,
             be_rr: 0,
             be_cursor,
-            be_active,
+            be_mask: low_bits(n_be),
             ls_launch: None,
             be_launch: None,
             stats: RunStats {
@@ -377,7 +435,6 @@ impl<'s> ServingState<'s> {
             pending,
             inflight,
             be_cursor,
-            be_active,
             stats,
             ..
         } = self;
@@ -385,7 +442,6 @@ impl<'s> ServingState<'s> {
         ctx.pending = pending;
         ctx.inflight = inflight;
         ctx.be_cursor = be_cursor;
-        ctx.be_active = be_active;
         stats
     }
 
@@ -409,6 +465,7 @@ impl<'s> ServingState<'s> {
                         arrival_us: arrival,
                         cursor: 0,
                     });
+                    self.ls_mask |= 1 << t;
                     self.inflight_total += 1;
                     self.ls_version += 1;
                 }
@@ -430,6 +487,21 @@ impl<'s> ServingState<'s> {
         );
     }
 
+    /// Debug oracle for the LS round-robin mask: it has exactly the bits
+    /// of the non-empty in-flight queues. (The BE mask is the activity
+    /// state itself, so there is nothing for it to drift from.)
+    fn debug_assert_ls_mask(&self) {
+        debug_assert!(
+            self.inflight
+                .iter()
+                .enumerate()
+                .all(|(t, q)| (self.ls_mask >> t & 1 == 1) != q.is_empty())
+                && self.ls_mask & !low_bits(self.inflight.len()) == 0,
+            "LS mask {:#x} does not mirror the in-flight queues",
+            self.ls_mask
+        );
+    }
+
     /// Records an arrived request and admits it if a slot is free.
     fn push_arrival(&mut self, t: usize, at: f64) {
         self.pending[t].push_back(at);
@@ -437,6 +509,7 @@ impl<'s> ServingState<'s> {
         self.ls_version += 1;
         self.admit_task(t);
         self.debug_assert_admitted();
+        self.debug_assert_ls_mask();
     }
 
     /// Version of the LS queue state; unchanged means every LS-side
@@ -508,16 +581,20 @@ impl<'s> ServingState<'s> {
         result
     }
 
-    /// A fresh round-robin scan over every LS queue.
+    /// A fresh round-robin scan over the non-empty LS queues.
     fn peek_ls_scan(&self) -> Option<(usize, usize)> {
-        let n = self.scenario.ls.len();
-        for off in 0..n {
-            let t = (self.ls_rr + off) % n;
-            if let Some(inf) = self.inflight[t].front() {
-                return Some((t, inf.cursor));
-            }
-        }
-        None
+        round_robin(self.ls_mask, self.ls_rr)
+            .next()
+            .map(|t| (t, self.front_cursor(t)))
+    }
+
+    /// Kernel cursor of task `t`'s oldest in-flight inference (its queue
+    /// is non-empty: bit `t` of the LS mask is set).
+    fn front_cursor(&self, t: usize) -> usize {
+        self.inflight[t]
+            .front()
+            .expect("LS mask bit set for an empty queue")
+            .cursor
     }
 
     /// Upcoming LS kernels (for the tidal sliding window): the next kernel
@@ -527,16 +604,13 @@ impl<'s> ServingState<'s> {
     /// this on every dispatch reuse one allocation across the whole run.
     pub fn upcoming_ls_kernels_into(&self, window: usize, out: &mut Vec<(usize, usize)>) {
         out.clear();
-        let n = self.scenario.ls.len();
-        for off in 0..n {
-            let t = (self.ls_rr + off) % n;
-            if let Some(inf) = self.inflight[t].front() {
-                let kernels = self.scenario.ls[t].model.kernels.len();
-                for c in inf.cursor..kernels.min(inf.cursor + window) {
-                    out.push((t, c));
-                    if out.len() >= window {
-                        return;
-                    }
+        for t in round_robin(self.ls_mask, self.ls_rr) {
+            let cursor = self.front_cursor(t);
+            let kernels = self.scenario.ls[t].model.kernels.len();
+            for c in cursor..kernels.min(cursor + window) {
+                out.push((t, c));
+                if out.len() >= window {
+                    return;
                 }
             }
         }
@@ -547,14 +621,9 @@ impl<'s> ServingState<'s> {
     /// peek; a cluster controller that parked a task makes the scan skip
     /// it.
     pub fn peek_be(&self) -> Option<(usize, usize)> {
-        let n = self.scenario.be.len();
-        for off in 0..n {
-            let t = (self.be_rr + off) % n;
-            if self.be_active[t] {
-                return Some((t, self.be_cursor[t]));
-            }
-        }
-        None
+        round_robin(self.be_mask, self.be_rr)
+            .next()
+            .map(|t| (t, self.be_cursor[t]))
     }
 
     /// Is any BE task resident (active) on this GPU? Policies use this —
@@ -562,17 +631,18 @@ impl<'s> ServingState<'s> {
     /// is co-located: a replica whose BE work all migrated away is
     /// monopolized by LS even though its scenario still lists the tasks.
     pub fn be_present(&self) -> bool {
-        self.be_active.iter().any(|&a| a)
+        self.be_mask != 0
     }
 
     /// Number of active (resident) BE tasks.
     pub fn active_be_count(&self) -> usize {
-        self.be_active.iter().filter(|&&a| a).count()
+        self.be_mask.count_ones() as usize
     }
 
     /// Whether one BE task is active.
     pub fn be_active(&self, task: usize) -> bool {
-        self.be_active[task]
+        assert!(task < self.scenario.be.len(), "no BE task {task}");
+        self.be_mask >> task & 1 == 1
     }
 
     /// Parks (`false`) or resumes (`true`) one BE task. Parking does not
@@ -581,7 +651,12 @@ impl<'s> ServingState<'s> {
     /// running; its closed-loop cursor is preserved either way, so a task
     /// migrating back later resumes its inference where it stopped.
     pub fn set_be_active(&mut self, task: usize, active: bool) {
-        self.be_active[task] = active;
+        assert!(task < self.scenario.be.len(), "no BE task {task}");
+        if active {
+            self.be_mask |= 1 << task;
+        } else {
+            self.be_mask &= !(1 << task);
+        }
     }
 
     /// Rips a crashed replica's serving state out for re-dispatch: every
@@ -620,10 +695,12 @@ impl<'s> ServingState<'s> {
                 drained += 1;
             }
         }
+        self.ls_mask = 0;
         self.backlog = 0;
         self.inflight_total = 0;
         self.ls_version += 1;
         self.stats.ls_requeued += drained;
+        self.debug_assert_ls_mask();
     }
 
     /// Drains every *pending* (not yet admitted) LS request for a
@@ -759,10 +836,13 @@ impl<'s> ServingState<'s> {
                     let l = self.ls_launch.take().expect("checked");
                     let inf = self.inflight[l.task].front_mut().expect("inference exists");
                     inf.cursor += 1;
-                    self.ls_rr = (l.task + 1) % self.scenario.ls.len().max(1);
+                    self.ls_rr = next_rr(l.task, self.scenario.ls.len());
                     self.ls_version += 1;
                     if inf.cursor >= self.scenario.ls[l.task].model.kernels.len() {
                         let done = self.inflight[l.task].pop_front().expect("present");
+                        if self.inflight[l.task].is_empty() {
+                            self.ls_mask &= !(1 << l.task);
+                        }
                         self.backlog -= 1;
                         self.inflight_total -= 1;
                         freed_slot = Some(l.task);
@@ -777,7 +857,7 @@ impl<'s> ServingState<'s> {
                     if self.be_cursor[l.task] >= self.scenario.be[l.task].model.kernels.len() {
                         self.be_cursor[l.task] = 0;
                         self.stats.be_completed[l.task] += 1;
-                        self.be_rr = (l.task + 1) % self.scenario.be.len().max(1);
+                        self.be_rr = next_rr(l.task, self.scenario.be.len());
                     }
                 }
             }
@@ -796,6 +876,7 @@ impl<'s> ServingState<'s> {
             self.admit_task(t);
         }
         self.debug_assert_admitted();
+        self.debug_assert_ls_mask();
     }
 }
 
@@ -1108,6 +1189,7 @@ mod tests {
     use dnn::zoo::{build, ModelId};
     use dnn::CompileOptions;
     use gpu_spec::GpuModel;
+    use proptest::prelude::*;
 
     fn two_be_scenario(horizon_us: f64) -> Scenario {
         let spec = GpuModel::RtxA2000.spec();
@@ -1454,6 +1536,182 @@ mod tests {
         assert_eq!(sim.next_pending_at(&policy), None);
         for t in [150_000.0, 199_000.0] {
             assert_no_op(&mut sim, &mut policy, t);
+        }
+    }
+
+    /// A resident kernel holds no reference to its descriptor: launching
+    /// prepared LS and BE kernels and running them leaves every
+    /// descriptor's `Arc` count where it was.
+    #[test]
+    fn running_kernels_take_no_descriptor_reference() {
+        let sc = two_be_scenario(300_000.0);
+        let counts = || -> Vec<usize> {
+            sc.ls
+                .iter()
+                .chain(sc.be.iter())
+                .flat_map(|t| t.kernels.iter().map(|k| Arc::strong_count(&k.desc)))
+                .collect()
+        };
+        let before = counts();
+        let mut ctx = SimContext::new();
+        let mut policy = Sgdrc::new(&sc.spec, SgdrcConfig::default());
+        let mut sim = ReplicaSim::prepare(&sc, &mut ctx);
+        sim.begin(&mut policy);
+        assert!(sim.advance(&mut policy, Some(1_000.0)));
+        sim.inject_arrival(&mut policy, 0, 1_000.0);
+        let st = sim.state();
+        assert!(
+            st.ls_launch.is_some() && st.be_launch.is_some(),
+            "setup: an LS and a BE kernel are resident"
+        );
+        assert_eq!(
+            counts(),
+            before,
+            "a running kernel took a descriptor reference"
+        );
+        let _ = sim.finish(&mut ctx);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 LS and 64 BE tasks")]
+    fn a_scenario_with_more_than_64_ls_tasks_is_rejected() {
+        let base = two_be_scenario(1e5);
+        let sc = Scenario {
+            ls: vec![base.ls[0].clone(); MAX_TASKS + 1].into(),
+            ..base
+        };
+        let _ = ReplicaSim::prepare(&sc, &mut SimContext::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 LS and 64 BE tasks")]
+    fn a_scenario_with_more_than_64_be_tasks_is_rejected() {
+        let base = two_be_scenario(1e5);
+        let sc = Scenario {
+            be: vec![base.be[0].clone(); MAX_TASKS + 1].into(),
+            ..base
+        };
+        let _ = ReplicaSim::prepare(&sc, &mut SimContext::new());
+    }
+
+    /// Two LS models of different lengths and one BE model, compiled
+    /// once for the round-robin proptest.
+    fn rr_tasks() -> &'static [Task; 3] {
+        static TASKS: OnceLock<[Task; 3]> = OnceLock::new();
+        TASKS.get_or_init(|| {
+            let spec = GpuModel::RtxA2000.spec();
+            let compile = |id| {
+                Task::new(
+                    dnn::compile(build(id), &spec, CompileOptions::default()),
+                    &spec,
+                )
+            };
+            [
+                compile(ModelId::MobileNetV3),
+                compile(ModelId::SqueezeNet),
+                compile(ModelId::ResNet152),
+            ]
+        })
+    }
+
+    // The `(rr + off) % n` scans the round-robin masks replaced, kept
+    // verbatim as the masks' oracle.
+
+    fn modulo_peek_ls(st: &ServingState) -> Option<(usize, usize)> {
+        let n = st.scenario.ls.len();
+        for off in 0..n {
+            let t = (st.ls_rr + off) % n;
+            if let Some(inf) = st.inflight[t].front() {
+                return Some((t, inf.cursor));
+            }
+        }
+        None
+    }
+
+    fn modulo_upcoming_ls(st: &ServingState, window: usize) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        let n = st.scenario.ls.len();
+        for off in 0..n {
+            let t = (st.ls_rr + off) % n;
+            if let Some(inf) = st.inflight[t].front() {
+                let kernels = st.scenario.ls[t].model.kernels.len();
+                for c in inf.cursor..kernels.min(inf.cursor + window) {
+                    out.push((t, c));
+                    if out.len() >= window {
+                        return out;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    fn modulo_peek_be(st: &ServingState, active: &[bool]) -> Option<(usize, usize)> {
+        let n = st.scenario.be.len();
+        for off in 0..n {
+            let t = (st.be_rr + off) % n;
+            if active[t] {
+                return Some((t, st.be_cursor[t]));
+            }
+        }
+        None
+    }
+
+    proptest! {
+        /// The mask-based `peek_ls`, `upcoming_ls_kernels_into`,
+        /// `peek_be`, `be_present` and `active_be_count` answer exactly
+        /// what the modulo scans over the queues and the parked set do,
+        /// for any queue occupancy, kernel cursors, round-robin
+        /// pointers, window and parked BE tasks, up to 64 tasks a side.
+        #[test]
+        fn round_robin_masks_match_the_modulo_scans(
+            n_ls in 0usize..MAX_TASKS + 1,
+            n_be in 0usize..MAX_TASKS + 1,
+            arrivals in prop::collection::vec(0usize..7, MAX_TASKS..MAX_TASKS + 1),
+            cursors in prop::collection::vec(0usize..1 << 20, MAX_TASKS..MAX_TASKS + 1),
+            ls_rr in 0usize..1 << 20,
+            be_rr in 0usize..1 << 20,
+            window in 1usize..48,
+            parked in 0u64..u64::MAX,
+        ) {
+            let [ls_a, ls_b, be] = rr_tasks();
+            let sc = Scenario::new(
+                GpuModel::RtxA2000.spec(),
+                (0..n_ls).map(|t| if t % 2 == 0 { ls_a.clone() } else { ls_b.clone() }).collect(),
+                vec![be.clone(); n_be],
+                4,
+                vec![Vec::new(); n_ls],
+                1e6,
+            );
+            let mut ctx = SimContext::new();
+            let mut st = ServingState::new_in(&sc, &mut ctx);
+            for t in 0..n_ls {
+                for _ in 0..arrivals[t] {
+                    st.push_arrival(t, 0.0);
+                }
+                let kernels = sc.ls[t].model.kernels.len();
+                if let Some(inf) = st.inflight[t].front_mut() {
+                    inf.cursor = cursors[t] % kernels;
+                }
+            }
+            for (cursor, &c) in st.be_cursor.iter_mut().zip(&cursors) {
+                *cursor = c % be.model.kernels.len();
+            }
+            st.ls_rr = ls_rr % n_ls.max(1);
+            st.be_rr = be_rr % n_be.max(1);
+            let active: Vec<bool> = (0..n_be).map(|t| parked >> t & 1 == 0).collect();
+            for (t, &a) in active.iter().enumerate() {
+                st.set_be_active(t, a);
+            }
+            st.debug_assert_ls_mask();
+
+            prop_assert_eq!(st.peek_ls(), modulo_peek_ls(&st));
+            let mut upcoming = Vec::new();
+            st.upcoming_ls_kernels_into(window, &mut upcoming);
+            prop_assert_eq!(upcoming, modulo_upcoming_ls(&st, window));
+            prop_assert_eq!(st.peek_be(), modulo_peek_be(&st, &active));
+            prop_assert_eq!(st.be_present(), active.contains(&true));
+            prop_assert_eq!(st.active_be_count(), active.iter().filter(|&&a| a).count());
         }
     }
 }

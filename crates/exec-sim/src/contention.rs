@@ -22,12 +22,16 @@
 //! Rate evaluation runs on every launch/finish/remask event, so the
 //! implementation is allocation-free and re-derives nothing:
 //!
-//! * each [`RunningCtx`] carries an `Arc`'d descriptor plus a
-//!   [`KernelPerfInvariants`] block precomputed at construction — the
-//!   model never touches `perf::` derivations or clones a descriptor;
+//! * each [`RunningCtx`] is a `Copy` value: masks, thread fraction and
+//!   a [`KernelPerfInvariants`] block precomputed once per kernel — the
+//!   model never touches `perf::` derivations or the descriptor, so a
+//!   launch or a finish moves no reference count;
 //! * aggregates (per-channel demand, per-TPC occupancy) live in
 //!   fixed-size arrays inside a caller-owned [`RateState`], and mask
 //!   walks iterate set bits only (`trailing_zeros`), never all slots;
+//! * the per-kernel pairwise sums live in one record per resident
+//!   kernel, together with the kernel's cached per-channel demand, so a
+//!   launch pushes one record and a finish removes one;
 //! * when a single kernel is re-masked, [`RateState::update_one`]
 //!   adjusts the aggregates and pairwise sums incrementally instead of
 //!   recomputing the O(n²) interference terms from scratch.
@@ -48,10 +52,13 @@ pub const MAX_TPCS: usize = 32;
 /// Upper bound on `GpuSpec::num_channels` ([`ChannelSet`] is a `u16`).
 pub const MAX_CHANNELS: usize = 16;
 
-/// A kernel as the contention model sees it.
-#[derive(Debug, Clone)]
+/// A kernel as the contention model sees it: its resources plus the
+/// performance invariants derived from its descriptor. It holds no
+/// descriptor, so it is `Copy` and a launch or a finish costs no
+/// reference-count traffic; the [`reference`](mod@reference) oracle
+/// takes the descriptor separately.
+#[derive(Debug, Clone, Copy)]
 pub struct RunningCtx {
-    pub kernel: Arc<KernelDesc>,
     pub mask: TpcMask,
     pub channels: ChannelSet,
     /// MPS active-thread fraction (1.0 = full SMs).
@@ -61,30 +68,26 @@ pub struct RunningCtx {
 }
 
 impl RunningCtx {
-    /// Builds a running-kernel context, precomputing the per-kernel
-    /// invariant block once. Accepts an owned descriptor or an existing
-    /// `Arc` (no deep copy in the latter case).
+    /// Builds a running-kernel context, deriving the per-kernel
+    /// invariant block from `kernel` once.
     pub fn new(
         spec: &GpuSpec,
-        kernel: impl Into<Arc<KernelDesc>>,
+        kernel: &KernelDesc,
         mask: TpcMask,
         channels: ChannelSet,
         thread_fraction: f64,
     ) -> Self {
-        let kernel = kernel.into();
-        let perf = KernelPerfInvariants::new(&kernel, spec);
         Self {
-            kernel,
             mask,
             channels,
             thread_fraction,
-            perf,
+            perf: KernelPerfInvariants::new(kernel, spec),
         }
     }
 
-    /// Builds the context from an already-prepared kernel: no descriptor
-    /// copy, no invariant derivation — the per-launch cost is two `Arc`
-    /// bumps. This is the serving loop's steady-state path.
+    /// Builds the context from an already-prepared kernel: no invariant
+    /// derivation and no reference count taken — the serving loop's
+    /// steady-state path.
     pub fn from_prepared(
         prepared: &PreparedKernel,
         mask: TpcMask,
@@ -92,7 +95,6 @@ impl RunningCtx {
         thread_fraction: f64,
     ) -> Self {
         Self {
-            kernel: Arc::clone(&prepared.desc),
             mask,
             channels,
             thread_fraction,
@@ -142,41 +144,101 @@ pub struct KernelRate {
 }
 
 /// Caller-owned rate-computation state: fixed-size resource aggregates
-/// plus per-kernel pairwise interference sums. Reusing one `RateState`
-/// across events makes rate evaluation allocation-free (the `Vec`s reach
-/// steady-state capacity after the first few events) and enables the
-/// incremental [`update_one`](RateState::update_one) path.
+/// plus one [`KernelSums`] record per running kernel, parallel to the
+/// running set. Reusing one `RateState` across events makes rate
+/// evaluation allocation-free (the record `Vec` reaches steady-state
+/// capacity after the first few events) and enables the incremental
+/// [`add_last`](RateState::add_last) / [`remove_at`](RateState::remove_at)
+/// / [`update_one`](RateState::update_one) paths.
+///
+/// The incremental paths apply every `+=`/`-=` in a fixed order, and the
+/// aggregates carry the rounding residue of their add/remove history, so
+/// the state is bit-reproducible for one event sequence but not
+/// bit-identical to a fresh [`recompute_full`](RateState::recompute_full)
+/// (it agrees within [`RATE_EQUIVALENCE_TOL`]).
 #[derive(Debug, Clone, Default)]
 pub struct RateState {
     /// Aggregate bandwidth demand per VRAM channel, GB/s.
     channel_demand: [f64; MAX_CHANNELS],
     /// Sum of resident thread fractions per TPC.
     tpc_occupancy: [f64; MAX_TPCS],
-    /// Σ of intra-SM interference terms against each kernel
+    /// One record per running kernel, parallel to the running set.
+    kernels: Vec<KernelSums>,
+}
+
+/// What [`RateState`] keeps about one running kernel: the pairwise
+/// interference sums against it, the uniformity classification of its
+/// co-runners, and its cached per-channel demand.
+#[derive(Debug, Clone, Copy, Default)]
+struct KernelSums {
+    /// Σ of intra-SM interference terms against this kernel
     /// (`intra_sm_factor = 1 + intra_sum`).
-    intra_sum: Vec<f64>,
-    /// Σ of L2/MSHR/bank conflict terms against each kernel
+    intra_sum: f64,
+    /// Σ of L2/MSHR/bank conflict terms against this kernel
     /// (`l2_penalty = 1 + l2_sum`).
-    l2_sum: Vec<f64>,
-    /// Number of co-runners whose TPC mask *partially* overlaps each
+    l2_sum: f64,
+    /// Number of co-runners whose TPC mask *partially* overlaps this
     /// kernel's (neither disjoint nor a superset). While zero, the
     /// kernel's occupancy is uniform across its mask and
     /// [`emit_rates`](RateState::emit_rates) replaces the per-TPC loop
     /// with a popcount — the steady state for tidal partitioning
     /// (disjoint masks) and full-GPU sharing (mutual supersets) alike.
-    tpc_partial: Vec<u32>,
+    tpc_partial: u32,
+    /// As `tpc_partial`, for VRAM channel sets.
+    chan_partial: u32,
     /// Summed thread fraction of co-runners whose mask covers this
     /// kernel's entirely (valid while `tpc_partial` is 0).
-    tpc_cover_fraction: Vec<f64>,
-    /// As `tpc_partial`, for VRAM channel sets.
-    chan_partial: Vec<u32>,
+    tpc_cover_fraction: f64,
     /// Summed per-channel bandwidth demand of co-runners whose channel
     /// set covers this kernel's entirely (valid while `chan_partial`
     /// is 0).
-    chan_cover_demand: Vec<f64>,
+    chan_cover_demand: f64,
+    /// This kernel's [`per_channel_demand`], set at launch and
+    /// recomputed when [`RateState::update_one`] changes its channel
+    /// set. Every read of the demand goes through this one value, so the
+    /// aggregates' retraction cancels their addition bit for bit.
+    per_channel: f64,
+}
+
+impl KernelSums {
+    /// A kernel's record before any co-runner is classified against it.
+    fn new(r: &RunningCtx) -> Self {
+        Self {
+            per_channel: per_channel_demand(r),
+            ..Self::default()
+        }
+    }
+
+    /// Adds (`sign = 1.0`) or retracts (`sign = -1.0`) the uniformity
+    /// classification of co-runner `other` (whose per-channel demand is
+    /// `other_pcd`) from this record, which belongs to `victim`.
+    #[inline]
+    fn classify(&mut self, victim: &RunningCtx, other: &RunningCtx, other_pcd: f64, sign: f64) {
+        let inter = victim.mask.0 & other.mask.0;
+        if inter != 0 {
+            if inter == victim.mask.0 {
+                self.tpc_cover_fraction += sign * other.thread_fraction;
+            } else if sign > 0.0 {
+                self.tpc_partial += 1;
+            } else {
+                self.tpc_partial -= 1;
+            }
+        }
+        let cinter = victim.channels.0 & other.channels.0;
+        if cinter != 0 {
+            if cinter == victim.channels.0 {
+                self.chan_cover_demand += sign * other_pcd;
+            } else if sign > 0.0 {
+                self.chan_partial += 1;
+            } else {
+                self.chan_partial -= 1;
+            }
+        }
+    }
 }
 
 /// Bandwidth demand a kernel places on each channel of its set, GB/s.
+/// Evaluated once per launch or channel change; [`KernelSums`] caches it.
 #[inline]
 fn per_channel_demand(r: &RunningCtx) -> f64 {
     r.perf.bw_demand_gbps / r.channels.count().max(1) as f64
@@ -212,22 +274,17 @@ fn l2_term(spec: &GpuSpec, victim: &RunningCtx, other: &RunningCtx) -> f64 {
 
 impl RateState {
     /// Returns the state to its post-construction condition while
-    /// retaining every buffer's capacity — a reused `SimContext` resets
-    /// one `RateState` per run instead of allocating six fresh vectors.
+    /// retaining the record buffer's capacity — a reused `SimContext`
+    /// resets one `RateState` per run instead of allocating a fresh one.
     pub fn reset(&mut self) {
         self.channel_demand = [0.0; MAX_CHANNELS];
         self.tpc_occupancy = [0.0; MAX_TPCS];
-        self.intra_sum.clear();
-        self.l2_sum.clear();
-        self.tpc_partial.clear();
-        self.tpc_cover_fraction.clear();
-        self.chan_partial.clear();
-        self.chan_cover_demand.clear();
+        self.kernels.clear();
     }
 
     /// Full recomputation of aggregates, pairwise sums and rates.
     /// Appends one [`KernelRate`] per running kernel to `out` (cleared
-    /// first); no allocation once `out` and the sums reach capacity.
+    /// first); no allocation once `out` and the records reach capacity.
     pub fn recompute_full(
         &mut self,
         spec: &GpuSpec,
@@ -236,68 +293,31 @@ impl RateState {
     ) {
         self.channel_demand = [0.0; MAX_CHANNELS];
         self.tpc_occupancy = [0.0; MAX_TPCS];
+        self.kernels.clear();
         for r in running {
-            self.add_aggregates(r);
+            let rec = KernelSums::new(r);
+            self.add_aggregates(r, rec.per_channel);
+            self.kernels.push(rec);
         }
-        self.intra_sum.clear();
-        self.intra_sum.resize(running.len(), 0.0);
-        self.l2_sum.clear();
-        self.l2_sum.resize(running.len(), 0.0);
-        self.tpc_partial.clear();
-        self.tpc_partial.resize(running.len(), 0);
-        self.tpc_cover_fraction.clear();
-        self.tpc_cover_fraction.resize(running.len(), 0.0);
-        self.chan_partial.clear();
-        self.chan_partial.resize(running.len(), 0);
-        self.chan_cover_demand.clear();
-        self.chan_cover_demand.resize(running.len(), 0.0);
         for (i, r) in running.iter().enumerate() {
-            let mut intra = 0.0;
-            let mut l2 = 0.0;
+            let mut rec = self.kernels[i];
             for (j, o) in running.iter().enumerate() {
                 if i != j {
-                    intra += intra_term(spec, r, o);
-                    l2 += l2_term(spec, r, o);
-                    self.classify_pair(i, r, o, 1.0);
+                    rec.intra_sum += intra_term(spec, r, o);
+                    rec.l2_sum += l2_term(spec, r, o);
+                    rec.classify(r, o, self.kernels[j].per_channel, 1.0);
                 }
             }
-            self.intra_sum[i] = intra;
-            self.l2_sum[i] = l2;
+            self.kernels[i] = rec;
         }
         self.emit_rates(spec, running, out);
     }
 
-    /// Adds (`sign = 1.0`) or retracts (`sign = -1.0`) the uniformity
-    /// classification of co-runner `other` from victim `i`'s entries.
-    #[inline]
-    fn classify_pair(&mut self, i: usize, victim: &RunningCtx, other: &RunningCtx, sign: f64) {
-        let inter = victim.mask.0 & other.mask.0;
-        if inter != 0 {
-            if inter == victim.mask.0 {
-                self.tpc_cover_fraction[i] += sign * other.thread_fraction;
-            } else if sign > 0.0 {
-                self.tpc_partial[i] += 1;
-            } else {
-                self.tpc_partial[i] -= 1;
-            }
-        }
-        let cinter = victim.channels.0 & other.channels.0;
-        if cinter != 0 {
-            if cinter == victim.channels.0 {
-                self.chan_cover_demand[i] += sign * per_channel_demand(other);
-            } else if sign > 0.0 {
-                self.chan_partial[i] += 1;
-            } else {
-                self.chan_partial[i] -= 1;
-            }
-        }
-    }
-
     /// Incremental update after kernel `i` changed its TPC mask and/or
     /// channel set in place (everything else — the running set, every
-    /// descriptor, every thread fraction — unchanged). Adjusts the
-    /// aggregates and the pairwise sums by delta instead of re-walking
-    /// all O(n²) kernel pairs, then re-emits the rates.
+    /// kernel's invariants, every thread fraction — unchanged). Adjusts
+    /// the aggregates and the pairwise sums by delta instead of
+    /// re-walking all O(n²) kernel pairs, then re-emits the rates.
     ///
     /// `running[i]` must already hold the *new* mask/channels;
     /// `old_mask`/`old_channels` are the values being replaced.
@@ -311,42 +331,39 @@ impl RateState {
         out: &mut Vec<KernelRate>,
     ) {
         debug_assert_eq!(
-            self.intra_sum.len(),
+            self.kernels.len(),
             running.len(),
             "state tracks this running set"
         );
         let changed = &running[i];
-        // Resource aggregates: retract the old contribution, add the new.
         let old = RunningCtx {
             mask: old_mask,
             channels: old_channels,
-            ..changed.clone()
+            ..*changed
         };
-        self.remove_aggregates(&old);
-        self.add_aggregates(changed);
-        // Pairwise sums: only terms involving kernel `i` change. Kernel
-        // `i`'s own classification is rebuilt from scratch (its mask /
-        // channel set — the victim side of every comparison — changed).
-        self.tpc_partial[i] = 0;
-        self.tpc_cover_fraction[i] = 0.0;
-        self.chan_partial[i] = 0;
-        self.chan_cover_demand[i] = 0.0;
-        let mut intra_i = 0.0;
-        let mut l2_i = 0.0;
+        let old_pcd = self.kernels[i].per_channel;
+        // Kernel `i`'s own record is rebuilt from scratch (its mask /
+        // channel set — the victim side of every comparison — changed),
+        // starting with its per-channel demand.
+        let mut rec_i = KernelSums::new(changed);
+        // Resource aggregates: retract the old contribution, add the new.
+        self.remove_aggregates(&old, old_pcd);
+        self.add_aggregates(changed, rec_i.per_channel);
+        // Pairwise sums: only terms involving kernel `i` change.
         for (j, o) in running.iter().enumerate() {
             if j == i {
                 continue;
             }
-            self.intra_sum[j] += intra_term(spec, o, changed) - intra_term(spec, o, &old);
-            self.l2_sum[j] += l2_term(spec, o, changed) - l2_term(spec, o, &old);
-            intra_i += intra_term(spec, changed, o);
-            l2_i += l2_term(spec, changed, o);
-            self.classify_pair(j, o, &old, -1.0);
-            self.classify_pair(j, o, changed, 1.0);
-            self.classify_pair(i, changed, o, 1.0);
+            let rec = &mut self.kernels[j];
+            rec.intra_sum += intra_term(spec, o, changed) - intra_term(spec, o, &old);
+            rec.l2_sum += l2_term(spec, o, changed) - l2_term(spec, o, &old);
+            rec_i.intra_sum += intra_term(spec, changed, o);
+            rec_i.l2_sum += l2_term(spec, changed, o);
+            rec.classify(o, &old, old_pcd, -1.0);
+            rec.classify(o, changed, rec_i.per_channel, 1.0);
+            rec_i.classify(changed, o, rec.per_channel, 1.0);
         }
-        self.intra_sum[i] = intra_i;
-        self.l2_sum[i] = l2_i;
+        self.kernels[i] = rec_i;
         self.emit_rates(spec, running, out);
     }
 
@@ -357,29 +374,23 @@ impl RateState {
     /// [`RateState::emit_rates`] when they're next read.
     pub fn add_last(&mut self, spec: &GpuSpec, running: &[RunningCtx]) {
         debug_assert_eq!(
-            self.intra_sum.len() + 1,
+            self.kernels.len() + 1,
             running.len(),
             "state tracks the pre-launch running set"
         );
         let i = running.len() - 1;
         let new = &running[i];
-        self.add_aggregates(new);
-        self.tpc_partial.push(0);
-        self.tpc_cover_fraction.push(0.0);
-        self.chan_partial.push(0);
-        self.chan_cover_demand.push(0.0);
-        let mut intra_i = 0.0;
-        let mut l2_i = 0.0;
-        for (j, o) in running[..i].iter().enumerate() {
-            self.intra_sum[j] += intra_term(spec, o, new);
-            self.l2_sum[j] += l2_term(spec, o, new);
-            intra_i += intra_term(spec, new, o);
-            l2_i += l2_term(spec, new, o);
-            self.classify_pair(j, o, new, 1.0);
-            self.classify_pair(i, new, o, 1.0);
+        let mut rec_i = KernelSums::new(new);
+        self.add_aggregates(new, rec_i.per_channel);
+        for (rec, o) in self.kernels.iter_mut().zip(&running[..i]) {
+            rec.intra_sum += intra_term(spec, o, new);
+            rec.l2_sum += l2_term(spec, o, new);
+            rec_i.intra_sum += intra_term(spec, new, o);
+            rec_i.l2_sum += l2_term(spec, new, o);
+            rec.classify(o, new, rec_i.per_channel, 1.0);
+            rec_i.classify(new, o, rec.per_channel, 1.0);
         }
-        self.intra_sum.push(intra_i);
-        self.l2_sum.push(l2_i);
+        self.kernels.push(rec_i);
     }
 
     /// Incremental update after the kernel previously at `idx` left the
@@ -394,30 +405,23 @@ impl RateState {
         removed: &RunningCtx,
     ) {
         debug_assert_eq!(
-            self.intra_sum.len(),
+            self.kernels.len(),
             running.len() + 1,
             "state tracks the pre-removal running set"
         );
-        self.remove_aggregates(removed);
-        self.intra_sum.remove(idx);
-        self.l2_sum.remove(idx);
-        self.tpc_partial.remove(idx);
-        self.tpc_cover_fraction.remove(idx);
-        self.chan_partial.remove(idx);
-        self.chan_cover_demand.remove(idx);
-        for (j, o) in running.iter().enumerate() {
-            self.intra_sum[j] -= intra_term(spec, o, removed);
-            self.l2_sum[j] -= l2_term(spec, o, removed);
-            self.classify_pair(j, o, removed, -1.0);
+        let gone = self.kernels.remove(idx);
+        self.remove_aggregates(removed, gone.per_channel);
+        for (rec, o) in self.kernels.iter_mut().zip(running) {
+            rec.intra_sum -= intra_term(spec, o, removed);
+            rec.l2_sum -= l2_term(spec, o, removed);
+            rec.classify(o, removed, gone.per_channel, -1.0);
         }
     }
 
+    /// Adds `r`'s resource use to the aggregates; `per_channel` is its
+    /// cached [`per_channel_demand`].
     #[inline]
-    fn add_aggregates(&mut self, r: &RunningCtx) {
-        // Shares the exact expression with `classify_pair`'s cover
-        // bookkeeping: the incremental retraction must cancel what the
-        // aggregates accumulated, bit for bit.
-        let per_channel = per_channel_demand(r);
+    fn add_aggregates(&mut self, r: &RunningCtx, per_channel: f64) {
         for c in r.channels.iter_ones() {
             self.channel_demand[c as usize] += per_channel;
         }
@@ -426,9 +430,10 @@ impl RateState {
         }
     }
 
+    /// Retracts what [`add_aggregates`](Self::add_aggregates) added for
+    /// `r`, with the same cached `per_channel`.
     #[inline]
-    fn remove_aggregates(&mut self, r: &RunningCtx) {
-        let per_channel = per_channel_demand(r);
+    fn remove_aggregates(&mut self, r: &RunningCtx, per_channel: f64) {
         for c in r.channels.iter_ones() {
             self.channel_demand[c as usize] -= per_channel;
         }
@@ -441,7 +446,12 @@ impl RateState {
     pub fn emit_rates(&self, spec: &GpuSpec, running: &[RunningCtx], out: &mut Vec<KernelRate>) {
         out.clear();
         let channel_cap = spec.channel_bandwidth_gbps();
-        for (i, r) in running.iter().enumerate() {
+        assert_eq!(
+            self.kernels.len(),
+            running.len(),
+            "state tracks this running set"
+        );
+        for (r, rec) in running.iter().zip(&self.kernels) {
             // ---- VRAM bandwidth share (Fig. 3b) -----------------------
             // Fraction of the kernel's demand it actually receives. A
             // restricted channel set is captured naturally: the demand
@@ -450,7 +460,7 @@ impl RateState {
             // channel of the set carries the same aggregate demand and
             // the per-channel walk collapses to one comparison.
             let demand = r.perf.bw_demand_gbps;
-            let pcd = per_channel_demand(r);
+            let pcd = rec.per_channel;
             let bw_share = if demand <= 0.0 {
                 1.0
             } else if r.channels.is_empty() {
@@ -459,8 +469,8 @@ impl RateState {
                 // the uniform fast path, which would otherwise see "no
                 // partial overlap" and report full bandwidth).
                 1e-6
-            } else if self.chan_partial[i] == 0 {
-                let d = pcd + self.chan_cover_demand[i];
+            } else if rec.chan_partial == 0 {
+                let d = pcd + rec.chan_cover_demand;
                 if d <= channel_cap {
                     1.0
                 } else {
@@ -478,8 +488,8 @@ impl RateState {
                 }
                 (granted * r.perf.inv_bw_demand_gbps).clamp(1e-6, 1.0)
             };
-            let l2_penalty = 1.0 + self.l2_sum[i];
-            let intra = 1.0 + self.intra_sum[i];
+            let l2_penalty = 1.0 + rec.l2_sum;
+            let intra = 1.0 + rec.intra_sum;
 
             // ---- roofline under current conditions --------------------
             // Effective TPCs: fair share of every TPC in the mask. With
@@ -487,8 +497,8 @@ impl RateState {
             // fraction + covering co-runners) and the per-TPC walk is a
             // popcount; inside the walk an uncontended TPC (occupancy
             // ≤ 1) contributes the thread fraction directly.
-            let eff_tpcs = if self.tpc_partial[i] == 0 {
-                let occupancy = r.thread_fraction + self.tpc_cover_fraction[i];
+            let eff_tpcs = if rec.tpc_partial == 0 {
+                let occupancy = r.thread_fraction + rec.tpc_cover_fraction;
                 let share = if occupancy <= 1.0 {
                     r.thread_fraction
                 } else {
@@ -561,10 +571,12 @@ pub mod reference {
     }
 
     impl Ctx {
-        /// Deep-copies the shared context into the seed representation.
-        pub fn from_running(r: &super::RunningCtx) -> Self {
+        /// The seed representation of `r`, a context built from
+        /// `kernel` (deep-copied here; [`RunningCtx`](super::RunningCtx)
+        /// keeps only the invariants derived from it).
+        pub fn from_running(r: &super::RunningCtx, kernel: &KernelDesc) -> Self {
             Self {
-                kernel: (*r.kernel).clone(),
+                kernel: kernel.clone(),
                 mask: r.mask,
                 channels: r.channels,
                 thread_fraction: r.thread_fraction,
@@ -722,7 +734,7 @@ mod tests {
     }
 
     fn ctx(spec: &GpuSpec, k: KernelDesc, mask: TpcMask, channels: ChannelSet) -> RunningCtx {
-        RunningCtx::new(spec, k, mask, channels, 1.0)
+        RunningCtx::new(spec, &k, mask, channels, 1.0)
     }
 
     fn victim(spec: &GpuSpec) -> RunningCtx {
@@ -746,14 +758,15 @@ mod tests {
     #[test]
     fn alone_matches_isolated_runtime() {
         let spec = GpuModel::RtxA2000.spec();
+        let k = kernel(KernelKind::Gemm, 2e9, 1e7);
         let v = ctx(
             &spec,
-            kernel(KernelKind::Gemm, 2e9, 1e7),
+            k.clone(),
             TpcMask::all(&spec),
             ChannelSet::all(&spec),
         );
         let rates = compute_rates(&spec, std::slice::from_ref(&v));
-        let isolated = dnn::perf::isolated_runtime_us(&v.kernel, &spec);
+        let isolated = dnn::perf::isolated_runtime_us(&k, &spec);
         assert!((rates[0].duration_us - isolated).abs() / isolated < 1e-6);
         assert!((rates[0].relative_speed - 1.0).abs() < 1e-6);
     }
@@ -783,9 +796,9 @@ mod tests {
             ChannelSet::all(&spec),
         );
         let alone = compute_rates(&spec, std::slice::from_ref(&v))[0].duration_us;
-        let with1 = compute_rates(&spec, &[v.clone(), comp.clone()])[0].duration_us;
-        let with2 = compute_rates(&spec, &[v.clone(), comp.clone(), comp.clone()])[0].duration_us;
-        let with_l1 = compute_rates(&spec, &[v.clone(), l1])[0].duration_us;
+        let with1 = compute_rates(&spec, &[v, comp])[0].duration_us;
+        let with2 = compute_rates(&spec, &[v, comp, comp])[0].duration_us;
+        let with_l1 = compute_rates(&spec, &[v, l1])[0].duration_us;
         assert!(with1 > alone * 1.15, "{with1} vs {alone}");
         assert!(with2 > with1 * 1.1);
         assert!(with_l1 > with1, "L1 interference must exceed compute");
@@ -827,7 +840,7 @@ mod tests {
         );
         let t = thrasher(&spec, TpcMask::range(6, 7), ChannelSet::all(&spec));
         let alone = compute_rates(&spec, std::slice::from_ref(&v))[0].duration_us;
-        let together = compute_rates(&spec, &[v.clone(), t.clone()])[0].duration_us;
+        let together = compute_rates(&spec, &[v, t])[0].duration_us;
         assert!(together > alone * 1.3, "{together} vs {alone}");
 
         // Channel isolation removes most of the slowdown (Fig. 15a).
@@ -840,7 +853,7 @@ mod tests {
             TpcMask::range(6, 7),
             ChannelSet::from_channels(&[0, 1]),
         );
-        let isolated_together = compute_rates(&spec, &[v_iso.clone(), t_iso])[0].duration_us;
+        let isolated_together = compute_rates(&spec, &[v_iso, t_iso])[0].duration_us;
         let isolated_alone = compute_rates(&spec, &[v_iso])[0].duration_us;
         let interference = together / alone;
         let iso_interference = isolated_together / isolated_alone;
@@ -861,7 +874,7 @@ mod tests {
         );
         let full = RunningCtx {
             channels: ChannelSet::all(&spec),
-            ..v.clone()
+            ..v
         };
         let restricted = compute_rates(&spec, &[v])[0].duration_us;
         let unrestricted = compute_rates(&spec, &[full])[0].duration_us;
@@ -888,36 +901,42 @@ mod tests {
         // The allocation-free fast path and the preserved seed
         // implementation are the same model.
         let spec = GpuModel::RtxA2000.spec();
+        let gemm = || kernel(KernelKind::Gemm, 2e9, 1e7);
+        let thrash = || kernel(KernelKind::Elementwise, 1e7, 3e8);
+        let half = TpcMask::first(spec.num_tpcs / 2);
+        let all = ChannelSet::all(&spec);
         let configs = [
-            vec![victim(&spec)],
+            vec![(gemm(), half, all)],
+            vec![(gemm(), half, all), (thrash(), TpcMask::range(6, 7), all)],
             vec![
-                victim(&spec),
-                thrasher(&spec, TpcMask::range(6, 7), ChannelSet::all(&spec)),
-            ],
-            vec![
-                ctx(
-                    &spec,
-                    kernel(KernelKind::Gemm, 2e9, 1e7),
+                (
+                    gemm(),
                     TpcMask::first(4),
                     ChannelSet::from_channels(&[0, 1]),
                 ),
-                ctx(
-                    &spec,
+                (
                     kernel(KernelKind::DwConv, 4e8, 6e7),
                     TpcMask::range(2, 8),
-                    ChannelSet::all(&spec),
+                    all,
                 ),
-                thrasher(
-                    &spec,
+                (
+                    thrash(),
                     TpcMask::all(&spec),
                     ChannelSet::from_channels(&[1, 2, 3]),
                 ),
             ],
         ];
-        for running in &configs {
-            let fast = compute_rates(&spec, running);
-            let seed: Vec<reference::Ctx> =
-                running.iter().map(reference::Ctx::from_running).collect();
+        for kernels in &configs {
+            let running: Vec<RunningCtx> = kernels
+                .iter()
+                .map(|(k, mask, channels)| ctx(&spec, k.clone(), *mask, *channels))
+                .collect();
+            let fast = compute_rates(&spec, &running);
+            let seed: Vec<reference::Ctx> = running
+                .iter()
+                .zip(kernels)
+                .map(|(r, (k, _, _))| reference::Ctx::from_running(r, k))
+                .collect();
             let slow = reference::compute_rates(&spec, &seed);
             let div = max_relative_divergence(&fast, &slow);
             assert!(div < RATE_EQUIVALENCE_TOL, "divergence {div}");

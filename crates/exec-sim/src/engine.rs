@@ -12,10 +12,13 @@
 //! per-event path allocates nothing and recomputes nothing it can keep:
 //!
 //! * running kernels are stored struct-of-arrays ([`RunningCtx`] contexts
-//!   parallel to integration bookkeeping), each context sharing its
-//!   descriptor via `Arc` with per-kernel invariants precomputed at
-//!   launch;
-//! * rates live in a persistent [`RateState`] — running-set changes only
+//!   parallel to integration bookkeeping); a context is a `Copy` value
+//!   carrying the kernel's precomputed invariants, not its descriptor, so
+//!   a launch from a [`PreparedKernel`] copies a few words and touches no
+//!   reference count;
+//! * rates live in a persistent [`RateState`], one record per resident
+//!   kernel — a launch pushes one record and a finish removes one;
+//!   running-set changes only
 //!   mark them stale and the recompute happens at the next read, so a
 //!   completion immediately followed by a relaunch (the serving loop's
 //!   steady state) pays one evaluation, not two; [`Engine::remask`] takes
@@ -36,7 +39,6 @@ use crate::types::{ChannelSet, EngineEvent, LaunchId, TpcMask};
 use dnn::kernel::KernelDesc;
 use gpu_spec::GpuSpec;
 use std::cell::{Cell, RefCell};
-use std::sync::Arc;
 
 /// Launch-time configuration of a kernel instance.
 #[derive(Debug, Clone)]
@@ -191,26 +193,30 @@ impl Engine {
     }
 
     /// Launches a kernel; work equals its exclusive-resource runtime.
-    /// Deep-copies the descriptor — prefer [`Engine::launch_shared`] when
-    /// an `Arc` is already at hand (the serving layer's steady state).
+    /// Derives the kernel's invariant block — prefer
+    /// [`Engine::launch_prepared`] for descriptors launched repeatedly.
     pub fn launch(&mut self, kernel: &KernelDesc, cfg: &LaunchConfig) -> LaunchId {
-        self.launch_shared(&Arc::new(kernel.clone()), cfg)
+        let ctx = RunningCtx::new(
+            &self.spec,
+            kernel,
+            cfg.mask,
+            cfg.channels,
+            cfg.thread_fraction,
+        );
+        self.launch_ctx(ctx, cfg)
     }
 
-    /// Launches a kernel from a shared descriptor without copying it
-    /// (derives the invariant block; prefer [`Engine::launch_prepared`]
-    /// for descriptors launched repeatedly).
-    pub fn launch_shared(&mut self, kernel: &Arc<KernelDesc>, cfg: &LaunchConfig) -> LaunchId {
-        self.launch_prepared(&PreparedKernel::new(&self.spec, Arc::clone(kernel)), cfg)
-    }
-
-    /// Launches a prepared kernel: no descriptor copy, no invariant
-    /// derivation — the serving loop's steady-state path.
+    /// Launches a prepared kernel: no invariant derivation and no
+    /// reference count taken — the serving loop's steady-state path.
     pub fn launch_prepared(&mut self, kernel: &PreparedKernel, cfg: &LaunchConfig) -> LaunchId {
+        let ctx = RunningCtx::from_prepared(kernel, cfg.mask, cfg.channels, cfg.thread_fraction);
+        self.launch_ctx(ctx, cfg)
+    }
+
+    fn launch_ctx(&mut self, ctx: RunningCtx, cfg: &LaunchConfig) -> LaunchId {
         assert!(!cfg.mask.is_empty(), "kernel launched with empty TPC mask");
         let id = LaunchId(self.next_id);
         self.next_id += 1;
-        let ctx = RunningCtx::from_prepared(kernel, cfg.mask, cfg.channels, cfg.thread_fraction);
         let total = ctx.perf.isolated_us;
         self.ctxs.push(ctx);
         self.meta.push(RunningMeta {

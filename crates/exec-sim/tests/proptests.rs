@@ -33,7 +33,7 @@ proptest! {
     ) {
         let spec = GpuModel::RtxA2000.spec();
         let running: Vec<RunningCtx> = (0..n)
-            .map(|_| RunningCtx::new(&spec, kernel(flops, bytes, blocks), TpcMask::all(&spec), ChannelSet::all(&spec), 1.0))
+            .map(|_| RunningCtx::new(&spec, &kernel(flops, bytes, blocks), TpcMask::all(&spec), ChannelSet::all(&spec), 1.0))
             .collect();
         for r in compute_rates(&spec, &running) {
             prop_assert!(r.relative_speed > 0.0);
@@ -95,7 +95,7 @@ proptest! {
             .map(|&(flops, bytes, blocks, start, len, chans)| {
                 RunningCtx::new(
                     &spec,
-                    kernel(flops, bytes, blocks),
+                    &kernel(flops, bytes, blocks),
                     clamp_mask(start, len),
                     clamp_channels(chans),
                     1.0,
@@ -128,9 +128,14 @@ proptest! {
     ) {
         use exec_sim::contention::reference;
         let spec = GpuModel::RtxA2000.spec();
+        let kernels: Vec<KernelDesc> = shapes
+            .iter()
+            .map(|&(flops, bytes, blocks, ..)| kernel(flops, bytes, blocks))
+            .collect();
         let running: Vec<RunningCtx> = shapes
             .iter()
-            .map(|&(flops, bytes, blocks, start, len, chans)| {
+            .zip(&kernels)
+            .map(|(&(.., start, len, chans), k)| {
                 let mask = TpcMask::range(start, len).intersect(TpcMask::all(&spec));
                 let mask = if mask.is_empty() { TpcMask::first(1) } else { mask };
                 let channels = ChannelSet(chans & ChannelSet::all(&spec).0);
@@ -139,11 +144,15 @@ proptest! {
                 } else {
                     channels
                 };
-                RunningCtx::new(&spec, kernel(flops, bytes, blocks), mask, channels, 1.0)
+                RunningCtx::new(&spec, k, mask, channels, 1.0)
             })
             .collect();
         let fast = compute_rates(&spec, &running);
-        let seed: Vec<reference::Ctx> = running.iter().map(reference::Ctx::from_running).collect();
+        let seed: Vec<reference::Ctx> = running
+            .iter()
+            .zip(&kernels)
+            .map(|(r, k)| reference::Ctx::from_running(r, k))
+            .collect();
         let slow = reference::compute_rates(&spec, &seed);
         let div = max_relative_divergence(&fast, &slow);
         prop_assert!(div < RATE_EQUIVALENCE_TOL, "divergence {div}");

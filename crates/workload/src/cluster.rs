@@ -506,18 +506,38 @@ impl RoutingPolicy for RoundRobin {
 #[derive(Debug, Default)]
 pub struct JoinShortestBacklog;
 
+impl JoinShortestBacklog {
+    /// The replica minimizing `(!healthy, [ratio <= 1.0,] backlog,
+    /// index)` — the ratio term only when `breach_first` — taken as the
+    /// min of one packed `u128` per view: bit 127 `!healthy`, bit 126
+    /// `window_p99_ratio <= 1.0` (when `breach_first`), `backlog` from
+    /// bit 32, the index in the low 32 bits. The fields occupy disjoint
+    /// bits in priority order and the index makes every key unique, so
+    /// the min is the tuple order's first minimum.
+    fn pick(views: &[ReplicaView], breach_first: bool) -> usize {
+        assert!(!views.is_empty(), "non-empty fleet");
+        assert!(
+            views.len() as u64 <= 1 << 32,
+            "every replica index fits the key's low 32 bits"
+        );
+        let best = views.iter().enumerate().fold(u128::MAX, |best, (i, v)| {
+            let key = u128::from(!v.healthy) << 127
+                | u128::from(breach_first && v.window_p99_ratio <= 1.0) << 126
+                | (v.backlog as u128) << 32
+                | i as u128;
+            best.min(key)
+        });
+        (best & u128::from(u32::MAX)) as usize
+    }
+}
+
 impl RoutingPolicy for JoinShortestBacklog {
     fn name(&self) -> &'static str {
         "shortest_backlog"
     }
 
     fn route(&mut self, views: &[ReplicaView], _task: usize, _at_us: f64) -> usize {
-        views
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, v)| (!v.healthy, v.backlog, *i))
-            .expect("non-empty fleet")
-            .0
+        Self::pick(views, false)
     }
 
     /// Tier-aware tie-break: lower tiers prefer lanes already breaching
@@ -527,19 +547,11 @@ impl RoutingPolicy for JoinShortestBacklog {
     fn route_with_tier(
         &mut self,
         views: &[ReplicaView],
-        task: usize,
+        _task: usize,
         tier_rank: u32,
-        at_us: f64,
+        _at_us: f64,
     ) -> usize {
-        if tier_rank == 0 {
-            return self.route(views, task, at_us);
-        }
-        views
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, v)| (!v.healthy, v.window_p99_ratio <= 1.0, v.backlog, *i))
-            .expect("non-empty fleet")
-            .0
+        Self::pick(views, tier_rank > 0)
     }
 }
 
@@ -736,6 +748,9 @@ pub struct ClusterResult {
     pub ls_shed: u64,
     /// BE-job park actions taken by the brownout ladder.
     pub be_shed: u64,
+    /// Parked BE jobs the brownout ladder resumed (its level-0 branch);
+    /// at most `be_shed`.
+    pub be_resumed: u64,
     /// Requests still queued — on replicas or in the retry queue — when
     /// the horizon closed.
     pub in_flight_at_end: u64,
@@ -1349,6 +1364,7 @@ struct ChaosRt {
     timeout_drops: u64,
     ls_shed: u64,
     be_shed: u64,
+    be_resumed: u64,
     /// Per-LS-service attribution of `timeout_drops` (tier ledgers).
     /// `timeout_drops == drops_by_task.sum()`.
     drops_by_task: Vec<u64>,
@@ -1385,6 +1401,7 @@ impl ChaosRt {
             timeout_drops: 0,
             ls_shed: 0,
             be_shed: 0,
+            be_resumed: 0,
             drops_by_task: vec![0; n_ls],
             shed_by_task: vec![0; n_ls],
             faults_injected: 0,
@@ -2554,18 +2571,22 @@ fn brownout(
         }
     } else {
         for (r, jobs) in jobs_on.iter().enumerate() {
-            let mut resumed = false;
+            let mut resumed = 0u32;
             for &j in jobs {
                 if !rt.job_shed[j] {
                     continue;
                 }
                 rt.job_shed[j] = false;
+                rt.be_resumed += 1;
                 let b = slot_of(cfg.be_jobs[j]);
                 fleet.mutate(r, |cell| cell.sim.state_mut().set_be_active(b, true));
-                resumed = true;
+                resumed += 1;
             }
-            if resumed {
+            if resumed > 0 {
                 fleet.mutate(r, |cell| cell.dispatch());
+                if tel.is_on() {
+                    tel.record(at_us, r as u32, EventKind::BeResumed { count: resumed });
+                }
             }
         }
     }
@@ -3428,6 +3449,7 @@ pub fn run_cluster_prepared(
         timeout_drops: rt.timeout_drops,
         ls_shed: rt.ls_shed,
         be_shed: rt.be_shed,
+        be_resumed: rt.be_resumed,
         in_flight_at_end,
         faults_injected: rt.faults_injected,
         faults_recovered: rt.faults_recovered,

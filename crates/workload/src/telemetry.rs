@@ -134,6 +134,9 @@ pub enum EventKind {
     LsShed { task: u32, count: u32 },
     /// Graceful degradation parked this lane's resident BE jobs.
     BeParked { count: u32 },
+    /// The brownout ladder, back at level 0, resumed this lane's parked
+    /// BE jobs.
+    BeResumed { count: u32 },
     /// A fault began on this lane (crash or slowdown onset).
     FaultOnset { kind: FaultKind },
     /// A fault ended on this lane (revival or slowdown recovery).
@@ -167,6 +170,7 @@ impl EventKind {
             EventKind::Refused { .. } => "refused",
             EventKind::LsShed { .. } => "ls_shed",
             EventKind::BeParked { .. } => "be_parked",
+            EventKind::BeResumed { .. } => "be_resumed",
             EventKind::FaultOnset { .. } => "fault_onset",
             EventKind::FaultRecovered { .. } => "fault_recovered",
             EventKind::MigrationOut { .. } => "migration_out",

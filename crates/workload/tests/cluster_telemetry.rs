@@ -10,7 +10,8 @@
 //! * **stream/counter consistency** — the merged stream is sorted and
 //!   uniquely sequenced; when no history was overwritten, `Completed`
 //!   events reconcile exactly with the completion counters and the
-//!   requeue, drop, shed, park, retry and refusal events with theirs;
+//!   requeue, drop, shed, park, resume, retry and refusal events with
+//!   theirs;
 //!   and the per-lane requeue/retry attribution sums to the fleet
 //!   totals;
 //! * **recycling** — a recorder-on clock run on a `ClusterCtx` dirtied
@@ -133,6 +134,18 @@ fn tiered_chaos_cfg(fault_seed: u64) -> ClusterConfig {
     cfg
 }
 
+/// `chaos_cfg` on a 60 ms horizon in every build, with the BE-park
+/// threshold lowered to 8: the crashes of seed 1234's plan push the
+/// backlog past it, BE parks, and the calm after recovery resumes it.
+fn park_and_resume_cfg() -> ClusterConfig {
+    let mut cfg = chaos_cfg(1234);
+    cfg.horizon_us = 6e4;
+    let mut plan = FaultPlan::generate(1234, 3, cfg.horizon_us, 1.5);
+    plan.degradation.shed_be_backlog = 8;
+    cfg.chaos = Some(plan);
+    cfg
+}
+
 /// The merged stream is canonically ordered: non-decreasing in time,
 /// globally unique sequence numbers, strictly increasing at equal
 /// instants.
@@ -159,20 +172,21 @@ fn assert_canonical_order(tel: &workload::TelemetryResult) {
     }
 }
 
-/// The six fleet counters the recorder must explain event by event:
-/// `requeued`, `timeout_drops`, `ls_shed`, `be_shed`, `retries` and
-/// `refused_admission`, as recorded in `tel`.
-fn recorded_counters(tel: &TelemetryResult) -> [u64; 6] {
-    let mut c = [0u64; 6];
+/// The seven fleet counters the recorder must explain event by event:
+/// `requeued`, `timeout_drops`, `ls_shed`, `be_shed`, `be_resumed`,
+/// `retries` and `refused_admission`, as recorded in `tel`.
+fn recorded_counters(tel: &TelemetryResult) -> [u64; 7] {
+    let mut c = [0u64; 7];
     for e in &tel.events {
         match e.kind {
             EventKind::Requeued { .. } => c[0] += 1,
             EventKind::TimeoutDropped { .. } => c[1] += 1,
             EventKind::LsShed { count, .. } => c[2] += u64::from(count),
             EventKind::BeParked { count } => c[3] += u64::from(count),
+            EventKind::BeResumed { count } => c[4] += u64::from(count),
             // Attempt 0 is a queued admission's dispatch, not a retry.
-            EventKind::RetryDispatched { attempt, .. } if attempt > 0 => c[4] += 1,
-            EventKind::Refused { .. } => c[5] += 1,
+            EventKind::RetryDispatched { attempt, .. } if attempt > 0 => c[5] += 1,
+            EventKind::Refused { .. } => c[6] += 1,
             _ => {}
         }
     }
@@ -184,12 +198,18 @@ fn recorded_counters(tel: &TelemetryResult) -> [u64; 6] {
 /// the recorded stream reconciles with the fleet counters — `Completed`
 /// events == completions and SLO-ok events == `slo_met` (per lane and
 /// fleet-wide), and one event (or one event's count) per requeue, drop,
-/// LS shed, BE park, retry and admission refusal. Together the inputs
-/// drive all six of those counters above 0, so no check is vacuous.
+/// LS shed, BE park, BE resume, retry and admission refusal, with no
+/// more resumes than parks. Together the inputs drive all seven of
+/// those counters above 0, so no check is vacuous.
 #[test]
 fn recorder_is_invisible_and_reconciles_with_counters() {
-    let mut totals = [0u64; 6];
-    for cfg in [chaos_cfg(42), chaos_cfg(7), tiered_chaos_cfg(1234)] {
+    let mut totals = [0u64; 7];
+    for cfg in [
+        chaos_cfg(42),
+        chaos_cfg(7),
+        tiered_chaos_cfg(1234),
+        park_and_resume_cfg(),
+    ] {
         let off = run_with(&cfg, RouterKind::ShortestBacklog, None);
         let on = run_with(
             &cfg,
@@ -229,14 +249,21 @@ fn recorder_is_invisible_and_reconciles_with_counters() {
             on.timeout_drops,
             on.ls_shed,
             on.be_shed,
+            on.be_resumed,
             on.retries,
             on.refused_admission,
         ];
         assert_eq!(
             recorded_counters(&tel),
             counters,
-            "events disagree with [requeued, timeout_drops, ls_shed, be_shed, retries, \
-             refused_admission]"
+            "events disagree with [requeued, timeout_drops, ls_shed, be_shed, be_resumed, \
+             retries, refused_admission]"
+        );
+        assert!(
+            on.be_resumed <= on.be_shed,
+            "resumed {} parked BE jobs but parked only {}",
+            on.be_resumed,
+            on.be_shed
         );
         for (total, c) in totals.iter_mut().zip(counters) {
             *total += c;

@@ -26,12 +26,17 @@
 //! (rank 0 throughout a tier-blind run), so a tier-blind fleet routes
 //! as `route` would only through the router contract that rank 0
 //! routes exactly like `route`, pinned per router by
-//! `rank_zero_routes_exactly_like_route`.
+//! `rank_zero_routes_exactly_like_route`. Shortest-backlog's packed-key
+//! pick is pinned to its tuple definition by
+//! `shortest_backlog_picks_the_tuple_minimum`.
 
 use gpu_spec::GpuModel;
 use proptest::prelude::*;
 use workload::chaos::{FaultEvent, FaultPlan};
-use workload::cluster::{ClusterConfig, ClusterCtx, ControllerConfig, ReplicaView, RouterKind};
+use workload::cluster::{
+    ClusterConfig, ClusterCtx, ControllerConfig, JoinShortestBacklog, ReplicaView, RouterKind,
+    RoutingPolicy,
+};
 use workload::elastic::{ElasticConfig, ScalingPolicyKind, ThresholdPolicy, WarmPoolConfig};
 use workload::trace::TraceConfig;
 use workload::{AdmissionClass, RetryConfig, SystemKind, TierConfig, TierOutcome, TiersConfig};
@@ -482,6 +487,54 @@ proptest! {
                     i
                 );
             }
+        }
+    }
+
+    /// `JoinShortestBacklog`'s packed `u128` key picks exactly the first
+    /// minimum of its tuple definition — `(!healthy, backlog, index)` at
+    /// rank 0, `(!healthy, window_p99_ratio <= 1.0, backlog, index)`
+    /// below — over random health, tied and extreme backlogs (up to
+    /// `usize::MAX`), and NaN, exactly-1.0 and random ratios, on fleets
+    /// of up to 520 lanes.
+    #[test]
+    fn shortest_backlog_picks_the_tuple_minimum(
+        lanes in prop::collection::vec(
+            (0u8..4, 0usize..usize::MAX, 0u8..4, 0.0f64..2.0, 0u8..4),
+            1..520,
+        ),
+        rank in 0u32..3,
+    ) {
+        let views: Vec<ReplicaView> = lanes
+            .iter()
+            .map(|&(b_kind, b, r_kind, r, health)| ReplicaView {
+                gpu: GpuModel::RtxA2000,
+                backlog: match b_kind {
+                    0 => b % 3,
+                    1 => usize::MAX,
+                    2 => usize::MAX - b % 3,
+                    _ => b,
+                },
+                window_p99_ratio: match r_kind {
+                    0 => f64::NAN,
+                    1 => 1.0,
+                    _ => r,
+                },
+                resident_be: 0,
+                healthy: health != 0,
+            })
+            .collect();
+        let tuple_pick = views
+            .iter()
+            .enumerate()
+            .min_by_key(|(i, v)| {
+                (!v.healthy, rank > 0 && v.window_p99_ratio <= 1.0, v.backlog, *i)
+            })
+            .expect("non-empty")
+            .0;
+        let mut jsb = JoinShortestBacklog;
+        prop_assert_eq!(jsb.route_with_tier(&views, 0, rank, 0.0), tuple_pick);
+        if rank == 0 {
+            prop_assert_eq!(jsb.route(&views, 0, 0.0), tuple_pick);
         }
     }
 }

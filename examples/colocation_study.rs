@@ -15,7 +15,7 @@ fn main() {
     let spec = GpuModel::RtxA2000.spec();
     let victim = RunningCtx::new(
         &spec,
-        KernelDesc {
+        &KernelDesc {
             id: 1,
             name: "victim/gemm".into(),
             kind: KernelKind::Gemm,
@@ -33,7 +33,7 @@ fn main() {
     );
     let thrasher = RunningCtx::new(
         &spec,
-        KernelDesc {
+        &KernelDesc {
             id: 2,
             name: "thrasher/stream".into(),
             kind: KernelKind::Elementwise,
@@ -51,7 +51,7 @@ fn main() {
     );
 
     let alone = compute_rates(&spec, std::slice::from_ref(&victim))[0].duration_us;
-    let shared = compute_rates(&spec, &[victim.clone(), thrasher.clone()])[0].duration_us;
+    let shared = compute_rates(&spec, &[victim, thrasher])[0].duration_us;
 
     let split = split_channels(&spec, 1.0 / 3.0);
     let v_iso = RunningCtx {

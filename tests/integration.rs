@@ -234,7 +234,7 @@ fn mem_sim_and_exec_sim_contention_shapes_agree() {
     let stream = |mask: TpcMask| {
         RunningCtx::new(
             &spec,
-            KernelDesc {
+            &KernelDesc {
                 id: 3,
                 name: "stream".into(),
                 kind: KernelKind::Elementwise,
