@@ -217,9 +217,13 @@ impl GpuDevice {
 
     // -- cache maintenance --------------------------------------------------
 
-    /// Invalidates the entire L2 (models the `RefreshL2(v)` pointer-chase
-    /// sweep of Algo 1 without paying millions of simulated loads; see
-    /// `pchase::refresh_via_scan` for the faithful variant used in tests).
+    /// Invalidates the entire L2 and closes every DRAM row buffer (models
+    /// the `RefreshL2(v)` pointer-chase sweep of Algo 1 without paying
+    /// millions of simulated loads; see `pchase::refresh_via_scan` for the
+    /// faithful variant used in tests). Its simulated cost is zero: the
+    /// clock does not move. Its host cost is proportional to the L2 sets
+    /// and DRAM banks touched since the previous flush, not to the size
+    /// of the cache.
     pub fn flush_l2(&mut self) {
         for slice in &mut self.l2 {
             slice.flush();

@@ -30,6 +30,10 @@ struct Bank {
 #[derive(Debug, Clone)]
 pub struct DramChannel {
     banks: Vec<Bank>,
+    /// Indices of the banks with an open row, each listed once. A row
+    /// buffer only closes at `precharge_all`, which closes exactly these
+    /// and costs O(opened banks) instead of O(all banks).
+    opened: Vec<usize>,
     /// log2 of the row size in bytes. Addresses in the same bank whose
     /// upper bits differ map to different rows.
     row_shift: u32,
@@ -40,6 +44,7 @@ impl DramChannel {
         assert!(num_banks.is_power_of_two());
         Self {
             banks: vec![Bank::default(); num_banks as usize],
+            opened: Vec::new(),
             row_shift,
         }
     }
@@ -68,7 +73,10 @@ impl DramChannel {
         let outcome = match b.open_row {
             Some(open) if open == row => RowOutcome::RowHit,
             Some(_) => RowOutcome::RowConflict,
-            None => RowOutcome::RowEmpty,
+            None => {
+                self.opened.push(bank);
+                RowOutcome::RowEmpty
+            }
         };
         b.open_row = Some(row);
         outcome
@@ -80,10 +88,11 @@ impl DramChannel {
         self.bank_of(a) == self.bank_of(b) && self.row_of(a) != self.row_of(b)
     }
 
-    /// Closes all row buffers (e.g. after refresh).
+    /// Closes all row buffers (e.g. after refresh) by closing the banks
+    /// opened since the last precharge.
     pub fn precharge_all(&mut self) {
-        for b in &mut self.banks {
-            b.open_row = None;
+        for b in self.opened.drain(..) {
+            self.banks[b].open_row = None;
         }
     }
 
@@ -95,6 +104,8 @@ impl DramChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn ch() -> DramChannel {
         DramChannel::new(16, 17)
@@ -164,5 +175,41 @@ mod tests {
         c.access(a);
         c.precharge_all();
         assert_eq!(c.access(a), RowOutcome::RowEmpty);
+    }
+
+    /// `precharge_all` closes only the banks opened since the previous
+    /// one, so a precharged channel must behave exactly like a freshly
+    /// built one.
+    #[test]
+    fn precharged_channel_behaves_like_fresh() {
+        for seed in 0..64u64 {
+            let mut inputs = StdRng::seed_from_u64(seed);
+            let mut used = ch();
+            for round in 0..4 {
+                let mut fresh = ch();
+                // Short rounds leave most banks idle; long ones revisit
+                // banks in several rows (8 MiB spans 64 rows).
+                let len = inputs.gen_range(0..64);
+                let span = inputs.gen_range(1..8u64 << 20);
+                for _ in 0..len {
+                    let a = PhysAddr(inputs.gen_range(0..span) & !127);
+                    assert_eq!(
+                        used.access(a),
+                        fresh.access(a),
+                        "seed {seed} round {round}: access {a:?}"
+                    );
+                }
+                // Each open bank is listed exactly once.
+                let mut listed = used.opened.clone();
+                listed.sort_unstable();
+                let open: Vec<usize> = (0..used.num_banks())
+                    .filter(|&b| used.banks[b].open_row.is_some())
+                    .collect();
+                assert_eq!(listed, open);
+                used.precharge_all();
+                assert!(used.banks.iter().all(|b| b.open_row.is_none()));
+                assert!(used.opened.is_empty());
+            }
+        }
     }
 }

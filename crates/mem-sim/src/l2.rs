@@ -21,6 +21,10 @@ pub enum L2Outcome {
 pub struct L2Slice {
     /// `sets[s]` holds up to `ways` tags, most-recently-used first.
     sets: Vec<Vec<u64>>,
+    /// Indices of the non-empty sets, each listed once. A set only empties
+    /// at a flush, so `flush` clears exactly these and costs O(touched
+    /// sets) instead of O(all sets).
+    touched: Vec<usize>,
     ways: usize,
     set_mask: u64,
     noise_rate: f64,
@@ -34,6 +38,7 @@ impl L2Slice {
             sets: (0..sets)
                 .map(|_| Vec::with_capacity(ways as usize))
                 .collect(),
+            touched: Vec::new(),
             ways: ways as usize,
             set_mask: sets - 1,
             noise_rate,
@@ -66,6 +71,9 @@ impl L2Slice {
             };
             Some(set.remove(victim))
         } else {
+            if set.is_empty() {
+                self.touched.push(set_idx);
+            }
             None
         };
         set.insert(0, cacheline);
@@ -77,10 +85,11 @@ impl L2Slice {
         self.sets[self.set_of(cacheline)].contains(&cacheline)
     }
 
-    /// Invalidates the whole slice.
+    /// Invalidates the whole slice by clearing the sets filled since the
+    /// last flush.
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
+        for s in self.touched.drain(..) {
+            self.sets[s].clear();
         }
     }
 
@@ -191,5 +200,49 @@ mod tests {
         l2.flush();
         assert_eq!(l2.resident_lines(), 0);
         assert!(!l2.probe(0));
+    }
+
+    /// A flush clears only the sets filled since the previous one, so a
+    /// flushed slice must behave exactly like a freshly built one: same
+    /// outcomes, evictions (noisy ones included), probes and occupancy.
+    #[test]
+    fn flushed_slice_behaves_like_fresh() {
+        const SETS: u64 = 16;
+        const WAYS: u32 = 4;
+        const NOISE: f64 = 0.2;
+        for seed in 0..64u64 {
+            let mut inputs = StdRng::seed_from_u64(seed);
+            let mut used = L2Slice::new(SETS, WAYS, NOISE);
+            for round in 0..4u64 {
+                let mut fresh = L2Slice::new(SETS, WAYS, NOISE);
+                let mut used_rng = StdRng::seed_from_u64(seed * 8 + round);
+                let mut fresh_rng = used_rng.clone();
+                // Short rounds leave most sets untouched; long ones fill
+                // sets and evict (tags span up to three times the capacity).
+                let len = inputs.gen_range(0..200);
+                let max_tag = inputs.gen_range(1..3 * SETS * WAYS as u64);
+                for _ in 0..len {
+                    let tag = inputs.gen_range(0..max_tag);
+                    let probe = inputs.gen_range(0..max_tag);
+                    assert_eq!(
+                        used.access(tag, &mut used_rng),
+                        fresh.access(tag, &mut fresh_rng),
+                        "seed {seed} round {round}: access {tag}"
+                    );
+                    assert_eq!(used.probe(probe), fresh.probe(probe));
+                    assert_eq!(used.resident_lines(), fresh.resident_lines());
+                }
+                // Each non-empty set is listed exactly once.
+                let mut listed = used.touched.clone();
+                listed.sort_unstable();
+                let non_empty: Vec<usize> = (0..used.num_sets())
+                    .filter(|&s| !used.sets[s].is_empty())
+                    .collect();
+                assert_eq!(listed, non_empty);
+                used.flush();
+                assert_eq!(used.resident_lines(), 0, "seed {seed} round {round}");
+                assert!(used.touched.is_empty());
+            }
+        }
     }
 }

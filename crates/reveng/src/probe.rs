@@ -159,13 +159,6 @@ pub fn find_cache_conflict_addrs(
     Ok(found)
 }
 
-/// Builds a cacheline-stride probe window over a partition list: the seed
-/// partition's first line followed by the first line of every subsequent
-/// partition (Algo 2 operates on such arrays).
-pub fn probe_window(partitions: &[VirtAddr]) -> Vec<VirtAddr> {
-    partitions.to_vec()
-}
-
 /// All eight cacheline addresses inside one 1 KiB partition.
 pub fn partition_lines(base: VirtAddr) -> impl Iterator<Item = VirtAddr> {
     (0..PARTITION_BYTES / CACHELINE_BYTES).map(move |i| base.offset(i * CACHELINE_BYTES))
