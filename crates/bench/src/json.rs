@@ -365,7 +365,7 @@ fn scan_number(b: &[u8], pos: &mut usize) -> Result<(), String> {
     Ok(())
 }
 
-/// Serializes one end-to-end [`SystemResult`] (the `fig17_results.json`
+/// Serializes one end-to-end [`SystemResult`](workload::SystemResult) (the `fig17_results.json`
 /// schema previously produced via serde).
 pub fn system_result_json(r: &workload::SystemResult) -> Json {
     let ls: Vec<Json> =

@@ -245,11 +245,6 @@ impl ColoredPool {
             })
             .collect()
     }
-
-    /// Bytes of colored memory currently live.
-    pub fn live_bytes(&self) -> u64 {
-        self.live.values().map(|a| a.logical_bytes).sum()
-    }
 }
 
 #[cfg(test)]

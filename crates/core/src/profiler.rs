@@ -37,13 +37,6 @@ pub struct ModelProfile {
     pub isolated_e2e_us: f64,
 }
 
-impl ModelProfile {
-    /// The largest per-kernel `SM_LS` of the model.
-    pub fn max_min_tpcs(&self) -> u32 {
-        self.kernels.iter().map(|k| k.min_tpcs).max().unwrap_or(1)
-    }
-}
-
 /// Latency tolerance for the min-SM binary search: the smallest allocation
 /// whose latency is indistinguishable from optimal within profiling noise
 /// (real-GPU kernel timings vary by >10% run-to-run).

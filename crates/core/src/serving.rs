@@ -146,11 +146,6 @@ impl ArrivalTrace {
         &self.per_task
     }
 
-    /// Number of LS tasks the trace covers.
-    pub fn num_tasks(&self) -> usize {
-        self.per_task.len()
-    }
-
     /// Total number of requests across all tasks.
     pub fn len(&self) -> usize {
         self.per_task.iter().map(Vec::len).sum()
@@ -744,10 +739,6 @@ impl<'s> ServingState<'s> {
         n
     }
 
-    pub fn ls_kernel(&self, task: usize, idx: usize) -> &KernelDesc {
-        &self.scenario.ls[task].model.kernels[idx]
-    }
-
     pub fn be_kernel(&self, task: usize, idx: usize) -> &KernelDesc {
         &self.scenario.be[task].model.kernels[idx]
     }
@@ -1019,7 +1010,7 @@ impl<'s> ReplicaSim<'s> {
 
     /// The earliest pending work instant — engine event or live policy
     /// timer — or `None` when the replica is idle. Built on the same
-    /// [`pending_candidates`](Self::pending_candidates) fold `advance`
+    /// `pending_candidates` fold `advance`
     /// consumes, so `advance(policy, Some(t))` is a guaranteed no-op
     /// (no state change, returns `true`) whenever `t` is within the
     /// horizon and `next_pending_at() >= Some(t)` or the replica is idle

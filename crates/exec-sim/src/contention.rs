@@ -144,7 +144,7 @@ pub struct KernelRate {
 }
 
 /// Caller-owned rate-computation state: fixed-size resource aggregates
-/// plus one [`KernelSums`] record per running kernel, parallel to the
+/// plus one `KernelSums` record per running kernel, parallel to the
 /// running set. Reusing one `RateState` across events makes rate
 /// evaluation allocation-free (the record `Vec` reaches steady-state
 /// capacity after the first few events) and enables the incremental
@@ -694,7 +694,7 @@ pub mod reference {
 }
 
 /// Maximum relative divergence tolerated between the optimized rate
-/// paths and the [`reference`] oracle (float-associativity headroom).
+/// paths and the [`reference`](mod@reference) oracle (float-associativity headroom).
 pub const RATE_EQUIVALENCE_TOL: f64 = 1e-9;
 
 /// Relative divergence between two rate vectors (∞ on length mismatch).

@@ -68,12 +68,6 @@ impl PhysAddr {
         self.0 & (PAGE_BYTES - 1)
     }
 
-    /// Byte offset inside the 1 KiB channel partition.
-    #[inline]
-    pub fn partition_offset(self) -> u64 {
-        self.0 & (PARTITION_BYTES - 1)
-    }
-
     /// The bits that feed the channel hash mapping function
     /// (bits `PARTITION_SHIFT ..= MAX_HASH_BIT`, i.e. the partition index
     /// truncated to 25 bits).
@@ -127,7 +121,7 @@ impl From<u64> for VirtAddr {
 
 /// L2 set index of a cacheline. NVIDIA L2 slices hash the set index by
 /// folding higher cacheline bits into the low bits (micro-benchmarking
-/// literature, paper ref [30]); this decorrelates set placement from the
+/// literature, paper ref \[30\]); this decorrelates set placement from the
 /// channel interleaving. Shared between the simulator and the probing code
 /// — the geometry is public knowledge, unlike the channel hash.
 #[inline]

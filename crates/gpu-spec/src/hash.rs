@@ -267,11 +267,6 @@ impl PermutationChannelHash {
     pub fn num_groups(&self) -> u16 {
         self.num_groups
     }
-
-    /// Pattern index of the window containing partition `p`.
-    pub fn pattern_of_partition(&self, p: u64) -> usize {
-        ((p / self.window_partitions()) % self.layouts.len() as u64) as usize
-    }
 }
 
 impl ChannelHash for PermutationChannelHash {

@@ -5,7 +5,7 @@
 //! channel IDs changes each time the program restarts" (paper §5.1). The
 //! reverse-engineering pipeline therefore first recovers physical addresses
 //! by *parsing the page table entries stored in VRAM* (following paper
-//! ref [60]); [`PageTable::parse_entries`] models exactly that step.
+//! ref \[60\]); [`PageTable::parse_entries`] models exactly that step.
 //!
 //! The page table is also the hook the coloring driver uses: the shadow
 //! page table writes the physical frame numbers of colored chunks directly

@@ -5,7 +5,7 @@
 //!
 //! * `malloc` / `free` — virtually contiguous allocations with randomized
 //!   physical backing (`cuMemAlloc` behaviour, §5.1);
-//! * `parse_page_table` — the PTE-parsing trick of paper ref [60] used to
+//! * `parse_page_table` — the PTE-parsing trick of paper ref \[60\] used to
 //!   learn physical addresses;
 //! * timed loads (`read_u64`, `timed_pair`) whose latencies reflect L2
 //!   hits/misses, DRAM row conflicts and cache-policy noise.
@@ -118,7 +118,7 @@ impl GpuDevice {
         self.page_table.free_frames() * gpu_spec::PAGE_BYTES
     }
 
-    /// The PTE-parsing primitive of §5.1 (paper ref [60]).
+    /// The PTE-parsing primitive of §5.1 (paper ref \[60\]).
     pub fn parse_page_table(
         &self,
         va: VirtAddr,

@@ -1,7 +1,7 @@
 //! DRAM channel model: banks, row buffers and MSHRs.
 //!
 //! Within a VRAM channel, "a DRAM bank can only serve one request in a
-//! clock cycle, [so] memory requests from multiple threads to the same
+//! clock cycle, \[so\] memory requests from multiple threads to the same
 //! DRAM bank must be processed sequentially" (paper §2.2, citing FGPU).
 //! Two addresses in the same bank but different rows additionally pay a
 //! row-activation penalty — the signal Algo 1 uses to find bank-conflicting

@@ -10,7 +10,7 @@
 //!   serialize, §2.2);
 //! * a **4 KiB-page MMU** with randomized physical backing and parsable
 //!   page-table entries (§5.1);
-//! * **P-chase** timing utilities and threshold calibration (ref [30]).
+//! * **P-chase** timing utilities and threshold calibration (ref \[30\]).
 //!
 //! The kernel-grain engine (`sgdrc-exec-sim`) is a separate, coarser model;
 //! its contention coefficients are calibrated against micro-benchmarks run

@@ -1,7 +1,7 @@
 //! GPU pointer-chase (P-chase) utilities and latency-threshold calibration.
 //!
 //! The paper's probing algorithms (Algo 1–3) are built on the P-chase
-//! micro-benchmark of Mei & Chu (paper ref [30]): an array whose elements
+//! micro-benchmark of Mei & Chu (paper ref \[30\]): an array whose elements
 //! store the index of the next element to visit, defeating prefetchers and
 //! exposing per-access latency. This module provides chain construction,
 //! chain traversal, an L2 refresh sweep, and the micro-benchmark that

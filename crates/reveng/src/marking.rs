@@ -10,7 +10,7 @@
 //!    populate the candidate's L2 set completely (the "populate all
 //!    available L2 cachelines in the channel" step of §5.1, restricted to
 //!    the relevant set — the L2 set-index geometry is public knowledge from
-//!    the micro-benchmarking literature, paper ref [30]).
+//!    the micro-benchmarking literature, paper ref \[30\]).
 //! 3. Classify any address by reading it, chasing a pool, and re-timing it
 //!    (Algo 3): an L2 miss ⇒ the pool's channel evicted it ⇒ same channel.
 //!
@@ -157,7 +157,7 @@ pub struct ChannelMarker<'d> {
 
 impl<'d> ChannelMarker<'d> {
     /// Allocates the probe buffer, parses its page-table entries (§5.1,
-    /// ref [60]) and calibrates latency thresholds.
+    /// ref \[60\]) and calibrates latency thresholds.
     pub fn new(dev: &'d mut GpuDevice, cfg: MarkerConfig) -> Result<Self, MarkError> {
         let th = calibrate_thresholds(dev, cfg.calibration_seed)?;
         let bytes = if cfg.buffer_bytes == 0 {
@@ -201,11 +201,6 @@ impl<'d> ChannelMarker<'d> {
     /// Number of channel classes discovered so far.
     pub fn num_classes(&self) -> usize {
         self.pools.len()
-    }
-
-    /// Number of partitions covered by the probe buffer.
-    pub fn num_partitions(&self) -> usize {
-        self.partitions.len()
     }
 
     fn set_group(&self, pa: PhysAddr) -> usize {
@@ -446,17 +441,6 @@ impl<'d> ChannelMarker<'d> {
             out.push((self.partitions[idx].0, class));
         }
         Ok(out)
-    }
-
-    /// Classifies one partition several times independently *without*
-    /// voting — the raw, noisy per-sample labels used to train the hash
-    /// learner (§5.3 collects exactly such samples).
-    pub fn sample_label(&mut self, index: usize) -> Result<ClassId, MarkError> {
-        let saved = self.cfg.vote_rounds;
-        self.cfg.vote_rounds = 1;
-        let r = self.classify(index);
-        self.cfg.vote_rounds = saved;
-        r
     }
 }
 

@@ -29,18 +29,45 @@
 //! * per-replica latency sketches **merge** into fleet-wide percentiles
 //!   without re-sorting ([`LatencyHistogram::merge`]).
 //!
+//! ## One run state, one decision order
+//!
+//! [`run_cluster_prepared`] builds one private run state (`RunState`):
+//! the `Fleet`, the BE placement and migration log, the chaos, tier,
+//! elastic and telemetry runtimes, the arrival stream, the router and
+//! the scratch buffers. Every control-plane step is a method on it, so
+//! each layer's state is one field away. The clock is one loop: it takes
+//! the earliest decision due by the horizon, quiesces the fleet to that
+//! instant and runs the decision's handler —
+//!
+//! * *fault*: the next fault-timeline action of [`crate::chaos`] (crash,
+//!   recovery, clock scale);
+//! * *scale*: warm lanes whose provisioning delay has ended join the
+//!   fleet ([`crate::elastic`]);
+//! * *tick*: the controller drains the completion windows, then runs the
+//!   elastic step, the BE migration, the brownout ladder and the
+//!   [`crate::tiers`] queue flush;
+//! * *retry*: due retry-queue entries are re-routed or dropped;
+//! * *arrival*: admission control, then routing.
+//!
+//! Decisions due at one instant run in the order the private `Decision`
+//! enum declares its variants, fault < scale < tick < retry < arrival:
+//! its derived `Ord` is the only statement of that order in the code. A
+//! tick at exactly the horizon does not fire; the other kinds fire at or
+//! before it. Once no decision is due, every lane runs out to the
+//! horizon.
+//!
 //! ## Scale-out architecture (500–1000 replicas, 10M+ requests)
 //!
 //! The fleet clock touches a lane's cold state only when that lane has
 //! work, and its steady-state allocations are zero:
 //!
-//! * **Struct-of-arrays lanes.** [`Fleet`] keeps the per-epoch hot
+//! * **Struct-of-arrays lanes.** `Fleet` keeps the per-epoch hot
 //!   scalars — next-pending time, LS backlog, windowed ratio, liveness
 //!   — in contiguous arrays the router, controller and clock read
 //!   densely; the cold per-replica state (engine, queues, policy,
-//!   sketches) lives in one boxed [`LaneCell`] per lane that only that
+//!   sketches) lives in one boxed `LaneCell` per lane that only that
 //!   lane's advance touches. Every lane mutation funnels through
-//!   [`Fleet::mutate`], which re-derives the lane's hot mirror
+//!   `Fleet::mutate`, which re-derives the lane's hot mirror
 //!   afterwards — the mirrors are provably never stale.
 //! * **Busy-set scan.** Busy-lane selection is one pass over the dense
 //!   `next_at` mirror (8 bytes per lane). The router already reads
@@ -76,7 +103,7 @@
 use crate::chaos::{FaultOp, FaultPlan, RetryConfig, ScheduledFault};
 use crate::elastic::{
     provision_delay, ElasticConfig, FleetSignals, ScaleCause, ScaleEvent, ScaleEventKind,
-    ScalingPolicy,
+    ScalingPolicy, ScalingPolicyKind, WarmPoolConfig,
 };
 use crate::metrics::{slo_for, LatencyHistogram};
 use crate::runner::Deployment;
@@ -93,6 +120,7 @@ use sgdrc_core::serving::{ArrivalTrace, Policy, ReplicaSim, RunStats, Scenario, 
 use sgdrc_core::{Sgdrc, SgdrcConfig};
 use std::collections::VecDeque;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Fleet-controller tunables.
 #[derive(Debug, Clone)]
@@ -147,11 +175,11 @@ pub struct ClusterConfig {
     pub controller: ControllerConfig,
     /// Policy tuning for SGDRC replicas.
     pub sgdrc: SgdrcConfig,
-    /// Optional fault-injection scenario. `None` runs the happy path
-    /// with zero resilience overhead and bit-identical results to a
-    /// build without the chaos layer; `Some` interleaves the plan's
-    /// crash/recovery/slowdown timeline with the router and controller
-    /// epochs (see [`crate::chaos`]).
+    /// Optional fault-injection scenario. `None` runs the same clock
+    /// with an empty fault timeline and an infinite heartbeat timeout,
+    /// so no lane fails or looks unhealthy; `Some` interleaves the
+    /// plan's crash/recovery/slowdown timeline with the router and
+    /// controller decisions (see [`crate::chaos`]).
     pub chaos: Option<FaultPlan>,
     /// Long-horizon streaming mode: per-replica completion logs are
     /// folded into the sketches at every controller tick and then
@@ -167,10 +195,9 @@ pub struct ClusterConfig {
     /// Elastic fleet membership: a warm pool of pre-prepared lanes, a
     /// [`ScalingPolicy`] evaluated at every controller tick, SLO-breach
     /// draining and crash replacement (see [`crate::elastic`]). `None`
-    /// freezes membership at config time — bit-identical to a build
-    /// without the elastic layer — and so does a no-op config
-    /// (empty warm pool, `min == max == initial`, breach draining and
-    /// replacement off).
+    /// runs the same machinery over an inert config — no warm lanes,
+    /// the `Hold` policy, breach draining and replacement off — which
+    /// freezes membership at config time, as does any no-op config.
     pub elastic: Option<ElasticConfig>,
     /// The flight recorder (see [`crate::telemetry`]): per-lane event
     /// rings, tick-sampled metric series and clock phase profiling,
@@ -225,6 +252,12 @@ impl ClusterConfig {
     pub fn prepare(&self) -> PreparedCluster {
         let n_init = self.gpus.len();
         assert!(n_init > 0, "a fleet needs at least one replica");
+        // Every fleet runs an elastic config: the attached one, or the
+        // inert one (no warm lanes, `Hold`, breach draining and
+        // replacement off).
+        let elastic = self.elastic.clone().unwrap_or_else(|| {
+            ElasticConfig::new(WarmPoolConfig::new(vec![]), ScalingPolicyKind::Hold)
+        });
         // The lane universe: configured replicas first, then the warm
         // pool. Warm lanes are fully prepared here (deployments,
         // scenarios, SLOs) so run-time activation is pure state flips
@@ -232,13 +265,11 @@ impl ClusterConfig {
         let lane_gpus: Vec<GpuModel> = self
             .gpus
             .iter()
-            .chain(self.elastic.iter().flat_map(|e| e.warm_pool.gpus.iter()))
+            .chain(&elastic.warm_pool.gpus)
             .copied()
             .collect();
         let n = lane_gpus.len();
-        if let Some(e) = &self.elastic {
-            e.validate(n_init, n);
-        }
+        elastic.validate(n_init, n);
         if let Some(plan) = &self.chaos {
             plan.validate_targets(n_init, n);
         }
@@ -281,6 +312,17 @@ impl ClusterConfig {
             m.dedup();
             m
         };
+        // Each job's BE task slot in every replica's scenario.
+        let job_slot: Vec<usize> = self
+            .be_jobs
+            .iter()
+            .map(|&model| {
+                fleet_models
+                    .iter()
+                    .position(|&m| m == model)
+                    .expect("job model is a fleet model")
+            })
+            .collect();
         // One BE task set per distinct GPU model, shared by its replicas.
         let mut be_sets: Vec<(GpuModel, Arc<[Task]>)> = Vec::new();
         for (r, &gpu) in lane_gpus.iter().enumerate() {
@@ -353,10 +395,12 @@ impl ClusterConfig {
             n_init,
             lane_gpus,
             fleet_models,
+            job_slot,
             init_jobs_on,
             slos,
             scenarios,
             tiers,
+            elastic,
         }
     }
 }
@@ -375,11 +419,16 @@ pub struct PreparedCluster {
     /// GPU model per lane — configured replicas then warm-pool lanes.
     lane_gpus: Vec<GpuModel>,
     fleet_models: Vec<usize>,
+    /// BE task slot (index into `fleet_models`) per fleet BE job.
+    job_slot: Vec<usize>,
     init_jobs_on: Vec<Vec<usize>>,
     slos: Vec<Vec<f64>>,
     scenarios: Vec<Scenario>,
     /// The tier map every run uses: `cfg.tiers`, or the tier-blind map.
     tiers: TiersConfig,
+    /// The elastic config every run uses: `cfg.elastic`, or the inert
+    /// one.
+    elastic: ElasticConfig,
 }
 
 impl PreparedCluster {
@@ -929,6 +978,17 @@ impl<'s> LaneCell<'s> {
         self.sim.dispatch(self.policy.as_dyn());
     }
 
+    /// Parks BE task slot `b` and, if its kernel is the one running,
+    /// raises the §7.1 eviction flag; the task's closed-loop cursor is
+    /// preserved.
+    fn park_be(&mut self, b: usize) {
+        let st = self.sim.state_mut();
+        st.set_be_active(b, false);
+        if st.be_launch.map(|l| l.task) == Some(b) {
+            st.preempt_be();
+        }
+    }
+
     fn inject(&mut self, task: usize, at_us: f64) {
         self.sim.inject_arrival(self.policy.as_dyn(), task, at_us);
         self.routed += 1;
@@ -1005,9 +1065,9 @@ impl<'s> LaneCell<'s> {
 /// *mirrors* of the lane state, re-derived by [`refresh`](Self::refresh)
 /// after every lane mutation — route all mutations through
 /// [`mutate`](Self::mutate). `next_at[r]` is `INFINITY` for idle, dead,
-/// warm, provisioning and retired lanes, so [`quiesce`]'s scan never
-/// finds them due. Staleness is caught by the debug-assert busy-set
-/// oracle in [`quiesce`] and the view oracle in
+/// warm, provisioning and retired lanes, so [`RunState::quiesce`]'s scan
+/// never finds them due. Staleness is caught by the debug-assert
+/// busy-set oracle in [`RunState::quiesce`] and the view oracle in
 /// [`Fleet::assert_views_current`].
 struct Fleet<'s> {
     // Boxing keeps the hot mirror arrays below dense — an inline
@@ -1234,76 +1294,6 @@ impl<'s> Fleet<'s> {
     }
 }
 
-/// Quiesces the fleet up to an epoch boundary (`until = Some(t)`) or out
-/// to the horizon (`None`).
-///
-/// The busy set — lanes whose next pending work precedes the boundary
-/// (`next_at < t`), or falls at or before the horizon for the final
-/// drain; for the rest `advance` is a proven no-op — comes from one
-/// ascending pass over the dense `next_at` mirror, checked against
-/// `next_pending_at` under `debug_assertions`. Dead and non-member
-/// lanes carry an infinite `next_at`, so they are never due: a crashed
-/// replica must not process policy timers or launch work while down,
-/// and a warm or retired lane is frozen outright. The busy lanes then
-/// advance inline, in ascending lane order.
-fn quiesce(
-    fleet: &mut Fleet<'_>,
-    busy: &mut Vec<u32>,
-    horizon_us: f64,
-    until: Option<f64>,
-    tel: &mut TelemetryRt,
-) {
-    tel.prof.epochs += 1;
-    let t0 = tel.clk();
-    busy.clear();
-    for (r, &at) in fleet.next_at.iter().enumerate() {
-        let due = match until {
-            Some(t) => at < t,
-            None => at <= horizon_us,
-        };
-        if due {
-            busy.push(r as u32);
-        }
-    }
-    tel.prof.collect_ns += TelemetryRt::lap(t0);
-    // The busy-set oracle: the mirror scan's busy set must equal the
-    // one `next_pending_at` gives over the live lanes, every epoch,
-    // before anything advances.
-    #[cfg(debug_assertions)]
-    {
-        let expect: Vec<u32> = fleet
-            .cells
-            .iter()
-            .enumerate()
-            .filter_map(|(r, cell)| {
-                if !fleet.alive[r] || !fleet.advancing[r] {
-                    return None;
-                }
-                let at = cell.sim.next_pending_at(cell.policy.as_dyn_ref())?;
-                let due = match until {
-                    Some(t) => at < t,
-                    None => at <= horizon_us,
-                };
-                due.then_some(r as u32)
-            })
-            .collect();
-        debug_assert_eq!(
-            *busy, expect,
-            "mirror busy set diverged from the next_pending_at oracle at {until:?}"
-        );
-    }
-    let t0 = tel.clk();
-    tel.prof.lanes_advanced += busy.len() as u64;
-    // Advance and refresh in one pass per lane (the lane's state is
-    // hot; a second sweep would re-touch every cell from cold).
-    for &r in busy.iter() {
-        let r = r as usize;
-        let hint = fleet.cells[r].advance_to(until);
-        fleet.refresh_hinted(r, hint);
-    }
-    tel.prof.advance_ns += TelemetryRt::lap(t0);
-}
-
 /// One orphaned request waiting for re-dispatch.
 #[derive(Debug, Clone, Copy)]
 struct Requeue {
@@ -1320,7 +1310,7 @@ struct Requeue {
 
 /// The fleet clock's chaos runtime: the expanded fault timeline, the
 /// retry queue, heartbeat/health bookkeeping and resilience counters.
-/// Every requeue and timeout drop goes through [`ChaosRt::requeue`] and
+/// Every requeue and timeout drop goes through [`RunState::requeue`] and
 /// [`ChaosRt::timeout_drop`], which keep the counters and the flight
 /// recorder's events in step. Instantiated even without a plan (empty
 /// timeline, infinite heartbeat timeout) so the clock has one code
@@ -1340,15 +1330,15 @@ struct ChaosRt {
     /// diverge from the scalar. Recoveries overwrite with the recovery
     /// instant, exactly as the sweep would have at the next instant.
     last_heartbeat: Vec<f64>,
-    /// The most recent tick/retry/arrival instant — what every alive
-    /// replica's heartbeat would read had it been stamped individually.
+    /// The most recent scale/tick/retry/arrival instant — what every
+    /// alive replica's heartbeat would read had it been stamped
+    /// individually.
     last_decision_us: f64,
     /// Jobs parked by the brownout ladder (stay parked across
     /// migrations until the ladder returns to level 0).
     job_shed: Vec<bool>,
     /// Jobs with no eligible surviving host, re-placed at recoveries.
     homeless: Vec<usize>,
-    drain_buf: Vec<(usize, f64)>,
     requeued: u64,
     retries: u64,
     /// Per-lane attribution of `requeued`: requests ripped out of lane
@@ -1392,7 +1382,6 @@ impl ChaosRt {
             last_decision_us: 0.0,
             job_shed: vec![false; n_jobs],
             homeless: Vec::new(),
-            drain_buf: Vec::new(),
             requeued: 0,
             retries: 0,
             lane_requeued: vec![0; n],
@@ -1421,51 +1410,6 @@ impl ChaosRt {
             .iter()
             .map(|e| e.ready_at)
             .fold(f64::INFINITY, f64::min)
-    }
-
-    /// Hands an orphaned request to the retry queue — or drops it at
-    /// once when its tier's retry budget `max_retries` is 0
-    /// (drop-on-crash). `from` attributes the requeue to the lane the
-    /// request was ripped out of (`None` = an arrival refused
-    /// fleet-wide); the recorder logs the `Requeued` event, and an
-    /// immediate drop, on that lane's track (the fleet track for `None`).
-    #[allow(clippy::too_many_arguments)]
-    fn requeue(
-        &mut self,
-        task: usize,
-        arrival_us: f64,
-        t: f64,
-        from: Option<usize>,
-        max_retries: u32,
-        cause: RequeueCause,
-        tel: &mut TelemetryRt,
-    ) {
-        self.requeued += 1;
-        let track = match from {
-            Some(r) => {
-                self.lane_requeued[r] += 1;
-                r as u32
-            }
-            None => {
-                self.refused += 1;
-                FLEET_TRACK
-            }
-        };
-        if tel.is_on() {
-            let task = task as u32;
-            tel.record(t, track, EventKind::Requeued { task, cause });
-        }
-        if max_retries == 0 {
-            self.timeout_drop(task, t, track, tel);
-        } else {
-            self.retry_q.push(Requeue {
-                task,
-                arrival_us,
-                drained_at: t,
-                attempt: 1,
-                ready_at: t + self.retry.backoff_us,
-            });
-        }
     }
 
     /// Drops a request for good — its retry budget or hard deadline is
@@ -1677,12 +1621,12 @@ enum LaneState {
 /// The fleet clock's elastic runtime: per-lane lifecycle state, the
 /// provisioning schedule (whose min is the clock's *scale* decision
 /// point), cooldown/breach bookkeeping, and membership accounting.
-/// Instantiated even without an elastic config — everything stays inert
-/// (every lane `Active`, `next_ready_us` infinite) so the clock keeps
-/// one code path and non-elastic runs stay bit-identical.
+/// Built from [`PreparedCluster`]'s elastic config — the attached one,
+/// or the inert one (no warm lanes, `Hold`, breach draining and
+/// replacement off) under which every lane stays `Active` and
+/// `next_ready_us` infinite.
 struct ElasticRt {
-    enabled: bool,
-    policy: Option<Box<dyn ScalingPolicy>>,
+    policy: Box<dyn ScalingPolicy>,
     state: Vec<LaneState>,
     /// Activation instant of each lane's membership stint (0 for
     /// configured lanes).
@@ -1720,14 +1664,13 @@ struct ElasticRt {
 }
 
 impl ElasticRt {
-    fn new(elastic: Option<&ElasticConfig>, n: usize, n_init: usize) -> Self {
+    fn new(elastic: &ElasticConfig, n: usize, n_init: usize) -> Self {
         let mut state = vec![LaneState::Active; n];
         for s in state.iter_mut().skip(n_init) {
             *s = LaneState::Warm;
         }
         Self {
-            enabled: elastic.is_some(),
-            policy: elastic.map(|e| e.policy.make()),
+            policy: elastic.policy.make(),
             state,
             activated_at: vec![0.0; n],
             active_us: vec![0.0; n],
@@ -1762,9 +1705,6 @@ impl ElasticRt {
     /// lane falls back to the warm pool, usable again after recovery);
     /// a crashed member starts its replacement confirmation window.
     fn on_crash(&mut self, r: usize, at_us: f64) {
-        if !self.enabled {
-            return;
-        }
         match self.state[r] {
             LaneState::Provisioning => {
                 self.state[r] = LaneState::Warm;
@@ -1782,384 +1722,6 @@ impl ElasticRt {
             LaneState::Warm | LaneState::Retired => {}
         }
     }
-
-    fn on_recover(&mut self, r: usize) {
-        if self.enabled {
-            self.dead_since[r] = f64::INFINITY;
-        }
-    }
-}
-
-/// Starts provisioning the lowest-index available warm lane (warm-pool
-/// hit), or records a miss when the pool is exhausted. The delay draw
-/// comes from the run-seeded splitmix64 chain — deterministic per draw
-/// index.
-fn start_provision(
-    ert: &mut ElasticRt,
-    e: &ElasticConfig,
-    seed: u64,
-    t: f64,
-    cause: ScaleCause,
-    alive: &[bool],
-) -> bool {
-    let w = (0..ert.state.len()).find(|&r| ert.state[r] == LaneState::Warm && alive[r]);
-    let Some(w) = w else {
-        ert.warm_misses += 1;
-        return false;
-    };
-    ert.warm_hits += 1;
-    let delay = provision_delay(&e.warm_pool, seed, ert.draws);
-    ert.draws += 1;
-    let ready = t + delay;
-    ert.provision_delay_total_us += delay;
-    ert.state[w] = LaneState::Provisioning;
-    ert.ready_at[w] = ready;
-    ert.next_ready_us = ert.next_ready_us.min(ready);
-    ert.events.push(ScaleEvent {
-        at_us: t,
-        replica: w,
-        kind: ScaleEventKind::Provision {
-            cause,
-            ready_at_us: ready,
-        },
-    });
-    true
-}
-
-/// Removes lane `r` from the fleet for good: folds its open membership
-/// stint into the lifetime accounting and freezes the lane (the clock
-/// skips it from here on). Callers rebuild the router views before the
-/// next routing decision.
-fn retire_lane(fleet: &mut Fleet, ert: &mut ElasticRt, r: usize, t: f64) {
-    ert.active_us[r] += t - ert.activated_at[r];
-    ert.state[r] = LaneState::Retired;
-    fleet.advancing[r] = false;
-    fleet.routable[r] = false;
-    fleet.refresh(r);
-    ert.events.push(ScaleEvent {
-        at_us: t,
-        replica: r,
-        kind: ScaleEventKind::Retire,
-    });
-}
-
-/// Begins a graceful drain of member lane `v`: the lane leaves the
-/// routable set, its queued (not yet admitted) LS requests go back to
-/// the router through the retry machinery in the merged stream's
-/// canonical `(time, task)` order, and its resident BE jobs migrate to
-/// routable survivors with their closed-loop cursors preserved (the
-/// §7.1 parking path — a running kernel gets the eviction flag, not a
-/// cancel). In-flight LS requests keep running here; the lane retires
-/// at the first controller tick that finds it fully quiesced.
-#[allow(clippy::too_many_arguments)]
-fn drain_lane_start(
-    cfg: &ClusterConfig,
-    prep: &PreparedCluster,
-    t: f64,
-    fleet: &mut Fleet,
-    jobs_on: &mut [Vec<usize>],
-    migrations: &mut Vec<Migration>,
-    rt: &mut ChaosRt,
-    trt: &TierRt,
-    ert: &mut ElasticRt,
-    tel: &mut TelemetryRt,
-    v: usize,
-    cause: ScaleCause,
-) {
-    ert.state[v] = LaneState::Draining;
-    fleet.routable[v] = false;
-    ert.drains_started += 1;
-    ert.events.push(ScaleEvent {
-        at_us: t,
-        replica: v,
-        kind: ScaleEventKind::DrainStart { cause },
-    });
-    let mut drained = std::mem::take(&mut rt.drain_buf);
-    drained.clear();
-    fleet.mutate(v, |cell| cell.sim.state_mut().drain_pending(&mut drained));
-    drained.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-    ert.drain_requeued += drained.len() as u64;
-    let cause = RequeueCause::Drain;
-    for &(task, arrival_us) in &drained {
-        let budget = trt.max_retries[task];
-        rt.requeue(task, arrival_us, t, Some(v), budget, cause, tel);
-    }
-    rt.drain_buf = drained;
-    let jobs = std::mem::take(&mut jobs_on[v]);
-    for job in jobs {
-        let model = cfg.be_jobs[job];
-        let b = prep
-            .fleet_models
-            .iter()
-            .position(|&m| m == model)
-            .expect("job model is a fleet model");
-        fleet.mutate(v, |cell| {
-            let st = cell.sim.state_mut();
-            st.set_be_active(b, false);
-            if st.be_launch.map(|l| l.task) == Some(b) {
-                st.preempt_be();
-            }
-        });
-        match be_landing_site(cfg, fleet, jobs_on, model, Some(v)) {
-            Some(dst) => {
-                place_be_job(
-                    cfg,
-                    &prep.deps,
-                    &prep.fleet_models,
-                    jobs_on,
-                    fleet,
-                    rt,
-                    job,
-                    dst,
-                );
-                migrations.push(Migration {
-                    at_us: t,
-                    job,
-                    model,
-                    from: v,
-                    to: dst,
-                });
-            }
-            None => rt.homeless.push(job),
-        }
-    }
-}
-
-/// Activates every provisioning lane whose ready instant has arrived —
-/// the handler of the clock's *scale* decision point. Mirrors the
-/// fault-recovery template: the lane's empty engine idles forward to
-/// `t`, the policy dispatches its opening launches, the heartbeat
-/// stamps fresh, and stranded BE jobs get a re-homing pass (a fresh
-/// empty member is the best landing site there is).
-fn activate_ready(
-    cfg: &ClusterConfig,
-    prep: &PreparedCluster,
-    t: f64,
-    fleet: &mut Fleet,
-    jobs_on: &mut [Vec<usize>],
-    rt: &mut ChaosRt,
-    ert: &mut ElasticRt,
-) {
-    let n = fleet.len();
-    for r in 0..n {
-        if ert.state[r] != LaneState::Provisioning || ert.ready_at[r] > t {
-            continue;
-        }
-        ert.state[r] = LaneState::Active;
-        ert.activated_at[r] = t;
-        ert.ready_at[r] = f64::INFINITY;
-        fleet.advancing[r] = true;
-        fleet.routable[r] = true;
-        rt.last_heartbeat[r] = t;
-        fleet.mutate(r, |cell| {
-            cell.sim.state_mut().engine.advance_idle(t);
-            cell.dispatch();
-        });
-        ert.events.push(ScaleEvent {
-            at_us: t,
-            replica: r,
-            kind: ScaleEventKind::Activate,
-        });
-        let homeless = std::mem::take(&mut rt.homeless);
-        for job in homeless {
-            let model = cfg.be_jobs[job];
-            match be_landing_site(cfg, fleet, jobs_on, model, None) {
-                Some(dst) => {
-                    place_be_job(
-                        cfg,
-                        &prep.deps,
-                        &prep.fleet_models,
-                        jobs_on,
-                        fleet,
-                        rt,
-                        job,
-                        dst,
-                    );
-                }
-                None => rt.homeless.push(job),
-            }
-        }
-    }
-    ert.recompute_next_ready();
-}
-
-/// One controller tick's capacity decision, run right after the window
-/// drain (fresh ratios) and before the migration rebalance. Four
-/// phases, each a deterministic index-order scan of fleet state:
-/// retire quiesced drains, replace confirmed-dead members, drain
-/// sustained SLO breachers, then apply the scaling policy's verdict
-/// under the min/max bounds and cooldowns.
-#[allow(clippy::too_many_arguments)]
-fn elastic_step(
-    cfg: &ClusterConfig,
-    prep: &PreparedCluster,
-    t: f64,
-    fleet: &mut Fleet,
-    jobs_on: &mut [Vec<usize>],
-    migrations: &mut Vec<Migration>,
-    rt: &mut ChaosRt,
-    trt: &TierRt,
-    ert: &mut ElasticRt,
-    tel: &mut TelemetryRt,
-    arrivals_injected: u64,
-    window_done: u64,
-) {
-    let n = fleet.len();
-    let e = cfg.elastic.as_ref().expect("elastic_step needs a config");
-
-    // Phase 1 — retirement: a draining lane with nothing queued or in
-    // flight leaves the fleet. Tick-granular by design: membership
-    // changes only at decision points.
-    for r in 0..n {
-        if ert.state[r] == LaneState::Draining && fleet.cells[r].sim.state().ls_backlog() == 0 {
-            ert.drains_completed += 1;
-            retire_lane(fleet, ert, r, t);
-        }
-    }
-
-    // Phase 2 — crash replacement: a member dead past the confirmation
-    // window is written off and replaced from the warm pool.
-    // Replacement is capacity-neutral, so bounds and cooldowns do not
-    // apply. Until confirmation the dead lane stays routable — routers
-    // observe its heartbeat staleness and route around it, exactly the
-    // PR 6 semantics.
-    if e.replace_after_us.is_finite() {
-        for r in 0..n {
-            if ert.state[r] != LaneState::Active
-                || fleet.alive[r]
-                || t - ert.dead_since[r] < e.replace_after_us
-            {
-                continue;
-            }
-            ert.dead_since[r] = f64::INFINITY;
-            retire_lane(fleet, ert, r, t);
-            if start_provision(ert, e, cfg.seed, t, ScaleCause::CrashReplace, &fleet.alive) {
-                ert.replacements += 1;
-            }
-        }
-    }
-
-    // Phase 3 — SLO-breach draining: a lane breaching for
-    // `breach_drain_ticks` consecutive windows is drained (worst ratio
-    // first, one per tick) and a warm replacement provisioned.
-    if e.breach_drain_ticks > 0 {
-        for r in 0..n {
-            if ert.state[r] == LaneState::Active
-                && fleet.alive[r]
-                && fleet.ratio[r] > e.breach_drain_ratio
-            {
-                ert.breach_ticks[r] += 1;
-            } else {
-                ert.breach_ticks[r] = 0;
-            }
-        }
-        let victim = (0..n)
-            .filter(|&r| ert.breach_ticks[r] >= e.breach_drain_ticks)
-            .max_by(|&a, &b| fleet.ratio[a].total_cmp(&fleet.ratio[b]).then(b.cmp(&a)));
-        if let Some(v) = victim {
-            let active = ert.count(LaneState::Active);
-            let has_warm = (0..n).any(|r| ert.state[r] == LaneState::Warm && fleet.alive[r]);
-            if active > e.min_replicas || has_warm {
-                ert.breach_ticks[v] = 0;
-                drain_lane_start(
-                    cfg,
-                    prep,
-                    t,
-                    fleet,
-                    jobs_on,
-                    migrations,
-                    rt,
-                    trt,
-                    ert,
-                    tel,
-                    v,
-                    ScaleCause::SloBreach,
-                );
-                start_provision(ert, e, cfg.seed, t, ScaleCause::SloBreach, &fleet.alive);
-            }
-        }
-    }
-
-    // Phase 4 — the scaling policy, clamped and rate-limited.
-    let active = ert.count(LaneState::Active);
-    let provisioning = ert.count(LaneState::Provisioning);
-    let mut healthy_active = 0usize;
-    let mut warm_available = 0usize;
-    let mut backlog_sum = 0u64;
-    let mut worst = 0.0f64;
-    for r in 0..n {
-        match ert.state[r] {
-            LaneState::Active if fleet.alive[r] => {
-                healthy_active += 1;
-                backlog_sum += u64::from(fleet.backlog[r]);
-                worst = worst.max(fleet.ratio[r]);
-            }
-            LaneState::Warm if fleet.alive[r] => warm_available += 1,
-            _ => {}
-        }
-    }
-    let signals = FleetSignals {
-        at_us: t,
-        active,
-        healthy_active,
-        provisioning,
-        warm_available,
-        window_p99_ratio: worst,
-        window_completions: window_done,
-        window_arrivals: arrivals_injected - ert.prev_arrivals,
-        backlog_per_active: backlog_sum as f64 / active.max(1) as f64,
-    };
-    ert.prev_arrivals = arrivals_injected;
-    let desired = ert
-        .policy
-        .as_ref()
-        .expect("policy exists whenever elastic_step runs")
-        .desired_replicas(&signals)
-        .clamp(e.min_replicas, e.max_replicas);
-    let committed = active + provisioning;
-    if desired > committed {
-        if t - ert.last_up_us >= e.up_cooldown_us {
-            let mut started = false;
-            for _ in committed..desired {
-                if !start_provision(ert, e, cfg.seed, t, ScaleCause::Load, &fleet.alive) {
-                    break;
-                }
-                started = true;
-            }
-            if started {
-                ert.last_up_us = t;
-            }
-        }
-    } else if desired < active && t - ert.last_down_us >= e.down_cooldown_us {
-        // `desired >= min_replicas` after the clamp, so draining down
-        // to it never undershoots the floor.
-        let mut drained_any = false;
-        for _ in desired..active {
-            // Least-loaded lane first; ties scale down the newest.
-            let victim = (0..n)
-                .filter(|&r| ert.state[r] == LaneState::Active && fleet.alive[r])
-                .min_by_key(|&r| (fleet.backlog[r], std::cmp::Reverse(r)));
-            let Some(v) = victim else { break };
-            drain_lane_start(
-                cfg,
-                prep,
-                t,
-                fleet,
-                jobs_on,
-                migrations,
-                rt,
-                trt,
-                ert,
-                tel,
-                v,
-                ScaleCause::Load,
-            );
-            drained_any = true;
-        }
-        if drained_any {
-            ert.last_down_us = t;
-        }
-    }
 }
 
 /// Re-targets an SGDRC replica's policy at its *current* effective spec:
@@ -2167,7 +1729,7 @@ fn elastic_step(
 /// stall, straggler), with `Ch_BE` optionally tracking the resident-BE
 /// count. Dynamic SGDRC only — the static baseline keeps its fixed
 /// split, boxed baselines have no knobs. Cell-level: callers route it
-/// through [`Fleet::mutate`] so the lane's timer mirror refreshes.
+/// through `Fleet::mutate` so the lane's timer mirror refreshes.
 fn retune_cell(cfg: &ClusterConfig, dep: &Deployment, resident: usize, cell: &mut LaneCell) {
     if cfg.system != SystemKind::Sgdrc {
         return;
@@ -2192,460 +1754,6 @@ fn retune_cell(cfg: &ClusterConfig, dep: &Deployment, resident: usize, cell: &mu
     }
 }
 
-/// The surviving replica a BE job lands on: a routable member, alive,
-/// not already hosting the model, shortest backlog (ties → lowest
-/// index). Draining/warm/retired lanes never receive BE work. `None`
-/// strands the job as homeless until a recovery or an activation.
-fn be_landing_site(
-    cfg: &ClusterConfig,
-    fleet: &Fleet,
-    jobs_on: &[Vec<usize>],
-    model: usize,
-    exclude: Option<usize>,
-) -> Option<usize> {
-    (0..fleet.len())
-        .filter(|&d| {
-            Some(d) != exclude
-                && fleet.alive[d]
-                && fleet.routable[d]
-                && !jobs_on[d].iter().any(|&k| cfg.be_jobs[k] == model)
-        })
-        .min_by_key(|&d| (fleet.backlog[d], d))
-}
-
-/// Places BE job `job` on replica `dst`: records placement, resumes the
-/// task (unless the job is shed), retunes `Ch_BE` and lets the policy
-/// react.
-#[allow(clippy::too_many_arguments)]
-fn place_be_job(
-    cfg: &ClusterConfig,
-    deps: &[Arc<Deployment>],
-    fleet_models: &[usize],
-    jobs_on: &mut [Vec<usize>],
-    fleet: &mut Fleet,
-    rt: &ChaosRt,
-    job: usize,
-    dst: usize,
-) {
-    let model = cfg.be_jobs[job];
-    jobs_on[dst].push(job);
-    if !rt.job_shed[job] {
-        let b = fleet_models
-            .iter()
-            .position(|&m| m == model)
-            .expect("job model is a fleet model");
-        let resident = jobs_on[dst].len();
-        fleet.mutate(dst, |cell| {
-            cell.sim.state_mut().set_be_active(b, true);
-            if cfg.controller.adaptive_ch_be {
-                retune_cell(cfg, &deps[dst], resident, cell);
-            }
-            cell.dispatch();
-        });
-    }
-}
-
-/// Applies one fault-timeline action at its (already quiesced) instant.
-/// Every scan and mutation runs in replica-index order — the action is a
-/// deterministic function of fleet state, independent of the clock
-/// schedule.
-#[allow(clippy::too_many_arguments)]
-fn apply_fault(
-    cfg: &ClusterConfig,
-    f: &ScheduledFault,
-    deps: &[Arc<Deployment>],
-    fleet_models: &[usize],
-    jobs_on: &mut [Vec<usize>],
-    fleet: &mut Fleet,
-    migrations: &mut Vec<Migration>,
-    rt: &mut ChaosRt,
-    trt: &TierRt,
-    ert: &mut ElasticRt,
-    tel: &mut TelemetryRt,
-) {
-    let r = f.replica;
-    // A retired lane left the fleet for good (graceful drain or
-    // crash-replacement write-off): later timeline entries against it —
-    // typically the scheduled recovery of a crash the elastic layer
-    // already replaced — are no-ops.
-    if ert.state[r] == LaneState::Retired {
-        return;
-    }
-    match f.op {
-        FaultOp::Crash => {
-            if !fleet.alive[r] {
-                return; // overlapping crash windows: already down
-            }
-            fleet.alive[r] = false;
-            rt.faults_injected += 1;
-            if tel.is_on() {
-                tel.record(f.at_us, r as u32, EventKind::FaultOnset { kind: f.kind });
-            }
-            ert.on_crash(r, f.at_us);
-            // Freeze the heartbeat at the last instant this replica was
-            // seen alive — what the per-replica stamp sweep would have
-            // left behind. `max` keeps a recovery stamp that postdates
-            // the last decision instant (crash shortly after recover).
-            rt.last_heartbeat[r] = rt.last_heartbeat[r].max(rt.last_decision_us);
-            // Rip queued and in-flight LS work back out to the router,
-            // in the merged stream's canonical (time, task) order.
-            let mut drained = std::mem::take(&mut rt.drain_buf);
-            drained.clear();
-            fleet.mutate(r, |cell| cell.sim.state_mut().crash_drain(&mut drained));
-            drained.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-            let cause = RequeueCause::Crash;
-            for &(task, arrival_us) in &drained {
-                let budget = trt.max_retries[task];
-                rt.requeue(task, arrival_us, f.at_us, Some(r), budget, cause, tel);
-            }
-            rt.drain_buf = drained;
-            // Evacuate resident BE jobs onto survivors via the migration
-            // path (each resumes from the destination's saved cursor).
-            let jobs = std::mem::take(&mut jobs_on[r]);
-            for job in jobs {
-                let model = cfg.be_jobs[job];
-                let b = fleet_models
-                    .iter()
-                    .position(|&m| m == model)
-                    .expect("job model is a fleet model");
-                // Clear the dead replica's mask so a later recovery does
-                // not resurrect a phantom resident.
-                fleet.mutate(r, |cell| cell.sim.state_mut().set_be_active(b, false));
-                match be_landing_site(cfg, fleet, jobs_on, model, Some(r)) {
-                    Some(dst) => {
-                        place_be_job(cfg, deps, fleet_models, jobs_on, fleet, rt, job, dst);
-                        migrations.push(Migration {
-                            at_us: f.at_us,
-                            job,
-                            model,
-                            from: r,
-                            to: dst,
-                        });
-                    }
-                    None => rt.homeless.push(job),
-                }
-            }
-        }
-        FaultOp::Recover => {
-            if fleet.alive[r] {
-                return; // permanent-crash bookkeeping or double recovery
-            }
-            fleet.alive[r] = true;
-            rt.faults_recovered += 1;
-            if tel.is_on() {
-                tel.record(
-                    f.at_us,
-                    r as u32,
-                    EventKind::FaultRecovered { kind: f.kind },
-                );
-            }
-            rt.last_heartbeat[r] = f.at_us;
-            ert.on_recover(r);
-            // The engine is empty (crash drain cancelled every launch)
-            // and stale policy timers are structurally dropped, so
-            // idling forward to the recovery instant is safe.
-            fleet.mutate(r, |cell| cell.sim.state_mut().engine.advance_idle(f.at_us));
-            // Re-home stranded jobs — the revived replica is empty, so
-            // every homeless model has a candidate again.
-            let homeless = std::mem::take(&mut rt.homeless);
-            for job in homeless {
-                let model = cfg.be_jobs[job];
-                match be_landing_site(cfg, fleet, jobs_on, model, None) {
-                    Some(dst) => {
-                        place_be_job(cfg, deps, fleet_models, jobs_on, fleet, rt, job, dst);
-                    }
-                    None => rt.homeless.push(job),
-                }
-            }
-            fleet.mutate(r, |cell| cell.dispatch());
-        }
-        FaultOp::SetScale(factor) => {
-            rt.faults_injected += 1;
-            if tel.is_on() {
-                tel.record(f.at_us, r as u32, EventKind::FaultOnset { kind: f.kind });
-            }
-            let up = fleet.alive[r];
-            let resident = jobs_on[r].len();
-            fleet.mutate(r, |cell| {
-                if up {
-                    cell.sim.state_mut().engine.advance_idle(f.at_us);
-                }
-                cell.sim.state_mut().engine.set_clock_scale(factor);
-                retune_cell(cfg, &deps[r], resident, cell);
-                if up {
-                    cell.dispatch();
-                }
-            });
-        }
-        FaultOp::ClearScale => {
-            rt.faults_recovered += 1;
-            if tel.is_on() {
-                tel.record(
-                    f.at_us,
-                    r as u32,
-                    EventKind::FaultRecovered { kind: f.kind },
-                );
-            }
-            let up = fleet.alive[r];
-            let resident = jobs_on[r].len();
-            fleet.mutate(r, |cell| {
-                if up {
-                    cell.sim.state_mut().engine.advance_idle(f.at_us);
-                }
-                cell.sim.state_mut().engine.set_clock_scale(1.0);
-                retune_cell(cfg, &deps[r], resident, cell);
-                if up {
-                    cell.dispatch();
-                }
-            });
-        }
-    }
-}
-
-/// Drains every retry-queue entry due at `t`: timed-out requests drop,
-/// the rest are routed against a fresh health view — a successful
-/// delivery records its re-dispatch delay, a refusal (dead target, no
-/// healthy lane) backs off linearly and tries again, up to the retry
-/// budget. `due` is caller-owned scratch (no per-call allocation).
-#[allow(clippy::too_many_arguments)]
-fn process_retries(
-    t: f64,
-    router: &mut dyn RoutingPolicy,
-    fleet: &mut Fleet,
-    jobs_on: &[Vec<usize>],
-    due: &mut Vec<Requeue>,
-    rt: &mut ChaosRt,
-    trt: &TierRt,
-    tel: &mut TelemetryRt,
-) {
-    due.clear();
-    // Order-preserving extraction — identical sequence to scanning the
-    // queue front-to-back and removing due entries in place.
-    rt.retry_q.retain(|e| {
-        if e.ready_at <= t {
-            due.push(*e);
-            false
-        } else {
-            true
-        }
-    });
-    // Health is a function of `t` alone, so it is patched once for the
-    // whole drain; injections inside the loop keep the backlog views
-    // current through `refresh`.
-    fleet.patch_health(rt, t);
-    for mut e in due.drain(..) {
-        // Deadline-aware drop: past the request's hard deadline (the
-        // tier's; `RetryConfig::timeout_us` without a tier map)
-        // re-dispatching is doomed work — drop it now.
-        if t - e.arrival_us > trt.hard[e.task] {
-            rt.timeout_drop(e.task, t, FLEET_TRACK, tel);
-            continue;
-        }
-        fleet.assert_views_current(jobs_on, rt, t);
-        // With every member drained away (routable set empty) the
-        // healthy count is 0, so the entry backs off like a whole-fleet
-        // outage until a lane activates.
-        let target = if fleet.n_healthy > 0 {
-            let slot = router.route_with_tier(&fleet.views, e.task, trt.rank[e.task], t);
-            assert!(
-                slot < fleet.views.len(),
-                "router picked slot {slot} of {}",
-                fleet.views.len()
-            );
-            Some(fleet.view_lane[slot] as usize)
-        } else {
-            None
-        };
-        match target {
-            Some(r) if fleet.alive[r] => {
-                fleet.mutate(r, |cell| cell.inject_requeued(e.task, e.arrival_us, t));
-                rt.retries += 1;
-                rt.lane_retries[r] += 1;
-                if tel.is_on() {
-                    tel.record(
-                        t,
-                        r as u32,
-                        EventKind::RetryDispatched {
-                            task: e.task as u32,
-                            attempt: e.attempt,
-                        },
-                    );
-                }
-                rt.redispatch_hist.record(t - e.drained_at);
-            }
-            _ => {
-                e.attempt += 1;
-                if e.attempt > trt.max_retries[e.task] {
-                    rt.timeout_drop(e.task, t, FLEET_TRACK, tel);
-                } else {
-                    e.ready_at = t + rt.retry.backoff_us * f64::from(e.attempt);
-                    rt.retry_q.push(e);
-                }
-            }
-        }
-    }
-}
-
-/// Tier-ordered brownout, the fleet's one overload path, evaluated every
-/// controller tick. The ladder escalates one level per pressured tick
-/// (per-alive backlog above `enter_backlog`, or a windowed p99 breach
-/// on any routable survivor while backlog exceeds the `exit_backlog`
-/// calm floor): level 1 parks every BE job fleet-wide, then
-/// each eligible tier (BestEffort before Burstable, lower-priority
-/// tiers first) gains a *queue* level and a *shed* level in turn.
-/// Recovery runs the ladder in reverse: after `hold_ticks` consecutive
-/// calm ticks (backlog at or below `exit_backlog`, no SLO pressure)
-/// the level drops by one, re-admitting tiers in the opposite order
-/// they were browned. Guaranteed tiers never queue or shed, so the
-/// tier-blind map's ladder only parks and resumes BE.
-#[allow(clippy::too_many_arguments)]
-fn brownout(
-    cfg: &ClusterConfig,
-    at_us: f64,
-    n_ls: usize,
-    fleet_models: &[usize],
-    jobs_on: &mut [Vec<usize>],
-    fleet: &mut Fleet,
-    rt: &mut ChaosRt,
-    trt: &mut TierRt,
-    tel: &mut TelemetryRt,
-) {
-    let n = fleet.len();
-    let alive = (0..n)
-        .filter(|&r| fleet.routable[r] && fleet.alive[r])
-        .count();
-    if alive == 0 {
-        return;
-    }
-    let backlog: usize = (0..n)
-        .filter(|&r| fleet.routable[r] && fleet.alive[r])
-        .map(|r| fleet.backlog[r] as usize)
-        .sum();
-    let per_alive = backlog / alive;
-    let slo_pressure = (0..n).any(|r| fleet.routable[r] && fleet.alive[r] && fleet.ratio[r] > 1.0);
-    // SLO pressure only escalates when backlog sits above the calm
-    // floor: a windowed p99 breach with near-empty queues is a
-    // capacity artifact shedding cannot fix, and gating it keeps the
-    // tier-blind map without a fault plan (both thresholds
-    // unreachable) a true no-op.
-    let pressured = per_alive > trt.enter_backlog || (slo_pressure && per_alive > trt.exit_backlog);
-    let calm = per_alive <= trt.exit_backlog && !slo_pressure;
-    trt.step_ladder(pressured, calm);
-
-    // Level ≥ 1: park every resident BE job (the cheapest capacity to
-    // reclaim); level 0: resume anything still parked.
-    let slot_of = |model: usize| {
-        fleet_models
-            .iter()
-            .position(|&m| m == model)
-            .expect("job model is a fleet model")
-    };
-    if trt.level >= 1 {
-        for (r, jobs) in jobs_on.iter().enumerate() {
-            if !fleet.alive[r] || !fleet.routable[r] {
-                continue;
-            }
-            let mut parked = 0u32;
-            for &j in jobs {
-                if rt.job_shed[j] {
-                    continue;
-                }
-                rt.job_shed[j] = true;
-                rt.be_shed += 1;
-                let b = slot_of(cfg.be_jobs[j]);
-                fleet.mutate(r, |cell| {
-                    let st = cell.sim.state_mut();
-                    st.set_be_active(b, false);
-                    if st.be_launch.map(|l| l.task) == Some(b) {
-                        st.preempt_be();
-                    }
-                });
-                parked += 1;
-            }
-            if parked > 0 {
-                fleet.mutate(r, |cell| cell.dispatch());
-                if tel.is_on() {
-                    tel.record(at_us, r as u32, EventKind::BeParked { count: parked });
-                }
-            }
-        }
-    } else {
-        for (r, jobs) in jobs_on.iter().enumerate() {
-            let mut resumed = 0u32;
-            for &j in jobs {
-                if !rt.job_shed[j] {
-                    continue;
-                }
-                rt.job_shed[j] = false;
-                rt.be_resumed += 1;
-                let b = slot_of(cfg.be_jobs[j]);
-                fleet.mutate(r, |cell| cell.sim.state_mut().set_be_active(b, true));
-                resumed += 1;
-            }
-            if resumed > 0 {
-                fleet.mutate(r, |cell| cell.dispatch());
-                if tel.is_on() {
-                    tel.record(at_us, r as u32, EventKind::BeResumed { count: resumed });
-                }
-            }
-        }
-    }
-
-    // Expire queued admissions whose hard deadline has passed — they
-    // can no longer complete on-SLO, so holding them is doomed work.
-    {
-        let TierRt { queues, hard, .. } = trt;
-        for q in queues.iter_mut() {
-            q.retain(|&(task, arrival_us)| {
-                if at_us - arrival_us > hard[task as usize] {
-                    rt.timeout_drop(task as usize, at_us, FLEET_TRACK, tel);
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-    }
-
-    // Active shed: tiers at or past their shed level lose already
-    // admitted pending work on the victim lane, lowest tier first
-    // within the budget.
-    let any_shedding = (0..trt.n_tiers()).any(|r| trt.level >= trt.shed_level[r]);
-    if any_shedding {
-        if let Some(v) = shed_victim(&fleet.alive, &fleet.routable, &fleet.backlog) {
-            let mut budget = trt.shed_per_tick;
-            'ranks: for rank in (0..trt.n_tiers()).rev() {
-                if trt.level < trt.shed_level[rank] {
-                    continue;
-                }
-                for task in (0..n_ls).rev() {
-                    if trt.rank[task] as usize != rank {
-                        continue;
-                    }
-                    if budget == 0 {
-                        break 'ranks;
-                    }
-                    let dropped =
-                        fleet.mutate(v, |cell| cell.sim.state_mut().shed_pending(task, budget));
-                    budget -= dropped;
-                    rt.ls_shed += dropped as u64;
-                    rt.shed_by_task[task] += dropped as u64;
-                    if dropped > 0 && tel.is_on() {
-                        tel.record(
-                            at_us,
-                            v as u32,
-                            EventKind::LsShed {
-                                task: task as u32,
-                                count: dropped as u32,
-                            },
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// The LS-shed victim: the most backlogged alive *routable* lane, the
 /// lowest index on ties. A draining or retired lane may still carry the
 /// backlog it is flushing out, but shedding there would double-punish
@@ -2656,168 +1764,1559 @@ fn shed_victim(alive: &[bool], routable: &[bool], backlog: &[u32]) -> Option<usi
         .max_by_key(|&r| (backlog[r], std::cmp::Reverse(r)))
 }
 
-/// Flush tier admission queues whose queue level has receded — called
-/// right after the tick's view rebuild so routing sees fresh backlog.
-/// Entries dispatch FIFO (oldest arrival first) through the tier-aware
-/// router, keeping their original arrival timestamp so latency charges
-/// the queueing delay to the request. A dead-but-fresh target bounces
-/// into the retry queue under the tier's retry budget; with no healthy
-/// lane at all the queue holds until capacity returns.
-fn tier_flush(
-    t: f64,
-    router: &mut dyn RoutingPolicy,
-    fleet: &mut Fleet,
-    jobs_on: &[Vec<usize>],
-    rt: &mut ChaosRt,
-    trt: &mut TierRt,
-    tel: &mut TelemetryRt,
-) {
-    if trt.queued_total() == 0 {
-        return;
-    }
-    fleet.patch_health(rt, t);
-    for rank in 0..trt.n_tiers() {
-        if trt.level >= trt.queue_level[rank] {
-            continue;
-        }
-        while let Some(&(task, arrival_us)) = trt.queues[rank].front() {
-            let task = task as usize;
-            fleet.assert_views_current(jobs_on, rt, t);
-            if fleet.n_healthy == 0 {
-                break;
-            }
-            trt.queues[rank].pop_front();
-            let slot = router.route_with_tier(&fleet.views, task, rank as u32, t);
-            assert!(
-                slot < fleet.views.len(),
-                "router picked slot {slot} of {}",
-                fleet.views.len()
-            );
-            let r = fleet.view_lane[slot] as usize;
-            if fleet.alive[r] {
-                fleet.mutate(r, |cell| cell.inject_requeued(task, arrival_us, t));
-                if tel.is_on() {
-                    // Attempt 0 marks a queued-admission dispatch, not
-                    // a crash retry.
-                    tel.record(
-                        t,
-                        r as u32,
-                        EventKind::RetryDispatched {
-                            task: task as u32,
-                            attempt: 0,
-                        },
-                    );
-                }
-            } else {
-                // A dead-but-fresh target: bounce like an arrival routed
-                // at a dead lane.
-                let budget = trt.max_retries[task];
-                let cause = RequeueCause::DeadRoute;
-                rt.requeue(task, arrival_us, t, Some(r), budget, cause, tel);
-            }
-        }
-    }
+/// The kinds of fleet-clock decision, declared in the order decisions
+/// due at one instant run: the derived `Ord` *is* the clock's canonical
+/// fault < scale < tick < retry < arrival.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Decision {
+    /// The next fault-timeline action.
+    Fault,
+    /// A provisioning lane finishing its warm-up delay.
+    Scale,
+    /// A controller tick.
+    Tick,
+    /// The earliest retry-queue entry coming due.
+    Retry,
+    /// The merged stream's next arrival.
+    Arrival,
 }
 
-/// One controller tick's migration decision: move one BE job from the
-/// worst SLO-breaching replica onto the most underloaded replica that
-/// can host it. Scans run in replica-index order. `dests` is
-/// caller-owned scratch.
-#[allow(clippy::too_many_arguments)]
-fn controller_rebalance(
-    cfg: &ClusterConfig,
-    at_us: f64,
-    deps: &[Arc<Deployment>],
-    fleet_models: &[usize],
-    jobs_on: &mut [Vec<usize>],
-    fleet: &mut Fleet,
-    migrations: &mut Vec<Migration>,
-    job_shed: &[bool],
-    dests: &mut Vec<usize>,
-) {
-    let n = jobs_on.len();
-    // Source: the worst breaching replica that has BE work to shed.
-    // Dead replicas are invisible here — a crash evacuates their BE
-    // jobs, and their stale windowed ratio must not attract work.
-    let src = (0..n)
-        .filter(|&r| {
-            fleet.alive[r]
-                && fleet.routable[r]
-                && fleet.ratio[r] > cfg.controller.breach_ratio
-                && !jobs_on[r].is_empty()
-        })
-        .max_by(|&a, &b| {
-            fleet.ratio[a].total_cmp(&fleet.ratio[b]).then(b.cmp(&a)) // ties → lower index
+impl Decision {
+    const ALL: [Decision; 5] = [
+        Decision::Fault,
+        Decision::Scale,
+        Decision::Tick,
+        Decision::Retry,
+        Decision::Arrival,
+    ];
+}
+
+/// The earliest decision due by the horizon, given each kind's next
+/// instant (`INFINITY` for none); equal instants go to the kind that
+/// orders first. A tick at exactly `horizon_us` does not fire — the
+/// final drain closes that window — while the other kinds fire at or
+/// before the horizon.
+fn next_decision(next_at: impl Fn(Decision) -> f64, horizon_us: f64) -> Option<(f64, Decision)> {
+    Decision::ALL
+        .into_iter()
+        .map(|d| (next_at(d), d))
+        .filter(|&(t, d)| t < horizon_us || (t == horizon_us && d != Decision::Tick))
+        .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+}
+
+/// One fleet run: the [`Fleet`], BE placement and the migration log,
+/// the chaos, tier, elastic and telemetry runtimes, the arrival stream,
+/// the router and the per-epoch scratch. [`run_cluster_prepared`] takes
+/// decisions off [`next_decision`] in canonical order, quiesces the
+/// fleet to each one's instant and hands it to its handler below.
+struct RunState<'a> {
+    prep: &'a PreparedCluster,
+    router: &'a mut dyn RoutingPolicy,
+    fleet: Fleet<'a>,
+    /// Resident BE jobs per lane (indices into `ClusterConfig::be_jobs`).
+    jobs_on: Vec<Vec<usize>>,
+    migrations: Vec<Migration>,
+    chaos: ChaosRt,
+    tiers: TierRt,
+    elastic: ElasticRt,
+    tel: TelemetryRt,
+    arrivals: ArrivalStream,
+    /// The next controller tick (`INFINITY` with the controller off).
+    next_tick: f64,
+    arrivals_injected: u64,
+    arrivals_by_task: Vec<u64>,
+    run_t0: Option<Instant>,
+    busy: Vec<u32>,
+    due: Vec<Requeue>,
+    dests: Vec<usize>,
+    drain_buf: Vec<(usize, f64)>,
+}
+
+impl<'a> RunState<'a> {
+    /// Builds the fleet — hot mirrors and scratch recycled from `ctx`,
+    /// one cell per lane with its opening launches dispatched — and
+    /// every runtime of one run.
+    fn new(
+        prep: &'a PreparedCluster,
+        router: &'a mut dyn RoutingPolicy,
+        ctx: &mut ClusterCtx,
+    ) -> Self {
+        let cfg = &prep.cfg;
+        let n = prep.lane_gpus.len();
+        let n_init = prep.n_init;
+        let n_ls = prep.n_ls;
+        if ctx.sims.len() < n {
+            ctx.sims.resize_with(n, SimContext::new);
+        }
+        if ctx.stores.len() < n {
+            ctx.stores.resize_with(n, LaneStore::default);
+        }
+        let jobs_on = prep.init_jobs_on.clone();
+
+        let mut fleet = Fleet {
+            cells: Vec::with_capacity(n),
+            next_at: std::mem::take(&mut ctx.next_at),
+            backlog: std::mem::take(&mut ctx.backlog),
+            ratio: std::mem::take(&mut ctx.ratio),
+            alive: std::mem::take(&mut ctx.alive),
+            gpus: &prep.lane_gpus,
+            advancing: std::mem::take(&mut ctx.advancing),
+            routable: std::mem::take(&mut ctx.routable),
+            view_lane: std::mem::take(&mut ctx.view_lane),
+            lane_slot: std::mem::take(&mut ctx.lane_slot),
+            views: std::mem::take(&mut ctx.views),
+            n_healthy: 0,
+            n_dead: 0,
+        };
+        fleet.next_at.clear();
+        fleet.next_at.resize(n, f64::INFINITY);
+        fleet.backlog.clear();
+        fleet.backlog.resize(n, 0);
+        fleet.ratio.clear();
+        fleet.ratio.resize(n, 0.0);
+        fleet.alive.clear();
+        fleet.alive.resize(n, true);
+        // Configured lanes open as members; warm-pool lanes are frozen
+        // until the elastic controller provisions them.
+        fleet.advancing.clear();
+        fleet.advancing.resize(n, false);
+        fleet.routable.clear();
+        fleet.routable.resize(n, false);
+        for r in 0..n_init {
+            fleet.advancing[r] = true;
+            fleet.routable[r] = true;
+        }
+        // Placeholder views (the identity slot↔lane mapping over the
+        // configured lanes) so `refresh` can patch backlogs during cell
+        // construction; `rebuild_views` below re-derives every field.
+        fleet.views.clear();
+        fleet.view_lane.clear();
+        fleet.lane_slot.clear();
+        fleet.lane_slot.resize(n, u32::MAX);
+        for r in 0..n_init {
+            fleet.lane_slot[r] = r as u32;
+            fleet.view_lane.push(r as u32);
+            fleet.views.push(ReplicaView {
+                gpu: prep.lane_gpus[r],
+                backlog: 0,
+                window_p99_ratio: 0.0,
+                resident_be: 0,
+                healthy: true,
+            });
+        }
+
+        for (r, jobs) in jobs_on.iter().enumerate() {
+            let policy = match cfg.system {
+                SystemKind::Sgdrc => {
+                    let mut pcfg = cfg.sgdrc.clone();
+                    if cfg.controller.adaptive_ch_be {
+                        pcfg.ch_be = ch_be_for(cfg.sgdrc.ch_be, jobs.len());
+                    }
+                    PolicySlot::Sgdrc(Sgdrc::new(&prep.deps[r].spec, pcfg))
+                }
+                SystemKind::SgdrcStatic => PolicySlot::Sgdrc(Sgdrc::new(
+                    &prep.deps[r].spec,
+                    SgdrcConfig {
+                        static_partition: true,
+                        ..Default::default()
+                    },
+                )),
+                other => PolicySlot::Boxed(other.make(&prep.deps[r].spec)),
+            };
+            let mut sim = ReplicaSim::prepare(&prep.scenarios[r], &mut ctx.sims[r]);
+            // Park every BE task not initially placed here *before* the
+            // first dispatch, so the opening launches match the placement.
+            for (b, &model) in prep.fleet_models.iter().enumerate() {
+                let resident = jobs.iter().any(|&k| cfg.be_jobs[k] == model);
+                sim.state_mut().set_be_active(b, resident);
+            }
+            let store = std::mem::take(&mut ctx.stores[r]);
+            let mut cell = Box::new(LaneCell {
+                sim,
+                policy,
+                seen_done: store.seen_done,
+                win_hist: store.win_hist,
+                cum_hist: LatencyHistogram::new(),
+                slo_met: 0,
+                routed: 0,
+                done_by_task: vec![0; n_ls],
+                met_by_task: vec![0; n_ls],
+            });
+            cell.seen_done.clear();
+            cell.seen_done.resize(n_ls, 0);
+            cell.win_hist.reset();
+            cell.begin();
+            fleet.cells.push(cell);
+            fleet.refresh(r);
+        }
+
+        let chaos = ChaosRt::new(cfg.chaos.as_ref(), n, cfg.be_jobs.len(), n_ls);
+        let tiers = TierRt::new(&prep.tiers, n_ls);
+        fleet.rebuild_views(&jobs_on, &chaos, 0.0);
+        let period = cfg.controller.period_us;
+        // The flight recorder and clock profiler. Disabled (`off`) it is
+        // one predictable branch per record call and allocates nothing;
+        // enabled, every allocation happens here (rings at capacity,
+        // series at the expected tick count) so the epoch path stays
+        // allocation-free either way (`tests/cluster_alloc.rs`).
+        let tel = match &cfg.telemetry {
+            Some(tcfg) => {
+                let expected_ticks = if period > 0.0 {
+                    (cfg.horizon_us / period) as usize
+                } else {
+                    0
+                };
+                // Only an attached tier map is reported per tier
+                // (ledgers, series); the tier-blind map's single tier
+                // stays out of the results.
+                let n_tiers = if cfg.tiers.is_some() {
+                    tiers.n_tiers()
+                } else {
+                    0
+                };
+                TelemetryRt::new(tcfg, n, n_tiers, expected_ticks)
+            }
+            None => TelemetryRt::off(),
+        };
+        let run_t0 = tel.clk();
+        RunState {
+            prep,
+            router,
+            fleet,
+            jobs_on,
+            migrations: Vec::new(),
+            chaos,
+            tiers,
+            elastic: ElasticRt::new(&prep.elastic, n, n_init),
+            tel,
+            arrivals: ArrivalStream::new(&cfg.trace, n_ls, cfg.horizon_us, cfg.seed),
+            next_tick: if period > 0.0 { period } else { f64::INFINITY },
+            arrivals_injected: 0,
+            arrivals_by_task: vec![0; n_ls],
+            run_t0,
+            busy: std::mem::take(&mut ctx.busy),
+            due: std::mem::take(&mut ctx.due),
+            dests: std::mem::take(&mut ctx.dests),
+            drain_buf: Vec::new(),
+        }
+    }
+
+    /// The next instant of one decision kind (`INFINITY` for none).
+    fn next_at(&self, d: Decision) -> f64 {
+        match d {
+            Decision::Fault => self.chaos.next_fault_at(),
+            Decision::Scale => self.elastic.next_ready_us,
+            Decision::Tick => self.next_tick,
+            Decision::Retry => self.chaos.next_retry_at(),
+            Decision::Arrival => self.arrivals.peek().map_or(f64::INFINITY, |a| a.at_us),
+        }
+    }
+
+    /// Quiesces the fleet up to a decision instant (`until = Some(t)`)
+    /// or out to the horizon (`None`).
+    ///
+    /// The busy set — lanes whose next pending work precedes the
+    /// instant (`next_at < t`), or falls at or before the horizon for
+    /// the final drain; for the rest `advance` is a proven no-op — comes
+    /// from one ascending pass over the dense `next_at` mirror, checked
+    /// against `next_pending_at` under `debug_assertions`. Dead and
+    /// non-member lanes carry an infinite `next_at`, so they are never
+    /// due: a crashed replica must not process policy timers or launch
+    /// work while down, and a warm or retired lane is frozen outright.
+    /// The busy lanes then advance inline, in ascending lane order.
+    fn quiesce(&mut self, until: Option<f64>) {
+        let horizon_us = self.prep.cfg.horizon_us;
+        let (fleet, busy, tel) = (&mut self.fleet, &mut self.busy, &mut self.tel);
+        tel.prof.epochs += 1;
+        let t0 = tel.clk();
+        busy.clear();
+        for (r, &at) in fleet.next_at.iter().enumerate() {
+            let due = match until {
+                Some(t) => at < t,
+                None => at <= horizon_us,
+            };
+            if due {
+                busy.push(r as u32);
+            }
+        }
+        tel.prof.collect_ns += TelemetryRt::lap(t0);
+        // The busy-set oracle: the mirror scan's busy set must equal the
+        // one `next_pending_at` gives over the live lanes, every epoch,
+        // before anything advances.
+        #[cfg(debug_assertions)]
+        {
+            let expect: Vec<u32> = fleet
+                .cells
+                .iter()
+                .enumerate()
+                .filter_map(|(r, cell)| {
+                    if !fleet.alive[r] || !fleet.advancing[r] {
+                        return None;
+                    }
+                    let at = cell.sim.next_pending_at(cell.policy.as_dyn_ref())?;
+                    let due = match until {
+                        Some(t) => at < t,
+                        None => at <= horizon_us,
+                    };
+                    due.then_some(r as u32)
+                })
+                .collect();
+            debug_assert_eq!(
+                *busy, expect,
+                "mirror busy set diverged from the next_pending_at oracle at {until:?}"
+            );
+        }
+        let t0 = tel.clk();
+        tel.prof.lanes_advanced += busy.len() as u64;
+        // Advance and refresh in one pass per lane (the lane's state is
+        // hot; a second sweep would re-touch every cell from cold).
+        for &r in busy.iter() {
+            let r = r as usize;
+            let hint = fleet.cells[r].advance_to(until);
+            fleet.refresh_hinted(r, hint);
+        }
+        tel.prof.advance_ns += TelemetryRt::lap(t0);
+    }
+
+    /// Hands an orphaned request to the retry queue — or drops it at
+    /// once when its tier's retry budget is 0 (drop-on-crash). `from`
+    /// attributes the requeue to the lane the request was ripped out of
+    /// (`None` = an arrival refused fleet-wide); the recorder logs the
+    /// `Requeued` event, and an immediate drop, on that lane's track
+    /// (the fleet track for `None`).
+    fn requeue(
+        &mut self,
+        task: usize,
+        arrival_us: f64,
+        t: f64,
+        from: Option<usize>,
+        cause: RequeueCause,
+    ) {
+        let rt = &mut self.chaos;
+        rt.requeued += 1;
+        let track = match from {
+            Some(r) => {
+                rt.lane_requeued[r] += 1;
+                r as u32
+            }
+            None => {
+                rt.refused += 1;
+                FLEET_TRACK
+            }
+        };
+        if self.tel.is_on() {
+            let task = task as u32;
+            self.tel
+                .record(t, track, EventKind::Requeued { task, cause });
+        }
+        if self.tiers.max_retries[task] == 0 {
+            rt.timeout_drop(task, t, track, &mut self.tel);
+        } else {
+            rt.retry_q.push(Requeue {
+                task,
+                arrival_us,
+                drained_at: t,
+                attempt: 1,
+                ready_at: t + rt.retry.backoff_us,
+            });
+        }
+    }
+
+    /// Routes one request of `task` at tier rank `rank` through the
+    /// router against the current views and returns the lane it picked
+    /// — `None` when no routable lane looks healthy (every member down
+    /// or drained away).
+    fn route(&mut self, task: usize, rank: u32, t: f64) -> Option<usize> {
+        self.fleet
+            .assert_views_current(&self.jobs_on, &self.chaos, t);
+        if self.fleet.n_healthy == 0 {
+            return None;
+        }
+        let views = &self.fleet.views;
+        let slot = self.router.route_with_tier(views, task, rank, t);
+        assert!(
+            slot < views.len(),
+            "router picked slot {slot} of {}",
+            views.len()
+        );
+        Some(self.fleet.view_lane[slot] as usize)
+    }
+
+    /// The surviving replica a BE job of `model` lands on: a routable
+    /// member, alive, not already hosting the model, shortest backlog
+    /// (ties → lowest index). Draining/warm/retired lanes never receive
+    /// BE work. `None` strands the job as homeless until a recovery or
+    /// an activation.
+    fn landing_site(&self, model: usize, exclude: Option<usize>) -> Option<usize> {
+        let (fleet, be_jobs) = (&self.fleet, &self.prep.cfg.be_jobs);
+        (0..fleet.len())
+            .filter(|&d| {
+                Some(d) != exclude
+                    && fleet.alive[d]
+                    && fleet.routable[d]
+                    && !self.jobs_on[d].iter().any(|&k| be_jobs[k] == model)
+            })
+            .min_by_key(|&d| (fleet.backlog[d], d))
+    }
+
+    /// Places BE job `job` on replica `dst`: records placement, resumes
+    /// the task (unless the job is shed), retunes `Ch_BE` and lets the
+    /// policy react.
+    fn place_be_job(&mut self, job: usize, dst: usize) {
+        self.jobs_on[dst].push(job);
+        if self.chaos.job_shed[job] {
+            return;
+        }
+        let prep = self.prep;
+        let b = prep.job_slot[job];
+        let resident = self.jobs_on[dst].len();
+        self.fleet.mutate(dst, |cell| {
+            cell.sim.state_mut().set_be_active(b, true);
+            if prep.cfg.controller.adaptive_ch_be {
+                retune_cell(&prep.cfg, &prep.deps[dst], resident, cell);
+            }
+            cell.dispatch();
         });
-    let Some(src) = src else { return };
-    // Destinations with headroom, best (ratio, backlog) first. The
-    // comparator ends on the index, making it a total order — the
-    // unstable sort is deterministic and allocation-free.
-    dests.clear();
-    dests.extend((0..n).filter(|&r| {
-        r != src
-            && fleet.alive[r]
-            && fleet.routable[r]
-            && fleet.ratio[r] < cfg.controller.headroom_ratio
-    }));
-    dests.sort_unstable_by(|&a, &b| {
-        fleet.ratio[a]
-            .total_cmp(&fleet.ratio[b])
-            .then(fleet.backlog[a].cmp(&fleet.backlog[b]))
-            .then(a.cmp(&b))
-    });
-    for &dst in dests.iter() {
-        // First job of the source whose model the destination lacks
-        // (brownout-parked jobs stay parked where they are).
-        let movable = jobs_on[src].iter().copied().find(|&j| {
-            let model = cfg.be_jobs[j];
-            !job_shed[j] && !jobs_on[dst].iter().any(|&k| cfg.be_jobs[k] == model)
-        });
-        let Some(job) = movable else { continue };
-        let model = cfg.be_jobs[job];
-        let b = fleet_models
-            .iter()
-            .position(|&m| m == model)
-            .expect("job model is a fleet model");
-        // Park on the source: stop future launches, evict the running
-        // kernel if it is this task's (§7.1 eviction flag).
-        fleet.mutate(src, |cell| {
+    }
+
+    /// Re-places every homeless BE job on its landing site, in the
+    /// order they were stranded; jobs with none stay homeless.
+    fn rehome(&mut self) {
+        for job in std::mem::take(&mut self.chaos.homeless) {
+            match self.landing_site(self.prep.cfg.be_jobs[job], None) {
+                Some(dst) => self.place_be_job(job, dst),
+                None => self.chaos.homeless.push(job),
+            }
+        }
+    }
+
+    /// Empties lane `r` at `t` for a crash (`RequeueCause::Crash`: its
+    /// queued and in-flight LS requests, launches cancelled) or a
+    /// graceful drain (`RequeueCause::Drain`: its queued LS requests;
+    /// in-flight ones finish in place). The drained requests go back
+    /// through [`requeue`](Self::requeue) in the merged stream's
+    /// canonical `(time, task)` order. The lane's BE jobs park — a
+    /// running kernel gets the §7.1 eviction flag, not a cancel, and a
+    /// crash drain has already cancelled it — and move to survivors
+    /// through the migration path with their closed-loop cursors
+    /// preserved, or wait as homeless. Returns the drained count.
+    fn evacuate(&mut self, r: usize, t: f64, cause: RequeueCause) -> usize {
+        let mut drained = std::mem::take(&mut self.drain_buf);
+        drained.clear();
+        let crash = cause == RequeueCause::Crash;
+        self.fleet.mutate(r, |cell| {
             let st = cell.sim.state_mut();
-            st.set_be_active(b, false);
-            if st.be_launch.map(|l| l.task) == Some(b) {
-                st.preempt_be();
+            if crash {
+                st.crash_drain(&mut drained);
+            } else {
+                st.drain_pending(&mut drained);
             }
         });
-        // Resume on the destination.
-        fleet.mutate(dst, |cell| cell.sim.state_mut().set_be_active(b, true));
-        let pos = jobs_on[src]
+        drained.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        for &(task, arrival_us) in &drained {
+            self.requeue(task, arrival_us, t, Some(r), cause);
+        }
+        let count = drained.len();
+        self.drain_buf = drained;
+        for job in std::mem::take(&mut self.jobs_on[r]) {
+            let b = self.prep.job_slot[job];
+            self.fleet.mutate(r, |cell| cell.park_be(b));
+            let model = self.prep.cfg.be_jobs[job];
+            match self.landing_site(model, Some(r)) {
+                Some(dst) => {
+                    self.place_be_job(job, dst);
+                    self.migrations.push(Migration {
+                        at_us: t,
+                        job,
+                        model,
+                        from: r,
+                        to: dst,
+                    });
+                }
+                None => self.chaos.homeless.push(job),
+            }
+        }
+        count
+    }
+
+    /// Counts a fault onset or recovery and records it on the lane's
+    /// track.
+    fn record_fault(&mut self, f: &ScheduledFault, onset: bool) {
+        let kind = if onset {
+            self.chaos.faults_injected += 1;
+            EventKind::FaultOnset { kind: f.kind }
+        } else {
+            self.chaos.faults_recovered += 1;
+            EventKind::FaultRecovered { kind: f.kind }
+        };
+        if self.tel.is_on() {
+            self.tel.record(f.at_us, f.replica as u32, kind);
+        }
+    }
+
+    /// The *fault* decision: applies the next fault-timeline action at
+    /// its instant. Every scan and mutation runs in replica-index order
+    /// — the action is a deterministic function of fleet state,
+    /// independent of the clock schedule.
+    fn apply_fault(&mut self) {
+        let f = self.chaos.timeline[self.chaos.next_fault];
+        self.chaos.next_fault += 1;
+        let (r, t) = (f.replica, f.at_us);
+        // A retired lane left the fleet for good (graceful drain or
+        // crash-replacement write-off): later timeline entries against
+        // it — typically the scheduled recovery of a crash the elastic
+        // layer already replaced — are no-ops. So are overlapping crash
+        // windows, permanent-crash bookkeeping and double recoveries.
+        let retired = self.elastic.state[r] == LaneState::Retired;
+        match f.op {
+            _ if retired => {}
+            FaultOp::Crash if self.fleet.alive[r] => {
+                self.fleet.alive[r] = false;
+                self.record_fault(&f, true);
+                self.elastic.on_crash(r, t);
+                // Freeze the heartbeat at the last instant this replica
+                // was seen alive — what the per-replica stamp sweep would
+                // have left behind. `max` keeps a recovery stamp that
+                // postdates the last decision instant (crash shortly
+                // after recover).
+                let rt = &mut self.chaos;
+                rt.last_heartbeat[r] = rt.last_heartbeat[r].max(rt.last_decision_us);
+                self.evacuate(r, t, RequeueCause::Crash);
+            }
+            FaultOp::Recover if !self.fleet.alive[r] => {
+                self.fleet.alive[r] = true;
+                self.record_fault(&f, false);
+                self.chaos.last_heartbeat[r] = t;
+                self.elastic.dead_since[r] = f64::INFINITY;
+                // The engine is empty (crash drain cancelled every
+                // launch) and stale policy timers are structurally
+                // dropped, so idling forward to the recovery instant is
+                // safe.
+                self.fleet
+                    .mutate(r, |cell| cell.sim.state_mut().engine.advance_idle(t));
+                // The revived replica is empty, so every homeless model
+                // has a candidate again.
+                self.rehome();
+                self.fleet.mutate(r, |cell| cell.dispatch());
+            }
+            FaultOp::Crash | FaultOp::Recover => {}
+            FaultOp::SetScale(_) | FaultOp::ClearScale => {
+                let (onset, factor) = match f.op {
+                    FaultOp::SetScale(factor) => (true, factor),
+                    _ => (false, 1.0),
+                };
+                self.record_fault(&f, onset);
+                let up = self.fleet.alive[r];
+                let resident = self.jobs_on[r].len();
+                let prep = self.prep;
+                self.fleet.mutate(r, |cell| {
+                    if up {
+                        cell.sim.state_mut().engine.advance_idle(t);
+                    }
+                    cell.sim.state_mut().engine.set_clock_scale(factor);
+                    retune_cell(&prep.cfg, &prep.deps[r], resident, cell);
+                    if up {
+                        cell.dispatch();
+                    }
+                });
+            }
+        }
+        self.tel.sync_logs(&self.migrations, &self.elastic.events);
+        // Faults restructure everything a view reads — aliveness,
+        // residency, drained backlogs — so the incremental snapshot
+        // re-bases here. O(replicas), but fault instants are rare.
+        self.fleet.rebuild_views(&self.jobs_on, &self.chaos, t);
+    }
+
+    /// The *scale* decision: activates every provisioning lane whose
+    /// ready instant has arrived. Mirrors the fault-recovery template:
+    /// the lane's empty engine idles forward to `t`, the policy
+    /// dispatches its opening launches, the heartbeat stamps fresh, and
+    /// stranded BE jobs get a re-homing pass (a fresh empty member is
+    /// the best landing site there is).
+    fn activate_ready(&mut self, t: f64) {
+        for r in 0..self.fleet.len() {
+            let ert = &mut self.elastic;
+            if ert.state[r] != LaneState::Provisioning || ert.ready_at[r] > t {
+                continue;
+            }
+            ert.state[r] = LaneState::Active;
+            ert.activated_at[r] = t;
+            ert.ready_at[r] = f64::INFINITY;
+            ert.events.push(ScaleEvent {
+                at_us: t,
+                replica: r,
+                kind: ScaleEventKind::Activate,
+            });
+            self.fleet.advancing[r] = true;
+            self.fleet.routable[r] = true;
+            self.chaos.last_heartbeat[r] = t;
+            self.fleet.mutate(r, |cell| {
+                cell.sim.state_mut().engine.advance_idle(t);
+                cell.dispatch();
+            });
+            self.rehome();
+        }
+        self.elastic.recompute_next_ready();
+        self.tel.sync_logs(&self.migrations, &self.elastic.events);
+        // Activation grows the routable set, so the compact views
+        // re-base; O(replicas) but activation instants are rare.
+        self.fleet.rebuild_views(&self.jobs_on, &self.chaos, t);
+    }
+
+    /// The *tick* decision: drains every lane's completion window into
+    /// its windowed ratio, samples the recorder, then runs the
+    /// controller's capacity, migration and brownout steps and flushes
+    /// the admission queues the ladder released.
+    fn tick(&mut self, t: f64) {
+        let tick_t0 = self.tel.clk();
+        let prep = self.prep;
+        let mut window_done = 0u64;
+        for r in 0..self.fleet.len() {
+            let cell = &mut self.fleet.cells[r];
+            let soft = &self.tiers.soft;
+            cell.drain(
+                &prep.slos[r],
+                soft,
+                prep.cfg.streaming,
+                r as u32,
+                &mut self.tel,
+            );
+            window_done += cell.win_hist.count();
+            self.fleet.ratio[r] = if cell.win_hist.is_empty() {
+                0.0
+            } else {
+                cell.win_hist.percentile(99.0)
+            };
+            cell.win_hist.reset();
+        }
+        if self.tel.is_on() {
+            self.sample_tick(t);
+        }
+        // Capacity decisions run before rebalance/brownout so the
+        // migration controller sees the post-scaling membership at this
+        // same tick.
+        self.elastic_step(t, window_done);
+        self.controller_rebalance(t);
+        // The brownout ladder runs every tick: overload needs no fault
+        // plan (diurnal peaks and autoscaler lag qualify).
+        self.brownout(t);
+        self.tel.sync_logs(&self.migrations, &self.elastic.events);
+        // Ticks move the two slow view fields (windowed ratio, BE
+        // residency via rebalance/brownout), so the incremental snapshot
+        // re-bases here — the tick already walked every lane to drain
+        // completions, so this adds no complexity class.
+        self.fleet.rebuild_views(&self.jobs_on, &self.chaos, t);
+        // Re-admit queued tiers the receding ladder just released —
+        // after the view rebuild so routing sees this tick's state.
+        self.tier_flush(t);
+        self.tel.prof.tick_ns += TelemetryRt::lap(tick_t0);
+        self.next_tick += prep.cfg.controller.period_us;
+    }
+
+    /// Samples the metrics registry and records per-lane verdicts at
+    /// tick `t`, read off the cells themselves, not the mirrors.
+    fn sample_tick(&mut self, t: f64) {
+        let sample_t0 = self.tel.clk();
+        let (fleet, tel, trt) = (&self.fleet, &mut self.tel, &self.tiers);
+        tel.begin_tick(t);
+        for (r, jobs) in self.jobs_on.iter().enumerate() {
+            let st = fleet.cells[r].sim.state();
+            let backlog = st.ls_backlog() as u32;
+            let inflight = st.ls_inflight() as u32;
+            let resident_be = jobs.len() as u32;
+            let ratio = fleet.ratio[r];
+            tel.sample_lane(
+                r,
+                f64::from(backlog),
+                ratio,
+                f64::from(inflight),
+                f64::from(resident_be),
+            );
+            tel.record(
+                t,
+                r as u32,
+                EventKind::TickVerdict {
+                    window_p99_ratio: ratio,
+                    backlog,
+                    inflight,
+                    resident_be,
+                },
+            );
+        }
+        let mut warm = 0u32;
+        let mut active = 0u32;
+        let mut provisioning = 0u32;
+        for s in &self.elastic.state {
+            match s {
+                LaneState::Warm => warm += 1,
+                LaneState::Active => active += 1,
+                LaneState::Provisioning => provisioning += 1,
+                LaneState::Draining | LaneState::Retired => {}
+            }
+        }
+        tel.sample_fleet(
+            f64::from(warm),
+            self.chaos.retry_q.len() as f64,
+            f64::from(active),
+            f64::from(provisioning),
+        );
+        // Per-tier series: queued + in-lane backlog, cumulative weighted
+        // on-SLO completions, cumulative refusals. Read off the cells,
+        // one pass per tier — skipped entirely without an attached tier
+        // map so the telemetry overhead gate is untouched.
+        if self.prep.cfg.tiers.is_some() {
+            for rank in 0..trt.n_tiers() {
+                let mut backlog = trt.queues[rank].len() as f64;
+                let mut met_w = 0.0;
+                let mut refused = 0.0;
+                for task in 0..self.prep.n_ls {
+                    if trt.rank[task] as usize != rank {
+                        continue;
+                    }
+                    refused += (trt.refused_overload_by_task[task]
+                        + trt.refused_queue_full_by_task[task])
+                        as f64;
+                    for cell in &fleet.cells {
+                        backlog += cell.sim.state().ls_backlog_of(task) as f64;
+                        met_w += cell.met_by_task[task] as f64 * trt.weight[task];
+                    }
+                }
+                tel.sample_tier(rank, backlog, met_w, refused);
+            }
+        }
+        tel.prof.telemetry_ns += TelemetryRt::lap(sample_t0);
+    }
+
+    /// Starts provisioning the lowest-index available warm lane (warm-pool
+    /// hit), or records a miss when the pool is exhausted. The delay
+    /// draw comes from the run-seeded splitmix64 chain — deterministic
+    /// per draw index.
+    fn start_provision(&mut self, t: f64, cause: ScaleCause) -> bool {
+        let ert = &mut self.elastic;
+        let alive = &self.fleet.alive;
+        let w = (0..ert.state.len()).find(|&r| ert.state[r] == LaneState::Warm && alive[r]);
+        let Some(w) = w else {
+            ert.warm_misses += 1;
+            return false;
+        };
+        ert.warm_hits += 1;
+        let delay = provision_delay(&self.prep.elastic.warm_pool, self.prep.cfg.seed, ert.draws);
+        ert.draws += 1;
+        let ready = t + delay;
+        ert.provision_delay_total_us += delay;
+        ert.state[w] = LaneState::Provisioning;
+        ert.ready_at[w] = ready;
+        ert.next_ready_us = ert.next_ready_us.min(ready);
+        ert.events.push(ScaleEvent {
+            at_us: t,
+            replica: w,
+            kind: ScaleEventKind::Provision {
+                cause,
+                ready_at_us: ready,
+            },
+        });
+        true
+    }
+
+    /// Removes lane `r` from the fleet for good: folds its open
+    /// membership stint into the lifetime accounting and freezes the
+    /// lane (the clock skips it from here on). The tick rebuilds the
+    /// router views before the next routing decision.
+    fn retire_lane(&mut self, r: usize, t: f64) {
+        let ert = &mut self.elastic;
+        ert.active_us[r] += t - ert.activated_at[r];
+        ert.state[r] = LaneState::Retired;
+        ert.events.push(ScaleEvent {
+            at_us: t,
+            replica: r,
+            kind: ScaleEventKind::Retire,
+        });
+        self.fleet.advancing[r] = false;
+        self.fleet.routable[r] = false;
+        self.fleet.refresh(r);
+    }
+
+    /// Begins a graceful drain of member lane `v`: the lane leaves the
+    /// routable set and [`evacuate`](Self::evacuate)s its queued LS
+    /// requests and resident BE jobs. In-flight LS requests keep running
+    /// here; the lane retires at the first controller tick that finds it
+    /// fully quiesced.
+    fn drain_lane_start(&mut self, t: f64, v: usize, cause: ScaleCause) {
+        self.elastic.state[v] = LaneState::Draining;
+        self.fleet.routable[v] = false;
+        self.elastic.drains_started += 1;
+        self.elastic.events.push(ScaleEvent {
+            at_us: t,
+            replica: v,
+            kind: ScaleEventKind::DrainStart { cause },
+        });
+        let drained = self.evacuate(v, t, RequeueCause::Drain);
+        self.elastic.drain_requeued += drained as u64;
+    }
+
+    /// One controller tick's capacity decision, run right after the
+    /// window drain (fresh ratios) and before the migration rebalance.
+    /// Four phases, each a deterministic index-order scan of fleet
+    /// state: retire quiesced drains, replace confirmed-dead members,
+    /// drain sustained SLO breachers, then apply the scaling policy's
+    /// verdict under the min/max bounds and cooldowns.
+    fn elastic_step(&mut self, t: f64, window_done: u64) {
+        let n = self.fleet.len();
+        let prep = self.prep;
+        let e = &prep.elastic;
+
+        // Phase 1 — retirement: a draining lane with nothing queued or in
+        // flight leaves the fleet. Tick-granular by design: membership
+        // changes only at decision points.
+        for r in 0..n {
+            if self.elastic.state[r] == LaneState::Draining
+                && self.fleet.cells[r].sim.state().ls_backlog() == 0
+            {
+                self.elastic.drains_completed += 1;
+                self.retire_lane(r, t);
+            }
+        }
+
+        // Phase 2 — crash replacement: a member dead past the
+        // confirmation window is written off and replaced from the warm
+        // pool. Replacement is capacity-neutral, so bounds and cooldowns
+        // do not apply. Until confirmation the dead lane stays routable
+        // — routers observe its heartbeat staleness and route around it.
+        if e.replace_after_us.is_finite() {
+            for r in 0..n {
+                if self.elastic.state[r] != LaneState::Active
+                    || self.fleet.alive[r]
+                    || t - self.elastic.dead_since[r] < e.replace_after_us
+                {
+                    continue;
+                }
+                self.elastic.dead_since[r] = f64::INFINITY;
+                self.retire_lane(r, t);
+                if self.start_provision(t, ScaleCause::CrashReplace) {
+                    self.elastic.replacements += 1;
+                }
+            }
+        }
+
+        // Phase 3 — SLO-breach draining: a lane breaching for
+        // `breach_drain_ticks` consecutive windows is drained (worst
+        // ratio first, one per tick) and a warm replacement provisioned.
+        if e.breach_drain_ticks > 0 {
+            let (ert, fleet) = (&mut self.elastic, &self.fleet);
+            for r in 0..n {
+                if ert.state[r] == LaneState::Active
+                    && fleet.alive[r]
+                    && fleet.ratio[r] > e.breach_drain_ratio
+                {
+                    ert.breach_ticks[r] += 1;
+                } else {
+                    ert.breach_ticks[r] = 0;
+                }
+            }
+            let victim = (0..n)
+                .filter(|&r| ert.breach_ticks[r] >= e.breach_drain_ticks)
+                .max_by(|&a, &b| fleet.ratio[a].total_cmp(&fleet.ratio[b]).then(b.cmp(&a)));
+            if let Some(v) = victim {
+                let active = ert.count(LaneState::Active);
+                let has_warm = (0..n).any(|r| ert.state[r] == LaneState::Warm && fleet.alive[r]);
+                if active > e.min_replicas || has_warm {
+                    ert.breach_ticks[v] = 0;
+                    self.drain_lane_start(t, v, ScaleCause::SloBreach);
+                    self.start_provision(t, ScaleCause::SloBreach);
+                }
+            }
+        }
+
+        // Phase 4 — the scaling policy, clamped and rate-limited.
+        let (ert, fleet) = (&mut self.elastic, &self.fleet);
+        let active = ert.count(LaneState::Active);
+        let provisioning = ert.count(LaneState::Provisioning);
+        let mut healthy_active = 0usize;
+        let mut warm_available = 0usize;
+        let mut backlog_sum = 0u64;
+        let mut worst = 0.0f64;
+        for r in 0..n {
+            match ert.state[r] {
+                LaneState::Active if fleet.alive[r] => {
+                    healthy_active += 1;
+                    backlog_sum += u64::from(fleet.backlog[r]);
+                    worst = worst.max(fleet.ratio[r]);
+                }
+                LaneState::Warm if fleet.alive[r] => warm_available += 1,
+                _ => {}
+            }
+        }
+        let signals = FleetSignals {
+            at_us: t,
+            active,
+            healthy_active,
+            provisioning,
+            warm_available,
+            window_p99_ratio: worst,
+            window_completions: window_done,
+            window_arrivals: self.arrivals_injected - ert.prev_arrivals,
+            backlog_per_active: backlog_sum as f64 / active.max(1) as f64,
+        };
+        ert.prev_arrivals = self.arrivals_injected;
+        let desired = ert
+            .policy
+            .desired_replicas(&signals)
+            .clamp(e.min_replicas, e.max_replicas);
+        let committed = active + provisioning;
+        if desired > committed {
+            if t - ert.last_up_us >= e.up_cooldown_us {
+                let mut started = false;
+                for _ in committed..desired {
+                    if !self.start_provision(t, ScaleCause::Load) {
+                        break;
+                    }
+                    started = true;
+                }
+                if started {
+                    self.elastic.last_up_us = t;
+                }
+            }
+        } else if desired < active && t - ert.last_down_us >= e.down_cooldown_us {
+            // `desired >= min_replicas` after the clamp, so draining down
+            // to it never undershoots the floor.
+            let mut drained_any = false;
+            for _ in desired..active {
+                // Least-loaded lane first; ties scale down the newest.
+                let (ert, fleet) = (&self.elastic, &self.fleet);
+                let victim = (0..n)
+                    .filter(|&r| ert.state[r] == LaneState::Active && fleet.alive[r])
+                    .min_by_key(|&r| (fleet.backlog[r], std::cmp::Reverse(r)));
+                let Some(v) = victim else { break };
+                self.drain_lane_start(t, v, ScaleCause::Load);
+                drained_any = true;
+            }
+            if drained_any {
+                self.elastic.last_down_us = t;
+            }
+        }
+    }
+
+    /// One controller tick's migration decision: move one BE job from
+    /// the worst SLO-breaching replica onto the most underloaded replica
+    /// that can host it. Scans run in replica-index order.
+    fn controller_rebalance(&mut self, t: f64) {
+        let prep = self.prep;
+        let ctl = &prep.cfg.controller;
+        let be_jobs = &prep.cfg.be_jobs;
+        let n = self.fleet.len();
+        let (fleet, jobs_on) = (&self.fleet, &self.jobs_on);
+        // Source: the worst breaching replica that has BE work to shed.
+        // Dead replicas are invisible here — a crash evacuates their BE
+        // jobs, and their stale windowed ratio must not attract work.
+        let src = (0..n)
+            .filter(|&r| {
+                fleet.alive[r]
+                    && fleet.routable[r]
+                    && fleet.ratio[r] > ctl.breach_ratio
+                    && !jobs_on[r].is_empty()
+            })
+            .max_by(|&a, &b| {
+                fleet.ratio[a].total_cmp(&fleet.ratio[b]).then(b.cmp(&a)) // ties → lower index
+            });
+        let Some(src) = src else { return };
+        // Destinations with headroom, best (ratio, backlog) first. The
+        // comparator ends on the index, making it a total order — the
+        // unstable sort is deterministic and allocation-free.
+        let dests = &mut self.dests;
+        dests.clear();
+        dests.extend((0..n).filter(|&r| {
+            r != src && fleet.alive[r] && fleet.routable[r] && fleet.ratio[r] < ctl.headroom_ratio
+        }));
+        dests.sort_unstable_by(|&a, &b| {
+            fleet.ratio[a]
+                .total_cmp(&fleet.ratio[b])
+                .then(fleet.backlog[a].cmp(&fleet.backlog[b]))
+                .then(a.cmp(&b))
+        });
+        // First destination lacking the model of one of the source's
+        // jobs, with that job (brownout-parked jobs stay parked where
+        // they are).
+        let job_shed = &self.chaos.job_shed;
+        let pick = dests.iter().find_map(|&dst| {
+            let job = jobs_on[src].iter().copied().find(|&j| {
+                let model = be_jobs[j];
+                !job_shed[j] && !jobs_on[dst].iter().any(|&k| be_jobs[k] == model)
+            })?;
+            Some((dst, job))
+        });
+        let Some((dst, job)) = pick else { return };
+        let b = prep.job_slot[job];
+        // Park on the source (§7.1 eviction flag), resume on the
+        // destination.
+        self.fleet.mutate(src, |cell| cell.park_be(b));
+        self.fleet
+            .mutate(dst, |cell| cell.sim.state_mut().set_be_active(b, true));
+        let pos = self.jobs_on[src]
             .iter()
             .position(|&k| k == job)
             .expect("present");
-        jobs_on[src].remove(pos);
-        jobs_on[dst].push(job);
-        // Optionally retune Ch_BE on both ends (dynamic SGDRC only —
-        // the static baseline keeps its fixed split). `retune_cell`
-        // folds in any active clock throttle so a migration never
-        // resets a thermally scaled target spec.
-        if cfg.controller.adaptive_ch_be {
+        self.jobs_on[src].remove(pos);
+        self.jobs_on[dst].push(job);
+        // Optionally retune Ch_BE on both ends (dynamic SGDRC only — the
+        // static baseline keeps its fixed split). `retune_cell` folds in
+        // any active clock throttle so a migration never resets a
+        // thermally scaled target spec.
+        if ctl.adaptive_ch_be {
             for r in [src, dst] {
-                let resident = jobs_on[r].len();
-                fleet.mutate(r, |cell| retune_cell(cfg, &deps[r], resident, cell));
+                let resident = self.jobs_on[r].len();
+                self.fleet.mutate(r, |cell| {
+                    retune_cell(&prep.cfg, &prep.deps[r], resident, cell)
+                });
             }
         }
         // Let both policies react immediately (launch the migrated job /
         // expand onto freed resources).
-        fleet.mutate(src, |cell| cell.dispatch());
-        fleet.mutate(dst, |cell| cell.dispatch());
-        migrations.push(Migration {
-            at_us,
+        self.fleet.mutate(src, |cell| cell.dispatch());
+        self.fleet.mutate(dst, |cell| cell.dispatch());
+        self.migrations.push(Migration {
+            at_us: t,
             job,
-            model,
+            model: be_jobs[job],
             from: src,
             to: dst,
         });
-        return; // one migration per tick
+    }
+
+    /// Tier-ordered brownout, the fleet's one overload path, evaluated
+    /// every controller tick. The ladder escalates one level per
+    /// pressured tick (per-alive backlog above `enter_backlog`, or a
+    /// windowed p99 breach on any routable survivor while backlog
+    /// exceeds the `exit_backlog` calm floor): level 1 parks every BE
+    /// job fleet-wide, then each eligible tier (BestEffort before
+    /// Burstable, lower-priority tiers first) gains a *queue* level and
+    /// a *shed* level in turn. Recovery runs the ladder in reverse:
+    /// after `hold_ticks` consecutive calm ticks (backlog at or below
+    /// `exit_backlog`, no SLO pressure) the level drops by one,
+    /// re-admitting tiers in the opposite order they were browned.
+    /// Guaranteed tiers never queue or shed, so the tier-blind map's
+    /// ladder only parks and resumes BE.
+    fn brownout(&mut self, t: f64) {
+        let n = self.fleet.len();
+        let fleet = &self.fleet;
+        let member = |r: usize| fleet.routable[r] && fleet.alive[r];
+        let alive = (0..n).filter(|&r| member(r)).count();
+        if alive == 0 {
+            return;
+        }
+        let backlog: usize = (0..n)
+            .filter(|&r| member(r))
+            .map(|r| fleet.backlog[r] as usize)
+            .sum();
+        let per_alive = backlog / alive;
+        let slo_pressure = (0..n).any(|r| member(r) && fleet.ratio[r] > 1.0);
+        // SLO pressure only escalates when backlog sits above the calm
+        // floor: a windowed p99 breach with near-empty queues is a
+        // capacity artifact shedding cannot fix, and gating it keeps the
+        // tier-blind map without a fault plan (both thresholds
+        // unreachable) a true no-op.
+        let trt = &mut self.tiers;
+        let pressured =
+            per_alive > trt.enter_backlog || (slo_pressure && per_alive > trt.exit_backlog);
+        let calm = per_alive <= trt.exit_backlog && !slo_pressure;
+        trt.step_ladder(pressured, calm);
+
+        // Level ≥ 1: park every resident BE job (the cheapest capacity to
+        // reclaim); level 0: resume anything still parked.
+        let park = trt.level >= 1;
+        let rt = &mut self.chaos;
+        for (r, jobs) in self.jobs_on.iter().enumerate() {
+            if park && !(self.fleet.alive[r] && self.fleet.routable[r]) {
+                continue;
+            }
+            let mut count = 0u32;
+            for &j in jobs {
+                if rt.job_shed[j] == park {
+                    continue;
+                }
+                rt.job_shed[j] = park;
+                let b = self.prep.job_slot[j];
+                if park {
+                    rt.be_shed += 1;
+                    self.fleet.mutate(r, |cell| cell.park_be(b));
+                } else {
+                    rt.be_resumed += 1;
+                    self.fleet
+                        .mutate(r, |cell| cell.sim.state_mut().set_be_active(b, true));
+                }
+                count += 1;
+            }
+            if count > 0 {
+                self.fleet.mutate(r, |cell| cell.dispatch());
+                if self.tel.is_on() {
+                    let kind = if park {
+                        EventKind::BeParked { count }
+                    } else {
+                        EventKind::BeResumed { count }
+                    };
+                    self.tel.record(t, r as u32, kind);
+                }
+            }
+        }
+
+        // Expire queued admissions whose hard deadline has passed — they
+        // can no longer complete on-SLO, so holding them is doomed work.
+        let TierRt { queues, hard, .. } = &mut self.tiers;
+        for q in queues.iter_mut() {
+            q.retain(|&(task, arrival_us)| {
+                if t - arrival_us > hard[task as usize] {
+                    rt.timeout_drop(task as usize, t, FLEET_TRACK, &mut self.tel);
+                    false
+                } else {
+                    true
+                }
+            });
+        }
+
+        // Active shed: tiers at or past their shed level lose already
+        // admitted pending work on the victim lane, lowest tier first
+        // within the budget.
+        let trt = &self.tiers;
+        let any_shedding = (0..trt.n_tiers()).any(|r| trt.level >= trt.shed_level[r]);
+        if !any_shedding {
+            return;
+        }
+        let fleet = &mut self.fleet;
+        let Some(v) = shed_victim(&fleet.alive, &fleet.routable, &fleet.backlog) else {
+            return;
+        };
+        let mut budget = trt.shed_per_tick;
+        'ranks: for rank in (0..trt.n_tiers()).rev() {
+            if trt.level < trt.shed_level[rank] {
+                continue;
+            }
+            for task in (0..self.prep.n_ls).rev() {
+                if trt.rank[task] as usize != rank {
+                    continue;
+                }
+                if budget == 0 {
+                    break 'ranks;
+                }
+                let dropped =
+                    fleet.mutate(v, |cell| cell.sim.state_mut().shed_pending(task, budget));
+                budget -= dropped;
+                rt.ls_shed += dropped as u64;
+                rt.shed_by_task[task] += dropped as u64;
+                if dropped > 0 && self.tel.is_on() {
+                    self.tel.record(
+                        t,
+                        v as u32,
+                        EventKind::LsShed {
+                            task: task as u32,
+                            count: dropped as u32,
+                        },
+                    );
+                }
+            }
+        }
+    }
+
+    /// Flushes tier admission queues whose queue level has receded —
+    /// called right after the tick's view rebuild so routing sees fresh
+    /// backlog. Entries dispatch FIFO (oldest arrival first) through the
+    /// tier-aware router, keeping their original arrival timestamp so
+    /// latency charges the queueing delay to the request. A
+    /// dead-but-fresh target bounces into the retry queue under the
+    /// tier's retry budget; with no healthy lane at all the queue holds
+    /// until capacity returns.
+    fn tier_flush(&mut self, t: f64) {
+        if self.tiers.queued_total() == 0 {
+            return;
+        }
+        self.fleet.patch_health(&self.chaos, t);
+        for rank in 0..self.tiers.n_tiers() {
+            if self.tiers.level >= self.tiers.queue_level[rank] {
+                continue;
+            }
+            while let Some(&(task, arrival_us)) = self.tiers.queues[rank].front() {
+                let task = task as usize;
+                let Some(r) = self.route(task, rank as u32, t) else {
+                    break;
+                };
+                self.tiers.queues[rank].pop_front();
+                if self.fleet.alive[r] {
+                    self.fleet
+                        .mutate(r, |cell| cell.inject_requeued(task, arrival_us, t));
+                    if self.tel.is_on() {
+                        // Attempt 0 marks a queued-admission dispatch,
+                        // not a crash retry.
+                        let task = task as u32;
+                        let kind = EventKind::RetryDispatched { task, attempt: 0 };
+                        self.tel.record(t, r as u32, kind);
+                    }
+                } else {
+                    // A dead-but-fresh target: bounce like an arrival
+                    // routed at a dead lane.
+                    self.requeue(task, arrival_us, t, Some(r), RequeueCause::DeadRoute);
+                }
+            }
+        }
+    }
+
+    /// The *retry* decision: drains every retry-queue entry due at `t`.
+    /// Timed-out requests drop, the rest are routed against a fresh
+    /// health view — a successful delivery records its re-dispatch
+    /// delay, a refusal (dead target, no healthy lane) backs off
+    /// linearly and tries again, up to the retry budget.
+    fn process_retries(&mut self, t: f64) {
+        let mut due = std::mem::take(&mut self.due);
+        due.clear();
+        // Order-preserving extraction — identical sequence to scanning
+        // the queue front-to-back and removing due entries in place.
+        self.chaos.retry_q.retain(|e| {
+            if e.ready_at <= t {
+                due.push(*e);
+                false
+            } else {
+                true
+            }
+        });
+        // Health is a function of `t` alone, so it is patched once for
+        // the whole drain; injections inside the loop keep the backlog
+        // views current through `refresh`.
+        self.fleet.patch_health(&self.chaos, t);
+        for mut e in due.drain(..) {
+            // Deadline-aware drop: past the request's hard deadline (the
+            // tier's; `RetryConfig::timeout_us` without a tier map)
+            // re-dispatching is doomed work — drop it now.
+            if t - e.arrival_us > self.tiers.hard[e.task] {
+                self.chaos
+                    .timeout_drop(e.task, t, FLEET_TRACK, &mut self.tel);
+                continue;
+            }
+            // With every member drained away the entry backs off like a
+            // whole-fleet outage until a lane activates.
+            match self.route(e.task, self.tiers.rank[e.task], t) {
+                Some(r) if self.fleet.alive[r] => {
+                    self.fleet
+                        .mutate(r, |cell| cell.inject_requeued(e.task, e.arrival_us, t));
+                    let rt = &mut self.chaos;
+                    rt.retries += 1;
+                    rt.lane_retries[r] += 1;
+                    if self.tel.is_on() {
+                        let (task, attempt) = (e.task as u32, e.attempt);
+                        let kind = EventKind::RetryDispatched { task, attempt };
+                        self.tel.record(t, r as u32, kind);
+                    }
+                    rt.redispatch_hist.record(t - e.drained_at);
+                }
+                _ => {
+                    e.attempt += 1;
+                    if e.attempt > self.tiers.max_retries[e.task] {
+                        self.chaos
+                            .timeout_drop(e.task, t, FLEET_TRACK, &mut self.tel);
+                    } else {
+                        e.ready_at = t + self.chaos.retry.backoff_us * f64::from(e.attempt);
+                        self.chaos.retry_q.push(e);
+                    }
+                }
+            }
+        }
+        self.due = due;
+    }
+
+    /// The *arrival* decision: admits the merged stream's next request
+    /// and routes it against the incremental views — an O(1) touch-up
+    /// of dead lanes' health (a no-op while the fleet is whole) instead
+    /// of an O(replicas) rebuild.
+    fn route_arrival(&mut self) {
+        let a = self.arrivals.pop().expect("the arrival decision peeked it");
+        let task = a.task as usize;
+        self.arrivals_injected += 1;
+        self.arrivals_by_task[task] += 1;
+        let route_t0 = self.tel.clk();
+        self.fleet.patch_health(&self.chaos, a.at_us);
+        // Admission control runs before routing: the decision is a pure
+        // function of the brownout level (moved only at ticks) and the
+        // tier queue's occupancy. The tier-blind map's Guaranteed tier
+        // admits every arrival.
+        let trt = &mut self.tiers;
+        match trt.admit(task) {
+            Admission::Admit => {
+                trt.admitted_by_task[task] += 1;
+                match self.route(task, self.tiers.rank[task], a.at_us) {
+                    Some(r) if self.fleet.alive[r] => {
+                        self.fleet.mutate(r, |cell| cell.inject(task, a.at_us));
+                        if self.tel.is_on() {
+                            let kind = EventKind::Routed { task: a.task };
+                            self.tel.record(a.at_us, r as u32, kind);
+                        }
+                    }
+                    // Routed at a dead replica still inside its heartbeat
+                    // window — the crash has not aged out yet, so the
+                    // request bounces into the retry path like a failed
+                    // delivery.
+                    Some(r) => {
+                        let cause = RequeueCause::DeadRoute;
+                        self.requeue(task, a.at_us, a.at_us, Some(r), cause);
+                    }
+                    // Whole fleet unhealthy (or every lane drained away):
+                    // the request parks in the retry queue instead of
+                    // being forced onto a dead replica.
+                    None => {
+                        let cause = RequeueCause::NoHealthy;
+                        self.requeue(task, a.at_us, a.at_us, None, cause);
+                    }
+                }
+            }
+            Admission::Queue => {
+                trt.queued_by_task[task] += 1;
+                trt.queues[trt.rank[task] as usize].push_back((a.task, a.at_us));
+            }
+            Admission::Refuse(reason) => {
+                match reason {
+                    RefusalReason::Overload => trt.refused_overload_by_task[task] += 1,
+                    RefusalReason::QueueFull => trt.refused_queue_full_by_task[task] += 1,
+                }
+                if self.tel.is_on() {
+                    let tier = trt.tier_id_of[task];
+                    let kind = EventKind::Refused {
+                        task: a.task,
+                        tier,
+                        reason,
+                    };
+                    self.tel.record(a.at_us, FLEET_TRACK, kind);
+                }
+            }
+        }
+        self.tel.prof.route_ns += TelemetryRt::lap(route_t0);
+    }
+
+    /// Closes the run at the horizon — final completion drain, in-flight
+    /// accounting, per-lane summaries and tier ledgers — and hands the
+    /// reusable storage back to `ctx`.
+    fn finish(self, ctx: &mut ClusterCtx) -> ClusterResult {
+        let RunState {
+            prep,
+            mut fleet,
+            migrations,
+            chaos: rt,
+            tiers: trt,
+            elastic: mut ert,
+            mut tel,
+            arrivals_injected,
+            arrivals_by_task,
+            run_t0,
+            busy,
+            due,
+            dests,
+            ..
+        } = self;
+        let cfg = &prep.cfg;
+        let (n, n_ls) = (fleet.len(), prep.n_ls);
+        for r in 0..n {
+            fleet.cells[r].drain(&prep.slos[r], &trt.soft, cfg.streaming, r as u32, &mut tel);
+        }
+        tel.sync_logs(&migrations, &ert.events);
+        // Requests parked in tier admission queues are in flight:
+        // arrived, neither completed nor dropped.
+        let in_flight_at_end = fleet
+            .cells
+            .iter()
+            .map(|c| c.sim.state().ls_backlog() as u64)
+            .sum::<u64>()
+            + rt.retry_q.len() as u64
+            + trt.queued_total() as u64;
+        // Per-service in-flight split for the tier conservation ledgers:
+        // in-lane residue + retry-queue entries + admission-queue entries.
+        let mut in_flight_by_task = vec![0u64; n_ls];
+        for c in &fleet.cells {
+            for (task, slot) in in_flight_by_task.iter_mut().enumerate() {
+                *slot += c.sim.state().ls_backlog_of(task) as u64;
+            }
+        }
+        for e in &rt.retry_q {
+            in_flight_by_task[e.task] += 1;
+        }
+        for q in &trt.queues {
+            for &(task, _) in q {
+                in_flight_by_task[task as usize] += 1;
+            }
+        }
+
+        // Close the billing stint for every lane still serving at the
+        // horizon; retired lanes already billed up to their retire instant.
+        for r in 0..n {
+            if matches!(ert.state[r], LaneState::Active | LaneState::Draining) {
+                ert.active_us[r] += cfg.horizon_us - ert.activated_at[r];
+            }
+        }
+        let replica_seconds = ert.active_us.iter().sum::<f64>() / 1e6;
+        tel.prof.total_ns = TelemetryRt::lap(run_t0);
+        let telemetry = tel.finish();
+        let mut result = ClusterResult {
+            replicas: Vec::with_capacity(n),
+            fleet_hist: LatencyHistogram::new(),
+            requests: 0,
+            slo_met: 0,
+            goodput_hz: 0.0,
+            be_completed: 0,
+            be_preemptions: 0,
+            engine_events: 0,
+            migrations,
+            arrivals_injected,
+            requeued: rt.requeued,
+            retries: rt.retries,
+            timeout_drops: rt.timeout_drops,
+            ls_shed: rt.ls_shed,
+            be_shed: rt.be_shed,
+            be_resumed: rt.be_resumed,
+            in_flight_at_end,
+            faults_injected: rt.faults_injected,
+            faults_recovered: rt.faults_recovered,
+            redispatch_hist: rt.redispatch_hist,
+            retained_completions: 0,
+            replica_seconds,
+            scale_events: ert.events,
+            warm_hits: ert.warm_hits,
+            warm_misses: ert.warm_misses,
+            provision_delay_total_us: ert.provision_delay_total_us,
+            drains_started: ert.drains_started,
+            drains_completed: ert.drains_completed,
+            drain_requeued: ert.drain_requeued,
+            replacements: ert.replacements,
+            refused_arrivals: rt.refused,
+            refused_admission: trt
+                .refused_overload_by_task
+                .iter()
+                .chain(&trt.refused_queue_full_by_task)
+                .sum(),
+            arrivals_by_task,
+            completed_by_task: vec![0; n_ls],
+            slo_met_by_task: vec![0; n_ls],
+            weighted_goodput_hz: 0.0,
+            tier_outcomes: Vec::new(),
+            telemetry,
+        };
+        for (r, cell) in fleet.cells.drain(..).enumerate() {
+            let LaneCell {
+                sim,
+                policy: _,
+                seen_done,
+                mut win_hist,
+                cum_hist,
+                slo_met,
+                routed,
+                done_by_task,
+                met_by_task,
+            } = *cell;
+            for t in 0..n_ls {
+                result.completed_by_task[t] += done_by_task[t];
+                result.slo_met_by_task[t] += met_by_task[t];
+            }
+            let mut stats = sim.finish(&mut ctx.sims[r]);
+            result.retained_completions += stats
+                .ls_completed
+                .iter()
+                .map(|v| v.len() as u64)
+                .sum::<u64>();
+            if cfg.streaming {
+                // Hand the (already drained, already cleared) completion
+                // buffers back to the context for the next run; the
+                // summary keeps the exact scalar counters with empty logs.
+                let donor = RunStats {
+                    ls_completed: std::mem::take(&mut stats.ls_completed),
+                    ..Default::default()
+                };
+                ctx.sims[r].recycle(donor);
+                stats.ls_completed = vec![Vec::new(); n_ls];
+            }
+            win_hist.reset();
+            ctx.stores[r] = LaneStore {
+                seen_done,
+                win_hist,
+            };
+            let hist = cum_hist;
+            let requests = hist.count();
+            result.fleet_hist.merge(&hist);
+            result.requests += requests;
+            result.slo_met += slo_met;
+            result.be_completed += stats.be_completed.iter().sum::<u64>();
+            result.be_preemptions += stats.be_preemptions;
+            result.engine_events += stats.engine_events;
+            result.replicas.push(ReplicaSummary {
+                gpu: prep.lane_gpus[r],
+                routed,
+                requests,
+                slo_met,
+                hist,
+                seed: cell_seed(cfg.seed, r as u64),
+                stats,
+                active_us: ert.active_us[r],
+                requeued: rt.lane_requeued[r],
+                retries: rt.lane_retries[r],
+            });
+        }
+        result.goodput_hz = result.slo_met as f64 / (cfg.horizon_us / 1e6);
+        // Weighted goodput: tier-weight × on-SLO (soft-deadline)
+        // completions per second. Under the tier-blind map every weight is
+        // 1 and every soft deadline infinite, so this equals `goodput_hz`
+        // exactly.
+        let horizon_s = cfg.horizon_us / 1e6;
+        result.weighted_goodput_hz = result
+            .slo_met_by_task
+            .iter()
+            .zip(&trt.weight)
+            .map(|(&met, &w)| met as f64 * w)
+            .sum::<f64>()
+            / horizon_s;
+        if cfg.tiers.is_some() {
+            for rank in 0..trt.n_tiers() {
+                let mut o = TierOutcome {
+                    tier: trt.tier_ids[rank],
+                    class: trt.tier_class[rank],
+                    weight: trt.tier_weight[rank],
+                    arrivals: 0,
+                    admitted: 0,
+                    queued: 0,
+                    refused_overload: 0,
+                    refused_queue_full: 0,
+                    shed: 0,
+                    timeout_drops: 0,
+                    completed: 0,
+                    slo_met: 0,
+                    in_flight_at_end: 0,
+                    weighted_goodput_hz: 0.0,
+                };
+                for (task, &in_flight) in in_flight_by_task.iter().enumerate() {
+                    if trt.rank[task] as usize != rank {
+                        continue;
+                    }
+                    o.arrivals += result.arrivals_by_task[task];
+                    o.admitted += trt.admitted_by_task[task];
+                    o.queued += trt.queued_by_task[task];
+                    o.refused_overload += trt.refused_overload_by_task[task];
+                    o.refused_queue_full += trt.refused_queue_full_by_task[task];
+                    o.shed += rt.shed_by_task[task];
+                    o.timeout_drops += rt.drops_by_task[task];
+                    o.completed += result.completed_by_task[task];
+                    o.slo_met += result.slo_met_by_task[task];
+                    o.in_flight_at_end += in_flight;
+                }
+                o.weighted_goodput_hz = o.slo_met as f64 * o.weight / horizon_s;
+                result.tier_outcomes.push(o);
+            }
+        }
+
+        // Return the reusable storage to the context.
+        ctx.next_at = fleet.next_at;
+        ctx.backlog = fleet.backlog;
+        ctx.ratio = fleet.ratio;
+        ctx.alive = fleet.alive;
+        ctx.views = fleet.views;
+        ctx.advancing = fleet.advancing;
+        ctx.routable = fleet.routable;
+        ctx.view_lane = fleet.view_lane;
+        ctx.lane_slot = fleet.lane_slot;
+        ctx.busy = busy;
+        ctx.due = due;
+        ctx.dests = dests;
+        result
     }
 }
 
@@ -2877,734 +3376,76 @@ pub fn run_cluster_in(
     run_cluster_prepared(&prep, router, ctx)
 }
 
-/// Runs one prepared fleet scenario to the horizon.
+/// Runs one prepared fleet scenario to the horizon: each decision due
+/// by the horizon, earliest first and in canonical order at equal
+/// instants, quiesces the fleet to its instant and runs its handler;
+/// then every surviving lane runs out to the horizon.
 pub fn run_cluster_prepared(
     prep: &PreparedCluster,
     router: &mut dyn RoutingPolicy,
     ctx: &mut ClusterCtx,
 ) -> ClusterResult {
-    let cfg = &prep.cfg;
-    let n = prep.lane_gpus.len();
-    let n_init = prep.n_init;
-    let n_ls = prep.n_ls;
-    if ctx.sims.len() < n {
-        ctx.sims.resize_with(n, SimContext::new);
-    }
-    if ctx.stores.len() < n {
-        ctx.stores.resize_with(n, LaneStore::default);
-    }
-
-    let mut jobs_on: Vec<Vec<usize>> = prep.init_jobs_on.clone();
-
-    // --- the fleet: hot mirrors from the context, cells per run ----------
-    let mut fleet = Fleet {
-        cells: Vec::with_capacity(n),
-        next_at: std::mem::take(&mut ctx.next_at),
-        backlog: std::mem::take(&mut ctx.backlog),
-        ratio: std::mem::take(&mut ctx.ratio),
-        alive: std::mem::take(&mut ctx.alive),
-        gpus: &prep.lane_gpus,
-        advancing: std::mem::take(&mut ctx.advancing),
-        routable: std::mem::take(&mut ctx.routable),
-        view_lane: std::mem::take(&mut ctx.view_lane),
-        lane_slot: std::mem::take(&mut ctx.lane_slot),
-        views: std::mem::take(&mut ctx.views),
-        n_healthy: 0,
-        n_dead: 0,
-    };
-    fleet.next_at.clear();
-    fleet.next_at.resize(n, f64::INFINITY);
-    fleet.backlog.clear();
-    fleet.backlog.resize(n, 0);
-    fleet.ratio.clear();
-    fleet.ratio.resize(n, 0.0);
-    fleet.alive.clear();
-    fleet.alive.resize(n, true);
-    // Configured lanes open as members; warm-pool lanes are frozen
-    // until the elastic controller provisions them.
-    fleet.advancing.clear();
-    fleet.advancing.resize(n, false);
-    fleet.routable.clear();
-    fleet.routable.resize(n, false);
-    for r in 0..n_init {
-        fleet.advancing[r] = true;
-        fleet.routable[r] = true;
-    }
-    // Placeholder views (the identity slot↔lane mapping over the
-    // configured lanes) so `refresh` can patch backlogs during cell
-    // construction; `rebuild_views` below re-derives every field.
-    fleet.views.clear();
-    fleet.view_lane.clear();
-    fleet.lane_slot.clear();
-    fleet.lane_slot.resize(n, u32::MAX);
-    for r in 0..n_init {
-        fleet.lane_slot[r] = r as u32;
-        fleet.view_lane.push(r as u32);
-        fleet.views.push(ReplicaView {
-            gpu: prep.lane_gpus[r],
-            backlog: 0,
-            window_p99_ratio: 0.0,
-            resident_be: 0,
-            healthy: true,
-        });
-    }
-
-    for (r, jobs) in jobs_on.iter().enumerate() {
-        let policy = match cfg.system {
-            SystemKind::Sgdrc => {
-                let mut pcfg = cfg.sgdrc.clone();
-                if cfg.controller.adaptive_ch_be {
-                    pcfg.ch_be = ch_be_for(cfg.sgdrc.ch_be, jobs.len());
-                }
-                PolicySlot::Sgdrc(Sgdrc::new(&prep.deps[r].spec, pcfg))
-            }
-            SystemKind::SgdrcStatic => PolicySlot::Sgdrc(Sgdrc::new(
-                &prep.deps[r].spec,
-                SgdrcConfig {
-                    static_partition: true,
-                    ..Default::default()
-                },
-            )),
-            other => PolicySlot::Boxed(other.make(&prep.deps[r].spec)),
-        };
-        let mut sim = ReplicaSim::prepare(&prep.scenarios[r], &mut ctx.sims[r]);
-        // Park every BE task not initially placed here *before* the first
-        // dispatch, so the opening launches match the placement.
-        for (b, &model) in prep.fleet_models.iter().enumerate() {
-            let resident = jobs.iter().any(|&k| cfg.be_jobs[k] == model);
-            sim.state_mut().set_be_active(b, resident);
+    let mut run = RunState::new(prep, router, ctx);
+    let horizon_us = prep.cfg.horizon_us;
+    while let Some((t, decision)) = next_decision(|d| run.next_at(d), horizon_us) {
+        run.quiesce(Some(t));
+        // Alive lanes acknowledge every decision instant but a fault's
+        // (their heartbeat, see `ChaosRt::last_heartbeat`).
+        if decision != Decision::Fault {
+            run.chaos.last_decision_us = t;
         }
-        let store = std::mem::take(&mut ctx.stores[r]);
-        let mut cell = Box::new(LaneCell {
-            sim,
-            policy,
-            seen_done: store.seen_done,
-            win_hist: store.win_hist,
-            cum_hist: LatencyHistogram::new(),
-            slo_met: 0,
-            routed: 0,
-            done_by_task: vec![0; n_ls],
-            met_by_task: vec![0; n_ls],
-        });
-        cell.seen_done.clear();
-        cell.seen_done.resize(n_ls, 0);
-        cell.win_hist.reset();
-        cell.begin();
-        fleet.cells.push(cell);
-        fleet.refresh(r);
-    }
-
-    // --- fleet clock state -----------------------------------------------
-    let mut arrivals = ArrivalStream::new(&cfg.trace, n_ls, cfg.horizon_us, cfg.seed);
-    let mut migrations: Vec<Migration> = Vec::new();
-    let mut busy = std::mem::take(&mut ctx.busy);
-    let mut due = std::mem::take(&mut ctx.due);
-    let mut dests = std::mem::take(&mut ctx.dests);
-    let chaos_on = cfg.chaos.is_some();
-    let elastic_on = cfg.elastic.is_some();
-    let mut rt = ChaosRt::new(cfg.chaos.as_ref(), n, cfg.be_jobs.len(), n_ls);
-    let mut ert = ElasticRt::new(cfg.elastic.as_ref(), n, n_init);
-    let mut trt = TierRt::new(&prep.tiers, n_ls);
-    // Only an attached tier map is reported per tier (ledgers, series);
-    // the tier-blind map's single tier stays out of the results.
-    let tiered = cfg.tiers.is_some();
-    fleet.rebuild_views(&jobs_on, &rt, 0.0);
-
-    let period = cfg.controller.period_us;
-    let mut next_tick = if period > 0.0 { period } else { f64::INFINITY };
-    let mut arrivals_injected = 0u64;
-    let mut arrivals_by_task = vec![0u64; n_ls];
-
-    // The flight recorder and clock profiler. Disabled (`off`) it is one
-    // predictable branch per record call and allocates nothing; enabled,
-    // every allocation happens here (rings at capacity, series at the
-    // expected tick count) so the epoch path stays allocation-free
-    // either way (`tests/cluster_alloc.rs`).
-    let mut tel = match &cfg.telemetry {
-        Some(tcfg) => {
-            let expected_ticks = if period > 0.0 {
-                (cfg.horizon_us / period) as usize
-            } else {
-                0
-            };
-            let n_tiers = if tiered { trt.n_tiers() } else { 0 };
-            TelemetryRt::new(tcfg, n, n_tiers, expected_ticks)
-        }
-        None => TelemetryRt::off(),
-    };
-    let run_t0 = tel.clk();
-
-    loop {
-        let arrival = arrivals.peek();
-        let t_arr = arrival.map_or(f64::INFINITY, |a| a.at_us);
-        let t_fault = rt.next_fault_at();
-        let t_retry = rt.next_retry_at();
-        let t_scale = ert.next_ready_us;
-        // Decision-point priority at equal instants is fixed — fault,
-        // then provisioning completion, then controller tick, then
-        // retry re-dispatch, then arrival. Without a fault plan or elastic
-        // config `t_fault`/`t_retry`/`t_scale` are infinite and every
-        // condition reduces exactly to the pre-chaos clock.
-        let fault_due = t_fault <= t_scale
-            && t_fault <= t_arr
-            && t_fault <= next_tick
-            && t_fault <= t_retry
-            && t_fault <= cfg.horizon_us;
-        if fault_due {
-            let f = rt.timeline[rt.next_fault];
-            rt.next_fault += 1;
-            quiesce(
-                &mut fleet,
-                &mut busy,
-                cfg.horizon_us,
-                Some(f.at_us),
-                &mut tel,
-            );
-            apply_fault(
-                cfg,
-                &f,
-                &prep.deps,
-                &prep.fleet_models,
-                &mut jobs_on,
-                &mut fleet,
-                &mut migrations,
-                &mut rt,
-                &trt,
-                &mut ert,
-                &mut tel,
-            );
-            tel.sync_logs(&migrations, &ert.events);
-            // Faults restructure everything a view reads — aliveness,
-            // residency, drained backlogs — so the incremental snapshot
-            // re-bases here. O(replicas), but fault instants are rare.
-            fleet.rebuild_views(&jobs_on, &rt, f.at_us);
-            continue;
-        }
-        let scale_due = t_scale <= next_tick
-            && t_scale <= t_retry
-            && t_scale <= t_arr
-            && t_scale <= cfg.horizon_us;
-        if scale_due {
-            // A provisioning lane finished its warm-up delay: quiesce
-            // the fleet to that instant and flip the lane routable.
-            quiesce(
-                &mut fleet,
-                &mut busy,
-                cfg.horizon_us,
-                Some(t_scale),
-                &mut tel,
-            );
-            rt.last_decision_us = t_scale;
-            activate_ready(
-                cfg,
-                prep,
-                t_scale,
-                &mut fleet,
-                &mut jobs_on,
-                &mut rt,
-                &mut ert,
-            );
-            tel.sync_logs(&migrations, &ert.events);
-            // Activation grows the routable set, so the compact views
-            // re-base; O(replicas) but activation instants are rare.
-            fleet.rebuild_views(&jobs_on, &rt, t_scale);
-            continue;
-        }
-        let tick_due = next_tick < t_arr && next_tick <= t_retry && next_tick < cfg.horizon_us;
-        if tick_due {
-            // Quiesce the fleet up to the tick — one epoch — then drain
-            // and rebalance in canonical replica order.
-            quiesce(
-                &mut fleet,
-                &mut busy,
-                cfg.horizon_us,
-                Some(next_tick),
-                &mut tel,
-            );
-            let tick_t0 = tel.clk();
-            rt.last_decision_us = next_tick;
-            let mut window_done = 0u64;
-            for r in 0..n {
-                let cell = &mut fleet.cells[r];
-                cell.drain(&prep.slos[r], &trt.soft, cfg.streaming, r as u32, &mut tel);
-                window_done += cell.win_hist.count();
-                fleet.ratio[r] = if cell.win_hist.is_empty() {
-                    0.0
-                } else {
-                    cell.win_hist.percentile(99.0)
-                };
-                cell.win_hist.reset();
-            }
-            if tel.is_on() {
-                // Sample the registry and record per-lane verdicts off
-                // the cells themselves, not the mirrors.
-                let sample_t0 = tel.clk();
-                tel.begin_tick(next_tick);
-                for (r, jobs) in jobs_on.iter().enumerate().take(n) {
-                    let st = fleet.cells[r].sim.state();
-                    let backlog = st.ls_backlog() as u32;
-                    let inflight = st.ls_inflight() as u32;
-                    let resident_be = jobs.len() as u32;
-                    let ratio = fleet.ratio[r];
-                    tel.sample_lane(
-                        r,
-                        f64::from(backlog),
-                        ratio,
-                        f64::from(inflight),
-                        f64::from(resident_be),
-                    );
-                    tel.record(
-                        next_tick,
-                        r as u32,
-                        EventKind::TickVerdict {
-                            window_p99_ratio: ratio,
-                            backlog,
-                            inflight,
-                            resident_be,
-                        },
-                    );
-                }
-                let mut warm = 0u32;
-                let mut active = 0u32;
-                let mut provisioning = 0u32;
-                for s in &ert.state {
-                    match s {
-                        LaneState::Warm => warm += 1,
-                        LaneState::Active => active += 1,
-                        LaneState::Provisioning => provisioning += 1,
-                        LaneState::Draining | LaneState::Retired => {}
-                    }
-                }
-                tel.sample_fleet(
-                    f64::from(warm),
-                    rt.retry_q.len() as f64,
-                    f64::from(active),
-                    f64::from(provisioning),
-                );
-                // Per-tier series: queued + in-lane backlog, cumulative
-                // weighted on-SLO completions, cumulative refusals.
-                // Read off the cells, one pass per tier — skipped entirely
-                // without an attached tier map so the telemetry overhead
-                // gate is untouched.
-                if tiered {
-                    for rank in 0..trt.n_tiers() {
-                        let mut backlog = trt.queues[rank].len() as f64;
-                        let mut met_w = 0.0;
-                        let mut refused = 0.0;
-                        for task in 0..n_ls {
-                            if trt.rank[task] as usize != rank {
-                                continue;
-                            }
-                            refused += (trt.refused_overload_by_task[task]
-                                + trt.refused_queue_full_by_task[task])
-                                as f64;
-                            for cell in &fleet.cells {
-                                backlog += cell.sim.state().ls_backlog_of(task) as f64;
-                                met_w += cell.met_by_task[task] as f64 * trt.weight[task];
-                            }
-                        }
-                        tel.sample_tier(rank, backlog, met_w, refused);
-                    }
-                }
-                tel.prof.telemetry_ns += TelemetryRt::lap(sample_t0);
-            }
-            if elastic_on {
-                // Capacity decisions run before rebalance/brownout so
-                // the migration controller sees the post-scaling
-                // membership at this same tick.
-                elastic_step(
-                    cfg,
-                    prep,
-                    next_tick,
-                    &mut fleet,
-                    &mut jobs_on,
-                    &mut migrations,
-                    &mut rt,
-                    &trt,
-                    &mut ert,
-                    &mut tel,
-                    arrivals_injected,
-                    window_done,
-                );
-            }
-            controller_rebalance(
-                cfg,
-                next_tick,
-                &prep.deps,
-                &prep.fleet_models,
-                &mut jobs_on,
-                &mut fleet,
-                &mut migrations,
-                &rt.job_shed,
-                &mut dests,
-            );
-            // The brownout ladder runs every tick: overload needs no
-            // fault plan (diurnal peaks and autoscaler lag qualify).
-            brownout(
-                cfg,
-                next_tick,
-                n_ls,
-                &prep.fleet_models,
-                &mut jobs_on,
-                &mut fleet,
-                &mut rt,
-                &mut trt,
-                &mut tel,
-            );
-            tel.sync_logs(&migrations, &ert.events);
-            // Ticks move the two slow view fields (windowed ratio, BE
-            // residency via rebalance/brownout), so the incremental
-            // snapshot re-bases here — the tick already walked every
-            // lane to drain completions, so this adds no complexity
-            // class.
-            fleet.rebuild_views(&jobs_on, &rt, next_tick);
-            // Re-admit queued tiers the receding ladder just released —
-            // after the view rebuild so routing sees this tick's state.
-            tier_flush(
-                next_tick, router, &mut fleet, &jobs_on, &mut rt, &mut trt, &mut tel,
-            );
-            tel.prof.tick_ns += TelemetryRt::lap(tick_t0);
-            next_tick += period;
-            continue;
-        }
-        let retry_due = t_retry <= t_arr && t_retry <= cfg.horizon_us;
-        if retry_due {
-            quiesce(
-                &mut fleet,
-                &mut busy,
-                cfg.horizon_us,
-                Some(t_retry),
-                &mut tel,
-            );
-            rt.last_decision_us = t_retry;
-            process_retries(
-                t_retry, router, &mut fleet, &jobs_on, &mut due, &mut rt, &trt, &mut tel,
-            );
-            continue;
-        }
-        if !(arrival.is_some() && t_arr <= cfg.horizon_us) {
-            break;
-        }
-        let a = arrivals.pop().expect("checked");
-        arrivals_injected += 1;
-        arrivals_by_task[a.task as usize] += 1;
-        // Quiesce every replica up to the arrival so the router sees a
-        // consistent instant.
-        quiesce(
-            &mut fleet,
-            &mut busy,
-            cfg.horizon_us,
-            Some(a.at_us),
-            &mut tel,
-        );
-        let route_t0 = tel.clk();
-        rt.last_decision_us = a.at_us;
-        // Route against the incremental views — an O(1) touch-up of
-        // dead lanes' health (a no-op while the fleet is whole) instead
-        // of an O(replicas) rebuild — checked against a fresh rebuild
-        // under debug_assertions.
-        fleet.patch_health(&rt, a.at_us);
-        fleet.assert_views_current(&jobs_on, &rt, a.at_us);
-        // Admission control runs before routing: the decision is a pure
-        // function of the brownout level (moved only at ticks) and the
-        // tier queue's occupancy. The tier-blind map's Guaranteed tier
-        // admits every arrival.
-        match trt.admit(a.task as usize) {
-            Admission::Admit => {
-                trt.admitted_by_task[a.task as usize] += 1;
-            }
-            Admission::Queue => {
-                let task = a.task as usize;
-                trt.queued_by_task[task] += 1;
-                trt.queues[trt.rank[task] as usize].push_back((a.task, a.at_us));
-                tel.prof.route_ns += TelemetryRt::lap(route_t0);
-                continue;
-            }
-            Admission::Refuse(reason) => {
-                let task = a.task as usize;
-                match reason {
-                    RefusalReason::Overload => trt.refused_overload_by_task[task] += 1,
-                    RefusalReason::QueueFull => trt.refused_queue_full_by_task[task] += 1,
-                }
-                if tel.is_on() {
-                    tel.record(
-                        a.at_us,
-                        FLEET_TRACK,
-                        EventKind::Refused {
-                            task: a.task,
-                            tier: trt.tier_id_of[task],
-                            reason,
-                        },
-                    );
-                }
-                tel.prof.route_ns += TelemetryRt::lap(route_t0);
-                continue;
-            }
-        }
-        let no_target = fleet.views.is_empty();
-        if no_target || (chaos_on && fleet.n_healthy == 0) {
-            // Whole fleet unhealthy (or every lane drained away):
-            // the request parks in the retry queue instead of being
-            // forced onto a dead replica.
-            let task = a.task as usize;
-            let budget = trt.max_retries[task];
-            let cause = RequeueCause::NoHealthy;
-            rt.requeue(task, a.at_us, a.at_us, None, budget, cause, &mut tel);
-            tel.prof.route_ns += TelemetryRt::lap(route_t0);
-            continue;
-        }
-        let slot = router.route_with_tier(
-            &fleet.views,
-            a.task as usize,
-            trt.rank[a.task as usize],
-            a.at_us,
-        );
-        debug_assert!(
-            slot < fleet.views.len(),
-            "router picked slot {slot} of {}",
-            fleet.views.len()
-        );
-        let target = fleet.view_lane[slot] as usize;
-        if fleet.alive[target] {
-            fleet.mutate(target, |cell| cell.inject(a.task as usize, a.at_us));
-            if tel.is_on() {
-                tel.record(a.at_us, target as u32, EventKind::Routed { task: a.task });
-            }
-        } else {
-            // Routed at a dead replica still inside its heartbeat
-            // window — the crash has not aged out yet, so the request
-            // bounces into the retry path like a failed delivery.
-            let task = a.task as usize;
-            let budget = trt.max_retries[task];
-            let cause = RequeueCause::DeadRoute;
-            rt.requeue(
-                task,
-                a.at_us,
-                a.at_us,
-                Some(target),
-                budget,
-                cause,
-                &mut tel,
-            );
-        }
-        tel.prof.route_ns += TelemetryRt::lap(route_t0);
-    }
-    // Drain: no further arrivals, faults, retries or ticks — run every
-    // surviving replica out to the horizon.
-    quiesce(&mut fleet, &mut busy, cfg.horizon_us, None, &mut tel);
-    for r in 0..n {
-        fleet.cells[r].drain(&prep.slos[r], &trt.soft, cfg.streaming, r as u32, &mut tel);
-    }
-    tel.sync_logs(&migrations, &ert.events);
-    // Requests parked in tier admission queues are in flight: arrived,
-    // neither completed nor dropped.
-    let in_flight_at_end = fleet
-        .cells
-        .iter()
-        .map(|c| c.sim.state().ls_backlog() as u64)
-        .sum::<u64>()
-        + rt.retry_q.len() as u64
-        + trt.queued_total() as u64;
-    // Per-service in-flight split for the tier conservation ledgers:
-    // in-lane residue + retry-queue entries + admission-queue entries.
-    let mut in_flight_by_task = vec![0u64; n_ls];
-    for c in &fleet.cells {
-        for (task, slot) in in_flight_by_task.iter_mut().enumerate() {
-            *slot += c.sim.state().ls_backlog_of(task) as u64;
+        match decision {
+            Decision::Fault => run.apply_fault(),
+            Decision::Scale => run.activate_ready(t),
+            Decision::Tick => run.tick(t),
+            Decision::Retry => run.process_retries(t),
+            Decision::Arrival => run.route_arrival(),
         }
     }
-    for e in &rt.retry_q {
-        in_flight_by_task[e.task] += 1;
-    }
-    for q in &trt.queues {
-        for &(task, _) in q {
-            in_flight_by_task[task as usize] += 1;
-        }
-    }
-
-    // --- aggregate --------------------------------------------------------
-    // Close the billing stint for every lane still serving at the
-    // horizon; retired lanes already billed up to their retire instant.
-    for r in 0..n {
-        if matches!(ert.state[r], LaneState::Active | LaneState::Draining) {
-            ert.active_us[r] += cfg.horizon_us - ert.activated_at[r];
-        }
-    }
-    let replica_seconds = ert.active_us.iter().sum::<f64>() / 1e6;
-    tel.prof.total_ns = TelemetryRt::lap(run_t0);
-    let telemetry = tel.finish();
-    let mut result = ClusterResult {
-        replicas: Vec::with_capacity(n),
-        fleet_hist: LatencyHistogram::new(),
-        requests: 0,
-        slo_met: 0,
-        goodput_hz: 0.0,
-        be_completed: 0,
-        be_preemptions: 0,
-        engine_events: 0,
-        migrations,
-        arrivals_injected,
-        requeued: rt.requeued,
-        retries: rt.retries,
-        timeout_drops: rt.timeout_drops,
-        ls_shed: rt.ls_shed,
-        be_shed: rt.be_shed,
-        be_resumed: rt.be_resumed,
-        in_flight_at_end,
-        faults_injected: rt.faults_injected,
-        faults_recovered: rt.faults_recovered,
-        redispatch_hist: rt.redispatch_hist,
-        retained_completions: 0,
-        replica_seconds,
-        scale_events: ert.events,
-        warm_hits: ert.warm_hits,
-        warm_misses: ert.warm_misses,
-        provision_delay_total_us: ert.provision_delay_total_us,
-        drains_started: ert.drains_started,
-        drains_completed: ert.drains_completed,
-        drain_requeued: ert.drain_requeued,
-        replacements: ert.replacements,
-        refused_arrivals: rt.refused,
-        refused_admission: trt
-            .refused_overload_by_task
-            .iter()
-            .chain(&trt.refused_queue_full_by_task)
-            .sum(),
-        arrivals_by_task,
-        completed_by_task: vec![0; n_ls],
-        slo_met_by_task: vec![0; n_ls],
-        weighted_goodput_hz: 0.0,
-        tier_outcomes: Vec::new(),
-        telemetry,
-    };
-    for (r, cell) in fleet.cells.drain(..).enumerate() {
-        let LaneCell {
-            sim,
-            policy: _,
-            seen_done,
-            mut win_hist,
-            cum_hist,
-            slo_met,
-            routed,
-            done_by_task,
-            met_by_task,
-        } = *cell;
-        for t in 0..n_ls {
-            result.completed_by_task[t] += done_by_task[t];
-            result.slo_met_by_task[t] += met_by_task[t];
-        }
-        let mut stats = sim.finish(&mut ctx.sims[r]);
-        result.retained_completions += stats
-            .ls_completed
-            .iter()
-            .map(|v| v.len() as u64)
-            .sum::<u64>();
-        if cfg.streaming {
-            // Hand the (already drained, already cleared) completion
-            // buffers back to the context for the next run; the summary
-            // keeps the exact scalar counters with empty logs.
-            let donor = RunStats {
-                ls_completed: std::mem::take(&mut stats.ls_completed),
-                ..Default::default()
-            };
-            ctx.sims[r].recycle(donor);
-            stats.ls_completed = vec![Vec::new(); n_ls];
-        }
-        win_hist.reset();
-        ctx.stores[r] = LaneStore {
-            seen_done,
-            win_hist,
-        };
-        let hist = cum_hist;
-        let requests = hist.count();
-        result.fleet_hist.merge(&hist);
-        result.requests += requests;
-        result.slo_met += slo_met;
-        result.be_completed += stats.be_completed.iter().sum::<u64>();
-        result.be_preemptions += stats.be_preemptions;
-        result.engine_events += stats.engine_events;
-        result.replicas.push(ReplicaSummary {
-            gpu: prep.lane_gpus[r],
-            routed,
-            requests,
-            slo_met,
-            hist,
-            seed: cell_seed(cfg.seed, r as u64),
-            stats,
-            active_us: ert.active_us[r],
-            requeued: rt.lane_requeued[r],
-            retries: rt.lane_retries[r],
-        });
-    }
-    result.goodput_hz = result.slo_met as f64 / (cfg.horizon_us / 1e6);
-    // Weighted goodput: tier-weight × on-SLO (soft-deadline) completions
-    // per second. Under the tier-blind map every weight is 1 and every
-    // soft deadline infinite, so this equals `goodput_hz` exactly.
-    let horizon_s = cfg.horizon_us / 1e6;
-    result.weighted_goodput_hz = result
-        .slo_met_by_task
-        .iter()
-        .zip(&trt.weight)
-        .map(|(&met, &w)| met as f64 * w)
-        .sum::<f64>()
-        / horizon_s;
-    if tiered {
-        for rank in 0..trt.n_tiers() {
-            let mut o = TierOutcome {
-                tier: trt.tier_ids[rank],
-                class: trt.tier_class[rank],
-                weight: trt.tier_weight[rank],
-                arrivals: 0,
-                admitted: 0,
-                queued: 0,
-                refused_overload: 0,
-                refused_queue_full: 0,
-                shed: 0,
-                timeout_drops: 0,
-                completed: 0,
-                slo_met: 0,
-                in_flight_at_end: 0,
-                weighted_goodput_hz: 0.0,
-            };
-            for (task, &in_flight) in in_flight_by_task.iter().enumerate() {
-                if trt.rank[task] as usize != rank {
-                    continue;
-                }
-                o.arrivals += result.arrivals_by_task[task];
-                o.admitted += trt.admitted_by_task[task];
-                o.queued += trt.queued_by_task[task];
-                o.refused_overload += trt.refused_overload_by_task[task];
-                o.refused_queue_full += trt.refused_queue_full_by_task[task];
-                o.shed += rt.shed_by_task[task];
-                o.timeout_drops += rt.drops_by_task[task];
-                o.completed += result.completed_by_task[task];
-                o.slo_met += result.slo_met_by_task[task];
-                o.in_flight_at_end += in_flight;
-            }
-            o.weighted_goodput_hz = o.slo_met as f64 * o.weight / horizon_s;
-            result.tier_outcomes.push(o);
-        }
-    }
-
-    // Return the reusable storage to the context.
-    ctx.next_at = fleet.next_at;
-    ctx.backlog = fleet.backlog;
-    ctx.ratio = fleet.ratio;
-    ctx.alive = fleet.alive;
-    ctx.views = fleet.views;
-    ctx.advancing = fleet.advancing;
-    ctx.routable = fleet.routable;
-    ctx.view_lane = fleet.view_lane;
-    ctx.lane_slot = fleet.lane_slot;
-    ctx.busy = busy;
-    ctx.due = due;
-    ctx.dests = dests;
-    result
+    run.quiesce(None);
+    run.finish(ctx)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::shed_victim;
+    use super::{next_decision, shed_victim, Decision};
+
+    #[test]
+    fn next_decision_runs_one_instant_in_canonical_order() {
+        use Decision::*;
+        let canonical = [Fault, Scale, Tick, Retry, Arrival];
+        let horizon = 100.0;
+        // Kinds `at` schedules at their instants; every other kind never.
+        let sched = |at: &[(Decision, f64)]| {
+            let at = at.to_vec();
+            move |d: Decision| {
+                at.iter()
+                    .find(|&&(k, _)| k == d)
+                    .map_or(f64::INFINITY, |&(_, t)| t)
+            }
+        };
+        for (i, &first) in canonical.iter().enumerate() {
+            for &later in &canonical[i + 1..] {
+                // At one instant the kind earlier in the order wins —
+                // arrival vs tick included.
+                let tie = sched(&[(later, 40.0), (first, 40.0)]);
+                assert_eq!(next_decision(tie, horizon), Some((40.0, first)));
+                // An earlier instant wins whatever its kind.
+                let early = sched(&[(later, 39.0), (first, 40.0)]);
+                assert_eq!(next_decision(early, horizon), Some((39.0, later)));
+            }
+        }
+        for d in canonical {
+            // At the horizon every kind but the tick fires, and a tick
+            // there yields to the others; past it nothing fires.
+            let expect = (d != Tick).then_some((horizon, d));
+            assert_eq!(next_decision(sched(&[(d, horizon)]), horizon), expect);
+            let with_tick = sched(&[(Tick, horizon), (d, horizon)]);
+            assert_eq!(next_decision(with_tick, horizon), expect);
+            assert_eq!(next_decision(sched(&[(d, horizon + 1.0)]), horizon), None);
+        }
+        assert_eq!(next_decision(sched(&[]), horizon), None);
+    }
 
     #[test]
     fn shed_victim_is_the_most_backlogged_routable_lane() {

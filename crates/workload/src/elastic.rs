@@ -78,19 +78,6 @@ pub struct FleetSignals {
     pub backlog_per_active: f64,
 }
 
-impl FleetSignals {
-    /// Whether the fleet is under measured overload at this tick: the
-    /// per-active backlog exceeds `enter_backlog`, or any healthy lane
-    /// breached its windowed p99/SLO budget. This is the same
-    /// observation the tiered admission controller's brownout ladder
-    /// escalates on (`TiersConfig::enter_backlog`), exposed here so
-    /// scaling policies can react to the exact signal that is about to
-    /// start browning out low tiers.
-    pub fn overload_pressure(&self, enter_backlog: usize) -> bool {
-        self.backlog_per_active > enter_backlog as f64 || self.window_p99_ratio > 1.0
-    }
-}
-
 /// Why a scaling action fired — recorded on the [`ScaleEvent`] so the
 /// bench can attribute membership churn to load, SLO pressure, or
 /// self-healing.

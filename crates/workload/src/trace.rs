@@ -161,7 +161,8 @@ pub fn per_service_traces(
         .collect()
 }
 
-/// [`per_service_traces`] wrapped in the shareable [`ArrivalTrace`]: the
+/// [`per_service_traces`] wrapped in the shareable
+/// [`ArrivalTrace`](sgdrc_core::serving::ArrivalTrace): the
 /// per-task lists stay the source of truth, and the serving loop's merged
 /// stream is derived once per trace instead of once per scenario.
 pub fn arrival_trace(

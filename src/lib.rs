@@ -12,7 +12,7 @@
 //! * [`core`] — the SGDRC control plane (§4, §7)
 //! * [`baselines`] — Multi-streaming, TGS, MPS, Orion, SGDRC(Static), FGPU
 //! * [`workload`] — traces, clients, SLO metrics, experiment runner (§9)
-//! * [`bench`] — JSON writer, trace exporters, figure regeneration helpers
+//! * [`bench`](mod@bench) — JSON writer, trace exporters, figure regeneration helpers
 
 pub use baselines;
 pub use coloring;
