@@ -1,7 +1,8 @@
 //! Fleet-simulator benchmark: an 8-replica heterogeneous fleet under a
-//! diurnal+burst trace, every sharing system × routing policy, an
-//! N-replica scaling curve, and the optional chaos, elastic, tiers and
-//! scale-out sections. Writes `BENCH_cluster.json`.
+//! diurnal+burst trace, every sharing system × routing policy, then the
+//! chaos, elastic, tiers and telemetry sections and, with
+//! `--scale-out`, the big-fleet streaming section. Writes
+//! `BENCH_cluster.json`.
 //!
 //! The headline question is the cluster layer's: with a fleet of
 //! spatially-shared GPUs behind one arrival stream, how much fleet-wide
@@ -9,21 +10,30 @@
 //! fleet controller's dynamic BE placement cost or save? Replicas mix
 //! GPU models (RTX A2000 + GTX 1080), so blind round-robin overloads the
 //! slow third of the fleet during bursts while backlog/SLO-aware routing
-//! shifts load — the gate at the bottom asserts join-shortest-backlog or
-//! SLO-aware p2c beats round-robin on fleet p99 for SGDRC.
+//! shifts load.
+//!
+//! Each section's scenario is defined once, by one function here. The
+//! deterministic claims its numbers support are the release-only tests
+//! of the `claims` module, which run those scenarios at the section's
+//! horizon (`cargo test -q --release -p sgdrc-bench`). The binary
+//! exits non-zero only on the two checks no deterministic test can
+//! hold: the flight recorder's wall-clock overhead bound, and with
+//! `--scale-out` the 512-replica headline's bounded memory over ≥10M
+//! arrivals.
 //!
 //! The fleet clock is single-threaded, so every wall time here is one
 //! core's; `SGDRC_THREADS` does not affect this binary.
 //!
-//! `--smoke` shrinks horizons and skips the timing-sensitive gates; CI
-//! runs it on every push.
+//! Usage: `bench_cluster [--scale-out] [--trace <path>]`.
 
 use gpu_spec::GpuModel;
 use sgdrc_bench::json::Json;
-use sgdrc_bench::trace_export::{perfetto_trace, validate_trace};
+use sgdrc_bench::trace_export::perfetto_trace;
 use std::time::Instant;
 use workload::chaos::{FaultEvent, FaultKind, FaultPlan};
-use workload::cluster::{ClusterConfig, ClusterCtx, ClusterResult, ControllerConfig, RouterKind};
+use workload::cluster::{
+    ClusterConfig, ClusterCtx, ClusterResult, ControllerConfig, PreparedCluster, RouterKind,
+};
 use workload::elastic::{
     ElasticConfig, ScaleCause, ScaleEventKind, ScalingPolicyKind, ThresholdPolicy, WarmPoolConfig,
 };
@@ -32,6 +42,17 @@ use workload::telemetry::TelemetryConfig;
 use workload::tiers::{TierConfig, TiersConfig};
 use workload::trace::TraceConfig;
 use workload::SystemKind;
+
+const HEADLINE_HORIZON_US: f64 = 3e6;
+const CHAOS_HORIZON_US: f64 = 1.5e6;
+const ELASTIC_HORIZON_US: f64 = 2e6;
+const TIERS_HORIZON_US: f64 = 1.5e6;
+const TELEMETRY_HORIZON_US: f64 = 5e5;
+const CURVE_HORIZON_US: f64 = 1e6;
+/// Each scale-out curve point repeats its run until its wall and
+/// on-CPU seconds both reach this, so the small fleets' figures are not
+/// tick-granular.
+const MIN_POINT_S: f64 = 0.25;
 
 /// The heterogeneous headline fleet: two thirds current-generation
 /// cards, one third older slower ones — the mix a real cluster ages
@@ -58,115 +79,256 @@ fn fleet_trace(per_service_scale: f64, horizon_us: f64) -> TraceConfig {
         .with_diurnal(0.35, horizon_us / 1e6 / 1.5)
 }
 
-struct FleetRun {
-    goodput_hz: f64,
-    p99_us: f64,
-    slo_attainment: f64,
-    requests: u64,
-    be_completed: u64,
-    be_migrations: usize,
-    be_preemptions: u64,
-    engine_events: u64,
-    wall_s: f64,
+/// SGDRC on the headline fleet at the headline load (SLOs met with
+/// moderate headroom — the regime where "BE costs no LS goodput"
+/// holds), with the adaptive-`Ch_BE` controller. The systems × routers
+/// matrix, the chaos section and the telemetry section all start here.
+fn headline_cfg(horizon_us: f64) -> ClusterConfig {
+    let mut cfg = ClusterConfig::new(headline_fleet(), SystemKind::Sgdrc);
+    cfg.horizon_us = horizon_us;
+    cfg.trace = fleet_trace(5.5, horizon_us);
+    cfg.controller = ControllerConfig {
+        period_us: 5e4,
+        adaptive_ch_be: true,
+        ..Default::default()
+    };
+    cfg
 }
 
-fn run_fleet(cfg: &ClusterConfig, kind: RouterKind, ctx: &mut ClusterCtx) -> FleetRun {
-    let mut router = kind.make(cfg.seed);
+/// `cfg` with its BE jobs removed: the baseline SGDRC's "BE filling
+/// costs LS nothing" is measured against.
+fn without_be(mut cfg: ClusterConfig) -> ClusterConfig {
+    cfg.be_jobs = Vec::new();
+    cfg
+}
+
+/// `cfg` with retries off: a crash drops what it strands.
+fn drop_on_crash(mut cfg: ClusterConfig) -> ClusterConfig {
+    cfg.chaos.as_mut().expect("a fault plan").retry.max_retries = 0;
+    cfg
+}
+
+/// The chaos scenario: a fast replica of the headline fleet dies at
+/// midpoint and revives after a quarter of the horizon, with BE parking
+/// armed at a low per-alive backlog (2) so BE gives way if the crash
+/// makes the survivors queue.
+fn chaos_cfg() -> ClusterConfig {
+    let h = CHAOS_HORIZON_US;
+    let mut cfg = headline_cfg(h);
+    let mut plan = FaultPlan::new(vec![FaultEvent::crash(0, 0.5 * h, 0.25 * h)]);
+    plan.degradation.shed_be_backlog = 2;
+    cfg.chaos = Some(plan);
+    cfg
+}
+
+/// The cost/SLO frontier: six A2000s sized for the diurnal peak
+/// (static), and the same fleet under the threshold autoscaler with
+/// four warm lanes in reserve (autoscaled).
+fn frontier_arms() -> (ClusterConfig, ClusterConfig) {
+    let h = ELASTIC_HORIZON_US;
+    let n_peak = 6;
+    let mut static_cfg = ClusterConfig::new(vec![GpuModel::RtxA2000; n_peak], SystemKind::Sgdrc);
+    static_cfg.horizon_us = h;
+    static_cfg.trace = fleet_trace(0.9 * n_peak as f64, h);
+    static_cfg.controller.period_us = 5e4;
+    let mut auto_cfg = static_cfg.clone();
+    // Retirement is terminal — a drained lane never rejoins; re-growth
+    // always draws fresh warm lanes. The pool and the floor are sized
+    // so the ~1.5 diurnal cycles in the horizon never strand the fleet
+    // below trough capacity: min 5 keeps the trough served, and the
+    // slow down-cooldown spends at most the pool per cycle.
+    let mut e = ElasticConfig::new(
+        WarmPoolConfig {
+            provision_delay_us: 2e4,
+            provision_jitter: 0.2,
+            ..WarmPoolConfig::new(vec![GpuModel::RtxA2000; 4])
+        },
+        ScalingPolicyKind::Threshold(ThresholdPolicy {
+            down_ratio: 0.4,
+            down_backlog: 2.0,
+            ..Default::default()
+        }),
+    );
+    e.min_replicas = 5;
+    e.up_cooldown_us = 5e4;
+    e.down_cooldown_us = 2e5;
+    auto_cfg.elastic = Some(e);
+    (static_cfg, auto_cfg)
+}
+
+/// Crash replacement: four A2000s loaded so the full fleet holds the
+/// SLO but the three-lane remnant is overloaded, replica 0 permanently
+/// dead at a quarter of the horizon; with no spare (hole), and with a
+/// one-lane warm pool and replacement armed under the hold policy
+/// (self-healing).
+fn replacement_arms() -> (ClusterConfig, ClusterConfig) {
+    let h = ELASTIC_HORIZON_US;
+    let n_rep = 4;
+    let mut hole_cfg = ClusterConfig::new(vec![GpuModel::RtxA2000; n_rep], SystemKind::Sgdrc);
+    hole_cfg.horizon_us = h;
+    hole_cfg.trace = fleet_trace(1.8 * n_rep as f64, h);
+    hole_cfg.controller.period_us = 5e4;
+    hole_cfg.chaos = Some(FaultPlan::new(vec![FaultEvent::crash(
+        0,
+        0.25 * h,
+        f64::INFINITY,
+    )]));
+    let mut heal_cfg = hole_cfg.clone();
+    let mut e = ElasticConfig::new(
+        WarmPoolConfig {
+            provision_delay_us: 2e4,
+            provision_jitter: 0.2,
+            ..WarmPoolConfig::new(vec![GpuModel::RtxA2000])
+        },
+        ScalingPolicyKind::Hold,
+    );
+    e.min_replicas = 1;
+    e.replace_after_us = 0.04 * h;
+    heal_cfg.elastic = Some(e);
+    (hole_cfg, heal_cfg)
+}
+
+/// The canonical three-class tier map: service 0 Guaranteed (weight 8),
+/// the next third Burstable (weight 3), the rest BestEffort (weight 1),
+/// ladder thresholds sized so the crash + diurnal-peak scenario
+/// actually climbs the rungs.
+fn bench_tiers(n_ls: usize) -> TiersConfig {
+    let mut t = TiersConfig::new(
+        (0..n_ls)
+            .map(|task| {
+                if task == 0 {
+                    TierConfig::guaranteed(8.0)
+                } else if task <= n_ls / 3 {
+                    TierConfig::burstable(2, 3.0)
+                } else {
+                    TierConfig::best_effort(3, 1.0)
+                }
+            })
+            .collect(),
+    );
+    t.enter_backlog = 10;
+    t.exit_backlog = 5;
+    t.hold_ticks = 2;
+    t.queue_capacity = 64;
+    t.shed_per_tick = 32;
+    t
+}
+
+/// The tiers scenario: the headline fleet pushed past capacity (trace
+/// ×16 through a diurnal peak) with a fast replica permanently dead
+/// from a quarter of the horizon — the regime where *something* must be
+/// dropped and the arms differ only in what. Three arms on the
+/// identical scenario: tiered (the [`bench_tiers`] map), tier-blind (no
+/// map: the one-tier ladder parks BE under backlog but cannot tell
+/// services apart) and no-BE (tier-blind without BE jobs).
+fn tiers_arms() -> (ClusterConfig, ClusterConfig, ClusterConfig) {
+    let h = TIERS_HORIZON_US;
+    let mut base = ClusterConfig::new(headline_fleet(), SystemKind::Sgdrc);
+    base.horizon_us = h;
+    base.trace = fleet_trace(16.0, h);
+    base.controller = ControllerConfig {
+        period_us: 2e4,
+        adaptive_ch_be: true,
+        ..Default::default()
+    };
+    let mut plan = FaultPlan::new(vec![FaultEvent::crash(0, 0.25 * h, f64::INFINITY)]);
+    // The chaos section's BE-parking threshold: it sets the tier-blind
+    // arm's one ladder rung (the tiered arm's map brings its own).
+    plan.degradation.shed_be_backlog = 2;
+    base.chaos = Some(plan);
+    let mut tiered = base.clone();
+    tiered.tiers = Some(bench_tiers(base.prepare().n_ls()));
+    let no_be = without_be(base.clone());
+    (tiered, base, no_be)
+}
+
+/// The telemetry scenario: the headline fleet with a fast replica down
+/// from 50% to 75% of a short horizon — a trace with faults, requeues,
+/// retries and migrations on it — and the flight recorder on.
+fn telemetry_cfg() -> ClusterConfig {
+    let h = TELEMETRY_HORIZON_US;
+    let mut cfg = headline_cfg(h);
+    cfg.chaos = Some(FaultPlan::new(vec![FaultEvent::crash(
+        0,
+        0.5 * h,
+        0.25 * h,
+    )]));
+    cfg.telemetry = Some(TelemetryConfig::default());
+    cfg
+}
+
+/// A homogeneous streaming A2000 fleet of `nrep` replicas, load ∝ N.
+fn scale_cfg(nrep: usize, horizon_us: f64) -> ClusterConfig {
+    let mut cfg = ClusterConfig::new(vec![GpuModel::RtxA2000; nrep], SystemKind::Sgdrc);
+    cfg.horizon_us = horizon_us;
+    cfg.trace = fleet_trace(0.9 * nrep as f64, horizon_us);
+    cfg.controller.period_us = 5e4;
+    cfg.streaming = true;
+    cfg
+}
+
+/// Runs a prepared scenario once under `router`: the result and the
+/// run's wall seconds (preparation excluded).
+fn run(prep: &PreparedCluster, router: RouterKind, ctx: &mut ClusterCtx) -> (ClusterResult, f64) {
+    let mut router = router.make(prep.config().seed);
     let start = Instant::now();
-    let result = workload::run_cluster_in(cfg, router.as_mut(), ctx);
-    let wall_s = start.elapsed().as_secs_f64();
-    FleetRun {
-        goodput_hz: result.goodput_hz,
-        p99_us: result.fleet_percentile(99.0),
-        slo_attainment: result.slo_attainment(),
-        requests: result.requests,
-        be_completed: result.be_completed,
-        be_migrations: result.migrations.len(),
-        be_preemptions: result.be_preemptions,
-        engine_events: result.engine_events,
-        wall_s,
-    }
+    let r = workload::run_cluster_prepared(prep, router.as_mut(), ctx);
+    (r, start.elapsed().as_secs_f64())
 }
 
-fn fleet_json(r: &FleetRun) -> Json {
+/// Delivered fraction of the injected arrivals.
+fn availability(r: &ClusterResult) -> f64 {
+    r.requests as f64 / r.arrivals_injected.max(1) as f64
+}
+
+/// Σ tier weight × on-SLO completions per second, scoring every arm
+/// (tier-blind ones included) with the tier map's weights.
+fn weighted_goodput_hz(r: &ClusterResult, tiers: &TiersConfig) -> f64 {
+    let weights: Vec<f64> = tiers.tiers.iter().map(|t| t.weight).collect();
+    r.weighted_slo_met_with(&weights) / (TIERS_HORIZON_US / 1e6)
+}
+
+/// Delivered fraction of the Guaranteed service's arrivals (task 0 is
+/// the only tier-1 member of [`bench_tiers`]).
+fn tier1_availability(r: &ClusterResult) -> f64 {
+    r.completed_by_task[0] as f64 / r.arrivals_by_task[0].max(1) as f64
+}
+
+fn fleet_json(r: &ClusterResult, wall_s: f64) -> Json {
     Json::obj()
         .set("goodput_hz", r.goodput_hz)
-        .set("fleet_p99_us", r.p99_us)
-        .set("slo_attainment", r.slo_attainment)
+        .set("fleet_p99_us", r.fleet_percentile(99.0))
+        .set("slo_attainment", r.slo_attainment())
         .set("requests", r.requests)
         .set("be_completed", r.be_completed)
-        .set("be_migrations", r.be_migrations)
+        .set("be_migrations", r.migrations.len())
         .set("be_preemptions", r.be_preemptions)
         .set("engine_events", r.engine_events)
-        .set("wall_s", r.wall_s)
+        .set("wall_s", wall_s)
 }
 
-/// One resilience arm of the chaos section: the fleet under a fault
-/// plan, with availability (delivered / injected) and the full
-/// fault-event attribution.
-struct ChaosArm {
-    availability: f64,
-    goodput_hz: f64,
-    slo_attainment: f64,
-    requests: u64,
-    arrivals_injected: u64,
-    requeued: u64,
-    retries: u64,
-    timeout_drops: u64,
-    ls_shed: u64,
-    be_shed: u64,
-    in_flight_at_end: u64,
-    faults_injected: u64,
-    faults_recovered: u64,
-    redispatch_p99_us: f64,
-    wall_s: f64,
-}
-
-fn run_chaos_arm(cfg: &ClusterConfig, kind: RouterKind, ctx: &mut ClusterCtx) -> ChaosArm {
-    let mut router = kind.make(cfg.seed);
-    let start = Instant::now();
-    let r = workload::run_cluster_in(cfg, router.as_mut(), ctx);
-    ChaosArm {
-        availability: r.requests as f64 / r.arrivals_injected.max(1) as f64,
-        goodput_hz: r.goodput_hz,
-        slo_attainment: r.slo_attainment(),
-        requests: r.requests,
-        arrivals_injected: r.arrivals_injected,
-        requeued: r.requeued,
-        retries: r.retries,
-        timeout_drops: r.timeout_drops,
-        ls_shed: r.ls_shed,
-        be_shed: r.be_shed,
-        in_flight_at_end: r.in_flight_at_end,
-        faults_injected: r.faults_injected,
-        faults_recovered: r.faults_recovered,
-        redispatch_p99_us: r.redispatch_hist.percentile(99.0),
-        wall_s: start.elapsed().as_secs_f64(),
-    }
-}
-
-/// The per-arm JSON, including the `fault_events` attribution block
-/// that makes a bench run self-describing.
-fn chaos_arm_json(a: &ChaosArm) -> Json {
+/// One chaos arm, including the `fault_events` attribution block that
+/// makes a bench run self-describing.
+fn chaos_arm_json(r: &ClusterResult, wall_s: f64) -> Json {
     Json::obj()
-        .set("availability", a.availability)
-        .set("goodput_hz", a.goodput_hz)
-        .set("slo_attainment", a.slo_attainment)
-        .set("requests", a.requests)
-        .set("arrivals_injected", a.arrivals_injected)
-        .set("in_flight_at_end", a.in_flight_at_end)
-        .set("redispatch_p99_us", a.redispatch_p99_us)
-        .set("wall_s", a.wall_s)
+        .set("availability", availability(r))
+        .set("goodput_hz", r.goodput_hz)
+        .set("slo_attainment", r.slo_attainment())
+        .set("requests", r.requests)
+        .set("arrivals_injected", r.arrivals_injected)
+        .set("in_flight_at_end", r.in_flight_at_end)
+        .set("redispatch_p99_us", r.redispatch_hist.percentile(99.0))
+        .set("wall_s", wall_s)
         .set(
             "fault_events",
             Json::obj()
-                .set("injected", a.faults_injected)
-                .set("recovered", a.faults_recovered)
-                .set("requeued", a.requeued)
-                .set("retried", a.retries)
-                .set("dropped", a.timeout_drops)
-                .set("ls_shed", a.ls_shed)
-                .set("be_shed", a.be_shed),
+                .set("injected", r.faults_injected)
+                .set("recovered", r.faults_recovered)
+                .set("requeued", r.requeued)
+                .set("retried", r.retries)
+                .set("dropped", r.timeout_drops)
+                .set("ls_shed", r.ls_shed)
+                .set("be_shed", r.be_shed),
         )
 }
 
@@ -206,10 +368,107 @@ fn plan_json(plan: &FaultPlan) -> Json {
         )
 }
 
+/// The chaos section: the crash scenario as three arms (`requeue`, the
+/// `drop_on_crash` ablation, the `no_be_baseline`), a no-claim thermal
+/// throttle arm, and an outage-length sweep of requeue vs drop.
+fn run_chaos_bench(ctx: &mut ClusterCtx) -> Json {
+    sgdrc_bench::header("chaos — crash at midpoint: requeue vs drop-on-crash vs no-BE");
+    let h = CHAOS_HORIZON_US;
+    let cfg = chaos_cfg();
+    let (requeue, requeue_wall) = run(&cfg.prepare(), RouterKind::ShortestBacklog, ctx);
+    let drop_cfg = drop_on_crash(cfg.clone());
+    let (drop, drop_wall) = run(&drop_cfg.prepare(), RouterKind::ShortestBacklog, ctx);
+    let no_be_cfg = without_be(cfg.clone());
+    let (no_be, no_be_wall) = run(&no_be_cfg.prepare(), RouterKind::ShortestBacklog, ctx);
+    for (name, r, wall) in [
+        ("requeue", &requeue, requeue_wall),
+        ("drop_on_crash", &drop, drop_wall),
+        ("no_be_baseline", &no_be, no_be_wall),
+    ] {
+        println!(
+            "{name:>16}: avail {:>6.2}%  goodput {:>7.1}/s  SLO {:>5.1}%  requeued {:>4}  retried {:>4}  dropped {:>4}  BE shed {:>2}  {:>5.2}s",
+            availability(r) * 100.0,
+            r.goodput_hz,
+            r.slo_attainment() * 100.0,
+            r.requeued,
+            r.retries,
+            r.timeout_drops,
+            r.be_shed,
+            wall,
+        );
+    }
+
+    // Availability-under-failure curve: outage length sweeps up,
+    // requeue vs drop-on-crash at each point.
+    let mut curve = Vec::new();
+    for frac in [0.1, 0.25, 0.45] {
+        let mut rq_cfg = cfg.clone();
+        rq_cfg.chaos = Some(FaultPlan::new(vec![FaultEvent::crash(
+            0,
+            0.4 * h,
+            frac * h,
+        )]));
+        let dr_cfg = drop_on_crash(rq_cfg.clone());
+        let (rq, rq_wall) = run(&rq_cfg.prepare(), RouterKind::ShortestBacklog, ctx);
+        let (dr, dr_wall) = run(&dr_cfg.prepare(), RouterKind::ShortestBacklog, ctx);
+        println!(
+            "outage {:>4.0}% of horizon: requeue avail {:>6.2}% goodput {:>7.1}/s  |  drop avail {:>6.2}% goodput {:>7.1}/s",
+            frac * 100.0,
+            availability(&rq) * 100.0,
+            rq.goodput_hz,
+            availability(&dr) * 100.0,
+            dr.goodput_hz
+        );
+        curve.push(
+            Json::obj()
+                .set("down_frac", frac)
+                .set("requeue", chaos_arm_json(&rq, rq_wall))
+                .set("drop_on_crash", chaos_arm_json(&dr, dr_wall)),
+        );
+    }
+
+    // The slowest GTX 1080 drops to 60% clocks through the middle half,
+    // and dynamic SGDRC re-prepares its contexts at the scaled spec.
+    let mut throttle_cfg = cfg.clone();
+    throttle_cfg.chaos = Some(FaultPlan::new(vec![FaultEvent::slowdown(
+        FaultKind::Throttle,
+        2,
+        0.25 * h,
+        0.6,
+        0.5 * h,
+    )]));
+    let (throttle, throttle_wall) = run(&throttle_cfg.prepare(), RouterKind::ShortestBacklog, ctx);
+    println!(
+        "        throttle: avail {:>6.2}%  goodput {:>7.1}/s  SLO {:>5.1}%  (GTX 1080 @60% clocks)",
+        availability(&throttle) * 100.0,
+        throttle.goodput_hz,
+        throttle.slo_attainment() * 100.0,
+    );
+
+    Json::obj()
+        .set(
+            "scenario",
+            Json::obj()
+                .set("system", "SGDRC")
+                .set("router", "shortest_backlog")
+                .set("horizon_us", h)
+                .set("plan", plan_json(cfg.chaos.as_ref().expect("a fault plan"))),
+        )
+        .set(
+            "arms",
+            Json::obj()
+                .set("requeue", chaos_arm_json(&requeue, requeue_wall))
+                .set("drop_on_crash", chaos_arm_json(&drop, drop_wall))
+                .set("no_be_baseline", chaos_arm_json(&no_be, no_be_wall))
+                .set("throttle", chaos_arm_json(&throttle, throttle_wall)),
+        )
+        .set("outage_curve", Json::Arr(curve))
+}
+
 /// One arm of the elastic section: serving quality plus the membership
 /// accounting that prices it — replica-seconds, warm-pool hit/miss,
 /// provisioning-delay attribution, drain/handoff counts.
-fn elastic_arm_json(r: &workload::ClusterResult, wall_s: f64) -> Json {
+fn elastic_arm_json(r: &ClusterResult, wall_s: f64) -> Json {
     let count_cause = |cause: ScaleCause| {
         r.scale_events
             .iter()
@@ -219,10 +478,7 @@ fn elastic_arm_json(r: &workload::ClusterResult, wall_s: f64) -> Json {
             .count()
     };
     Json::obj()
-        .set(
-            "availability",
-            r.requests as f64 / r.arrivals_injected.max(1) as f64,
-        )
+        .set("availability", availability(r))
         .set("goodput_hz", r.goodput_hz)
         .set("slo_attainment", r.slo_attainment())
         .set("fleet_p99_us", r.fleet_percentile(99.0))
@@ -250,68 +506,16 @@ fn elastic_arm_json(r: &workload::ClusterResult, wall_s: f64) -> Json {
         )
 }
 
-fn run_elastic_arm(
-    cfg: &ClusterConfig,
-    kind: RouterKind,
-    ctx: &mut ClusterCtx,
-) -> (workload::ClusterResult, f64) {
-    let mut router = kind.make(cfg.seed);
-    let start = Instant::now();
-    let r = workload::run_cluster_in(cfg, router.as_mut(), ctx);
-    (r, start.elapsed().as_secs_f64())
-}
-
-/// The `--elastic` section: the self-healing elastic fleet's
-/// cost-vs-SLO frontier. Two arms:
-///
-/// 1. **autoscaler vs static peak** on the diurnal trace — the
-///    threshold autoscaler must hold SLO attainment within tolerance
-///    of the peak-sized static fleet while billing measurably fewer
-///    replica-seconds (full runs gate; smoke records);
-/// 2. **crash replacement vs no replacement** under a permanent
-///    midpoint crash — the self-healing fleet must beat the fleet
-///    with a hole on availability (gated in smoke too: the scenario
-///    is deterministic).
-fn run_elastic_bench(smoke: bool, ctx: &mut ClusterCtx) -> (Json, bool) {
-    sgdrc_bench::header("elastic — warm-pool autoscaling, SLO-breach draining, crash replacement");
-    let mut gates_ok = true;
-    let horizon = if smoke { 2.5e5 } else { 2e6 };
-
-    // --- arm 1: threshold autoscaler vs static peak fleet -----------------
-    // Six A2000s sized for the diurnal peak; the elastic arm starts at
-    // peak with four warm lanes in reserve and lets the threshold
-    // policy breathe with the trace.
-    let n_peak = 6;
-    let mut static_cfg = ClusterConfig::new(vec![GpuModel::RtxA2000; n_peak], SystemKind::Sgdrc);
-    static_cfg.horizon_us = horizon;
-    static_cfg.trace = fleet_trace(0.9 * n_peak as f64, horizon);
-    static_cfg.controller.period_us = 5e4;
-    let mut auto_cfg = static_cfg.clone();
-    // Retirement is terminal — a drained lane never rejoins; re-growth
-    // always draws fresh warm lanes. The pool and the floor are sized
-    // so the ~1.5 diurnal cycles in the horizon never strand the fleet
-    // below trough capacity: min 5 keeps the trough served, and the
-    // slow down-cooldown spends at most the pool per cycle.
-    let mut auto_e = ElasticConfig::new(
-        WarmPoolConfig {
-            provision_delay_us: 2e4,
-            provision_jitter: 0.2,
-            ..WarmPoolConfig::new(vec![GpuModel::RtxA2000; 4])
-        },
-        ScalingPolicyKind::Threshold(ThresholdPolicy {
-            down_ratio: 0.4,
-            down_backlog: 2.0,
-            ..Default::default()
-        }),
-    );
-    auto_e.min_replicas = 5;
-    auto_e.up_cooldown_us = 5e4;
-    auto_e.down_cooldown_us = 2e5;
-    auto_cfg.elastic = Some(auto_e.clone());
-
-    let (stat, stat_wall) = run_elastic_arm(&static_cfg, RouterKind::ShortestBacklog, ctx);
-    let (auto_r, auto_wall) = run_elastic_arm(&auto_cfg, RouterKind::ShortestBacklog, ctx);
+/// The elastic section's two comparisons: the threshold autoscaler
+/// against the static peak fleet (cost vs SLO), and crash replacement
+/// against a fleet left with a hole.
+fn run_elastic_bench(ctx: &mut ClusterCtx) -> Json {
+    sgdrc_bench::header("elastic — autoscaling vs static peak, crash replacement vs a hole");
+    let (static_cfg, auto_cfg) = frontier_arms();
+    let (stat, stat_wall) = run(&static_cfg.prepare(), RouterKind::ShortestBacklog, ctx);
+    let (auto_r, auto_wall) = run(&auto_cfg.prepare(), RouterKind::ShortestBacklog, ctx);
     let saved = 1.0 - auto_r.replica_seconds / stat.replica_seconds;
+    let n_peak = static_cfg.gpus.len();
     println!(
         "   static peak ×{n_peak}: SLO {:>5.1}%  goodput {:>7.1}/s  {:>7.1} replica-s  {:>5.2}s",
         stat.slo_attainment() * 100.0,
@@ -329,80 +533,30 @@ fn run_elastic_bench(smoke: bool, ctx: &mut ClusterCtx) -> (Json, bool) {
         auto_r.warm_misses,
         auto_wall
     );
-    const SLO_TOLERANCE: f64 = 0.03;
-    const MIN_SAVINGS: f64 = 0.05;
-    let slo_held = auto_r.slo_attainment() >= stat.slo_attainment() - SLO_TOLERANCE;
-    let cheaper = auto_r.replica_seconds <= (1.0 - MIN_SAVINGS) * stat.replica_seconds;
-    // Smoke horizons see a fraction of a diurnal cycle — too little
-    // trough for meaningful savings — so the frontier gates bind full
-    // runs only; the numbers are recorded either way.
-    if !smoke {
-        gates_ok &= slo_held && cheaper;
-    }
 
-    // --- arm 2: crash replacement vs no replacement -----------------------
-    // Load sized so the full fleet holds the SLO but the three-lane
-    // remnant after the crash is genuinely overloaded — the regime
-    // where a hole in the fleet visibly costs delivered requests.
-    let n_rep = 4;
-    let mut hole_cfg = ClusterConfig::new(vec![GpuModel::RtxA2000; n_rep], SystemKind::Sgdrc);
-    hole_cfg.horizon_us = horizon;
-    hole_cfg.trace = fleet_trace(1.8 * n_rep as f64, horizon);
-    hole_cfg.controller.period_us = 5e4;
-    let crash = FaultEvent::crash(0, 0.25 * horizon, f64::INFINITY);
-    hole_cfg.chaos = Some(FaultPlan::new(vec![crash]));
-    let mut heal_cfg = hole_cfg.clone();
-    let mut heal_e = ElasticConfig::new(
-        WarmPoolConfig {
-            provision_delay_us: 2e4,
-            provision_jitter: 0.2,
-            ..WarmPoolConfig::new(vec![GpuModel::RtxA2000])
-        },
-        ScalingPolicyKind::Hold,
-    );
-    heal_e.min_replicas = 1;
-    heal_e.replace_after_us = 0.04 * horizon;
-    heal_cfg.elastic = Some(heal_e.clone());
-
-    let (hole, hole_wall) = run_elastic_arm(&hole_cfg, RouterKind::ShortestBacklog, ctx);
-    let (heal, heal_wall) = run_elastic_arm(&heal_cfg, RouterKind::ShortestBacklog, ctx);
-    let hole_avail = hole.requests as f64 / hole.arrivals_injected.max(1) as f64;
-    let heal_avail = heal.requests as f64 / heal.arrivals_injected.max(1) as f64;
+    let (hole_cfg, heal_cfg) = replacement_arms();
+    let (hole, hole_wall) = run(&hole_cfg.prepare(), RouterKind::ShortestBacklog, ctx);
+    let (heal, heal_wall) = run(&heal_cfg.prepare(), RouterKind::ShortestBacklog, ctx);
     println!(
         "  no replacement: avail {:>6.2}%  goodput {:>7.1}/s  {:>5.2}s",
-        hole_avail * 100.0,
+        availability(&hole) * 100.0,
         hole.goodput_hz,
         hole_wall
     );
     println!(
         "    self-healing: avail {:>6.2}%  goodput {:>7.1}/s  replacements {}  {:>5.2}s",
-        heal_avail * 100.0,
+        availability(&heal) * 100.0,
         heal.goodput_hz,
         heal.replacements,
         heal_wall
     );
-    // Deterministic scenario: a pass is a pass at any horizon.
-    let healing_wins = heal_avail > hole_avail && heal.replacements > 0;
-    gates_ok &= healing_wins;
 
-    println!(
-        "\nelastic gates: SLO within {:.0}pp of static {} | >= {:.0}% replica-s saved {} | healing beats hole {}",
-        SLO_TOLERANCE * 100.0,
-        slo_held,
-        MIN_SAVINGS * 100.0,
-        cheaper,
-        healing_wins,
-    );
-
-    // The JSON below records the configs the arms ran; its crash
-    // scenario text assumes a permanent loss.
-    assert!(
-        crash.duration_us.is_infinite(),
-        "the crash arms model a permanent loss"
-    );
-    let json = Json::obj()
-        .set("skipped", false)
-        .set("horizon_us", horizon)
+    let auto_e = auto_cfg.elastic.as_ref().expect("autoscaled arm");
+    let heal_e = heal_cfg.elastic.as_ref().expect("healing arm");
+    let crash = hole_cfg.chaos.as_ref().expect("crash plan").events[0];
+    let h = ELASTIC_HORIZON_US;
+    Json::obj()
+        .set("horizon_us", h)
         .set(
             "frontier",
             Json::obj()
@@ -425,56 +579,19 @@ fn run_elastic_bench(smoke: bool, ctx: &mut ClusterCtx) -> (Json, bool) {
         .set(
             "crash_replacement",
             Json::obj()
-                .set("replicas", n_rep)
+                .set("replicas", hole_cfg.gpus.len())
                 .set(
                     "scenario",
                     format!(
                         "replica {} permanently dead at {}% of horizon",
                         crash.replica,
-                        100.0 * crash.at_us / horizon
+                        100.0 * crash.at_us / h
                     ),
                 )
                 .set("replace_after_us", heal_e.replace_after_us)
                 .set("no_replacement", elastic_arm_json(&hole, hole_wall))
                 .set("self_healing", elastic_arm_json(&heal, heal_wall)),
         )
-        .set(
-            "gates",
-            Json::obj()
-                .set("slo_tolerance", SLO_TOLERANCE)
-                .set("min_replica_seconds_saved", MIN_SAVINGS)
-                .set("slo_within_tolerance", slo_held)
-                .set("replica_seconds_saved", cheaper)
-                .set("healing_beats_hole", healing_wins)
-                .set("frontier_enforced", !smoke),
-        );
-    (json, gates_ok)
-}
-
-/// The canonical three-class tier map the tiers section runs: service 0
-/// Guaranteed (weight 8), the next third Burstable (weight 3), the rest
-/// BestEffort (weight 1), ladder thresholds sized so the crash +
-/// diurnal-peak scenario actually climbs the rungs.
-fn bench_tiers(n_ls: usize) -> TiersConfig {
-    let mut t = TiersConfig::new(
-        (0..n_ls)
-            .map(|task| {
-                if task == 0 {
-                    TierConfig::guaranteed(8.0)
-                } else if task <= n_ls / 3 {
-                    TierConfig::burstable(2, 3.0)
-                } else {
-                    TierConfig::best_effort(3, 1.0)
-                }
-            })
-            .collect(),
-    );
-    t.enter_backlog = 10;
-    t.exit_backlog = 5;
-    t.hold_ticks = 2;
-    t.queue_capacity = 64;
-    t.shed_per_tick = 32;
-    t
 }
 
 /// Per-arm tier attribution: group the per-service ledgers by the tier
@@ -503,77 +620,16 @@ fn tier_attribution_json(r: &ClusterResult, tiers: &TiersConfig) -> Json {
     Json::Arr(arr)
 }
 
-/// The tiered-SLO section (`--tiers`): the headline fleet pushed past
-/// capacity by a diurnal peak while a fast replica is down — the regime
-/// where *something* must be dropped and the only question is what.
-///
-/// Three arms, identical trace and fault plan:
-/// 1. **tiered** — the three-class tier map: admission control queues
-///    then refuses best-effort work first, deadline-aware retry
-///    budgets, tier-ordered brownout;
-/// 2. **tier_blind** — no tier map: the one-tier brownout ladder parks
-///    BE under backlog but cannot tell services apart, so it never
-///    queues, refuses or sheds LS by class;
-/// 3. **no_be** — tier-blind with BE jobs removed entirely, the
-///    baseline tier-1 availability must not fall below.
-///
-/// Gates (deterministic, bind in smoke too): tiered strictly beats
-/// tier-blind on weighted goodput; tier-1 availability under tiers is
-/// at least the no-BE baseline's. The section JSON is round-tripped
-/// through the validator.
-fn run_tiers_bench(smoke: bool, ctx: &mut ClusterCtx) -> (Json, bool) {
+/// The tiered-SLO section: the [`tiers_arms`] scenario, each arm's
+/// weighted goodput, tier-1 availability and per-tier attribution, and
+/// the tiered arm's full ledger.
+fn run_tiers_bench(ctx: &mut ClusterCtx) -> Json {
     sgdrc_bench::header("tiers — tiered SLOs vs tier-blind shedding under crash + diurnal peak");
-    let horizon = if smoke { 2.5e5 } else { 1.5e6 };
-    let fleet = headline_fleet();
-
-    let mut base = ClusterConfig::new(fleet, SystemKind::Sgdrc);
-    base.horizon_us = horizon;
-    // Past-capacity load: the headline matrix runs this fleet at 5.5
-    // with headroom; 16 through a diurnal peak with a fast lane
-    // permanently dead forces sustained overload — the regime where
-    // *something* must be dropped and the arms differ only in what.
-    base.trace = fleet_trace(16.0, horizon);
-    base.controller = ControllerConfig {
-        period_us: 2e4,
-        adaptive_ch_be: true,
-        ..Default::default()
-    };
-    let mut plan = FaultPlan::new(vec![FaultEvent::crash(0, 0.25 * horizon, f64::INFINITY)]);
-    // Same aggressive BE-parking threshold the chaos section uses: it
-    // sets the tier-blind arm's one ladder rung (the tiered arm's map
-    // brings its own ladder).
-    plan.degradation.shed_be_backlog = 2;
-    base.chaos = Some(plan);
-
-    let n_ls = base.prepare().n_ls();
-    let tiers = bench_tiers(n_ls);
-    let weights: Vec<f64> = tiers.tiers.iter().map(|t| t.weight).collect();
-
-    let mut tiered_cfg = base.clone();
-    tiered_cfg.tiers = Some(tiers.clone());
-    let blind_cfg = base.clone();
-    let mut no_be_cfg = base.clone();
-    no_be_cfg.be_jobs = Vec::new();
-
-    let run = |cfg: &ClusterConfig, ctx: &mut ClusterCtx| {
-        let mut router = RouterKind::ShortestBacklog.make(cfg.seed);
-        let start = Instant::now();
-        let r = workload::run_cluster_in(cfg, router.as_mut(), ctx);
-        (r, start.elapsed().as_secs_f64())
-    };
-    let (tiered, tiered_wall) = run(&tiered_cfg, ctx);
-    let (blind, blind_wall) = run(&blind_cfg, ctx);
-    let (no_be, no_be_wall) = run(&no_be_cfg, ctx);
-
-    let horizon_s = horizon / 1e6;
-    let wg = |r: &ClusterResult| r.weighted_slo_met_with(&weights) / horizon_s;
-    // Tier-1 availability: delivered fraction of the Guaranteed
-    // service's arrivals (task 0 is the only tier-1 member).
-    let t1_avail =
-        |r: &ClusterResult| r.completed_by_task[0] as f64 / r.arrivals_by_task[0].max(1) as f64;
-    for o in &tiered.tier_outcomes {
-        o.assert_conserved();
-    }
+    let (tiered_cfg, blind_cfg, no_be_cfg) = tiers_arms();
+    let tiers = tiered_cfg.tiers.clone().expect("tiered arm");
+    let (tiered, tiered_wall) = run(&tiered_cfg.prepare(), RouterKind::ShortestBacklog, ctx);
+    let (blind, blind_wall) = run(&blind_cfg.prepare(), RouterKind::ShortestBacklog, ctx);
+    let (no_be, no_be_wall) = run(&no_be_cfg.prepare(), RouterKind::ShortestBacklog, ctx);
     for (name, r, wall) in [
         ("tiered", &tiered, tiered_wall),
         ("tier_blind", &blind, blind_wall),
@@ -581,8 +637,8 @@ fn run_tiers_bench(smoke: bool, ctx: &mut ClusterCtx) -> (Json, bool) {
     ] {
         println!(
             "{name:>12}: goodput_w {:>8.1}/s  tier-1 avail {:>6.2}%  refused {:>5}  shed {:>5}  dropped {:>5}  {:>5.2}s",
-            wg(r),
-            t1_avail(r) * 100.0,
+            weighted_goodput_hz(r, &tiers),
+            tier1_availability(r) * 100.0,
             r.refused_admission,
             r.ls_shed,
             r.timeout_drops,
@@ -590,18 +646,10 @@ fn run_tiers_bench(smoke: bool, ctx: &mut ClusterCtx) -> (Json, bool) {
         );
     }
 
-    let tiered_beats_blind = wg(&tiered) > wg(&blind);
-    let t1_holds = t1_avail(&tiered) >= t1_avail(&no_be);
-    let gates_ok = tiered_beats_blind && t1_holds;
-    println!(
-        "\ntiers gates: weighted goodput beats tier-blind {} | tier-1 avail >= no-BE {}",
-        tiered_beats_blind, t1_holds
-    );
-
     let arm_json = |r: &ClusterResult, wall: f64| {
         Json::obj()
-            .set("weighted_goodput_hz", wg(r))
-            .set("tier1_availability", t1_avail(r))
+            .set("weighted_goodput_hz", weighted_goodput_hz(r, &tiers))
+            .set("tier1_availability", tier1_availability(r))
             .set("goodput_hz", r.goodput_hz)
             .set("slo_attainment", r.slo_attainment())
             .set("requests", r.requests)
@@ -635,9 +683,8 @@ fn run_tiers_bench(smoke: bool, ctx: &mut ClusterCtx) -> (Json, bool) {
             })
             .collect(),
     );
-    let json = Json::obj()
-        .set("skipped", false)
-        .set("horizon_us", horizon)
+    Json::obj()
+        .set("horizon_us", TIERS_HORIZON_US)
         .set(
             "scenario",
             Json::obj()
@@ -656,92 +703,38 @@ fn run_tiers_bench(smoke: bool, ctx: &mut ClusterCtx) -> (Json, bool) {
                 .set("no_be", arm_json(&no_be, no_be_wall)),
         )
         .set("tier_outcomes", outcomes_json)
-        .set(
-            "gates",
-            Json::obj()
-                .set("weighted_goodput_beats_tier_blind", tiered_beats_blind)
-                .set("tier1_availability_ge_no_be", t1_holds),
-        );
-    sgdrc_bench::json::validate(&json.pretty()).expect("tiers section is well-formed JSON");
-    (json, gates_ok)
 }
 
-/// The telemetry section: the flight recorder's contracts measured on
-/// the smoke-scale chaos scenario (crash at midpoint, recovery after a
-/// quarter horizon — a trace with faults, requeues, retries and
-/// migrations on it).
+/// The telemetry section: the flight recorder's cost on the
+/// [`telemetry_cfg`] scenario, recorder off vs on — the wall clock of
+/// each arm is the minimum of seven runs, *interleaved* (off, on, off,
+/// on, …) after a warmup pair so box-load drift lands on both arms
+/// equally. Its overhead must stay within 5%. With `--trace <path>` the
+/// recorder-on run is exported as a Perfetto `trace.json`.
 ///
-/// 1. **Bit-identity** (hard assert, every mode): a recorder-on run
-///    stripped of its telemetry payload equals the recorder-off run on
-///    every `ClusterResult` field.
-/// 2. **Overhead ≤5%** (gated): wall clock of the recorder-on arm vs
-///    the recorder-off arm — min of seven runs each, *interleaved*
-///    (off, on, off, on, …) after a warmup pair, so box-load drift
-///    lands on both arms equally instead of biasing whichever arm ran
-///    second.
-/// 3. **Trace export** (with `--trace <path>`): the recorder-on run as
-///    a Perfetto `trace.json`, schema-validated *and* re-parsed through
-///    the JSON syntax scanner before writing.
+/// Returns the JSON section and whether the overhead bound held.
 fn run_telemetry_bench(trace_path: Option<&str>, ctx: &mut ClusterCtx) -> (Json, bool) {
     sgdrc_bench::header("telemetry — flight recorder overhead + trace export");
-    let horizon = 5e5;
-    let mut cfg = ClusterConfig::new(headline_fleet(), SystemKind::Sgdrc);
-    cfg.horizon_us = horizon;
-    cfg.trace = fleet_trace(5.5, horizon);
-    cfg.controller = ControllerConfig {
-        period_us: 5e4,
-        adaptive_ch_be: true,
-        ..Default::default()
-    };
-    cfg.chaos = Some(FaultPlan::new(vec![FaultEvent::crash(
-        0,
-        0.5 * horizon,
-        0.25 * horizon,
-    )]));
-    let mut on_cfg = cfg.clone();
-    on_cfg.telemetry = Some(TelemetryConfig::default());
-
-    let prep_off = cfg.prepare();
-    let prep_on = on_cfg.prepare();
-    let seed = cfg.seed;
-    let run = |prep: &workload::PreparedCluster, ctx: &mut ClusterCtx| -> (ClusterResult, f64) {
-        let mut router = RouterKind::ShortestBacklog.make(seed);
-        let t0 = Instant::now();
-        let r = workload::run_cluster_prepared(prep, router.as_mut(), ctx);
-        let dt = t0.elapsed().as_secs_f64();
-        (r, dt)
-    };
-    // Warm both arms (context high-water marks, page cache), then time
-    // them interleaved: min-of-7 per arm over the same wall window, so
-    // a box-load spike cannot bias one arm.
-    run(&prep_off, ctx);
-    run(&prep_on, ctx);
+    let on_cfg = telemetry_cfg();
+    let mut off_cfg = on_cfg.clone();
+    off_cfg.telemetry = None;
+    let (prep_off, prep_on) = (off_cfg.prepare(), on_cfg.prepare());
+    run(&prep_off, RouterKind::ShortestBacklog, ctx);
+    let (mut on, _) = run(&prep_on, RouterKind::ShortestBacklog, ctx);
     let (mut off_s, mut on_s) = (f64::INFINITY, f64::INFINITY);
-    let (mut off, mut on) = (None, None);
     for _ in 0..7 {
-        let (r, t) = run(&prep_off, ctx);
-        off_s = off_s.min(t);
-        off = Some(r);
-        let (r, t) = run(&prep_on, ctx);
+        off_s = off_s.min(run(&prep_off, RouterKind::ShortestBacklog, ctx).1);
+        let (r, t) = run(&prep_on, RouterKind::ShortestBacklog, ctx);
         on_s = on_s.min(t);
-        on = Some(r);
+        on = r;
     }
-    let (off, on) = (off.expect("seven runs"), on.expect("seven runs"));
-
-    // Contract 1: the recorder observes, it never steers.
-    let mut stripped = on.clone();
-    stripped.telemetry = None;
-    assert_eq!(
-        stripped, off,
-        "recorder-on run diverged from the recorder-off run"
-    );
 
     let tel = on.telemetry.as_ref().expect("recorder was enabled");
     let overhead = on_s / off_s - 1.0;
     let overhead_ok = overhead <= 0.05;
     let prof = &tel.profile;
     println!(
-        "recorder off {off_s:>6.3}s | on {on_s:>6.3}s | overhead {:>+5.1}% (gate ≤5%: {overhead_ok})",
+        "recorder off {off_s:>6.3}s | on {on_s:>6.3}s | overhead {:>+5.1}% (bound ≤5%: {overhead_ok})",
         overhead * 100.0
     );
     println!(
@@ -767,9 +760,6 @@ fn run_telemetry_bench(trace_path: Option<&str>, ctx: &mut ClusterCtx) -> (Json,
     let mut trace_json = Json::obj().set("exported", false);
     if let Some(path) = trace_path {
         let doc = perfetto_trace(&on).expect("recorder-on run carries telemetry");
-        validate_trace(&doc).expect("exported trace is well-formed");
-        let text = doc.pretty();
-        sgdrc_bench::json::validate(&text).expect("exported trace is valid JSON");
         let n_events = match &doc {
             Json::Obj(fields) => fields
                 .iter()
@@ -781,13 +771,12 @@ fn run_telemetry_bench(trace_path: Option<&str>, ctx: &mut ClusterCtx) -> (Json,
                 .unwrap_or(0),
             _ => 0,
         };
-        std::fs::write(path, &text).expect("write trace file");
+        std::fs::write(path, doc.pretty()).expect("write trace file");
         println!("wrote {path} ({n_events} trace events) — open at https://ui.perfetto.dev");
         trace_json = Json::obj()
             .set("exported", true)
             .set("path", path)
-            .set("trace_events", n_events)
-            .set("validated", true);
+            .set("trace_events", n_events);
     }
 
     let section = Json::obj()
@@ -796,7 +785,7 @@ fn run_telemetry_bench(trace_path: Option<&str>, ctx: &mut ClusterCtx) -> (Json,
             Json::obj()
                 .set("system", "SGDRC")
                 .set("router", "shortest_backlog")
-                .set("horizon_us", horizon)
+                .set("horizon_us", TELEMETRY_HORIZON_US)
                 .set("fault", "crash replica 0 at 50%, recover after 25%"),
         )
         .set(
@@ -827,7 +816,6 @@ fn run_telemetry_bench(trace_path: Option<&str>, ctx: &mut ClusterCtx) -> (Json,
                 .set("off_wall_s", off_s)
                 .set("on_wall_s", on_s)
                 .set("overhead_frac", overhead)
-                .set("bit_identical", true)
                 .set("overhead_le_5pct", overhead_ok),
         )
         .set("trace", trace_json);
@@ -865,57 +853,45 @@ fn process_cpu_s() -> f64 {
     ns as f64 / 1e9
 }
 
-/// The `--scale-out` section: the SoA + busy-set scan + streaming
-/// fleet clock at 256–512 replicas. Records a 1→512 streaming scaling
-/// curve (smoke: 64→256 on a short horizon, so CI exercises big fleets
-/// on every push) and — on full runs — a 512-replica ≥10M-request
-/// streaming headline with bounded memory (zero retained completion
-/// records, peak RSS recorded).
+/// The `--scale-out` section: the streaming fleet clock from 1 to 512
+/// replicas. Records a 1→512 scaling curve, each point the per-run
+/// mean of as many runs as fill [`MIN_POINT_S`], and a
+/// 512-replica ≥10M-request streaming headline with bounded memory
+/// (zero retained completion records, peak RSS recorded).
 ///
-/// Returns the JSON section and whether every enforced gate passed.
-fn run_scale_out(smoke: bool) -> (Json, bool) {
+/// Returns the JSON section and whether the headline check passed.
+fn run_scale_out() -> (Json, bool) {
     sgdrc_bench::header("scale-out — SoA lanes, busy-set scan, streaming mode");
-    let mut gates_ok = true;
     let mut ctx = ClusterCtx::new();
 
-    let scale_cfg = |nrep: usize, horizon_us: f64| {
-        let mut cfg = ClusterConfig::new(vec![GpuModel::RtxA2000; nrep], SystemKind::Sgdrc);
-        cfg.horizon_us = horizon_us;
-        cfg.trace = fleet_trace(0.9 * nrep as f64, horizon_us);
-        cfg.controller.period_us = 5e4;
-        cfg.streaming = true;
-        cfg
-    };
-
-    // --- 1→512 streaming scaling curve, load ∝ N --------------------------
-    let sizes: &[usize] = if smoke {
-        &[64, 256]
-    } else {
-        &[1, 4, 16, 64, 256, 512]
-    };
-    let curve_horizon = if smoke { 1.2e5 } else { 1e6 };
     let mut points = Vec::new();
-    for &nrep in sizes {
-        let cfg = scale_cfg(nrep, curve_horizon);
-        let prep = cfg.prepare();
+    for nrep in [1, 4, 16, 64, 256, 512] {
+        let prep = scale_cfg(nrep, CURVE_HORIZON_US).prepare();
         // Warm pass (deployments, contexts), then measure.
-        let mut router = RouterKind::ShortestBacklog.make(cfg.seed);
-        let _ = workload::run_cluster_prepared(&prep, router.as_mut(), &mut ctx);
-        let mut router = RouterKind::ShortestBacklog.make(cfg.seed);
-        let (start, cpu_start) = (Instant::now(), process_cpu_s());
-        let r = workload::run_cluster_prepared(&prep, router.as_mut(), &mut ctx);
-        let wall_s = start.elapsed().as_secs_f64();
-        let cpu_s = process_cpu_s() - cpu_start;
+        run(&prep, RouterKind::ShortestBacklog, &mut ctx);
+        // Wall and on-CPU time span the same loop; `min` ignores a NaN
+        // on-CPU figure (off Linux).
+        let (start, cpu_start, mut reps) = (Instant::now(), process_cpu_s(), 0u32);
+        let r = loop {
+            let r = run(&prep, RouterKind::ShortestBacklog, &mut ctx).0;
+            reps += 1;
+            let spent = start
+                .elapsed()
+                .as_secs_f64()
+                .min(process_cpu_s() - cpu_start);
+            if spent >= MIN_POINT_S {
+                break r;
+            }
+        };
+        let wall_s = start.elapsed().as_secs_f64() / f64::from(reps);
+        let cpu_s = (process_cpu_s() - cpu_start) / f64::from(reps);
         let eps = r.engine_events as f64 / wall_s;
         let eps_cpu = r.engine_events as f64 / cpu_s;
         println!(
             "{nrep:>4} replicas: {:>8} req  {:>10.0} events/s (wall)  {:>10.0} events/s (on-CPU)  \
-             retained {}  {:>6.2}s wall  {:>6.2}s on-CPU",
+             retained {}  {:>6.3}s wall  {:>6.3}s on-CPU per run ×{reps}",
             r.requests, eps, eps_cpu, r.retained_completions, wall_s, cpu_s
         );
-        // Streaming's memory bound is a correctness property — enforce
-        // it at every size, smoke included.
-        gates_ok &= r.retained_completions == 0;
         points.push(
             Json::obj()
                 .set("replicas", nrep)
@@ -924,6 +900,7 @@ fn run_scale_out(smoke: bool) -> (Json, bool) {
                 .set("goodput_hz", r.goodput_hz)
                 .set("slo_attainment", r.slo_attainment())
                 .set("retained_completions", r.retained_completions)
+                .set("repetitions", u64::from(reps))
                 .set("wall_s", wall_s)
                 .set("events_per_wall_s", eps)
                 .set("cpu_s", cpu_s)
@@ -931,54 +908,45 @@ fn run_scale_out(smoke: bool) -> (Json, bool) {
         );
     }
 
-    // --- 512-replica ≥10M-request streaming headline (full runs) ----------
-    let headline_json = if smoke {
-        Json::obj().set("skipped", true)
-    } else {
-        let n = 512;
-        // The diurnal+burst trace at 0.9·512 per-service scale injects
-        // ≈0.25M requests per simulated second: 50 sim-seconds drives
-        // ≈12.5M requests through the fleet.
-        let horizon = 5e7;
-        let rss_before_mib = peak_rss_mib();
-        let cfg = scale_cfg(n, horizon);
-        let prep = cfg.prepare();
-        let mut router = RouterKind::ShortestBacklog.make(cfg.seed);
-        let (start, cpu_start) = (Instant::now(), process_cpu_s());
-        let r = workload::run_cluster_prepared(&prep, router.as_mut(), &mut ctx);
-        let wall_s = start.elapsed().as_secs_f64();
-        let cpu_s = process_cpu_s() - cpu_start;
-        let rss_after_mib = peak_rss_mib();
-        let eps = r.engine_events as f64 / wall_s;
-        let eps_cpu = r.engine_events as f64 / cpu_s;
-        let bounded_memory = r.retained_completions == 0;
-        let gate_10m = r.arrivals_injected >= 10_000_000;
-        println!(
-            "512-replica headline: {} arrivals, {} served, {:.0} events/s (wall), \
-             {eps_cpu:.0} events/s (on-CPU), retained {}, peak RSS {rss_after_mib:.0} MiB, \
-             {:.1}s wall, {cpu_s:.1}s on-CPU",
-            r.arrivals_injected, r.requests, eps, r.retained_completions, wall_s
-        );
-        gates_ok &= bounded_memory && gate_10m;
-        Json::obj()
-            .set("skipped", false)
-            .set("replicas", n)
-            .set("horizon_us", horizon)
-            .set("arrivals_injected", r.arrivals_injected)
-            .set("requests", r.requests)
-            .set("goodput_hz", r.goodput_hz)
-            .set("slo_attainment", r.slo_attainment())
-            .set("in_flight_at_end", r.in_flight_at_end)
-            .set("retained_completions", r.retained_completions)
-            .set("bounded_memory", bounded_memory)
-            .set("peak_rss_mib_before", rss_before_mib)
-            .set("peak_rss_mib_after", rss_after_mib)
-            .set("gate_10m_requests", gate_10m)
-            .set("events_per_wall_s", eps)
-            .set("wall_s", wall_s)
-            .set("events_per_cpu_s", eps_cpu)
-            .set("cpu_s", cpu_s)
-    };
+    // --- 512-replica ≥10M-request streaming headline ----------------------
+    let n = 512;
+    // The diurnal+burst trace at 0.9·512 per-service scale injects
+    // ≈0.25M requests per simulated second: 50 sim-seconds drives
+    // ≈12.5M requests through the fleet.
+    let horizon = 5e7;
+    let rss_before_mib = peak_rss_mib();
+    let prep = scale_cfg(n, horizon).prepare();
+    let cpu_start = process_cpu_s();
+    let (r, wall_s) = run(&prep, RouterKind::ShortestBacklog, &mut ctx);
+    let cpu_s = process_cpu_s() - cpu_start;
+    let rss_after_mib = peak_rss_mib();
+    let eps = r.engine_events as f64 / wall_s;
+    let eps_cpu = r.engine_events as f64 / cpu_s;
+    let bounded_memory = r.retained_completions == 0;
+    let gate_10m = r.arrivals_injected >= 10_000_000;
+    println!(
+        "512-replica headline: {} arrivals, {} served, {:.0} events/s (wall), \
+         {eps_cpu:.0} events/s (on-CPU), retained {}, peak RSS {rss_after_mib:.0} MiB, \
+         {:.1}s wall, {cpu_s:.1}s on-CPU",
+        r.arrivals_injected, r.requests, eps, r.retained_completions, wall_s
+    );
+    let headline = Json::obj()
+        .set("replicas", n)
+        .set("horizon_us", horizon)
+        .set("arrivals_injected", r.arrivals_injected)
+        .set("requests", r.requests)
+        .set("goodput_hz", r.goodput_hz)
+        .set("slo_attainment", r.slo_attainment())
+        .set("in_flight_at_end", r.in_flight_at_end)
+        .set("retained_completions", r.retained_completions)
+        .set("bounded_memory", bounded_memory)
+        .set("peak_rss_mib_before", rss_before_mib)
+        .set("peak_rss_mib_after", rss_after_mib)
+        .set("gate_10m_requests", gate_10m)
+        .set("events_per_wall_s", eps)
+        .set("wall_s", wall_s)
+        .set("events_per_cpu_s", eps_cpu)
+        .set("cpu_s", cpu_s);
 
     let json = Json::obj()
         .set("skipped", false)
@@ -988,26 +956,37 @@ fn run_scale_out(smoke: bool) -> (Json, bool) {
         .set(
             "curve",
             Json::obj()
-                .set("horizon_us", curve_horizon)
+                .set("horizon_us", CURVE_HORIZON_US)
                 .set("points", Json::Arr(points)),
         )
-        .set("headline", headline_json);
-    (json, gates_ok)
+        .set("headline", headline);
+    (json, bounded_memory && gate_10m)
+}
+
+fn usage() -> ! {
+    eprintln!("usage: bench_cluster [--scale-out] [--trace <path>]");
+    std::process::exit(2)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let horizon_us = if smoke { 2.5e5 } else { 3e6 };
-    let fleet = headline_fleet();
+    let (mut scale_out, mut trace_path) = (false, None);
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--scale-out" => scale_out = true,
+            "--trace" => trace_path = Some(args.next().unwrap_or_else(|| usage())),
+            _ => usage(),
+        }
+    }
 
+    let base = headline_cfg(HEADLINE_HORIZON_US);
+    let fleet = &base.gpus;
     sgdrc_bench::header("BENCH_cluster — 8-replica fleet, systems × routers");
     println!(
-        "fleet: {} replicas ({} A2000 + {} GTX 1080), horizon {horizon_us}µs{}",
+        "fleet: {} replicas ({} A2000 + {} GTX 1080), horizon {HEADLINE_HORIZON_US}µs",
         fleet.len(),
         fleet.iter().filter(|&&g| g == GpuModel::RtxA2000).count(),
         fleet.iter().filter(|&&g| g == GpuModel::Gtx1080).count(),
-        if smoke { " (smoke)" } else { "" }
     );
 
     // Warm the deployments outside every measured region.
@@ -1015,306 +994,44 @@ fn main() {
         let _ = Deployment::cached(g);
     }
 
-    let base = {
-        let mut cfg = ClusterConfig::new(fleet.clone(), SystemKind::Sgdrc);
-        cfg.horizon_us = horizon_us;
-        cfg.trace = fleet_trace(5.5, horizon_us);
-        cfg.controller = ControllerConfig {
-            period_us: 5e4,
-            adaptive_ch_be: true,
-            ..Default::default()
-        };
-        cfg
-    };
-
     // --- systems × routers matrix ----------------------------------------
-    let mut ctxs = ClusterCtx::new();
+    let mut ctx = ClusterCtx::new();
     let mut systems_json = Json::obj();
-    let mut sgdrc_p99 = Vec::new();
     for system in SystemKind::all() {
         let mut cfg = base.clone();
         cfg.system = system;
+        let prep = cfg.prepare();
         let mut row = Json::obj();
         for kind in RouterKind::all() {
-            let r = run_fleet(&cfg, kind, &mut ctxs);
+            let (r, wall_s) = run(&prep, kind, &mut ctx);
             println!(
                 "{:>16} × {:>16}: goodput {:>7.1}/s  p99 {:>9.0}µs  SLO {:>5.1}%  BE {:>5}  mig {:>3}  {:>5.2}s",
                 system.name(),
                 kind.name(),
                 r.goodput_hz,
-                r.p99_us,
-                r.slo_attainment * 100.0,
+                r.fleet_percentile(99.0),
+                r.slo_attainment() * 100.0,
                 r.be_completed,
-                r.be_migrations,
-                r.wall_s
+                r.migrations.len(),
+                wall_s
             );
-            if system == SystemKind::Sgdrc {
-                sgdrc_p99.push((kind, r.p99_us));
-            }
-            row = row.set(kind.name(), fleet_json(&r));
+            row = row.set(kind.name(), fleet_json(&r, wall_s));
         }
         systems_json = systems_json.set(system.name(), row);
     }
 
-    // --- N-replica scaling curve ------------------------------------------
-    // Homogeneous A2000 fleets with load scaled ∝ N: fleet capacity
-    // (simulated completions/s) should grow ~linearly while the simulator
-    // itself reports wall-clock throughput for the perf trajectory.
-    sgdrc_bench::header("scaling curve — SGDRC × shortest-backlog");
-    let sizes: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4, 8, 16] };
-    let scaling_horizon = if smoke { 2e5 } else { 1.5e6 };
-    let mut points = Vec::new();
-    for &nrep in sizes {
-        let mut cfg = ClusterConfig::new(vec![GpuModel::RtxA2000; nrep], SystemKind::Sgdrc);
-        cfg.horizon_us = scaling_horizon;
-        cfg.trace = fleet_trace(0.9 * nrep as f64, scaling_horizon);
-        cfg.controller.period_us = 5e4;
-        let mut fresh = ClusterCtx::new();
-        let r = run_fleet(&cfg, RouterKind::ShortestBacklog, &mut fresh);
-        let sim_req_per_s = r.requests as f64 / (scaling_horizon / 1e6);
-        println!(
-            "{nrep} replica(s): {:>8.1} served req/s (sim)  goodput {:>8.1}/s  {:>9.0} events/s (wall)",
-            sim_req_per_s,
-            r.goodput_hz,
-            r.engine_events as f64 / r.wall_s
-        );
-        points.push(
-            Json::obj()
-                .set("replicas", nrep)
-                .set("trace_scale", 0.9 * nrep as f64)
-                .set("served_requests_per_sim_s", sim_req_per_s)
-                .set("goodput_hz", r.goodput_hz)
-                .set("slo_attainment", r.slo_attainment)
-                .set("wall_s", r.wall_s)
-                .set("events_per_wall_s", r.engine_events as f64 / r.wall_s),
-        );
-    }
-
-    let scaling_json = Json::obj()
-        .set("system", "SGDRC")
-        .set("router", "shortest_backlog")
-        .set("horizon_us", scaling_horizon)
-        .set("points", Json::Arr(points));
-
-    // --- scale-out: SoA + busy-set scan + streaming at 256–512 replicas -
-    let scale_out_enabled = args.iter().any(|a| a == "--scale-out");
-    let (scale_out_json, scale_out_ok) = if scale_out_enabled {
-        run_scale_out(smoke)
+    let (scale_out_json, scale_out_ok) = if scale_out {
+        run_scale_out()
     } else {
         (Json::obj().set("skipped", true), true)
     };
-
-    // --- routing gate ------------------------------------------------------
-    let rr = sgdrc_p99
-        .iter()
-        .find(|(k, _)| *k == RouterKind::RoundRobin)
-        .expect("rr ran")
-        .1;
-    let best_alt = sgdrc_p99
-        .iter()
-        .filter(|(k, _)| *k != RouterKind::RoundRobin)
-        .map(|&(_, p)| p)
-        .fold(f64::INFINITY, f64::min);
-    println!(
-        "\nrouting gate (SGDRC): round-robin p99 {rr:.0}µs vs best load-aware {best_alt:.0}µs ({:.2}×)",
-        rr / best_alt
-    );
-
-    // --- chaos: crash-at-midpoint resilience ------------------------------
-    let chaos_enabled = args.iter().any(|a| a == "--chaos");
-    let mut chaos_json = Json::obj().set("skipped", !chaos_enabled);
-    let mut chaos_gate_requeue = true;
-    let mut chaos_gate_floor = true;
-    let mut chaos_gate_no_be = true;
-    const CHAOS_AVAILABILITY_FLOOR: f64 = 0.90;
-    if chaos_enabled {
-        sgdrc_bench::header("chaos — crash at midpoint: requeue vs drop-on-crash vs no-BE");
-        let chaos_horizon = if smoke { 2.5e5 } else { 1.5e6 };
-        let mut cfg = ClusterConfig::new(fleet.clone(), SystemKind::Sgdrc);
-        cfg.horizon_us = chaos_horizon;
-        // Same operating point as the headline matrix: SLOs met with
-        // moderate headroom — the regime where SGDRC's "BE costs no
-        // goodput" claim holds, and the one the resilience gates must
-        // preserve through a crash.
-        cfg.trace = fleet_trace(5.5, chaos_horizon);
-        cfg.controller = ControllerConfig {
-            period_us: 5e4,
-            adaptive_ch_be: true,
-            ..Default::default()
-        };
-        // The headline scenario: a fast replica dies at midpoint and
-        // revives after a quarter of the horizon.
-        let mut plan = FaultPlan::new(vec![FaultEvent::crash(
-            0,
-            0.5 * chaos_horizon,
-            0.25 * chaos_horizon,
-        )]);
-        // Arm BE parking at a low per-alive backlog (2), so BE gives
-        // way if the crash makes the survivors queue. The
-        // goodput gate below checks that BE filling costs no LS goodput
-        // even through the crash.
-        plan.degradation.shed_be_backlog = 2;
-        cfg.chaos = Some(plan.clone());
-        let requeue = run_chaos_arm(&cfg, RouterKind::ShortestBacklog, &mut ctxs);
-
-        let mut drop_cfg = cfg.clone();
-        drop_cfg.chaos.as_mut().expect("plan set").retry.max_retries = 0;
-        let drop = run_chaos_arm(&drop_cfg, RouterKind::ShortestBacklog, &mut ctxs);
-
-        // The no-BE baseline: same fleet, same faults, zero BE work —
-        // SGDRC's claim is that BE filling costs no LS goodput, and that
-        // must survive a crash (the brownout ladder parks BE if the
-        // survivors queue).
-        let mut no_be_cfg = cfg.clone();
-        no_be_cfg.be_jobs = Vec::new();
-        let no_be = run_chaos_arm(&no_be_cfg, RouterKind::ShortestBacklog, &mut ctxs);
-
-        for (name, a) in [
-            ("requeue", &requeue),
-            ("drop_on_crash", &drop),
-            ("no_be_baseline", &no_be),
-        ] {
-            println!(
-                "{name:>16}: avail {:>6.2}%  goodput {:>7.1}/s  SLO {:>5.1}%  requeued {:>4}  retried {:>4}  dropped {:>4}  BE shed {:>2}  {:>5.2}s",
-                a.availability * 100.0,
-                a.goodput_hz,
-                a.slo_attainment * 100.0,
-                a.requeued,
-                a.retries,
-                a.timeout_drops,
-                a.be_shed,
-                a.wall_s,
-            );
-        }
-
-        // Availability-under-failure curve: outage length sweeps up,
-        // requeue vs drop-on-crash at each point.
-        let down_fracs: &[f64] = if smoke { &[0.25] } else { &[0.1, 0.25, 0.45] };
-        let mut curve = Vec::new();
-        for &frac in down_fracs {
-            let curve_plan = FaultPlan::new(vec![FaultEvent::crash(
-                0,
-                0.4 * chaos_horizon,
-                frac * chaos_horizon,
-            )]);
-            let mut rq_cfg = cfg.clone();
-            rq_cfg.chaos = Some(curve_plan);
-            let rq = run_chaos_arm(&rq_cfg, RouterKind::ShortestBacklog, &mut ctxs);
-            let mut dr_cfg = rq_cfg.clone();
-            dr_cfg.chaos.as_mut().expect("plan set").retry.max_retries = 0;
-            let dr = run_chaos_arm(&dr_cfg, RouterKind::ShortestBacklog, &mut ctxs);
-            println!(
-                "outage {:>4.0}% of horizon: requeue avail {:>6.2}% goodput {:>7.1}/s  |  drop avail {:>6.2}% goodput {:>7.1}/s",
-                frac * 100.0,
-                rq.availability * 100.0,
-                rq.goodput_hz,
-                dr.availability * 100.0,
-                dr.goodput_hz
-            );
-            curve.push(
-                Json::obj()
-                    .set("down_frac", frac)
-                    .set("requeue", chaos_arm_json(&rq))
-                    .set("drop_on_crash", chaos_arm_json(&dr)),
-            );
-        }
-
-        // A thermal-throttle arm rides along for the artifact (no gate):
-        // the slowest GTX 1080 drops to 60% clocks through the middle
-        // half, and dynamic SGDRC re-prepares its contexts at the scaled
-        // spec.
-        let mut throttle_cfg = cfg.clone();
-        throttle_cfg.chaos = Some(FaultPlan::new(vec![FaultEvent::slowdown(
-            FaultKind::Throttle,
-            2,
-            0.25 * chaos_horizon,
-            0.6,
-            0.5 * chaos_horizon,
-        )]));
-        let throttle = run_chaos_arm(&throttle_cfg, RouterKind::ShortestBacklog, &mut ctxs);
-        println!(
-            "        throttle: avail {:>6.2}%  goodput {:>7.1}/s  SLO {:>5.1}%  (GTX 1080 @60% clocks, no gate)",
-            throttle.availability * 100.0,
-            throttle.goodput_hz,
-            throttle.slo_attainment * 100.0,
-        );
-
-        let goodput_ge_no_be = requeue.goodput_hz >= no_be.goodput_hz;
-        let availability_ge_floor = requeue.availability >= CHAOS_AVAILABILITY_FLOOR;
-        chaos_gate_requeue =
-            requeue.availability > drop.availability && requeue.requests > drop.requests;
-        // The floor and the goodput-parity gates only bind full runs: a
-        // smoke horizon cuts off with a larger in-flight fraction and
-        // gives the tick-granular BE shed too little runway to fully
-        // compensate, both by construction. CI enforces them via a full
-        // `--chaos` run; smoke still gates requeue-beats-drop.
-        chaos_gate_floor = smoke || availability_ge_floor;
-        chaos_gate_no_be = smoke || goodput_ge_no_be;
-        println!(
-            "\nchaos gates: requeue beats drop {} | availability >= {:.0}% {} | SGDRC goodput >= no-BE {}",
-            chaos_gate_requeue,
-            CHAOS_AVAILABILITY_FLOOR * 100.0,
-            chaos_gate_floor,
-            chaos_gate_no_be
-        );
-
-        chaos_json = Json::obj()
-            .set("skipped", false)
-            .set(
-                "scenario",
-                Json::obj()
-                    .set("system", "SGDRC")
-                    .set("router", "shortest_backlog")
-                    .set("horizon_us", chaos_horizon)
-                    .set("plan", plan_json(&plan)),
-            )
-            .set(
-                "arms",
-                Json::obj()
-                    .set("requeue", chaos_arm_json(&requeue))
-                    .set("drop_on_crash", chaos_arm_json(&drop))
-                    .set("no_be_baseline", chaos_arm_json(&no_be))
-                    .set("throttle", chaos_arm_json(&throttle)),
-            )
-            .set("outage_curve", Json::Arr(curve))
-            .set(
-                "gates",
-                Json::obj()
-                    .set("availability_floor", CHAOS_AVAILABILITY_FLOOR)
-                    .set("requeue_beats_drop", chaos_gate_requeue)
-                    .set("requeue_availability_ok", availability_ge_floor)
-                    .set("goodput_ge_no_be_baseline", goodput_ge_no_be)
-                    .set("floor_and_goodput_enforced", !smoke),
-            );
-    }
-
-    // --- elastic: warm-pool autoscaling and self-healing ------------------
-    let elastic_enabled = args.iter().any(|a| a == "--elastic");
-    let (elastic_json, elastic_ok) = if elastic_enabled {
-        run_elastic_bench(smoke, &mut ctxs)
-    } else {
-        (Json::obj().set("skipped", true), true)
-    };
-
-    // --- tiers: tiered SLOs vs tier-blind shedding under overload ---------
-    let tiers_enabled = args.iter().any(|a| a == "--tiers");
-    let (tiers_json, tiers_ok) = if tiers_enabled {
-        run_tiers_bench(smoke, &mut ctxs)
-    } else {
-        (Json::obj().set("skipped", true), true)
-    };
-
-    // --- telemetry: flight recorder contracts + optional trace export -----
-    let trace_path = args
-        .iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let (telemetry_json, telemetry_ok) = run_telemetry_bench(trace_path.as_deref(), &mut ctxs);
+    let chaos_json = run_chaos_bench(&mut ctx);
+    let elastic_json = run_elastic_bench(&mut ctx);
+    let tiers_json = run_tiers_bench(&mut ctx);
+    let (telemetry_json, telemetry_ok) = run_telemetry_bench(trace_path.as_deref(), &mut ctx);
 
     let doc = Json::obj()
         .set("benchmark", "cluster_fleet")
-        .set("smoke", smoke)
         .set(
             "fleet",
             Json::obj()
@@ -1323,7 +1040,7 @@ fn main() {
                     "gpus",
                     Json::Arr(fleet.iter().map(|g| Json::Str(g.name().into())).collect()),
                 )
-                .set("horizon_us", horizon_us)
+                .set("horizon_us", HEADLINE_HORIZON_US)
                 .set("per_service_trace_scale", 5.5)
                 .set(
                     "trace",
@@ -1345,16 +1062,6 @@ fn main() {
                 ),
         )
         .set("systems", systems_json)
-        .set(
-            "routing_gate",
-            Json::obj()
-                .set("system", "SGDRC")
-                .set("round_robin_p99_us", rr)
-                .set("best_load_aware_p99_us", best_alt)
-                .set("p99_improvement", rr / best_alt)
-                .set("load_aware_beats_round_robin", best_alt < rr),
-        )
-        .set("scaling", scaling_json)
         .set("scale_out", scale_out_json)
         .set("chaos", chaos_json)
         .set("elastic", elastic_json)
@@ -1363,49 +1070,166 @@ fn main() {
     std::fs::write("BENCH_cluster.json", doc.pretty()).expect("write BENCH_cluster.json");
     println!("wrote BENCH_cluster.json");
 
-    // Chaos resilience gates run in smoke mode too (CI's
-    // `--smoke --chaos` step): the scenario is deterministic, so a pass
-    // is a pass at any horizon. Only the absolute availability floor is
-    // full-run-only (handled where the gate is computed).
-    if chaos_enabled && !(chaos_gate_requeue && chaos_gate_floor && chaos_gate_no_be) {
-        eprintln!(
-            "WARNING: chaos resilience gate failed (requeue_beats_drop={chaos_gate_requeue}, availability_ok={chaos_gate_floor}, goodput_ge_no_be={chaos_gate_no_be})"
-        );
-        std::process::exit(1);
-    }
-    // Scale-out gates: the streaming memory bound binds in smoke too; the
-    // 10M-request headline only runs (and only gates) on full runs —
-    // both decided inside `run_scale_out`.
-    if scale_out_enabled && !scale_out_ok {
-        eprintln!("WARNING: scale-out gate failed (see scale_out section of BENCH_cluster.json)");
-        std::process::exit(1);
-    }
-    // Elastic gates: the healing-beats-hole check binds in smoke too (a
-    // deterministic scenario); the cost-vs-SLO frontier gates only full
-    // runs — decided inside `run_elastic_bench`.
-    if elastic_enabled && !elastic_ok {
-        eprintln!("WARNING: elastic gate failed (see elastic section of BENCH_cluster.json)");
-        std::process::exit(1);
-    }
-    // Tiered-SLO gates: both (weighted goodput beats tier-blind, tier-1
-    // availability holds the no-BE floor) are deterministic scenarios,
-    // so they bind in smoke too.
-    if tiers_enabled && !tiers_ok {
-        eprintln!("WARNING: tiered-SLO gate failed (see tiers section of BENCH_cluster.json)");
-        std::process::exit(1);
-    }
-    // Telemetry gate: bit-identity is hard-asserted inside the section;
-    // the ≤5% recorder overhead binds in every mode (the scenario is
-    // smoke-scale by construction; the minimum of 7 interleaved off/on
-    // pairs damps scheduler noise).
     if !telemetry_ok {
         eprintln!("WARNING: flight recorder overhead exceeded 5% (see telemetry section)");
         std::process::exit(1);
     }
-    if !smoke && best_alt >= rr {
-        eprintln!(
-            "WARNING: load-aware routing ({best_alt:.0}µs) did not beat round-robin ({rr:.0}µs) on fleet p99"
-        );
+    if !scale_out_ok {
+        eprintln!("WARNING: 512-replica headline retained completions or injected <10M arrivals");
         std::process::exit(1);
+    }
+}
+
+/// The fleet's deterministic claims, each at its section's horizon.
+/// Release-only, like the workload suites' long horizons: debug builds
+/// run the fleet clock's oracles on every event.
+#[cfg(all(test, not(debug_assertions)))]
+mod claims {
+    use super::*;
+    use sgdrc_bench::trace_export::validate_trace;
+
+    fn run_sb(cfg: &ClusterConfig, ctx: &mut ClusterCtx) -> ClusterResult {
+        run(&cfg.prepare(), RouterKind::ShortestBacklog, ctx).0
+    }
+
+    /// On the heterogeneous headline fleet, SGDRC's best load-aware
+    /// router beats round-robin on fleet p99.
+    #[test]
+    fn load_aware_routing_beats_round_robin_on_p99() {
+        let prep = headline_cfg(HEADLINE_HORIZON_US).prepare();
+        let mut ctx = ClusterCtx::new();
+        let mut p99 = |kind| run(&prep, kind, &mut ctx).0.fleet_percentile(99.0);
+        let rr = p99(RouterKind::RoundRobin);
+        let best = RouterKind::all()
+            .into_iter()
+            .filter(|&k| k != RouterKind::RoundRobin)
+            .map(p99)
+            .fold(f64::INFINITY, f64::min);
+        assert!(
+            best < rr,
+            "best load-aware p99 {best:.0}µs vs round-robin {rr:.0}µs"
+        );
+    }
+
+    /// Through the midpoint crash, requeueing delivers more than
+    /// dropping, keeps availability at or above 90%, and SGDRC with BE
+    /// co-located loses no LS goodput against the no-BE fleet.
+    #[test]
+    fn requeue_rides_out_a_crash_and_be_costs_no_goodput() {
+        let mut ctx = ClusterCtx::new();
+        let cfg = chaos_cfg();
+        let requeue = run_sb(&cfg, &mut ctx);
+        let drop = run_sb(&drop_on_crash(cfg.clone()), &mut ctx);
+        let no_be = run_sb(&without_be(cfg), &mut ctx);
+        let (rq_avail, dr_avail) = (availability(&requeue), availability(&drop));
+        assert!(
+            rq_avail > dr_avail && requeue.requests > drop.requests,
+            "requeue avail {rq_avail} / {} served vs drop {dr_avail} / {}",
+            requeue.requests,
+            drop.requests
+        );
+        assert!(rq_avail >= 0.90, "requeue availability {rq_avail} < 0.90");
+        assert!(
+            requeue.goodput_hz >= no_be.goodput_hz,
+            "goodput {} < no-BE {}",
+            requeue.goodput_hz,
+            no_be.goodput_hz
+        );
+    }
+
+    /// The threshold autoscaler holds SLO attainment within 3 pp of the
+    /// static peak fleet while billing at least 5% fewer replica-seconds.
+    #[test]
+    fn autoscaler_holds_slo_on_fewer_replica_seconds() {
+        let mut ctx = ClusterCtx::new();
+        let (static_cfg, auto_cfg) = frontier_arms();
+        let stat = run_sb(&static_cfg, &mut ctx);
+        let auto = run_sb(&auto_cfg, &mut ctx);
+        assert!(
+            auto.slo_attainment() >= stat.slo_attainment() - 0.03,
+            "autoscaled SLO {} vs static {}",
+            auto.slo_attainment(),
+            stat.slo_attainment()
+        );
+        assert!(
+            auto.replica_seconds <= 0.95 * stat.replica_seconds,
+            "autoscaled {} replica-s vs static {}",
+            auto.replica_seconds,
+            stat.replica_seconds
+        );
+    }
+
+    /// Replacing a permanently dead replica from the warm pool delivers
+    /// more than leaving the hole.
+    #[test]
+    fn self_healing_beats_the_hole() {
+        let mut ctx = ClusterCtx::new();
+        let (hole_cfg, heal_cfg) = replacement_arms();
+        let hole = run_sb(&hole_cfg, &mut ctx);
+        let heal = run_sb(&heal_cfg, &mut ctx);
+        assert!(heal.replacements >= 1, "no replacement fired");
+        assert!(
+            availability(&heal) > availability(&hole),
+            "healing avail {} vs hole {}",
+            availability(&heal),
+            availability(&hole)
+        );
+    }
+
+    /// Past capacity, tiered admission beats tier-blind shedding on
+    /// weighted goodput without giving up tier-1 availability against
+    /// the no-BE fleet, and every tier ledger is conserved.
+    #[test]
+    fn tiers_beat_tier_blind_and_hold_tier1() {
+        let mut ctx = ClusterCtx::new();
+        let (tiered_cfg, blind_cfg, no_be_cfg) = tiers_arms();
+        let tiers = tiered_cfg.tiers.clone().expect("tiered arm");
+        let tiered = run_sb(&tiered_cfg, &mut ctx);
+        let blind = run_sb(&blind_cfg, &mut ctx);
+        let no_be = run_sb(&no_be_cfg, &mut ctx);
+        assert!(!tiered.tier_outcomes.is_empty());
+        for o in &tiered.tier_outcomes {
+            o.assert_conserved();
+        }
+        let (wg_tiered, wg_blind) = (
+            weighted_goodput_hz(&tiered, &tiers),
+            weighted_goodput_hz(&blind, &tiers),
+        );
+        assert!(
+            wg_tiered > wg_blind,
+            "weighted goodput {wg_tiered} vs tier-blind {wg_blind}"
+        );
+        assert!(
+            tier1_availability(&tiered) >= tier1_availability(&no_be),
+            "tier-1 availability {} vs no-BE {}",
+            tier1_availability(&tiered),
+            tier1_availability(&no_be)
+        );
+    }
+
+    /// A 256-replica streaming fleet retains no completion record over
+    /// the scale-out curve's horizon.
+    #[test]
+    fn streaming_retains_no_completion_at_256_replicas() {
+        let r = run_sb(&scale_cfg(256, CURVE_HORIZON_US), &mut ClusterCtx::new());
+        assert!(r.requests > 0);
+        assert_eq!(r.retained_completions, 0);
+    }
+
+    /// The recorder observes without steering the telemetry scenario,
+    /// and its Perfetto export is a well-formed trace and valid JSON.
+    #[test]
+    fn recorded_run_is_invisible_and_exports_a_valid_trace() {
+        let mut ctx = ClusterCtx::new();
+        let on_cfg = telemetry_cfg();
+        let mut off_cfg = on_cfg.clone();
+        off_cfg.telemetry = None;
+        let on = run_sb(&on_cfg, &mut ctx);
+        let mut stripped = on.clone();
+        stripped.telemetry = None;
+        assert_eq!(stripped, run_sb(&off_cfg, &mut ctx));
+        let doc = perfetto_trace(&on).expect("recorder-on run carries telemetry");
+        validate_trace(&doc).expect("exported trace is well-formed");
+        sgdrc_bench::json::validate(&doc.pretty()).expect("exported trace is valid JSON");
     }
 }

@@ -103,7 +103,7 @@
 use crate::chaos::{FaultOp, FaultPlan, RetryConfig, ScheduledFault};
 use crate::elastic::{
     provision_delay, ElasticConfig, FleetSignals, ScaleCause, ScaleEvent, ScaleEventKind,
-    ScalingPolicy, ScalingPolicyKind, WarmPoolConfig,
+    ScalingPolicyKind, WarmPoolConfig,
 };
 use crate::metrics::{slo_for, LatencyHistogram};
 use crate::runner::Deployment;
@@ -193,7 +193,7 @@ pub struct ClusterConfig {
     /// ticks bound the retained window.
     pub streaming: bool,
     /// Elastic fleet membership: a warm pool of pre-prepared lanes, a
-    /// [`ScalingPolicy`] evaluated at every controller tick, SLO-breach
+    /// [`ScalingPolicyKind`] evaluated at every controller tick, SLO-breach
     /// draining and crash replacement (see [`crate::elastic`]). `None`
     /// runs the same machinery over an inert config — no warm lanes,
     /// the `Hold` policy, breach draining and replacement off — which
@@ -1620,13 +1620,12 @@ enum LaneState {
 
 /// The fleet clock's elastic runtime: per-lane lifecycle state, the
 /// provisioning schedule (whose min is the clock's *scale* decision
-/// point), cooldown/breach bookkeeping, and membership accounting.
-/// Built from [`PreparedCluster`]'s elastic config — the attached one,
-/// or the inert one (no warm lanes, `Hold`, breach draining and
-/// replacement off) under which every lane stays `Active` and
-/// `next_ready_us` infinite.
+/// point), cooldown/breach bookkeeping, and membership accounting. The
+/// policy, bounds and cooldowns stay in [`PreparedCluster`]'s elastic
+/// config — the attached one, or the inert one (no warm lanes, `Hold`,
+/// breach draining and replacement off) under which every lane stays
+/// `Active` and `next_ready_us` infinite.
 struct ElasticRt {
-    policy: Box<dyn ScalingPolicy>,
     state: Vec<LaneState>,
     /// Activation instant of each lane's membership stint (0 for
     /// configured lanes).
@@ -1664,13 +1663,12 @@ struct ElasticRt {
 }
 
 impl ElasticRt {
-    fn new(elastic: &ElasticConfig, n: usize, n_init: usize) -> Self {
+    fn new(n: usize, n_init: usize) -> Self {
         let mut state = vec![LaneState::Active; n];
         for s in state.iter_mut().skip(n_init) {
             *s = LaneState::Warm;
         }
         Self {
-            policy: elastic.policy.make(),
             state,
             activated_at: vec![0.0; n],
             active_us: vec![0.0; n],
@@ -1987,7 +1985,7 @@ impl<'a> RunState<'a> {
             migrations: Vec::new(),
             chaos,
             tiers,
-            elastic: ElasticRt::new(&prep.elastic, n, n_init),
+            elastic: ElasticRt::new(n, n_init),
             tel,
             arrivals: ArrivalStream::new(&cfg.trace, n_ls, cfg.horizon_us, cfg.seed),
             next_tick: if period > 0.0 { period } else { f64::INFINITY },
@@ -2659,7 +2657,7 @@ impl<'a> RunState<'a> {
             backlog_per_active: backlog_sum as f64 / active.max(1) as f64,
         };
         ert.prev_arrivals = self.arrivals_injected;
-        let desired = ert
+        let desired = e
             .policy
             .desired_replicas(&signals)
             .clamp(e.min_replicas, e.max_replicas);

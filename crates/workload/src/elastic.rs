@@ -1,6 +1,6 @@
 //! # elastic — warm-pool autoscaling and self-healing fleet membership
 //!
-//! The capacity layer on top of the fleet clock: a [`ScalingPolicy`]
+//! The capacity layer on top of the fleet clock: a [`ScalingPolicyKind`]
 //! reads fleet-wide windowed signals ([`FleetSignals`]) at every
 //! controller tick and returns a desired Active-replica count. The
 //! cluster runtime turns the delta into lane lifecycle transitions —
@@ -52,7 +52,7 @@ impl WarmPoolConfig {
     }
 }
 
-/// Fleet-wide windowed signals handed to [`ScalingPolicy::desired_replicas`]
+/// Fleet-wide windowed signals handed to [`ScalingPolicyKind::desired_replicas`]
 /// at each controller tick. All latency/goodput figures cover the tick
 /// window just closed, not the whole run.
 #[derive(Debug, Clone, Copy)]
@@ -114,33 +114,6 @@ pub struct ScaleEvent {
     pub kind: ScaleEventKind,
 }
 
-/// A capacity policy: pure function of the windowed fleet signals to a
-/// desired Active-lane count. The runtime clamps the answer to
-/// `[min_replicas, max_replicas]`, applies cooldowns, and turns the
-/// delta into provision/drain actions. Implementations must be
-/// deterministic — a learned elasticity agent plugs in here later.
-pub trait ScalingPolicy: Send {
-    fn name(&self) -> &'static str;
-    /// Desired number of Active lanes. `signals.active + signals.provisioning`
-    /// is the capacity already committed.
-    fn desired_replicas(&self, signals: &FleetSignals) -> usize;
-}
-
-/// Never changes capacity — the no-op policy used for bit-identity
-/// baselines (min == max == initial must reproduce the pre-elastic
-/// simulator exactly).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HoldPolicy;
-
-impl ScalingPolicy for HoldPolicy {
-    fn name(&self) -> &'static str {
-        "hold"
-    }
-    fn desired_replicas(&self, signals: &FleetSignals) -> usize {
-        signals.active + signals.provisioning
-    }
-}
-
 /// Threshold rules: scale up by `step` when the windowed p99/SLO ratio
 /// or the per-lane backlog crosses the up thresholds, scale down by
 /// `step` when both sit below the down thresholds. Asymmetric
@@ -172,41 +145,39 @@ impl Default for ThresholdPolicy {
     }
 }
 
-impl ScalingPolicy for ThresholdPolicy {
-    fn name(&self) -> &'static str {
-        "threshold"
-    }
-    fn desired_replicas(&self, s: &FleetSignals) -> usize {
-        let committed = s.active + s.provisioning;
-        let pressed = s.window_p99_ratio > self.up_ratio || s.backlog_per_active > self.up_backlog;
-        let idle = s.window_p99_ratio < self.down_ratio
-            && s.backlog_per_active < self.down_backlog
-            && s.window_completions > 0;
-        if pressed {
-            committed + self.step
-        } else if idle {
-            committed.saturating_sub(self.step)
-        } else {
-            committed
-        }
-    }
-}
-
-/// Config-level policy selector (the trait object is built per run so
-/// [`ElasticConfig`] stays `Clone`).
+/// A capacity policy: a pure function of the windowed fleet signals to
+/// a desired Active-lane count. The runtime clamps the answer to
+/// `[min_replicas, max_replicas]`, applies cooldowns, and turns the
+/// delta into provision/drain actions.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ScalingPolicyKind {
+    /// Never changes capacity: the inert config's policy, and the
+    /// crash-replacement arm's (capacity-neutral replacement only).
     Hold,
     Threshold(ThresholdPolicy),
 }
 
 impl ScalingPolicyKind {
-    pub fn make(&self) -> Box<dyn ScalingPolicy> {
-        match self {
-            ScalingPolicyKind::Hold => Box::new(HoldPolicy),
-            ScalingPolicyKind::Threshold(p) => Box::new(*p),
+    /// Desired number of Active lanes. `signals.active +
+    /// signals.provisioning` is the capacity already committed.
+    pub fn desired_replicas(&self, s: &FleetSignals) -> usize {
+        let committed = s.active + s.provisioning;
+        let ScalingPolicyKind::Threshold(p) = self else {
+            return committed;
+        };
+        let pressed = s.window_p99_ratio > p.up_ratio || s.backlog_per_active > p.up_backlog;
+        let idle = s.window_p99_ratio < p.down_ratio
+            && s.backlog_per_active < p.down_backlog
+            && s.window_completions > 0;
+        if pressed {
+            committed + p.step
+        } else if idle {
+            committed.saturating_sub(p.step)
+        } else {
+            committed
         }
     }
+
     pub fn name(&self) -> &'static str {
         match self {
             ScalingPolicyKind::Hold => "hold",
@@ -333,14 +304,14 @@ mod tests {
     fn hold_never_moves() {
         let mut s = sig();
         s.window_p99_ratio = 10.0;
-        assert_eq!(HoldPolicy.desired_replicas(&s), 4);
+        assert_eq!(ScalingPolicyKind::Hold.desired_replicas(&s), 4);
         s.provisioning = 2;
-        assert_eq!(HoldPolicy.desired_replicas(&s), 6);
+        assert_eq!(ScalingPolicyKind::Hold.desired_replicas(&s), 6);
     }
 
     #[test]
     fn threshold_scales_on_pressure_and_idles_down() {
-        let p = ThresholdPolicy::default();
+        let p = ScalingPolicyKind::Threshold(ThresholdPolicy::default());
         let mut s = sig();
         assert_eq!(p.desired_replicas(&s), 4, "in the hysteresis band");
         s.window_p99_ratio = 1.2;

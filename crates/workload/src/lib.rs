@@ -31,8 +31,8 @@ pub use cluster::{
     RoutingPolicy, SloAwarePowerOfTwo,
 };
 pub use elastic::{
-    ElasticConfig, FleetSignals, HoldPolicy, ScaleCause, ScaleEvent, ScaleEventKind, ScalingPolicy,
-    ScalingPolicyKind, ThresholdPolicy, WarmPoolConfig,
+    ElasticConfig, FleetSignals, ScaleCause, ScaleEvent, ScaleEventKind, ScalingPolicyKind,
+    ThresholdPolicy, WarmPoolConfig,
 };
 pub use metrics::{ls_metrics, percentile, slo_for, LatencyHistogram, LsMetrics, SystemResult};
 pub use runner::{run_cell, run_system, Deployment, EndToEndConfig, Load, SystemKind};
