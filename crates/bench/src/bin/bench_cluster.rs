@@ -334,17 +334,15 @@ fn chaos_arm_json(r: &ClusterResult, wall_s: f64) -> Json {
 
 /// Serializes a `FaultPlan` so any run can be replayed from the bench
 /// JSON: rebuild the events with `FaultEvent::crash`/`::slowdown` (or
-/// struct literals), restore `retry`/`heartbeat_timeout_us`, and pass
-/// the plan through `ClusterConfig::chaos`.
+/// struct literals), restore `retry` and `degradation`, and pass the
+/// plan through `ClusterConfig::chaos`. The heartbeat, backoff and
+/// deadline timings are the `workload::chaos` constants
+/// (`HEARTBEAT_TIMEOUT_US`, `RETRY_BACKOFF_US`, `REQUEST_DEADLINE_US`).
 fn plan_json(plan: &FaultPlan) -> Json {
     Json::obj()
-        .set("heartbeat_timeout_us", plan.heartbeat_timeout_us)
         .set(
             "retry",
-            Json::obj()
-                .set("backoff_us", plan.retry.backoff_us)
-                .set("max_retries", plan.retry.max_retries as u64)
-                .set("timeout_us", plan.retry.timeout_us),
+            Json::obj().set("max_retries", plan.retry.max_retries as u64),
         )
         .set(
             "degradation",
@@ -491,7 +489,6 @@ fn elastic_arm_json(r: &ClusterResult, wall_s: f64) -> Json {
             Json::obj()
                 .set("scale_events", r.scale_events.len())
                 .set("provisions_load", count_cause(ScaleCause::Load))
-                .set("provisions_slo_breach", count_cause(ScaleCause::SloBreach))
                 .set(
                     "provisions_crash_replace",
                     count_cause(ScaleCause::CrashReplace),

@@ -25,7 +25,7 @@ fn scale_kind_name(kind: &ScaleEventKind) -> &'static str {
     match kind {
         ScaleEventKind::Provision { .. } => "provision",
         ScaleEventKind::Activate => "activate",
-        ScaleEventKind::DrainStart { .. } => "drain_start",
+        ScaleEventKind::DrainStart => "drain_start",
         ScaleEventKind::CancelProvision => "cancel_provision",
         ScaleEventKind::Retire => "retire",
     }

@@ -2,10 +2,12 @@
 //!
 //! A [`FaultPlan`] is a replayable scenario spec: a sorted list of
 //! [`FaultEvent`]s (replica crashes, transient stalls, stragglers,
-//! thermal throttling — each with an optional recovery), plus the
-//! retry/timeout policy the router applies to requests orphaned by a
-//! crash and the backlog at which a fleet without a tier map parks BE
-//! work under overload.
+//! thermal throttling — each with an optional recovery), plus the retry
+//! budget the router applies to requests orphaned by a crash and the
+//! backlog at which a fleet without a tier map parks BE work under
+//! overload. The health, backoff and deadline timings are fixed:
+//! [`HEARTBEAT_TIMEOUT_US`], [`RETRY_BACKOFF_US`] and
+//! [`REQUEST_DEADLINE_US`].
 //!
 //! Everything is data: the same plan against the same
 //! [`ClusterConfig`](crate::cluster::ClusterConfig) replays to a
@@ -17,6 +19,25 @@
 //! JSON) or are built by hand from [`FaultEvent`] constructors.
 
 use crate::seed::splitmix64;
+
+/// A replica whose last heartbeat is older than this (µs) is unhealthy
+/// in the router's [`ReplicaView`](crate::cluster::ReplicaView). Alive
+/// replicas heartbeat at every fleet-clock decision point, so only dead
+/// replicas age — but a freshly crashed one keeps looking healthy for
+/// up to this long, and requests routed at it in that window go through
+/// the retry path (which is the point: routers must not be told who
+/// died, they must observe staleness).
+pub const HEARTBEAT_TIMEOUT_US: f64 = 10_000.0;
+
+/// Base re-dispatch delay (µs): retry attempt `k` waits `k ×` this
+/// (linear backoff, so the schedule stays replayable arithmetic).
+pub const RETRY_BACKOFF_US: f64 = 2_000.0;
+
+/// A request older than this (µs, measured from its *original*
+/// arrival) is dropped instead of being re-dispatched or released from
+/// a tier admission queue — it has long since blown its SLO and only
+/// adds load.
+pub const REQUEST_DEADLINE_US: f64 = 250_000.0;
 
 /// What kind of fault strikes a replica.
 ///
@@ -104,28 +125,18 @@ impl FaultEvent {
 }
 
 /// How the router treats requests orphaned by a crash (and arrivals that
-/// find no healthy replica).
+/// find no healthy replica): re-dispatch after [`RETRY_BACKOFF_US`] ×
+/// attempt, until the budget or [`REQUEST_DEADLINE_US`] runs out.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetryConfig {
-    /// Base re-dispatch delay; attempt `k` waits `k × backoff_us` (linear
-    /// backoff, so the schedule stays replayable arithmetic).
-    pub backoff_us: f64,
     /// Re-dispatch attempts before the request is given up as dropped.
     /// 0 = drop-on-crash (the bench's ablation arm).
     pub max_retries: u32,
-    /// A request older than this (measured from its *original* arrival)
-    /// is dropped instead of re-dispatched — it has long since blown its
-    /// SLO and only adds load.
-    pub timeout_us: f64,
 }
 
 impl Default for RetryConfig {
     fn default() -> Self {
-        Self {
-            backoff_us: 2_000.0,
-            max_retries: 4,
-            timeout_us: 250_000.0,
-        }
+        Self { max_retries: 4 }
     }
 }
 
@@ -162,14 +173,6 @@ pub struct FaultPlan {
     pub events: Vec<FaultEvent>,
     pub retry: RetryConfig,
     pub degradation: DegradationConfig,
-    /// A replica whose last heartbeat is older than this is unhealthy in
-    /// the router's [`ReplicaView`](crate::cluster::ReplicaView). Alive
-    /// replicas heartbeat at every fleet-clock decision point, so only
-    /// dead replicas age — but a freshly crashed one keeps looking
-    /// healthy for up to this long, and requests routed at it in that
-    /// window go through the retry path (which is the point: routers
-    /// must not be told who died, they must observe staleness).
-    pub heartbeat_timeout_us: f64,
 }
 
 impl FaultPlan {
@@ -180,7 +183,6 @@ impl FaultPlan {
             events,
             retry: RetryConfig::default(),
             degradation: DegradationConfig::default(),
-            heartbeat_timeout_us: 10_000.0,
         }
     }
 

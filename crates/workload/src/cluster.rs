@@ -100,7 +100,10 @@
 //!   O(replicas) for any horizon. Aggregate results are identical to
 //!   the retained mode (`tests/cluster_streaming.rs`).
 
-use crate::chaos::{FaultOp, FaultPlan, RetryConfig, ScheduledFault};
+use crate::chaos::{
+    FaultOp, FaultPlan, RetryConfig, ScheduledFault, HEARTBEAT_TIMEOUT_US, REQUEST_DEADLINE_US,
+    RETRY_BACKOFF_US,
+};
 use crate::elastic::{
     provision_delay, ElasticConfig, FleetSignals, ScaleCause, ScaleEvent, ScaleEventKind,
     ScalingPolicyKind, WarmPoolConfig,
@@ -125,8 +128,9 @@ use std::time::Instant;
 /// Fleet-controller tunables.
 #[derive(Debug, Clone)]
 pub struct ControllerConfig {
-    /// Rebalance tick period (µs); 0 disables the controller entirely
-    /// (no windowed-p99 snapshots, no migrations).
+    /// Controller tick period (µs); must be > 0. Every tick snapshots
+    /// the windowed p99s and runs the elastic, migration and brownout
+    /// steps.
     pub period_us: f64,
     /// A replica whose windowed p99/SLO ratio exceeds this is overloaded
     /// — a migration source (1.0 = the SLO itself).
@@ -172,14 +176,15 @@ pub struct ClusterConfig {
     /// already hosting that model — at most one instance of a model per
     /// replica).
     pub be_jobs: Vec<usize>,
+    /// The fleet controller; every fleet ticks it (`period_us > 0`).
     pub controller: ControllerConfig,
     /// Policy tuning for SGDRC replicas.
     pub sgdrc: SgdrcConfig,
     /// Optional fault-injection scenario. `None` runs the same clock
-    /// with an empty fault timeline and an infinite heartbeat timeout,
-    /// so no lane fails or looks unhealthy; `Some` interleaves the
-    /// plan's crash/recovery/slowdown timeline with the router and
-    /// controller decisions (see [`crate::chaos`]).
+    /// with an empty fault timeline, so no lane fails or looks
+    /// unhealthy; `Some` interleaves the plan's crash/recovery/slowdown
+    /// timeline with the router and controller decisions (see
+    /// [`crate::chaos`]).
     pub chaos: Option<FaultPlan>,
     /// Long-horizon streaming mode: per-replica completion logs are
     /// folded into the sketches at every controller tick and then
@@ -189,15 +194,14 @@ pub struct ClusterConfig {
     /// Aggregate results (fleet sketch, counters, goodput, SLO
     /// attainment) are identical to the retained mode; only the
     /// per-request `ls_completed` logs in [`ReplicaSummary::stats`] are
-    /// absent. Requires a running controller (`period_us > 0`), whose
-    /// ticks bound the retained window.
+    /// absent. The controller's ticks bound the retained window.
     pub streaming: bool,
     /// Elastic fleet membership: a warm pool of pre-prepared lanes, a
-    /// [`ScalingPolicyKind`] evaluated at every controller tick, SLO-breach
-    /// draining and crash replacement (see [`crate::elastic`]). `None`
-    /// runs the same machinery over an inert config — no warm lanes,
-    /// the `Hold` policy, breach draining and replacement off — which
-    /// freezes membership at config time, as does any no-op config.
+    /// [`ScalingPolicyKind`] evaluated at every controller tick, and
+    /// crash replacement (see [`crate::elastic`]). `None` runs the same
+    /// machinery over an inert config — no warm lanes, the `Hold`
+    /// policy, replacement off — which freezes membership at config
+    /// time, as does any no-op config.
     pub elastic: Option<ElasticConfig>,
     /// The flight recorder (see [`crate::telemetry`]): per-lane event
     /// rings, tick-sampled metric series and clock phase profiling,
@@ -208,7 +212,7 @@ pub struct ClusterConfig {
     pub telemetry: Option<TelemetryConfig>,
     /// Tiered SLOs (see [`crate::tiers`]): one [`crate::tiers::TierConfig`]
     /// per LS service driving admission control, the brownout ladder in
-    /// `brownout()`, per-tier retry budgets/deadlines, tier-aware router
+    /// `brownout()`, per-tier retry budgets, tier-aware router
     /// tie-breaking and weighted goodput. `None` (the default) runs the
     /// same machinery over [`TiersConfig::tier_blind`] — one Guaranteed
     /// tier mirroring the fault plan's retry policy, whose ladder only
@@ -252,9 +256,13 @@ impl ClusterConfig {
     pub fn prepare(&self) -> PreparedCluster {
         let n_init = self.gpus.len();
         assert!(n_init > 0, "a fleet needs at least one replica");
+        assert!(
+            self.controller.period_us > 0.0,
+            "controller period_us must be > 0 (got {})",
+            self.controller.period_us
+        );
         // Every fleet runs an elastic config: the attached one, or the
-        // inert one (no warm lanes, `Hold`, breach draining and
-        // replacement off).
+        // inert one (no warm lanes, `Hold`, replacement off).
         let elastic = self.elastic.clone().unwrap_or_else(|| {
             ElasticConfig::new(WarmPoolConfig::new(vec![]), ScalingPolicyKind::Hold)
         });
@@ -269,7 +277,7 @@ impl ClusterConfig {
             .copied()
             .collect();
         let n = lane_gpus.len();
-        elastic.validate(n_init, n);
+        elastic.validate(n_init);
         if let Some(plan) = &self.chaos {
             plan.validate_targets(n_init, n);
         }
@@ -383,11 +391,6 @@ impl ClusterConfig {
             })
             .collect();
 
-        assert!(
-            !self.streaming || self.controller.period_us > 0.0,
-            "streaming mode needs controller ticks to bound the retained window"
-        );
-
         PreparedCluster {
             cfg: self.clone(),
             deps,
@@ -466,27 +469,24 @@ impl PreparedCluster {
 /// always in replica-index order.
 ///
 /// The fleet clock maintains these *incrementally* — backlog patched
-/// by every lane refresh, ratio/residency re-derived at controller
-/// ticks and fault instants, health re-evaluated per decision instant
-/// only while some lane is down — so a routing decision costs O(1) in
-/// fleet size instead of an O(replicas) rebuild (debug builds compare
-/// the incremental views against a fresh rebuild at every decision).
+/// by every lane refresh, ratio re-derived at controller ticks and
+/// fault instants, health re-evaluated per decision instant only while
+/// some lane is down — so a routing decision costs O(1) in fleet size
+/// instead of an O(replicas) rebuild (debug builds compare the
+/// incremental views against a fresh rebuild at every decision).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplicaView {
-    pub gpu: GpuModel,
     /// LS requests admitted or waiting on this replica (O(1) counter).
     pub backlog: usize,
     /// The replica's windowed p99-to-SLO ratio as of the last controller
-    /// tick (0 until the first tick, or with the controller off).
+    /// tick (0 until the first tick).
     pub window_p99_ratio: f64,
-    /// BE jobs currently resident.
-    pub resident_be: usize,
-    /// Health as the router sees it: heartbeat staleness within the
-    /// fault plan's timeout. Always `true` without a fault plan. Note a
-    /// freshly crashed replica still *looks* healthy until its heartbeat
-    /// ages out — routers are not told who died, they observe staleness,
-    /// and requests routed at a dead-but-fresh replica bounce through
-    /// the retry path.
+    /// Health as the router sees it: heartbeat staleness within
+    /// [`HEARTBEAT_TIMEOUT_US`]. Always `true` without a fault plan.
+    /// Note a freshly crashed replica still *looks* healthy until its
+    /// heartbeat ages out — routers are not told who died, they observe
+    /// staleness, and requests routed at a dead-but-fresh replica bounce
+    /// through the retry path.
     pub healthy: bool,
 }
 
@@ -789,8 +789,8 @@ pub struct ClusterResult {
     pub requeued: u64,
     /// Successful re-dispatches of requeued requests.
     pub retries: u64,
-    /// Requests dropped after exhausting their retry budget or the
-    /// retry timeout.
+    /// Requests dropped after exhausting their retry budget or passing
+    /// [`REQUEST_DEADLINE_US`].
     pub timeout_drops: u64,
     /// Pending LS requests shed by the brownout ladder (only a tier map
     /// with non-Guaranteed tiers sheds).
@@ -831,7 +831,7 @@ pub struct ClusterResult {
     /// Σ provisioning delay paid by satisfied demands (µs) — the
     /// cold-start latency attribution.
     pub provision_delay_total_us: f64,
-    /// Graceful drains begun (scale-down + SLO-breach).
+    /// Graceful drains begun (scale-down).
     pub drains_started: u64,
     /// Drained lanes that fully quiesced and retired within the horizon.
     pub drains_completed: u64,
@@ -855,13 +855,11 @@ pub struct ClusterResult {
     pub arrivals_by_task: Vec<u64>,
     /// Completions per LS service.
     pub completed_by_task: Vec<u64>,
-    /// Completions per LS service that met the replica SLO *and* the
-    /// service's soft deadline. Without a tier config the deadline is
-    /// `INFINITY`, so this is the per-service slice of `slo_met`.
+    /// Completions per LS service that met the replica SLO: the
+    /// per-service slice of `slo_met`.
     pub slo_met_by_task: Vec<u64>,
-    /// Σ tier-weight × deadline-aware on-SLO completions per second.
-    /// Without a tier config every weight is 1.0 and this equals
-    /// `goodput_hz`.
+    /// Σ tier-weight × on-SLO completions per second. Without a tier
+    /// config every weight is 1.0 and this equals `goodput_hz`.
     pub weighted_goodput_hz: f64,
     /// Per-tier ledgers, ascending by tier id (empty without a tier
     /// config); each satisfies the per-tier conservation identity.
@@ -952,8 +950,7 @@ struct LaneCell<'s> {
     /// Completions per LS service (tier attribution; summed fleet-wide
     /// into [`ClusterResult::completed_by_task`]).
     done_by_task: Vec<u64>,
-    /// Completions per LS service that met the replica SLO *and* the
-    /// service's soft deadline (`INFINITY` without a tier config).
+    /// Completions per LS service that met the replica SLO.
     met_by_task: Vec<u64>,
 }
 
@@ -1011,14 +1008,7 @@ impl<'s> LaneCell<'s> {
     /// mode the drained records are discarded immediately (capacity
     /// retained), so a controller tick bounds each replica's completion
     /// log at one window.
-    fn drain(
-        &mut self,
-        slos: &[f64],
-        soft: &[f64],
-        streaming: bool,
-        lane: u32,
-        tel: &mut TelemetryRt,
-    ) {
+    fn drain(&mut self, slos: &[f64], streaming: bool, lane: u32, tel: &mut TelemetryRt) {
         let stats = &mut self.sim.state_mut().stats;
         for t in 0..slos.len() {
             let done = &mut stats.ls_completed[t];
@@ -1030,9 +1020,7 @@ impl<'s> LaneCell<'s> {
                 self.done_by_task[t] += 1;
                 if ok {
                     self.slo_met += 1;
-                    if lat <= soft[t] {
-                        self.met_by_task[t] += 1;
-                    }
+                    self.met_by_task[t] += 1;
                 }
                 if tel.is_on() {
                     tel.record(
@@ -1085,8 +1073,6 @@ struct Fleet<'s> {
     /// are never advanced, excluded from controller decisions, and
     /// bounce injected requests into the retry queue.
     alive: Vec<bool>,
-    /// GPU model per lane (`PreparedCluster::lane_gpus`).
-    gpus: &'s [GpuModel],
     /// Lanes the clock may owe work: Active or Draining members.
     /// Warm, provisioning and retired lanes are frozen — their
     /// `next_at` is `INFINITY` regardless of policy timers, so the
@@ -1108,12 +1094,11 @@ struct Fleet<'s> {
     lane_slot: Vec<u32>,
     /// Router-facing snapshot of the *routable* lanes, in ascending
     /// lane order (slot `s` is lane `view_lane[s]`), kept incremental:
-    /// backlogs patched by every [`refresh`](Self::refresh),
-    /// ratio/residency re-derived by
-    /// [`rebuild_views`](Self::rebuild_views) at controller ticks and
-    /// fault instants, health re-evaluated per decision point by
-    /// [`patch_health`](Self::patch_health) — so routing a request is
-    /// O(1) in fleet size.
+    /// backlogs patched by every [`refresh`](Self::refresh), ratios
+    /// re-derived by [`rebuild_views`](Self::rebuild_views) at
+    /// controller ticks and fault instants, health re-evaluated per
+    /// decision point by [`patch_health`](Self::patch_health) — so
+    /// routing a request is O(1) in fleet size.
     views: Vec<ReplicaView>,
     /// `views[r].healthy` population count — the O(1) form of the
     /// all-unhealthy check. Maintained by `rebuild_views` and
@@ -1185,14 +1170,12 @@ impl<'s> Fleet<'s> {
     /// What the router would see of lane `r` at instant `t`, read off
     /// the dense mirrors. A lane is healthy while alive (it acknowledges
     /// every decision instant) or until its crash-frozen heartbeat ages
-    /// past the timeout.
-    fn compute_view(&self, jobs_on: &[Vec<usize>], rt: &ChaosRt, r: usize, t: f64) -> ReplicaView {
+    /// past [`HEARTBEAT_TIMEOUT_US`].
+    fn compute_view(&self, rt: &ChaosRt, r: usize, t: f64) -> ReplicaView {
         ReplicaView {
-            gpu: self.gpus[r],
             backlog: self.backlog[r] as usize,
             window_p99_ratio: self.ratio[r],
-            resident_be: jobs_on[r].len(),
-            healthy: self.alive[r] || t - rt.last_heartbeat[r] <= rt.heartbeat_timeout_us,
+            healthy: self.alive[r] || t - rt.last_heartbeat[r] <= HEARTBEAT_TIMEOUT_US,
         }
     }
 
@@ -1200,7 +1183,7 @@ impl<'s> Fleet<'s> {
     /// recounting the healthy/dead populations. Runs only at structural
     /// changes — startup, controller ticks, fault and activation
     /// instants; decisions in between patch the views incrementally.
-    fn rebuild_views(&mut self, jobs_on: &[Vec<usize>], rt: &ChaosRt, t: f64) {
+    fn rebuild_views(&mut self, rt: &ChaosRt, t: f64) {
         // Mirror oracle: the dense arrays must agree with the live
         // per-lane state a pre-SoA fleet would have read here.
         #[cfg(debug_assertions)]
@@ -1220,7 +1203,7 @@ impl<'s> Fleet<'s> {
                 self.lane_slot[r] = u32::MAX;
                 continue;
             }
-            let v = self.compute_view(jobs_on, rt, r, t);
+            let v = self.compute_view(rt, r, t);
             self.n_healthy += usize::from(v.healthy);
             self.n_dead += usize::from(!self.alive[r]);
             self.lane_slot[r] = self.views.len() as u32;
@@ -1241,7 +1224,7 @@ impl<'s> Fleet<'s> {
             if self.alive[r] {
                 continue;
             }
-            let healthy = t - rt.last_heartbeat[r] <= rt.heartbeat_timeout_us;
+            let healthy = t - rt.last_heartbeat[r] <= HEARTBEAT_TIMEOUT_US;
             if healthy != self.views[s].healthy {
                 self.views[s].healthy = healthy;
                 if healthy {
@@ -1256,13 +1239,13 @@ impl<'s> Fleet<'s> {
     /// Incremental-views oracle: the patched snapshot must equal a fresh
     /// rebuild at `t`, field for field, and the healthy count must match
     /// its population. A no-op without `debug_assertions`.
-    fn assert_views_current(&self, jobs_on: &[Vec<usize>], rt: &ChaosRt, t: f64) {
+    fn assert_views_current(&self, rt: &ChaosRt, t: f64) {
         if !cfg!(debug_assertions) {
             return;
         }
         let fresh: Vec<ReplicaView> = (0..self.len())
             .filter(|&r| self.routable[r])
-            .map(|r| self.compute_view(jobs_on, rt, r, t))
+            .map(|r| self.compute_view(rt, r, t))
             .collect();
         debug_assert_eq!(
             self.views, fresh,
@@ -1313,14 +1296,11 @@ struct Requeue {
 /// Every requeue and timeout drop goes through [`RunState::requeue`] and
 /// [`ChaosRt::timeout_drop`], which keep the counters and the flight
 /// recorder's events in step. Instantiated even without a plan (empty
-/// timeline, infinite heartbeat timeout) so the clock has one code
-/// path; everything here stays inert and zero-valued on happy-path
-/// runs.
+/// timeline) so the clock has one code path; everything here stays
+/// inert and zero-valued on happy-path runs.
 struct ChaosRt {
     timeline: Vec<ScheduledFault>,
     next_fault: usize,
-    retry: RetryConfig,
-    heartbeat_timeout_us: f64,
     retry_q: Vec<Requeue>,
     /// Last decision instant each replica was seen alive. Alive replicas
     /// acknowledge every decision instant, so instead of an O(replicas)
@@ -1368,15 +1348,9 @@ struct ChaosRt {
 
 impl ChaosRt {
     fn new(plan: Option<&FaultPlan>, n: usize, n_jobs: usize, n_ls: usize) -> Self {
-        let (timeline, retry, heartbeat_timeout_us) = match plan {
-            Some(p) => (p.timeline(n), p.retry.clone(), p.heartbeat_timeout_us),
-            None => (Vec::new(), RetryConfig::default(), f64::INFINITY),
-        };
         Self {
-            timeline,
+            timeline: plan.map_or_else(Vec::new, |p| p.timeline(n)),
             next_fault: 0,
-            retry,
-            heartbeat_timeout_us,
             retry_q: Vec::new(),
             last_heartbeat: vec![0.0; n],
             last_decision_us: 0.0,
@@ -1412,8 +1386,8 @@ impl ChaosRt {
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// Drops a request for good — its retry budget or hard deadline is
-    /// spent — and records the drop on `track`.
+    /// Drops a request for good — its retry budget or deadline is spent
+    /// — and records the drop on `track`.
     fn timeout_drop(&mut self, task: usize, t: f64, track: u32, tel: &mut TelemetryRt) {
         self.timeout_drops += 1;
         self.drops_by_task[task] += 1;
@@ -1449,12 +1423,6 @@ struct TierRt {
     rank: Vec<u32>,
     /// Per-service goodput weight.
     weight: Vec<f64>,
-    /// Per-service soft (SLO-credit) deadline in µs; +inf counts every
-    /// on-SLO completion, matching plain goodput.
-    soft: Vec<f64>,
-    /// Per-service hard deadline in µs — past it a queued or retried
-    /// request is doomed and dropped.
-    hard: Vec<f64>,
     /// Per-service retry budget.
     max_retries: Vec<u32>,
     /// Per-service tier id (telemetry labels only — control decisions
@@ -1525,8 +1493,6 @@ impl TierRt {
         Self {
             rank: cfg.tiers.iter().map(|tc| rank_of(tc.tier)).collect(),
             weight: cfg.tiers.iter().map(|tc| tc.weight).collect(),
-            soft: cfg.tiers.iter().map(|tc| tc.soft_deadline_us).collect(),
-            hard: cfg.tiers.iter().map(|tc| tc.hard_deadline_us).collect(),
             max_retries: cfg.tiers.iter().map(|tc| tc.max_retries).collect(),
             tier_id_of: cfg.tiers.iter().map(|tc| tc.tier).collect(),
             tier_ids,
@@ -1620,11 +1586,11 @@ enum LaneState {
 
 /// The fleet clock's elastic runtime: per-lane lifecycle state, the
 /// provisioning schedule (whose min is the clock's *scale* decision
-/// point), cooldown/breach bookkeeping, and membership accounting. The
-/// policy, bounds and cooldowns stay in [`PreparedCluster`]'s elastic
-/// config — the attached one, or the inert one (no warm lanes, `Hold`,
-/// breach draining and replacement off) under which every lane stays
-/// `Active` and `next_ready_us` infinite.
+/// point), cooldown bookkeeping, and membership accounting. The policy,
+/// floor and cooldowns stay in [`PreparedCluster`]'s elastic config —
+/// the attached one, or the inert one (no warm lanes, `Hold`,
+/// replacement off) under which every lane stays `Active` and
+/// `next_ready_us` infinite.
 struct ElasticRt {
     state: Vec<LaneState>,
     /// Activation instant of each lane's membership stint (0 for
@@ -1642,9 +1608,6 @@ struct ElasticRt {
     /// alive or already written off). Crash replacement fires once
     /// `t - dead_since >= replace_after_us`.
     dead_since: Vec<f64>,
-    /// Consecutive controller ticks each Active lane spent above the
-    /// breach-drain ratio.
-    breach_ticks: Vec<u32>,
     /// Provisioning-delay draw index for the splitmix64 jitter chain.
     draws: u64,
     last_up_us: f64,
@@ -1657,9 +1620,6 @@ struct ElasticRt {
     drain_requeued: u64,
     replacements: u64,
     events: Vec<ScaleEvent>,
-    /// `arrivals_injected` at the last tick — windows the arrival rate
-    /// signal.
-    prev_arrivals: u64,
 }
 
 impl ElasticRt {
@@ -1675,7 +1635,6 @@ impl ElasticRt {
             ready_at: vec![f64::INFINITY; n],
             next_ready_us: f64::INFINITY,
             dead_since: vec![f64::INFINITY; n],
-            breach_ticks: vec![0; n],
             draws: 0,
             last_up_us: f64::NEG_INFINITY,
             last_down_us: f64::NEG_INFINITY,
@@ -1687,7 +1646,6 @@ impl ElasticRt {
             drain_requeued: 0,
             replacements: 0,
             events: Vec::new(),
-            prev_arrivals: 0,
         }
     }
 
@@ -1819,7 +1777,7 @@ struct RunState<'a> {
     elastic: ElasticRt,
     tel: TelemetryRt,
     arrivals: ArrivalStream,
-    /// The next controller tick (`INFINITY` with the controller off).
+    /// The next controller tick.
     next_tick: f64,
     arrivals_injected: u64,
     arrivals_by_task: Vec<u64>,
@@ -1857,7 +1815,6 @@ impl<'a> RunState<'a> {
             backlog: std::mem::take(&mut ctx.backlog),
             ratio: std::mem::take(&mut ctx.ratio),
             alive: std::mem::take(&mut ctx.alive),
-            gpus: &prep.lane_gpus,
             advancing: std::mem::take(&mut ctx.advancing),
             routable: std::mem::take(&mut ctx.routable),
             view_lane: std::mem::take(&mut ctx.view_lane),
@@ -1895,10 +1852,8 @@ impl<'a> RunState<'a> {
             fleet.lane_slot[r] = r as u32;
             fleet.view_lane.push(r as u32);
             fleet.views.push(ReplicaView {
-                gpu: prep.lane_gpus[r],
                 backlog: 0,
                 window_p99_ratio: 0.0,
-                resident_be: 0,
                 healthy: true,
             });
         }
@@ -1950,7 +1905,7 @@ impl<'a> RunState<'a> {
 
         let chaos = ChaosRt::new(cfg.chaos.as_ref(), n, cfg.be_jobs.len(), n_ls);
         let tiers = TierRt::new(&prep.tiers, n_ls);
-        fleet.rebuild_views(&jobs_on, &chaos, 0.0);
+        fleet.rebuild_views(&chaos, 0.0);
         let period = cfg.controller.period_us;
         // The flight recorder and clock profiler. Disabled (`off`) it is
         // one predictable branch per record call and allocates nothing;
@@ -1959,11 +1914,7 @@ impl<'a> RunState<'a> {
         // allocation-free either way (`tests/cluster_alloc.rs`).
         let tel = match &cfg.telemetry {
             Some(tcfg) => {
-                let expected_ticks = if period > 0.0 {
-                    (cfg.horizon_us / period) as usize
-                } else {
-                    0
-                };
+                let expected_ticks = (cfg.horizon_us / period) as usize;
                 // Only an attached tier map is reported per tier
                 // (ledgers, series); the tier-blind map's single tier
                 // stays out of the results.
@@ -1988,7 +1939,7 @@ impl<'a> RunState<'a> {
             elastic: ElasticRt::new(n, n_init),
             tel,
             arrivals: ArrivalStream::new(&cfg.trace, n_ls, cfg.horizon_us, cfg.seed),
-            next_tick: if period > 0.0 { period } else { f64::INFINITY },
+            next_tick: period,
             arrivals_injected: 0,
             arrivals_by_task: vec![0; n_ls],
             run_t0,
@@ -2115,7 +2066,7 @@ impl<'a> RunState<'a> {
                 arrival_us,
                 drained_at: t,
                 attempt: 1,
-                ready_at: t + rt.retry.backoff_us,
+                ready_at: t + RETRY_BACKOFF_US,
             });
         }
     }
@@ -2125,8 +2076,7 @@ impl<'a> RunState<'a> {
     /// — `None` when no routable lane looks healthy (every member down
     /// or drained away).
     fn route(&mut self, task: usize, rank: u32, t: f64) -> Option<usize> {
-        self.fleet
-            .assert_views_current(&self.jobs_on, &self.chaos, t);
+        self.fleet.assert_views_current(&self.chaos, t);
         if self.fleet.n_healthy == 0 {
             return None;
         }
@@ -2320,10 +2270,10 @@ impl<'a> RunState<'a> {
             }
         }
         self.tel.sync_logs(&self.migrations, &self.elastic.events);
-        // Faults restructure everything a view reads — aliveness,
-        // residency, drained backlogs — so the incremental snapshot
-        // re-bases here. O(replicas), but fault instants are rare.
-        self.fleet.rebuild_views(&self.jobs_on, &self.chaos, t);
+        // Faults restructure everything a view reads — aliveness and
+        // drained backlogs — so the incremental snapshot re-bases here.
+        // O(replicas), but fault instants are rare.
+        self.fleet.rebuild_views(&self.chaos, t);
     }
 
     /// The *scale* decision: activates every provisioning lane whose
@@ -2359,7 +2309,7 @@ impl<'a> RunState<'a> {
         self.tel.sync_logs(&self.migrations, &self.elastic.events);
         // Activation grows the routable set, so the compact views
         // re-base; O(replicas) but activation instants are rare.
-        self.fleet.rebuild_views(&self.jobs_on, &self.chaos, t);
+        self.fleet.rebuild_views(&self.chaos, t);
     }
 
     /// The *tick* decision: drains every lane's completion window into
@@ -2372,14 +2322,7 @@ impl<'a> RunState<'a> {
         let mut window_done = 0u64;
         for r in 0..self.fleet.len() {
             let cell = &mut self.fleet.cells[r];
-            let soft = &self.tiers.soft;
-            cell.drain(
-                &prep.slos[r],
-                soft,
-                prep.cfg.streaming,
-                r as u32,
-                &mut self.tel,
-            );
+            cell.drain(&prep.slos[r], prep.cfg.streaming, r as u32, &mut self.tel);
             window_done += cell.win_hist.count();
             self.fleet.ratio[r] = if cell.win_hist.is_empty() {
                 0.0
@@ -2400,11 +2343,11 @@ impl<'a> RunState<'a> {
         // plan (diurnal peaks and autoscaler lag qualify).
         self.brownout(t);
         self.tel.sync_logs(&self.migrations, &self.elastic.events);
-        // Ticks move the two slow view fields (windowed ratio, BE
-        // residency via rebalance/brownout), so the incremental snapshot
+        // Ticks move the windowed ratios and, through elastic drains and
+        // retirements, the routable set, so the incremental snapshot
         // re-bases here — the tick already walked every lane to drain
         // completions, so this adds no complexity class.
-        self.fleet.rebuild_views(&self.jobs_on, &self.chaos, t);
+        self.fleet.rebuild_views(&self.chaos, t);
         // Re-admit queued tiers the receding ladder just released —
         // after the view rebuild so routing sees this tick's state.
         self.tier_flush(t);
@@ -2535,19 +2478,19 @@ impl<'a> RunState<'a> {
         self.fleet.refresh(r);
     }
 
-    /// Begins a graceful drain of member lane `v`: the lane leaves the
+    /// Begins a scale-down drain of member lane `v`: the lane leaves the
     /// routable set and [`evacuate`](Self::evacuate)s its queued LS
     /// requests and resident BE jobs. In-flight LS requests keep running
     /// here; the lane retires at the first controller tick that finds it
     /// fully quiesced.
-    fn drain_lane_start(&mut self, t: f64, v: usize, cause: ScaleCause) {
+    fn drain_lane_start(&mut self, t: f64, v: usize) {
         self.elastic.state[v] = LaneState::Draining;
         self.fleet.routable[v] = false;
         self.elastic.drains_started += 1;
         self.elastic.events.push(ScaleEvent {
             at_us: t,
             replica: v,
-            kind: ScaleEventKind::DrainStart { cause },
+            kind: ScaleEventKind::DrainStart,
         });
         let drained = self.evacuate(v, t, RequeueCause::Drain);
         self.elastic.drain_requeued += drained as u64;
@@ -2555,10 +2498,10 @@ impl<'a> RunState<'a> {
 
     /// One controller tick's capacity decision, run right after the
     /// window drain (fresh ratios) and before the migration rebalance.
-    /// Four phases, each a deterministic index-order scan of fleet
+    /// Three phases, each a deterministic index-order scan of fleet
     /// state: retire quiesced drains, replace confirmed-dead members,
-    /// drain sustained SLO breachers, then apply the scaling policy's
-    /// verdict under the min/max bounds and cooldowns.
+    /// then apply the scaling policy's verdict under the `min_replicas`
+    /// floor and the cooldowns.
     fn elastic_step(&mut self, t: f64, window_done: u64) {
         let n = self.fleet.len();
         let prep = self.prep;
@@ -2597,70 +2540,26 @@ impl<'a> RunState<'a> {
             }
         }
 
-        // Phase 3 — SLO-breach draining: a lane breaching for
-        // `breach_drain_ticks` consecutive windows is drained (worst
-        // ratio first, one per tick) and a warm replacement provisioned.
-        if e.breach_drain_ticks > 0 {
-            let (ert, fleet) = (&mut self.elastic, &self.fleet);
-            for r in 0..n {
-                if ert.state[r] == LaneState::Active
-                    && fleet.alive[r]
-                    && fleet.ratio[r] > e.breach_drain_ratio
-                {
-                    ert.breach_ticks[r] += 1;
-                } else {
-                    ert.breach_ticks[r] = 0;
-                }
-            }
-            let victim = (0..n)
-                .filter(|&r| ert.breach_ticks[r] >= e.breach_drain_ticks)
-                .max_by(|&a, &b| fleet.ratio[a].total_cmp(&fleet.ratio[b]).then(b.cmp(&a)));
-            if let Some(v) = victim {
-                let active = ert.count(LaneState::Active);
-                let has_warm = (0..n).any(|r| ert.state[r] == LaneState::Warm && fleet.alive[r]);
-                if active > e.min_replicas || has_warm {
-                    ert.breach_ticks[v] = 0;
-                    self.drain_lane_start(t, v, ScaleCause::SloBreach);
-                    self.start_provision(t, ScaleCause::SloBreach);
-                }
-            }
-        }
-
-        // Phase 4 — the scaling policy, clamped and rate-limited.
+        // Phase 3 — the scaling policy, floored and rate-limited.
         let (ert, fleet) = (&mut self.elastic, &self.fleet);
         let active = ert.count(LaneState::Active);
         let provisioning = ert.count(LaneState::Provisioning);
-        let mut healthy_active = 0usize;
-        let mut warm_available = 0usize;
         let mut backlog_sum = 0u64;
         let mut worst = 0.0f64;
         for r in 0..n {
-            match ert.state[r] {
-                LaneState::Active if fleet.alive[r] => {
-                    healthy_active += 1;
-                    backlog_sum += u64::from(fleet.backlog[r]);
-                    worst = worst.max(fleet.ratio[r]);
-                }
-                LaneState::Warm if fleet.alive[r] => warm_available += 1,
-                _ => {}
+            if ert.state[r] == LaneState::Active && fleet.alive[r] {
+                backlog_sum += u64::from(fleet.backlog[r]);
+                worst = worst.max(fleet.ratio[r]);
             }
         }
         let signals = FleetSignals {
-            at_us: t,
             active,
-            healthy_active,
             provisioning,
-            warm_available,
             window_p99_ratio: worst,
             window_completions: window_done,
-            window_arrivals: self.arrivals_injected - ert.prev_arrivals,
             backlog_per_active: backlog_sum as f64 / active.max(1) as f64,
         };
-        ert.prev_arrivals = self.arrivals_injected;
-        let desired = e
-            .policy
-            .desired_replicas(&signals)
-            .clamp(e.min_replicas, e.max_replicas);
+        let desired = e.policy.desired_replicas(&signals).max(e.min_replicas);
         let committed = active + provisioning;
         if desired > committed {
             if t - ert.last_up_us >= e.up_cooldown_us {
@@ -2676,8 +2575,8 @@ impl<'a> RunState<'a> {
                 }
             }
         } else if desired < active && t - ert.last_down_us >= e.down_cooldown_us {
-            // `desired >= min_replicas` after the clamp, so draining down
-            // to it never undershoots the floor.
+            // `desired >= min_replicas` after the floor, so draining down
+            // to it never undershoots it.
             let mut drained_any = false;
             for _ in desired..active {
                 // Least-loaded lane first; ties scale down the newest.
@@ -2686,7 +2585,7 @@ impl<'a> RunState<'a> {
                     .filter(|&r| ert.state[r] == LaneState::Active && fleet.alive[r])
                     .min_by_key(|&r| (fleet.backlog[r], std::cmp::Reverse(r)));
                 let Some(v) = victim else { break };
-                self.drain_lane_start(t, v, ScaleCause::Load);
+                self.drain_lane_start(t, v);
                 drained_any = true;
             }
             if drained_any {
@@ -2857,12 +2756,11 @@ impl<'a> RunState<'a> {
             }
         }
 
-        // Expire queued admissions whose hard deadline has passed — they
-        // can no longer complete on-SLO, so holding them is doomed work.
-        let TierRt { queues, hard, .. } = &mut self.tiers;
-        for q in queues.iter_mut() {
+        // Expire queued admissions past the request deadline — they can
+        // no longer complete on-SLO, so holding them is doomed work.
+        for q in self.tiers.queues.iter_mut() {
             q.retain(|&(task, arrival_us)| {
-                if t - arrival_us > hard[task as usize] {
+                if t - arrival_us > REQUEST_DEADLINE_US {
                     rt.timeout_drop(task as usize, t, FLEET_TRACK, &mut self.tel);
                     false
                 } else {
@@ -2979,10 +2877,9 @@ impl<'a> RunState<'a> {
         // views current through `refresh`.
         self.fleet.patch_health(&self.chaos, t);
         for mut e in due.drain(..) {
-            // Deadline-aware drop: past the request's hard deadline (the
-            // tier's; `RetryConfig::timeout_us` without a tier map)
+            // Deadline-aware drop: past the request deadline
             // re-dispatching is doomed work — drop it now.
-            if t - e.arrival_us > self.tiers.hard[e.task] {
+            if t - e.arrival_us > REQUEST_DEADLINE_US {
                 self.chaos
                     .timeout_drop(e.task, t, FLEET_TRACK, &mut self.tel);
                 continue;
@@ -3009,7 +2906,7 @@ impl<'a> RunState<'a> {
                         self.chaos
                             .timeout_drop(e.task, t, FLEET_TRACK, &mut self.tel);
                     } else {
-                        e.ready_at = t + self.chaos.retry.backoff_us * f64::from(e.attempt);
+                        e.ready_at = t + RETRY_BACKOFF_US * f64::from(e.attempt);
                         self.chaos.retry_q.push(e);
                     }
                 }
@@ -3108,7 +3005,7 @@ impl<'a> RunState<'a> {
         let cfg = &prep.cfg;
         let (n, n_ls) = (fleet.len(), prep.n_ls);
         for r in 0..n {
-            fleet.cells[r].drain(&prep.slos[r], &trt.soft, cfg.streaming, r as u32, &mut tel);
+            fleet.cells[r].drain(&prep.slos[r], cfg.streaming, r as u32, &mut tel);
         }
         tel.sync_logs(&migrations, &ert.events);
         // Requests parked in tier admission queues are in flight:
@@ -3251,10 +3148,9 @@ impl<'a> RunState<'a> {
             });
         }
         result.goodput_hz = result.slo_met as f64 / (cfg.horizon_us / 1e6);
-        // Weighted goodput: tier-weight × on-SLO (soft-deadline)
-        // completions per second. Under the tier-blind map every weight is
-        // 1 and every soft deadline infinite, so this equals `goodput_hz`
-        // exactly.
+        // Weighted goodput: tier-weight × on-SLO completions per second.
+        // Under the tier-blind map every weight is 1, so this equals
+        // `goodput_hz` exactly.
         let horizon_s = cfg.horizon_us / 1e6;
         result.weighted_goodput_hz = result
             .slo_met_by_task

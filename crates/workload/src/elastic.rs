@@ -8,11 +8,10 @@
 //! explicit seeded provisioning delay (cold-start is ≈ a pointer bump
 //! thanks to the memoized `Deployment::cached`, but real fleets pay an
 //! allocation latency, so we model it like mtop's DRA
-//! allocation/deallocation timing), scale-down and SLO-breach draining
-//! quiesce a lane with cursor-preserving BE evacuation and LS requeue
-//! through the chaos retry machinery, and crash replacement provisions
-//! a warm lane once a dead replica stays dead past a confirmation
-//! window.
+//! allocation/deallocation timing), scale-down quiesces a lane with
+//! cursor-preserving BE evacuation and LS requeue through the chaos
+//! retry machinery, and crash replacement provisions a warm lane once a
+//! dead replica stays dead past a confirmation window.
 //!
 //! Everything here is plain deterministic data: policies are pure
 //! functions of the signals, provisioning jitter comes from a
@@ -57,36 +56,26 @@ impl WarmPoolConfig {
 /// window just closed, not the whole run.
 #[derive(Debug, Clone, Copy)]
 pub struct FleetSignals {
-    /// Tick instant (µs).
-    pub at_us: f64,
     /// Lanes currently Active (routable members).
     pub active: usize,
-    /// Active lanes that are alive and heartbeat-fresh.
-    pub healthy_active: usize,
     /// Lanes mid-provisioning (decided, not yet routable).
     pub provisioning: usize,
-    /// Warm lanes still available to draw from.
-    pub warm_available: usize,
-    /// Worst per-lane windowed p99/SLO ratio across healthy Active
-    /// lanes (0.0 when no lane completed a request this window).
+    /// Worst per-lane windowed p99/SLO ratio across alive Active lanes
+    /// (0.0 when no lane completed a request this window).
     pub window_p99_ratio: f64,
     /// LS completions across the fleet in this window.
     pub window_completions: u64,
-    /// Arrivals injected across the fleet in this window.
-    pub window_arrivals: u64,
-    /// Total queued LS requests across Active lanes, per Active lane.
+    /// Total queued LS requests across alive Active lanes, per Active
+    /// lane.
     pub backlog_per_active: f64,
 }
 
-/// Why a scaling action fired — recorded on the [`ScaleEvent`] so the
-/// bench can attribute membership churn to load, SLO pressure, or
-/// self-healing.
+/// Why a provisioning started — recorded on the [`ScaleEvent`] so the
+/// bench can attribute membership churn to load or self-healing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScaleCause {
-    /// Threshold policy asked for more/less capacity.
+    /// Threshold policy asked for more capacity.
     Load,
-    /// Sustained SLO breach drained the worst lane.
-    SloBreach,
     /// A confirmed-dead lane was replaced from the warm pool.
     CrashReplace,
 }
@@ -98,8 +87,9 @@ pub enum ScaleEventKind {
     Provision { cause: ScaleCause, ready_at_us: f64 },
     /// A provisioning lane finished its delay and joined the routable set.
     Activate,
-    /// An Active lane stopped accepting traffic and began quiescing.
-    DrainStart { cause: ScaleCause },
+    /// An Active lane stopped accepting traffic and began quiescing
+    /// (a scale-down).
+    DrainStart,
     /// A crash aborted an in-flight provisioning; the lane returned to Warm.
     CancelProvision,
     /// A draining (or confirmed-dead) lane left the fleet for good.
@@ -146,9 +136,9 @@ impl Default for ThresholdPolicy {
 }
 
 /// A capacity policy: a pure function of the windowed fleet signals to
-/// a desired Active-lane count. The runtime clamps the answer to
-/// `[min_replicas, max_replicas]`, applies cooldowns, and turns the
-/// delta into provision/drain actions.
+/// a desired Active-lane count. The runtime raises the answer to at
+/// least `min_replicas`, applies cooldowns, and turns the delta into
+/// provision/drain actions (scale-up is bounded by the warm pool).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ScalingPolicyKind {
     /// Never changes capacity: the inert config's policy, and the
@@ -196,19 +186,10 @@ pub struct ElasticConfig {
     pub policy: ScalingPolicyKind,
     /// Never drain below this many Active lanes.
     pub min_replicas: usize,
-    /// Never provision above this many Active + provisioning lanes.
-    pub max_replicas: usize,
     /// Minimum µs between successive scale-up decisions.
     pub up_cooldown_us: f64,
     /// Minimum µs between successive scale-down decisions.
     pub down_cooldown_us: f64,
-    /// Drain the worst Active lane (replacing it from the warm pool
-    /// when one is available) after this many consecutive ticks with
-    /// its windowed p99/SLO ratio above `breach_drain_ratio`.
-    /// `0` disables breach draining.
-    pub breach_drain_ticks: u32,
-    /// Windowed p99/SLO ratio a lane must exceed to count as breached.
-    pub breach_drain_ratio: f64,
     /// Replace a dead Active lane from the warm pool once it has been
     /// dead this long (µs). `f64::INFINITY` disables replacement.
     pub replace_after_us: f64,
@@ -220,36 +201,21 @@ impl ElasticConfig {
             warm_pool,
             policy,
             min_replicas: 1,
-            max_replicas: usize::MAX,
             up_cooldown_us: 0.0,
             down_cooldown_us: 0.0,
-            breach_drain_ticks: 0,
-            breach_drain_ratio: 1.5,
             replace_after_us: f64::INFINITY,
         }
     }
 
-    /// Validate against the fleet shape: `initial` is the configured
-    /// lane count, `total` includes warm-pool lanes. Panics with a
-    /// descriptive message on nonsense (mirrors `ClusterConfig::prepare`
-    /// validation style).
-    pub fn validate(&self, initial: usize, total: usize) {
+    /// Validate against the configured lane count `initial`. Panics
+    /// with a descriptive message on nonsense (mirrors
+    /// `ClusterConfig::prepare` validation style).
+    pub fn validate(&self, initial: usize) {
         assert!(self.min_replicas >= 1, "elastic: min_replicas must be >= 1");
         assert!(
             self.min_replicas <= initial,
             "elastic: min_replicas ({}) exceeds the initial fleet size ({initial})",
             self.min_replicas
-        );
-        assert!(
-            self.max_replicas >= initial,
-            "elastic: max_replicas ({}) is below the initial fleet size ({initial}); \
-             start smaller or raise the bound",
-            self.max_replicas
-        );
-        let max_eff = self.max_replicas.min(total);
-        assert!(
-            max_eff >= self.min_replicas,
-            "elastic: max_replicas clamps below min_replicas"
         );
         assert!(
             self.warm_pool.provision_delay_us >= 0.0,
@@ -258,10 +224,6 @@ impl ElasticConfig {
         assert!(
             (0.0..1.0).contains(&self.warm_pool.provision_jitter),
             "elastic: provision_jitter must be in [0, 1)"
-        );
-        assert!(
-            self.breach_drain_ratio > 0.0,
-            "elastic: breach_drain_ratio must be > 0"
         );
         assert!(
             self.replace_after_us >= 0.0,
@@ -288,14 +250,10 @@ mod tests {
 
     fn sig() -> FleetSignals {
         FleetSignals {
-            at_us: 0.0,
             active: 4,
-            healthy_active: 4,
             provisioning: 0,
-            warm_available: 2,
             window_p99_ratio: 0.8,
             window_completions: 100,
-            window_arrivals: 100,
             backlog_per_active: 5.0,
         }
     }
@@ -351,17 +309,17 @@ mod tests {
     #[test]
     fn validate_rejects_nonsense() {
         let mk = || ElasticConfig::new(WarmPoolConfig::new(vec![]), ScalingPolicyKind::Hold);
-        mk().validate(4, 4);
+        mk().validate(4);
         let r = std::panic::catch_unwind(|| {
             let mut e = mk();
             e.min_replicas = 5;
-            e.validate(4, 4);
+            e.validate(4);
         });
         assert!(r.is_err(), "min above initial must be rejected");
         let r = std::panic::catch_unwind(|| {
             let mut e = mk();
             e.warm_pool.provision_jitter = 1.0;
-            e.validate(4, 4);
+            e.validate(4);
         });
         assert!(r.is_err(), "jitter of 1.0 must be rejected");
     }

@@ -8,7 +8,7 @@
 //! placement ([`cluster`]) and its SplitMix64 seed derivation
 //! ([`seed`]), deterministic fault injection with
 //! requeue-on-crash resilience ([`chaos`]), warm-pool autoscaling
-//! with SLO-breach draining and crash replacement ([`elastic`]), and
+//! with graceful scale-down and crash replacement ([`elastic`]), and
 //! the deterministic flight recorder / metrics registry / clock
 //! profiler for postmortem observability ([`telemetry`]), and tiered
 //! SLO classes with admission control, brownout degradation and

@@ -35,7 +35,8 @@ use std::time::Instant;
 pub const FLEET_TRACK: u32 = u32::MAX;
 
 /// Knobs for the flight recorder. `ClusterConfig.telemetry = None`
-/// disables recording entirely (the zero-overhead default).
+/// disables recording entirely (the zero-overhead default). An attached
+/// recorder also times the clock phases ([`ClockProfile`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryConfig {
     /// Events retained per lane (plus one fleet track). When a ring is
@@ -43,17 +44,12 @@ pub struct TelemetryConfig {
     /// the *most recent* window, and `dropped_events` reports how much
     /// history was lost.
     pub ring_capacity: usize,
-    /// Measure wall-clock time per clock phase (collect-due / advance /
-    /// route / tick / merge) with `std::time::Instant`. Timing is
-    /// observational only and never affects simulation state.
-    pub profile: bool,
 }
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
         TelemetryConfig {
             ring_capacity: 4096,
-            profile: true,
         }
     }
 }
@@ -63,7 +59,7 @@ impl Default for TelemetryConfig {
 pub enum RequeueCause {
     /// Drained out of a crashed lane.
     Crash,
-    /// Drained out of a gracefully draining lane (scale-down / breach).
+    /// Drained out of a gracefully draining lane (scale-down).
     Drain,
     /// Routed at a lane that looked healthy but was already dead
     /// (stale heartbeat) — the request bounced.
@@ -178,7 +174,7 @@ impl EventKind {
             EventKind::Scale(k) => match k {
                 ScaleEventKind::Provision { .. } => "provision",
                 ScaleEventKind::Activate => "activate",
-                ScaleEventKind::DrainStart { .. } => "drain_start",
+                ScaleEventKind::DrainStart => "drain_start",
                 ScaleEventKind::CancelProvision => "cancel_provision",
                 ScaleEventKind::Retire => "retire",
             },
@@ -262,7 +258,7 @@ pub struct MetricSeries {
 }
 
 /// Wall-clock phase timings of the fleet clock, self-measured with
-/// `std::time::Instant` when [`TelemetryConfig::profile`] is on.
+/// `std::time::Instant` whenever the recorder is attached.
 ///
 /// These are *measurements of the host machine*, not simulation state:
 /// two bit-identical runs will report different nanosecond counts. The
@@ -357,7 +353,6 @@ pub const TIER_SERIES: [&str; 3] = ["tier_backlog", "tier_goodput_w", "tier_refu
 /// branch.
 pub(crate) struct TelemetryRt {
     enabled: bool,
-    profile: bool,
     seq: u64,
     ring_capacity: usize,
     /// One ring per lane plus the trailing fleet track.
@@ -381,7 +376,6 @@ impl TelemetryRt {
     pub(crate) fn off() -> TelemetryRt {
         TelemetryRt {
             enabled: false,
-            profile: false,
             seq: 0,
             ring_capacity: 0,
             rings: Vec::new(),
@@ -440,7 +434,6 @@ impl TelemetryRt {
         }
         TelemetryRt {
             enabled: true,
-            profile: cfg.profile,
             seq: 0,
             ring_capacity: cfg.ring_capacity,
             rings,
@@ -581,11 +574,11 @@ impl TelemetryRt {
         self.series[base + 2].values.push(refused);
     }
 
-    /// Starts a wall-clock phase measurement (None when profiling is
-    /// off — the disabled recorder never reads the clock).
+    /// Starts a wall-clock phase measurement (None for the disabled
+    /// recorder, which never reads the clock).
     #[inline]
     pub(crate) fn clk(&self) -> Option<Instant> {
-        if self.profile {
+        if self.enabled {
             Some(Instant::now())
         } else {
             None
@@ -680,10 +673,7 @@ mod tests {
 
     #[test]
     fn tier_series_layout_follows_fleet_block() {
-        let cfg = TelemetryConfig {
-            ring_capacity: 8,
-            profile: false,
-        };
+        let cfg = TelemetryConfig { ring_capacity: 8 };
         let mut rt = TelemetryRt::new(&cfg, 2, 2, 4);
         rt.begin_tick(1.0);
         for lane in 0..2 {
@@ -720,10 +710,7 @@ mod tests {
 
     #[test]
     fn merged_stream_orders_by_time_then_seq() {
-        let cfg = TelemetryConfig {
-            ring_capacity: 16,
-            profile: false,
-        };
+        let cfg = TelemetryConfig { ring_capacity: 16 };
         let mut rt = TelemetryRt::new(&cfg, 2, 0, 4);
         rt.record(5.0, 1, EventKind::Routed { task: 0 });
         rt.record(1.0, 0, EventKind::Routed { task: 1 });

@@ -6,9 +6,9 @@
 //! throttle, diurnal peak, autoscaler lag) also has to decide what
 //! *not* to run. This module promotes SLO tiers to first-class fleet
 //! config: every LS service carries a [`TierConfig`] (tier id, goodput
-//! weight, soft/hard deadline, [`AdmissionClass`], retry budget), and
-//! the cluster runtime threads the tier map through admission, routing,
-//! degradation and retry:
+//! weight, [`AdmissionClass`], retry budget), and the cluster runtime
+//! threads the tier map through admission, routing, degradation and
+//! retry:
 //!
 //! * **Admission control** — at every arrival the router decision point
 //!   consults the brownout level (a hysteresis state machine updated at
@@ -21,9 +21,10 @@
 //!   queue the next tier → … Recovery steps back down one level per
 //!   calm window (hysteresis), re-admitting tiers in reverse order.
 //! * **Deadline-aware retries** — each tier carries its own max-retry
-//!   budget and a hard deadline measured from *original* arrival;
-//!   doomed redispatches are dropped instead of burning survivor
-//!   capacity.
+//!   budget, and every request shares the fleet's
+//!   [`REQUEST_DEADLINE_US`](crate::chaos::REQUEST_DEADLINE_US) from
+//!   *original* arrival; doomed redispatches are dropped instead of
+//!   burning survivor capacity.
 //! * **Weighted goodput** — Σ tier-weight × on-SLO completions, the
 //!   figure of merit tiered admission is judged on.
 //!
@@ -72,8 +73,8 @@ impl AdmissionClass {
 
 /// Per-LS-service tier attachment. `tiers[task]` configures LS service
 /// `task`; services sharing a tier id form one admission/brownout unit
-/// and must agree on weight and class (deadlines and retry budgets may
-/// differ per service).
+/// and must agree on weight and class (retry budgets may differ per
+/// service).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TierConfig {
     /// Tier id; lower is higher priority (tier 1 = most protected).
@@ -82,14 +83,6 @@ pub struct TierConfig {
     /// Weight of one on-SLO completion of this service in the fleet's
     /// weighted goodput. Must be finite and > 0.
     pub weight: f64,
-    /// Soft deadline (µs) from original arrival: a completion counts
-    /// toward weighted goodput only if it met the replica SLO *and*
-    /// finished within this bound. `INFINITY` = replica SLO only.
-    pub soft_deadline_us: f64,
-    /// Hard deadline (µs) from original arrival: a request that cannot
-    /// complete by this point is dropped from the retry queue (and from
-    /// the tier admission queue) instead of being redispatched.
-    pub hard_deadline_us: f64,
     /// Overload treatment class.
     pub class: AdmissionClass,
     /// Per-tier retry budget: a request is dropped once it has been
@@ -104,8 +97,6 @@ impl TierConfig {
         TierConfig {
             tier: 1,
             weight,
-            soft_deadline_us: f64::INFINITY,
-            hard_deadline_us: 250_000.0,
             class: AdmissionClass::Guaranteed,
             max_retries: 4,
         }
@@ -116,8 +107,6 @@ impl TierConfig {
         TierConfig {
             tier,
             weight,
-            soft_deadline_us: f64::INFINITY,
-            hard_deadline_us: 250_000.0,
             class: AdmissionClass::Burstable,
             max_retries: 2,
         }
@@ -128,8 +117,6 @@ impl TierConfig {
         TierConfig {
             tier,
             weight,
-            soft_deadline_us: f64::INFINITY,
-            hard_deadline_us: 250_000.0,
             class: AdmissionClass::BestEffort,
             max_retries: 0,
         }
@@ -145,8 +132,9 @@ pub struct TiersConfig {
     pub tiers: Vec<TierConfig>,
     /// Capacity of each browned-out tier's bounded admission queue.
     /// A queued arrival is dispatched once the ladder steps back below
-    /// the tier's queue level, or dropped when its hard deadline
-    /// passes; at capacity further arrivals are refused (`QueueFull`).
+    /// the tier's queue level, or dropped once it is older than
+    /// [`REQUEST_DEADLINE_US`](crate::chaos::REQUEST_DEADLINE_US); at
+    /// capacity further arrivals are refused (`QueueFull`).
     pub queue_capacity: usize,
     /// Per-alive-lane LS backlog above which the ladder escalates one
     /// level per controller tick.
@@ -177,8 +165,8 @@ impl TiersConfig {
     }
 
     /// The tier map of a fleet without one: every service in one
-    /// `Guaranteed` tier 1 of weight 1, no soft deadline, and the fleet
-    /// `retry`'s budget and timeout. Its ladder has one rung, park BE:
+    /// `Guaranteed` tier 1 of weight 1 with the fleet `retry`'s budget.
+    /// Its ladder has one rung, park BE:
     /// with a `degradation` config a tick escalates while the per-alive
     /// backlog exceeds `shed_be_backlog` (or a windowed p99 breaches
     /// while it exceeds half of that), and the first calm tick — backlog
@@ -193,8 +181,6 @@ impl TiersConfig {
             TierConfig {
                 tier: 1,
                 weight: 1.0,
-                soft_deadline_us: f64::INFINITY,
-                hard_deadline_us: retry.timeout_us,
                 class: AdmissionClass::Guaranteed,
                 max_retries: retry.max_retries,
             };
@@ -243,23 +229,6 @@ impl TiersConfig {
                 "tiers: service {task} weight must be finite and > 0 (got {})",
                 t.weight
             );
-            assert!(
-                t.soft_deadline_us > 0.0,
-                "tiers: service {task} soft_deadline_us must be > 0"
-            );
-            assert!(
-                t.hard_deadline_us > 0.0,
-                "tiers: service {task} hard_deadline_us must be > 0"
-            );
-            // `soft == INFINITY` is the "replica SLO only" sentinel and
-            // is valid against any hard deadline.
-            assert!(
-                t.soft_deadline_us <= t.hard_deadline_us || t.soft_deadline_us.is_infinite(),
-                "tiers: service {task} soft deadline ({}) exceeds its hard deadline ({}) — \
-                 completions past the hard deadline were already dropped",
-                t.soft_deadline_us,
-                t.hard_deadline_us
-            );
         }
         // Services sharing a tier id form one brownout unit: weight and
         // class must agree or per-tier attribution becomes ambiguous.
@@ -307,8 +276,7 @@ pub struct TierOutcome {
     pub timeout_drops: u64,
     /// Requests completed.
     pub completed: u64,
-    /// Completions that met the replica SLO and the tier's soft
-    /// deadline.
+    /// Completions that met the replica SLO.
     pub slo_met: u64,
     /// Requests still queued/in-flight (lanes, retry queue, admission
     /// queue) at the horizon.
@@ -402,14 +370,6 @@ mod tests {
             split_tier.is_err(),
             "services sharing a tier id must agree on weight/class"
         );
-
-        let deadline = std::panic::catch_unwind(|| {
-            let mut cfg = three_tier();
-            cfg.tiers[1].soft_deadline_us = 1e6;
-            cfg.tiers[1].hard_deadline_us = 1e5;
-            cfg.validate(3);
-        });
-        assert!(deadline.is_err(), "soft > hard deadline must be rejected");
     }
 
     #[test]

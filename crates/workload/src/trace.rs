@@ -127,25 +127,11 @@ impl TraceConfig {
 }
 
 /// Generates arrival times (µs, sorted) over `[0, horizon_us)` by thinning
-/// a homogeneous Poisson process at the peak rate.
+/// a homogeneous Poisson process at the peak rate: the whole of one
+/// [`ArrivalGen`]'s stream.
 pub fn generate(cfg: &TraceConfig, horizon_us: f64, seed: u64) -> Vec<f64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let peak_hz = cfg.peak_rate_hz();
-    let mut t = 0.0f64;
-    let mut out = Vec::new();
-    loop {
-        // Exponential inter-arrival at the peak rate.
-        let u: f64 = rng.gen_range(1e-12..1.0);
-        t += -u.ln() / peak_hz * 1e6;
-        if t >= horizon_us {
-            break;
-        }
-        // Thin to the instantaneous rate.
-        if rng.gen_range(0.0..1.0) < cfg.rate_at(t) / peak_hz {
-            out.push(t);
-        }
-    }
-    out
+    let mut gen = ArrivalGen::new(cfg, horizon_us, seed);
+    std::iter::from_fn(|| gen.pop()).collect()
 }
 
 /// Phase-shifted traces for several LS services (each service replays the
@@ -174,10 +160,9 @@ pub fn arrival_trace(
     sgdrc_core::serving::ArrivalTrace::new(per_service_traces(cfg, services, horizon_us, seed))
 }
 
-/// Stateful single-service generator producing the **exact** arrival
-/// sequence of [`generate`] — same RNG draws in the same order, same
-/// thinning — one value at a time, without materializing the whole
-/// trace. This is the fleet clock's per-service arrival source (via
+/// Stateful single-service arrival generator, one value at a time,
+/// without materializing the whole trace; [`generate`] collects one.
+/// This is the fleet clock's per-service arrival source (via
 /// [`ArrivalStream`]): a tens-of-millions-request horizon costs O(1)
 /// memory per service instead of a multi-GiB `Vec<f64>` per task.
 #[derive(Debug, Clone)]
@@ -191,8 +176,8 @@ pub struct ArrivalGen {
 }
 
 impl ArrivalGen {
-    /// Starts the stream [`generate`]`(cfg, horizon_us, seed)` would
-    /// batch-produce.
+    /// Starts the stream [`generate`]`(cfg, horizon_us, seed)`
+    /// collects.
     pub fn new(cfg: &TraceConfig, horizon_us: f64, seed: u64) -> Self {
         let mut gen = Self {
             cfg: *cfg,
@@ -206,18 +191,16 @@ impl ArrivalGen {
         gen
     }
 
-    // The loop body is a statement-for-statement transcription of
-    // `generate`'s: any divergence would break the stream==batch
-    // equivalence that makes a 1-replica fleet bit-identical to the
-    // single-GPU batch loop.
     fn advance(&mut self) {
         loop {
+            // Exponential inter-arrival at the peak rate.
             let u: f64 = self.rng.gen_range(1e-12..1.0);
             self.t += -u.ln() / self.peak_hz * 1e6;
             if self.t >= self.horizon_us {
                 self.next = None;
                 return;
             }
+            // Thin to the instantaneous rate.
             if self.rng.gen_range(0.0..1.0) < self.cfg.rate_at(self.t) / self.peak_hz {
                 self.next = Some(self.t);
                 return;
@@ -392,30 +375,6 @@ mod tests {
             "measured {rate} Hz vs {} Hz",
             cfg.mean_rate_hz
         );
-    }
-
-    /// The streaming generator must replay [`generate`]'s sequence
-    /// value-for-value — bitwise, not approximately — across trace
-    /// shapes, including the diurnal branch.
-    #[test]
-    fn streaming_gen_matches_batch_generate() {
-        let shapes = [
-            TraceConfig::apollo_like(),
-            TraceConfig::apollo_like().with_bursts(2.2, 0.25),
-            TraceConfig::apollo_like().with_diurnal(0.35, 3.0),
-        ];
-        for cfg in &shapes {
-            for seed in [1u64, 42, 0xF1EE7] {
-                let batch = generate(cfg, 3e6, seed);
-                let mut gen = ArrivalGen::new(cfg, 3e6, seed);
-                let mut streamed = Vec::new();
-                while let Some(t) = gen.pop() {
-                    streamed.push(t);
-                }
-                assert_eq!(streamed, batch, "shape {cfg:?} seed {seed}");
-                assert!(gen.peek().is_none());
-            }
-        }
     }
 
     /// The k-way merged stream must reproduce the batch path's merged

@@ -138,10 +138,7 @@ fn enabled_recorder_allocates_only_at_creation() {
         let mut cfg = fleet_cfg(horizon_us);
         // Small rings force steady-state overwrites — the hot path is
         // exercised far past capacity on both sides.
-        cfg.telemetry = Some(TelemetryConfig {
-            ring_capacity: 256,
-            profile: true,
-        });
+        cfg.telemetry = Some(TelemetryConfig { ring_capacity: 256 });
         cfg
     };
     let h = 2e5;

@@ -115,10 +115,10 @@ fn streaming_equals_retained_under_chaos() {
     assert_eq!(strip_retained(retained), streaming);
 }
 
-/// Streaming requires a ticking controller (its window bound); the
-/// config assert fires otherwise.
+/// Streaming requires a ticking controller (its window bound), as does
+/// every fleet: `prepare` rejects a zero period.
 #[test]
-#[should_panic(expected = "streaming mode needs controller ticks")]
+#[should_panic(expected = "controller period_us must be > 0")]
 fn streaming_without_controller_is_rejected() {
     let mut cfg = base_cfg();
     cfg.streaming = true;

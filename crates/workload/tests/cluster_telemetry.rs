@@ -11,21 +11,22 @@
 //!   uniquely sequenced; when no history was overwritten, `Completed`
 //!   events reconcile exactly with the completion counters and the
 //!   requeue, drop, shed, park, resume, retry and refusal events with
-//!   theirs;
-//!   and the per-lane requeue/retry attribution sums to the fleet
-//!   totals;
+//!   theirs; the per-lane requeue/retry attribution sums to the fleet
+//!   totals; and dead-route requeues and re-dispatch delays respect the
+//!   fixed heartbeat and backoff timings;
 //! * **recycling** — a recorder-on clock run on a `ClusterCtx` dirtied
 //!   by another recorded fleet agrees bit for bit with a fresh clock,
 //!   merged event stream included.
 
 use gpu_spec::GpuModel;
 use proptest::prelude::*;
-use workload::chaos::FaultPlan;
+use workload::chaos::{FaultEvent, FaultPlan, HEARTBEAT_TIMEOUT_US, RETRY_BACKOFF_US};
 use workload::cluster::{ClusterConfig, ClusterCtx, ControllerConfig, RouterKind};
 use workload::elastic::{ElasticConfig, ScalingPolicyKind, ThresholdPolicy, WarmPoolConfig};
 use workload::trace::TraceConfig;
 use workload::{
-    ClusterResult, EventKind, SystemKind, TelemetryConfig, TelemetryResult, TierConfig, TiersConfig,
+    ClusterResult, EventKind, RequeueCause, SystemKind, TelemetryConfig, TelemetryResult,
+    TierConfig, TiersConfig,
 };
 
 fn short_horizon() -> f64 {
@@ -283,6 +284,74 @@ fn recorder_is_invisible_and_reconciles_with_counters() {
     );
 }
 
+/// The fixed health and retry timings, read off the recorder: a crashed
+/// lane keeps drawing round-robin traffic only while its frozen
+/// heartbeat is younger than `HEARTBEAT_TIMEOUT_US`, and every bounced
+/// request comes back as a `DeadRoute` requeue on that lane's track
+/// inside `[crash, crash + HEARTBEAT_TIMEOUT_US]`; no re-dispatch
+/// happens sooner than `RETRY_BACKOFF_US` after its request was
+/// orphaned. The crash lasts 30% of the horizon, well past the
+/// heartbeat window, so a heartbeat that never ages out would bounce
+/// requests after it.
+#[test]
+fn dead_routes_and_redispatch_delays_follow_the_fixed_timings() {
+    let mut cfg = ClusterConfig::new(
+        vec![GpuModel::RtxA2000, GpuModel::Gtx1080],
+        SystemKind::Sgdrc,
+    );
+    cfg.horizon_us = if cfg!(debug_assertions) { 1e5 } else { 2.5e5 };
+    cfg.trace = TraceConfig::apollo_like().scaled(2.0);
+    cfg.controller = ControllerConfig {
+        period_us: 1e4,
+        breach_ratio: 0.9,
+        adaptive_ch_be: true,
+        ..Default::default()
+    };
+    let crash_at = cfg.horizon_us * 0.35;
+    cfg.chaos = Some(FaultPlan::new(vec![FaultEvent::crash(
+        0,
+        crash_at,
+        cfg.horizon_us * 0.3,
+    )]));
+    let res = run_with(
+        &cfg,
+        RouterKind::RoundRobin,
+        Some(TelemetryConfig::default()),
+    );
+    let tel = res.telemetry.as_ref().expect("recorder was enabled");
+    assert_eq!(tel.dropped_events, 0, "the ring must hold the whole run");
+    let dead_routes: Vec<(u32, f64)> = tel
+        .events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Requeued {
+                cause: RequeueCause::DeadRoute,
+                ..
+            } => Some((e.lane, e.at_us)),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        !dead_routes.is_empty(),
+        "round-robin must route at the dead-but-fresh lane"
+    );
+    for &(lane, at_us) in &dead_routes {
+        assert_eq!(lane, 0, "a dead route bounces off the crashed lane");
+        assert!(
+            (crash_at..=crash_at + HEARTBEAT_TIMEOUT_US).contains(&at_us),
+            "dead route at {at_us} µs outside [{crash_at}, {}]",
+            crash_at + HEARTBEAT_TIMEOUT_US
+        );
+    }
+    assert!(res.retries > 0, "the crash must orphan re-dispatched work");
+    let min_delay = res.redispatch_hist.min();
+    assert!(
+        min_delay >= RETRY_BACKOFF_US - 1e-6,
+        "a request was re-dispatched {min_delay} µs after it was orphaned, \
+         sooner than the {RETRY_BACKOFF_US} µs backoff"
+    );
+}
+
 /// Per-lane requeue/retry attribution sums to the fleet totals under
 /// chaos: `requeued == Σ lane.requeued + refused_arrivals` and
 /// `retries == Σ lane.retries`.
@@ -315,10 +384,7 @@ fn tiny_ring_overwrites_oldest_and_stays_invisible() {
     let on = run_with(
         &cfg,
         RouterKind::ShortestBacklog,
-        Some(TelemetryConfig {
-            ring_capacity: 8,
-            profile: false,
-        }),
+        Some(TelemetryConfig { ring_capacity: 8 }),
     );
     let tel = on.telemetry.clone().expect("recorder was enabled");
     assert_eq!(stripped(on), off, "ring pressure perturbed the run");
@@ -362,13 +428,8 @@ fn random_elastic(n_init: usize, warm: usize, bits: u64) -> ElasticConfig {
     };
     let mut e = ElasticConfig::new(pool, policy);
     e.min_replicas = 1 + (bits >> 7) as usize % n_init.max(1);
-    e.max_replicas = n_init + warm;
     e.up_cooldown_us = (bits >> 9 & 1) as f64 * 1.5e4;
     e.down_cooldown_us = (bits >> 10 & 1) as f64 * 1.5e4;
-    if bits >> 11 & 1 == 1 {
-        e.breach_drain_ticks = 2;
-        e.breach_drain_ratio = 0.8;
-    }
     if bits >> 12 & 1 == 1 {
         e.replace_after_us = 8e3;
     }
@@ -439,7 +500,6 @@ proptest! {
         let router = RouterKind::all()[router_idx];
         let tcfg = TelemetryConfig {
             ring_capacity: RING_CAPS[ring_idx],
-            profile: ring_idx != 1,
         };
         let off = run_with(&cfg, router, None);
         let on = run_with(&cfg, router, Some(tcfg));
@@ -485,12 +545,10 @@ proptest! {
         dirty.horizon_us /= 2.0;
         dirty.telemetry = Some(TelemetryConfig {
             ring_capacity: RING_CAPS[(ring_idx + 1) % RING_CAPS.len()],
-            profile: true,
         });
         let router = RouterKind::all()[router_idx];
         let tcfg = TelemetryConfig {
             ring_capacity: RING_CAPS[ring_idx],
-            profile: true,
         };
         let (fresh, recycled) = fresh_and_recycled(&cfg, &dirty, router, tcfg);
         assert_canonical_order(recycled.telemetry.as_ref().expect("recorder on"));

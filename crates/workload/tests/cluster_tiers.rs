@@ -147,11 +147,6 @@ fn random_elastic(n_init: usize, warm: usize, bits: u64) -> ElasticConfig {
     };
     let mut e = ElasticConfig::new(pool, policy);
     e.min_replicas = 1 + (bits >> 7) as usize % n_init.max(1);
-    e.max_replicas = n_init + warm;
-    if bits >> 11 & 1 == 1 {
-        e.breach_drain_ticks = 2;
-        e.breach_drain_ratio = 0.8;
-    }
     if bits >> 12 & 1 == 1 {
         e.replace_after_us = 8e3;
     }
@@ -458,7 +453,7 @@ proptest! {
         steps in prop::collection::vec(
             (
                 0usize..8,
-                prop::collection::vec((0usize..16, 0.0f64..2.0, 0usize..3, 0u8..4), 1..9),
+                prop::collection::vec((0usize..16, 0.0f64..2.0, 0u8..4), 1..9),
             ),
             1..48,
         ),
@@ -468,11 +463,9 @@ proptest! {
             for (i, (task, lanes)) in steps.iter().enumerate() {
                 let views: Vec<ReplicaView> = lanes
                     .iter()
-                    .map(|&(backlog, window_p99_ratio, resident_be, health)| ReplicaView {
-                        gpu: GpuModel::RtxA2000,
+                    .map(|&(backlog, window_p99_ratio, health)| ReplicaView {
                         backlog,
                         window_p99_ratio,
-                        resident_be,
                         // One lane in four unhealthy, so all-unhealthy
                         // fallbacks are sampled too.
                         healthy: health != 0,
@@ -507,7 +500,6 @@ proptest! {
         let views: Vec<ReplicaView> = lanes
             .iter()
             .map(|&(b_kind, b, r_kind, r, health)| ReplicaView {
-                gpu: GpuModel::RtxA2000,
                 backlog: match b_kind {
                     0 => b % 3,
                     1 => usize::MAX,
@@ -519,7 +511,6 @@ proptest! {
                     1 => 1.0,
                     _ => r,
                 },
-                resident_be: 0,
                 healthy: health != 0,
             })
             .collect();
