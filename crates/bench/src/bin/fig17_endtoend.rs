@@ -1,11 +1,64 @@
 //! Fig. 17: end-to-end evaluation — LS p99 latency, SLO attainment and
 //! normalized throughput for every system on both GPUs and both loads.
-//! Writes machine-readable results to `fig17_results.json`.
+//! Writes machine-readable results to `fig17_results.json`, then prints
+//! the paper's headline numbers derived from the same runs: highest SLO
+//! attainment (paper: 99.0% average), overall throughput up to 1.47×
+//! Orion's and BE throughput up to 2.36× Orion's.
 use gpu_spec::GpuModel;
+use workload::metrics::SystemResult;
 use workload::runner::{run_cell, Deployment, EndToEndConfig, Load};
+
+/// Prints the paper's headline numbers from the Fig. 17 cells, each
+/// cell's results in the order `run_cell` returned them.
+fn print_headline(cells: &[Vec<SystemResult>]) {
+    sgdrc_bench::header("headline numbers (paper values in parentheses)");
+    let (mut sgdrc_att, mut overall_gain, mut be_gain) = (Vec::new(), Vec::new(), Vec::new());
+    for results in cells {
+        let by_name = |name: &str| {
+            results
+                .iter()
+                .find(|r| r.system == name)
+                .unwrap_or_else(|| panic!("{name} ran"))
+        };
+        let (sgdrc, orion) = (by_name("SGDRC"), by_name("Orion"));
+        let overall = sgdrc.overall_throughput_hz / orion.overall_throughput_hz;
+        sgdrc_att.push(sgdrc.mean_slo_attainment());
+        overall_gain.push(overall);
+        // Per-BE-model gain (the paper's "up to" is over models).
+        for ((name, s), (_, o)) in sgdrc.be_throughput_hz.iter().zip(&orion.be_throughput_hz) {
+            if *o > 0.0 {
+                be_gain.push((format!("{}/{}/{name}", sgdrc.gpu, sgdrc.load), s / o));
+            }
+        }
+        let best = results
+            .iter()
+            .max_by(|a, b| a.mean_slo_attainment().total_cmp(&b.mean_slo_attainment()))
+            .expect("results");
+        println!(
+            "{} / {:<5}: best attainment = {} ({:.3}); SGDRC overall/Orion = {overall:.2}x",
+            sgdrc.gpu,
+            sgdrc.load,
+            best.system,
+            best.mean_slo_attainment(),
+        );
+    }
+    let mean_att = sgdrc_att.iter().sum::<f64>() / sgdrc_att.len() as f64;
+    println!(
+        "SGDRC mean SLO attainment: {:.1}% (paper: 99.0%)",
+        mean_att * 100.0
+    );
+    let max_overall = overall_gain.iter().cloned().fold(0.0f64, f64::max);
+    println!("overall throughput vs Orion: up to {max_overall:.2}x (paper: up to 1.47x)");
+    let (at, max_be) = be_gain
+        .iter()
+        .max_by(|a, b| a.1.total_cmp(&b.1))
+        .expect("gains");
+    println!("BE throughput vs Orion: up to {max_be:.2}x at {at} (paper: up to 2.36x)");
+}
 
 fn main() {
     let mut all = Vec::new();
+    let mut cells = Vec::new();
     for gpu in GpuModel::testbeds() {
         let dep = Deployment::cached(gpu);
         for load in [Load::Heavy, Load::Light] {
@@ -17,6 +70,7 @@ fn main() {
                 load.name()
             ));
             let mut results = run_cell(&dep, &cfg);
+            cells.push(results.clone());
             results.sort_by(|a, b| a.system.cmp(&b.system));
             println!(
                 "{:<16} {:>8} {:>10} {:>10} {:>10}",
@@ -64,4 +118,5 @@ fn main() {
     );
     std::fs::write("fig17_results.json", doc.pretty()).expect("write results");
     println!("\nwrote fig17_results.json");
+    print_headline(&cells);
 }

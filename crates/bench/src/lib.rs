@@ -1,9 +1,10 @@
 //! # sgdrc-bench — figure/table regeneration and micro-benchmarks
 //!
-//! One binary per paper artefact (`fig*`, `tab*`, `sec*`, `ablation_*`,
-//! `headline`), plus the fleet harness (`bench_cluster`):
-//! `cargo run --release -p sgdrc-bench --bin <target>`. Criterion
-//! micro-benchmarks live in `benches/`.
+//! One binary per paper artefact (`fig*`, `tab*`, `sec*`, `ablation_*`),
+//! plus the fleet harness (`bench_cluster`):
+//! `cargo run --release -p sgdrc-bench --bin <target>`. The paper's
+//! headline numbers close `fig17_endtoend`'s output, computed from its
+//! own runs. Criterion micro-benchmarks live in `benches/`.
 //!
 //! Machine-readable outputs (`fig17_results.json`, `BENCH_cluster.json`)
 //! are emitted through the dependency-free [`json`] writer — the build

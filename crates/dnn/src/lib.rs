@@ -22,7 +22,6 @@ pub mod zoo;
 pub use compiler::{compile, CompileOptions};
 pub use kernel::{kernel_id, KernelDesc, KernelKind};
 pub use perf::{
-    bandwidth_demand_gbps, isolated_runtime_us, runtime_us, KernelPerfInvariants, ResourceCtx,
-    LAUNCH_OVERHEAD_US,
+    isolated_runtime_us, runtime_us, KernelPerfInvariants, ResourceCtx, LAUNCH_OVERHEAD_US,
 };
 pub use zoo::{build as build_model, build_with_batch, full_zoo, Model, ModelId};

@@ -187,15 +187,6 @@ impl KernelPerfInvariants {
     }
 }
 
-/// Average DRAM bandwidth demand while running, in GB/s.
-pub fn bandwidth_demand_gbps(k: &KernelDesc, spec: &GpuSpec, ctx: ResourceCtx) -> f64 {
-    let t = runtime_us(k, spec, ctx) - LAUNCH_OVERHEAD_US;
-    if t <= 0.0 {
-        return 0.0;
-    }
-    k.bytes / (t * 1e-6) / 1e9
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

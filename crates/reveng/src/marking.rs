@@ -193,11 +193,6 @@ impl<'d> ChannelMarker<'d> {
         })
     }
 
-    /// Calibrated thresholds in use.
-    pub fn thresholds(&self) -> Thresholds {
-        self.th
-    }
-
     /// Number of channel classes discovered so far.
     pub fn num_classes(&self) -> usize {
         self.pools.len()

@@ -15,7 +15,7 @@
 //! All probes observe the device *only* through load latencies; the
 //! ground-truth hash oracle is never consulted.
 
-use gpu_spec::{MmuError, VirtAddr, CACHELINE_BYTES, PARTITION_BYTES};
+use gpu_spec::{MmuError, VirtAddr};
 use mem_sim::{GpuDevice, Thresholds};
 
 /// Algo 1: do `a` and `b` exhibit a DRAM bank conflict?
@@ -159,15 +159,10 @@ pub fn find_cache_conflict_addrs(
     Ok(found)
 }
 
-/// All eight cacheline addresses inside one 1 KiB partition.
-pub fn partition_lines(base: VirtAddr) -> impl Iterator<Item = VirtAddr> {
-    (0..PARTITION_BYTES / CACHELINE_BYTES).map(move |i| base.offset(i * CACHELINE_BYTES))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_spec::GpuModel;
+    use gpu_spec::{GpuModel, PARTITION_BYTES};
     use mem_sim::calibrate_thresholds;
 
     /// Sorted-by-physical-address partition base VAs of a fresh buffer.
@@ -284,13 +279,5 @@ mod tests {
             is_cacheline_evicted(&mut dev, &th, &window, window.len() - 1).unwrap(),
             "the full window must evict the seed"
         );
-    }
-
-    #[test]
-    fn partition_lines_cover_the_partition() {
-        let lines: Vec<_> = partition_lines(VirtAddr(0x1000)).collect();
-        assert_eq!(lines.len(), 8);
-        assert_eq!(lines[0], VirtAddr(0x1000));
-        assert_eq!(lines[7], VirtAddr(0x1000 + 7 * 128));
     }
 }

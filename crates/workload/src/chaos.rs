@@ -12,11 +12,13 @@
 //! Everything is data: the same plan against the same
 //! [`ClusterConfig`](crate::cluster::ClusterConfig) replays to a
 //! bit-identical [`ClusterResult`](crate::cluster::ClusterResult) on
-//! every run, and `tests/cluster_chaos.rs` proptests arrival
-//! conservation over random plans. Plans either come from
-//! [`FaultPlan::generate`] (a seeded splitmix64 chain — the bench's
-//! chaos section records the seed so any run can be replayed from its
-//! JSON) or are built by hand from [`FaultEvent`] constructors.
+//! every run. Plans either come from [`FaultPlan::generate`] (a seeded
+//! splitmix64 chain, so the seed replays the plan) or are built by hand
+//! from [`FaultEvent`] constructors, as the bench's chaos section does:
+//! it writes its explicit events into its JSON, from which any run can
+//! be replayed. `tests/cluster_chaos.rs` pins the fault semantics on
+//! hand-built plans, and `tests/cluster_contracts.rs` proptests arrival
+//! conservation and context recycling over generated ones.
 
 use crate::seed::splitmix64;
 

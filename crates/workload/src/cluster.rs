@@ -98,7 +98,13 @@
 //!   folded into the latency sketches and conservation counters at
 //!   every controller tick and then discarded, bounding memory at
 //!   O(replicas) for any horizon. Aggregate results are identical to
-//!   the retained mode (`tests/cluster_streaming.rs`).
+//!   the retained mode (`tests/cluster_contracts.rs`), and a run's peak
+//!   heap does not grow with its horizon (`tests/cluster_alloc.rs`).
+//!
+//! `tests/cluster_contracts.rs` proptests the clock's whole-run
+//! contracts over random fleets that combine every layer: recycled
+//! contexts equal fresh ones, arrivals are conserved, the recorder and
+//! inert layers are invisible, and streaming equals retained mode.
 
 use crate::chaos::{
     FaultOp, FaultPlan, RetryConfig, ScheduledFault, HEARTBEAT_TIMEOUT_US, REQUEST_DEADLINE_US,
@@ -1073,18 +1079,12 @@ struct Fleet<'s> {
     /// are never advanced, excluded from controller decisions, and
     /// bounce injected requests into the retry queue.
     alive: Vec<bool>,
-    /// Lanes the clock may owe work: Active or Draining members.
-    /// Warm, provisioning and retired lanes are frozen — their
-    /// `next_at` is `INFINITY` regardless of policy timers, so the
-    /// clock never advances them. Always all-true without an elastic
-    /// config.
-    advancing: Vec<bool>,
-    /// Lanes in the router's view set: Active members only. Draining
-    /// lanes keep advancing (in-flight work finishes in place) but stop
-    /// receiving traffic, BE placements and controller attention.
-    /// Always all-true without an elastic config, making the
-    /// view-compaction below the identity mapping.
-    routable: Vec<bool>,
+    /// Each lane's membership lifecycle, which decides whether the
+    /// clock advances it ([`LaneState::advancing`]) and whether the
+    /// router sees it ([`LaneState::routable`]). Always all-`Active`
+    /// without an elastic config, making the view-compaction below the
+    /// identity mapping.
+    state: Vec<LaneState>,
     /// View slot → lane id. `views[s]` describes lane `view_lane[s]`;
     /// the identity mapping while membership is static, so routers —
     /// which draw over `views.len()` — consume RNG exactly as a
@@ -1119,7 +1119,7 @@ impl<'s> Fleet<'s> {
     /// cell — a pure read of simulation state.
     fn refresh(&mut self, r: usize) {
         let cell = &self.cells[r];
-        let next = if self.alive[r] && self.advancing[r] {
+        let next = if self.alive[r] && self.state[r].advancing() {
             cell.sim
                 .next_pending_at(cell.policy.as_dyn_ref())
                 .unwrap_or(f64::INFINITY)
@@ -1199,7 +1199,7 @@ impl<'s> Fleet<'s> {
         self.n_dead = 0;
         self.view_lane.clear();
         for r in 0..self.len() {
-            if !self.routable[r] {
+            if !self.state[r].routable() {
                 self.lane_slot[r] = u32::MAX;
                 continue;
             }
@@ -1244,7 +1244,7 @@ impl<'s> Fleet<'s> {
             return;
         }
         let fresh: Vec<ReplicaView> = (0..self.len())
-            .filter(|&r| self.routable[r])
+            .filter(|&r| self.state[r].routable())
             .map(|r| self.compute_view(rt, r, t))
             .collect();
         debug_assert_eq!(
@@ -1584,15 +1584,31 @@ enum LaneState {
     Retired,
 }
 
-/// The fleet clock's elastic runtime: per-lane lifecycle state, the
-/// provisioning schedule (whose min is the clock's *scale* decision
-/// point), cooldown bookkeeping, and membership accounting. The policy,
-/// floor and cooldowns stay in [`PreparedCluster`]'s elastic config —
-/// the attached one, or the inert one (no warm lanes, `Hold`,
-/// replacement off) under which every lane stays `Active` and
-/// `next_ready_us` infinite.
+impl LaneState {
+    /// Lanes the clock may owe work: Active or Draining members. Warm,
+    /// provisioning and retired lanes are frozen — their `next_at` is
+    /// `INFINITY` regardless of policy timers, so the clock never
+    /// advances them.
+    fn advancing(self) -> bool {
+        matches!(self, LaneState::Active | LaneState::Draining)
+    }
+
+    /// Lanes in the router's view set: Active members only. Draining
+    /// lanes keep advancing (in-flight work finishes in place) but stop
+    /// receiving traffic, BE placements and controller attention.
+    fn routable(self) -> bool {
+        self == LaneState::Active
+    }
+}
+
+/// The fleet clock's elastic runtime: the provisioning schedule (whose
+/// min is the clock's *scale* decision point), cooldown bookkeeping,
+/// and membership accounting; each lane's lifecycle state lives in
+/// `Fleet::state`. The policy, floor and cooldowns stay in
+/// [`PreparedCluster`]'s elastic config — the attached one, or the
+/// inert one (no warm lanes, `Hold`, replacement off) under which
+/// every lane stays `Active` and `next_ready_us` infinite.
 struct ElasticRt {
-    state: Vec<LaneState>,
     /// Activation instant of each lane's membership stint (0 for
     /// configured lanes).
     activated_at: Vec<f64>,
@@ -1623,13 +1639,8 @@ struct ElasticRt {
 }
 
 impl ElasticRt {
-    fn new(n: usize, n_init: usize) -> Self {
-        let mut state = vec![LaneState::Active; n];
-        for s in state.iter_mut().skip(n_init) {
-            *s = LaneState::Warm;
-        }
+    fn new(n: usize) -> Self {
         Self {
-            state,
             activated_at: vec![0.0; n],
             active_us: vec![0.0; n],
             ready_at: vec![f64::INFINITY; n],
@@ -1649,21 +1660,18 @@ impl ElasticRt {
         }
     }
 
-    fn count(&self, s: LaneState) -> usize {
-        self.state.iter().filter(|&&x| x == s).count()
-    }
-
     fn recompute_next_ready(&mut self) {
         self.next_ready_us = self.ready_at.iter().copied().fold(f64::INFINITY, f64::min);
     }
 
     /// Crash interop: a crash mid-provisioning aborts the scale-up (the
-    /// lane falls back to the warm pool, usable again after recovery);
-    /// a crashed member starts its replacement confirmation window.
-    fn on_crash(&mut self, r: usize, at_us: f64) {
-        match self.state[r] {
+    /// lane, whose lifecycle state is `state`, falls back to the warm
+    /// pool, usable again after recovery); a crashed member starts its
+    /// replacement confirmation window.
+    fn on_crash(&mut self, state: &mut LaneState, r: usize, at_us: f64) {
+        match *state {
             LaneState::Provisioning => {
-                self.state[r] = LaneState::Warm;
+                *state = LaneState::Warm;
                 self.ready_at[r] = f64::INFINITY;
                 self.recompute_next_ready();
                 self.events.push(ScaleEvent {
@@ -1714,9 +1722,9 @@ fn retune_cell(cfg: &ClusterConfig, dep: &Deployment, resident: usize, cell: &mu
 /// lowest index on ties. A draining or retired lane may still carry the
 /// backlog it is flushing out, but shedding there would double-punish
 /// work that is already leaving.
-fn shed_victim(alive: &[bool], routable: &[bool], backlog: &[u32]) -> Option<usize> {
+fn shed_victim(alive: &[bool], state: &[LaneState], backlog: &[u32]) -> Option<usize> {
     (0..backlog.len())
-        .filter(|&r| alive[r] && routable[r])
+        .filter(|&r| alive[r] && state[r].routable())
         .max_by_key(|&r| (backlog[r], std::cmp::Reverse(r)))
 }
 
@@ -1815,8 +1823,7 @@ impl<'a> RunState<'a> {
             backlog: std::mem::take(&mut ctx.backlog),
             ratio: std::mem::take(&mut ctx.ratio),
             alive: std::mem::take(&mut ctx.alive),
-            advancing: std::mem::take(&mut ctx.advancing),
-            routable: std::mem::take(&mut ctx.routable),
+            state: std::mem::take(&mut ctx.state),
             view_lane: std::mem::take(&mut ctx.view_lane),
             lane_slot: std::mem::take(&mut ctx.lane_slot),
             views: std::mem::take(&mut ctx.views),
@@ -1833,14 +1840,9 @@ impl<'a> RunState<'a> {
         fleet.alive.resize(n, true);
         // Configured lanes open as members; warm-pool lanes are frozen
         // until the elastic controller provisions them.
-        fleet.advancing.clear();
-        fleet.advancing.resize(n, false);
-        fleet.routable.clear();
-        fleet.routable.resize(n, false);
-        for r in 0..n_init {
-            fleet.advancing[r] = true;
-            fleet.routable[r] = true;
-        }
+        fleet.state.clear();
+        fleet.state.resize(n_init, LaneState::Active);
+        fleet.state.resize(n, LaneState::Warm);
         // Placeholder views (the identity slot↔lane mapping over the
         // configured lanes) so `refresh` can patch backlogs during cell
         // construction; `rebuild_views` below re-derives every field.
@@ -1936,7 +1938,7 @@ impl<'a> RunState<'a> {
             migrations: Vec::new(),
             chaos,
             tiers,
-            elastic: ElasticRt::new(n, n_init),
+            elastic: ElasticRt::new(n),
             tel,
             arrivals: ArrivalStream::new(&cfg.trace, n_ls, cfg.horizon_us, cfg.seed),
             next_tick: period,
@@ -1999,7 +2001,7 @@ impl<'a> RunState<'a> {
                 .iter()
                 .enumerate()
                 .filter_map(|(r, cell)| {
-                    if !fleet.alive[r] || !fleet.advancing[r] {
+                    if !fleet.alive[r] || !fleet.state[r].advancing() {
                         return None;
                     }
                     let at = cell.sim.next_pending_at(cell.policy.as_dyn_ref())?;
@@ -2101,7 +2103,7 @@ impl<'a> RunState<'a> {
             .filter(|&d| {
                 Some(d) != exclude
                     && fleet.alive[d]
-                    && fleet.routable[d]
+                    && fleet.state[d].routable()
                     && !self.jobs_on[d].iter().any(|&k| be_jobs[k] == model)
             })
             .min_by_key(|&d| (fleet.backlog[d], d))
@@ -2215,13 +2217,13 @@ impl<'a> RunState<'a> {
         // it — typically the scheduled recovery of a crash the elastic
         // layer already replaced — are no-ops. So are overlapping crash
         // windows, permanent-crash bookkeeping and double recoveries.
-        let retired = self.elastic.state[r] == LaneState::Retired;
+        let retired = self.fleet.state[r] == LaneState::Retired;
         match f.op {
             _ if retired => {}
             FaultOp::Crash if self.fleet.alive[r] => {
                 self.fleet.alive[r] = false;
                 self.record_fault(&f, true);
-                self.elastic.on_crash(r, t);
+                self.elastic.on_crash(&mut self.fleet.state[r], r, t);
                 // Freeze the heartbeat at the last instant this replica
                 // was seen alive — what the per-replica stamp sweep would
                 // have left behind. `max` keeps a recovery stamp that
@@ -2285,10 +2287,10 @@ impl<'a> RunState<'a> {
     fn activate_ready(&mut self, t: f64) {
         for r in 0..self.fleet.len() {
             let ert = &mut self.elastic;
-            if ert.state[r] != LaneState::Provisioning || ert.ready_at[r] > t {
+            if self.fleet.state[r] != LaneState::Provisioning || ert.ready_at[r] > t {
                 continue;
             }
-            ert.state[r] = LaneState::Active;
+            self.fleet.state[r] = LaneState::Active;
             ert.activated_at[r] = t;
             ert.ready_at[r] = f64::INFINITY;
             ert.events.push(ScaleEvent {
@@ -2296,8 +2298,6 @@ impl<'a> RunState<'a> {
                 replica: r,
                 kind: ScaleEventKind::Activate,
             });
-            self.fleet.advancing[r] = true;
-            self.fleet.routable[r] = true;
             self.chaos.last_heartbeat[r] = t;
             self.fleet.mutate(r, |cell| {
                 cell.sim.state_mut().engine.advance_idle(t);
@@ -2388,7 +2388,7 @@ impl<'a> RunState<'a> {
         let mut warm = 0u32;
         let mut active = 0u32;
         let mut provisioning = 0u32;
-        for s in &self.elastic.state {
+        for s in &fleet.state {
             match s {
                 LaneState::Warm => warm += 1,
                 LaneState::Active => active += 1,
@@ -2434,9 +2434,8 @@ impl<'a> RunState<'a> {
     /// draw comes from the run-seeded splitmix64 chain — deterministic
     /// per draw index.
     fn start_provision(&mut self, t: f64, cause: ScaleCause) -> bool {
-        let ert = &mut self.elastic;
-        let alive = &self.fleet.alive;
-        let w = (0..ert.state.len()).find(|&r| ert.state[r] == LaneState::Warm && alive[r]);
+        let (ert, fleet) = (&mut self.elastic, &mut self.fleet);
+        let w = (0..fleet.len()).find(|&r| fleet.state[r] == LaneState::Warm && fleet.alive[r]);
         let Some(w) = w else {
             ert.warm_misses += 1;
             return false;
@@ -2446,7 +2445,7 @@ impl<'a> RunState<'a> {
         ert.draws += 1;
         let ready = t + delay;
         ert.provision_delay_total_us += delay;
-        ert.state[w] = LaneState::Provisioning;
+        fleet.state[w] = LaneState::Provisioning;
         ert.ready_at[w] = ready;
         ert.next_ready_us = ert.next_ready_us.min(ready);
         ert.events.push(ScaleEvent {
@@ -2467,14 +2466,12 @@ impl<'a> RunState<'a> {
     fn retire_lane(&mut self, r: usize, t: f64) {
         let ert = &mut self.elastic;
         ert.active_us[r] += t - ert.activated_at[r];
-        ert.state[r] = LaneState::Retired;
+        self.fleet.state[r] = LaneState::Retired;
         ert.events.push(ScaleEvent {
             at_us: t,
             replica: r,
             kind: ScaleEventKind::Retire,
         });
-        self.fleet.advancing[r] = false;
-        self.fleet.routable[r] = false;
         self.fleet.refresh(r);
     }
 
@@ -2484,8 +2481,7 @@ impl<'a> RunState<'a> {
     /// here; the lane retires at the first controller tick that finds it
     /// fully quiesced.
     fn drain_lane_start(&mut self, t: f64, v: usize) {
-        self.elastic.state[v] = LaneState::Draining;
-        self.fleet.routable[v] = false;
+        self.fleet.state[v] = LaneState::Draining;
         self.elastic.drains_started += 1;
         self.elastic.events.push(ScaleEvent {
             at_us: t,
@@ -2511,7 +2507,7 @@ impl<'a> RunState<'a> {
         // flight leaves the fleet. Tick-granular by design: membership
         // changes only at decision points.
         for r in 0..n {
-            if self.elastic.state[r] == LaneState::Draining
+            if self.fleet.state[r] == LaneState::Draining
                 && self.fleet.cells[r].sim.state().ls_backlog() == 0
             {
                 self.elastic.drains_completed += 1;
@@ -2526,7 +2522,7 @@ impl<'a> RunState<'a> {
         // — routers observe its heartbeat staleness and route around it.
         if e.replace_after_us.is_finite() {
             for r in 0..n {
-                if self.elastic.state[r] != LaneState::Active
+                if self.fleet.state[r] != LaneState::Active
                     || self.fleet.alive[r]
                     || t - self.elastic.dead_since[r] < e.replace_after_us
                 {
@@ -2542,12 +2538,13 @@ impl<'a> RunState<'a> {
 
         // Phase 3 — the scaling policy, floored and rate-limited.
         let (ert, fleet) = (&mut self.elastic, &self.fleet);
-        let active = ert.count(LaneState::Active);
-        let provisioning = ert.count(LaneState::Provisioning);
+        let count = |s: LaneState| fleet.state.iter().filter(|&&x| x == s).count();
+        let active = count(LaneState::Active);
+        let provisioning = count(LaneState::Provisioning);
         let mut backlog_sum = 0u64;
         let mut worst = 0.0f64;
         for r in 0..n {
-            if ert.state[r] == LaneState::Active && fleet.alive[r] {
+            if fleet.state[r] == LaneState::Active && fleet.alive[r] {
                 backlog_sum += u64::from(fleet.backlog[r]);
                 worst = worst.max(fleet.ratio[r]);
             }
@@ -2580,9 +2577,9 @@ impl<'a> RunState<'a> {
             let mut drained_any = false;
             for _ in desired..active {
                 // Least-loaded lane first; ties scale down the newest.
-                let (ert, fleet) = (&self.elastic, &self.fleet);
+                let fleet = &self.fleet;
                 let victim = (0..n)
-                    .filter(|&r| ert.state[r] == LaneState::Active && fleet.alive[r])
+                    .filter(|&r| fleet.state[r] == LaneState::Active && fleet.alive[r])
                     .min_by_key(|&r| (fleet.backlog[r], std::cmp::Reverse(r)));
                 let Some(v) = victim else { break };
                 self.drain_lane_start(t, v);
@@ -2609,7 +2606,7 @@ impl<'a> RunState<'a> {
         let src = (0..n)
             .filter(|&r| {
                 fleet.alive[r]
-                    && fleet.routable[r]
+                    && fleet.state[r].routable()
                     && fleet.ratio[r] > ctl.breach_ratio
                     && !jobs_on[r].is_empty()
             })
@@ -2623,7 +2620,10 @@ impl<'a> RunState<'a> {
         let dests = &mut self.dests;
         dests.clear();
         dests.extend((0..n).filter(|&r| {
-            r != src && fleet.alive[r] && fleet.routable[r] && fleet.ratio[r] < ctl.headroom_ratio
+            r != src
+                && fleet.alive[r]
+                && fleet.state[r].routable()
+                && fleet.ratio[r] < ctl.headroom_ratio
         }));
         dests.sort_unstable_by(|&a, &b| {
             fleet.ratio[a]
@@ -2696,7 +2696,7 @@ impl<'a> RunState<'a> {
     fn brownout(&mut self, t: f64) {
         let n = self.fleet.len();
         let fleet = &self.fleet;
-        let member = |r: usize| fleet.routable[r] && fleet.alive[r];
+        let member = |r: usize| fleet.state[r].routable() && fleet.alive[r];
         let alive = (0..n).filter(|&r| member(r)).count();
         if alive == 0 {
             return;
@@ -2723,7 +2723,7 @@ impl<'a> RunState<'a> {
         let park = trt.level >= 1;
         let rt = &mut self.chaos;
         for (r, jobs) in self.jobs_on.iter().enumerate() {
-            if park && !(self.fleet.alive[r] && self.fleet.routable[r]) {
+            if park && !(self.fleet.alive[r] && self.fleet.state[r].routable()) {
                 continue;
             }
             let mut count = 0u32;
@@ -2778,7 +2778,7 @@ impl<'a> RunState<'a> {
             return;
         }
         let fleet = &mut self.fleet;
-        let Some(v) = shed_victim(&fleet.alive, &fleet.routable, &fleet.backlog) else {
+        let Some(v) = shed_victim(&fleet.alive, &fleet.state, &fleet.backlog) else {
             return;
         };
         let mut budget = trt.shed_per_tick;
@@ -3037,7 +3037,7 @@ impl<'a> RunState<'a> {
         // Close the billing stint for every lane still serving at the
         // horizon; retired lanes already billed up to their retire instant.
         for r in 0..n {
-            if matches!(ert.state[r], LaneState::Active | LaneState::Draining) {
+            if fleet.state[r].advancing() {
                 ert.active_us[r] += cfg.horizon_us - ert.activated_at[r];
             }
         }
@@ -3203,8 +3203,7 @@ impl<'a> RunState<'a> {
         ctx.ratio = fleet.ratio;
         ctx.alive = fleet.alive;
         ctx.views = fleet.views;
-        ctx.advancing = fleet.advancing;
-        ctx.routable = fleet.routable;
+        ctx.state = fleet.state;
         ctx.view_lane = fleet.view_lane;
         ctx.lane_slot = fleet.lane_slot;
         ctx.busy = busy;
@@ -3236,8 +3235,7 @@ pub struct ClusterCtx {
     backlog: Vec<u32>,
     ratio: Vec<f64>,
     alive: Vec<bool>,
-    advancing: Vec<bool>,
-    routable: Vec<bool>,
+    state: Vec<LaneState>,
     view_lane: Vec<u32>,
     lane_slot: Vec<u32>,
     views: Vec<ReplicaView>,
@@ -3302,7 +3300,7 @@ pub fn run_cluster_prepared(
 
 #[cfg(test)]
 mod tests {
-    use super::{next_decision, shed_victim, Decision};
+    use super::{next_decision, shed_victim, Decision, LaneState};
 
     #[test]
     fn next_decision_runs_one_instant_in_canonical_order() {
@@ -3343,14 +3341,21 @@ mod tests {
 
     #[test]
     fn shed_victim_is_the_most_backlogged_routable_lane() {
+        use LaneState::*;
         // Lane 1 (draining: alive, not routable) and lane 3 (dead) hold
         // the largest backlogs; neither may be the victim.
         let alive = [true, true, true, false];
-        let routable = [true, false, true, true];
-        assert_eq!(shed_victim(&alive, &routable, &[5, 50, 7, 90]), Some(2));
+        let state = [Active, Draining, Active, Active];
+        assert_eq!(shed_victim(&alive, &state, &[5, 50, 7, 90]), Some(2));
         // Ties go to the lowest index.
-        assert_eq!(shed_victim(&alive, &routable, &[7, 50, 7, 90]), Some(0));
-        // No alive routable lane, no victim.
-        assert_eq!(shed_victim(&[true, false], &[false, true], &[1, 2]), None);
+        assert_eq!(shed_victim(&alive, &state, &[7, 50, 7, 90]), Some(0));
+        // No alive routable lane, no victim: warm, provisioning and
+        // retired lanes are not routable either.
+        assert_eq!(
+            shed_victim(&[true, false], &[Draining, Active], &[1, 2]),
+            None
+        );
+        let frozen = [Warm, Provisioning, Retired];
+        assert_eq!(shed_victim(&[true; 3], &frozen, &[1, 2, 3]), None);
     }
 }

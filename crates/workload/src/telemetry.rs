@@ -6,8 +6,9 @@
 //! registry sampled at controller ticks, and wall-clock phase profiling
 //! of the clock itself.
 //!
-//! Design contract (enforced by `workload/tests/cluster_telemetry.rs`
-//! and `workload/tests/cluster_alloc.rs`):
+//! Design contract (enforced by `workload/tests/cluster_contracts.rs`,
+//! `workload/tests/cluster_telemetry.rs` and
+//! `workload/tests/cluster_alloc.rs`):
 //!
 //! * **Feature-off-free.** `ClusterConfig.telemetry = None` records
 //!   nothing, allocates nothing on the epoch path, and produces
@@ -323,11 +324,6 @@ impl TelemetryResult {
         self.series
             .iter()
             .find(|s| s.name == name && s.lane == lane)
-    }
-
-    /// Events on one lane, in stream order.
-    pub fn lane_events(&self, lane: u32) -> impl Iterator<Item = &FlightEvent> {
-        self.events.iter().filter(move |e| e.lane == lane)
     }
 }
 
@@ -721,7 +717,12 @@ mod tests {
         assert_eq!(order, vec![(1.0, 2), (5.0, 1), (5.0, 3), (5.0, 4)]);
         // Per-lane streams stay monotone in time.
         for lane in [0, 1, FLEET_TRACK] {
-            let times: Vec<f64> = out.lane_events(lane).map(|e| e.at_us).collect();
+            let times: Vec<f64> = out
+                .events
+                .iter()
+                .filter(|e| e.lane == lane)
+                .map(|e| e.at_us)
+                .collect();
             let mut sorted = times.clone();
             sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
             assert_eq!(times, sorted);

@@ -147,19 +147,6 @@ pub fn per_service_traces(
         .collect()
 }
 
-/// [`per_service_traces`] wrapped in the shareable
-/// [`ArrivalTrace`](sgdrc_core::serving::ArrivalTrace): the
-/// per-task lists stay the source of truth, and the serving loop's merged
-/// stream is derived once per trace instead of once per scenario.
-pub fn arrival_trace(
-    cfg: &TraceConfig,
-    services: usize,
-    horizon_us: f64,
-    seed: u64,
-) -> sgdrc_core::serving::ArrivalTrace {
-    sgdrc_core::serving::ArrivalTrace::new(per_service_traces(cfg, services, horizon_us, seed))
-}
-
 /// Stateful single-service arrival generator, one value at a time,
 /// without materializing the whole trace; [`generate`] collects one.
 /// This is the fleet clock's per-service arrival source (via
@@ -384,7 +371,8 @@ mod tests {
     fn arrival_stream_matches_merged_trace() {
         let cfg = TraceConfig::apollo_like().with_bursts(2.2, 0.25);
         for seed in [7u64, 0xF1EE7] {
-            let trace = arrival_trace(&cfg, 4, 2e6, seed);
+            let trace =
+                sgdrc_core::serving::ArrivalTrace::new(per_service_traces(&cfg, 4, 2e6, seed));
             let mut stream = ArrivalStream::new(&cfg, 4, 2e6, seed);
             let mut streamed = Vec::new();
             while let Some(a) = stream.pop() {

@@ -7,12 +7,17 @@
 //! * fleet-wide percentiles merged from per-replica sketches match the
 //!   exact sorted percentile within the documented ≤0.5% bound;
 //! * the controller actually migrates BE work off breaching replicas,
-//!   through the preempt path, without losing completions.
+//!   through the preempt path, without losing completions;
+//! * `prepare` rejects a fleet whose controller never ticks.
+//!
+//! The whole-run contracts over random fleets — recycled contexts,
+//! conservation, recorder invisibility, streaming == retained, inert
+//! layers — live in `cluster_contracts.rs`.
 
 use gpu_spec::GpuModel;
 use proptest::prelude::*;
 use sgdrc_core::SgdrcConfig;
-use workload::cluster::{ClusterConfig, ClusterCtx, ControllerConfig, RouterKind};
+use workload::cluster::{ClusterConfig, ControllerConfig, RouterKind};
 use workload::metrics::{percentile, LatencyHistogram, HIST_REL_ERROR};
 use workload::runner::{cell_trace, run_system_scenario_stats, Deployment, EndToEndConfig, Load};
 use workload::trace::TraceConfig;
@@ -76,28 +81,15 @@ fn one_replica_cluster_is_bit_identical_to_single_gpu_run() {
     }
 }
 
-/// Reused contexts across fleet runs must not change results (the
-/// fleet analogue of `serving_equiv`'s reused-`SimContext` equivalence).
+/// Streaming requires a ticking controller (its window bound), as does
+/// every fleet: `prepare` rejects a zero period.
 #[test]
-fn reused_contexts_match_fresh_runs() {
-    let mut cfg = ClusterConfig::new(
-        vec![GpuModel::RtxA2000, GpuModel::Gtx1080],
-        SystemKind::Sgdrc,
-    );
-    cfg.horizon_us = short_horizon() / 2.0;
-    cfg.trace = TraceConfig::apollo_like().scaled(1.5);
-    let mut ctxs = ClusterCtx::new();
-    let mut first_router = RouterKind::ShortestBacklog.make(cfg.seed);
-    let first = workload::run_cluster_in(&cfg, first_router.as_mut(), &mut ctxs);
-    // Dirty the contexts with a different fleet, then re-run the first.
-    let mut other = cfg.clone();
-    other.trace = TraceConfig::apollo_like().scaled(0.5);
-    other.seed ^= 0xDEAD;
-    let mut other_router = RouterKind::P2cSlo.make(other.seed);
-    let _ = workload::run_cluster_in(&other, other_router.as_mut(), &mut ctxs);
-    let mut again_router = RouterKind::ShortestBacklog.make(cfg.seed);
-    let again = workload::run_cluster_in(&cfg, again_router.as_mut(), &mut ctxs);
-    assert_eq!(first, again);
+#[should_panic(expected = "controller period_us must be > 0")]
+fn streaming_without_controller_is_rejected() {
+    let mut cfg = ClusterConfig::new(vec![GpuModel::RtxA2000], SystemKind::Sgdrc);
+    cfg.streaming = true;
+    cfg.controller.period_us = 0.0;
+    let _ = cfg.prepare();
 }
 
 /// Overload one replica of a 3-replica fleet (skewed routing is forced

@@ -13,7 +13,11 @@
 //! O(replicas)-bounded per run: histogram touched-list doubling and the
 //! migration log.
 //!
-//! The counter is process-wide and cargo runs tests on parallel
+//! The same allocator tracks live and peak heap bytes, which pins
+//! streaming mode's memory bound: a streaming run's peak heap must not
+//! grow with the horizon, while a retained run's does.
+//!
+//! The counters are process-wide and cargo runs tests on parallel
 //! threads, so each test holds [`MEASURE_LOCK`] for its whole body:
 //! another test's allocations must never land in a measured window.
 
@@ -21,7 +25,7 @@ use gpu_spec::GpuModel;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use workload::cluster::{ClusterConfig, ClusterCtx, RouterKind};
+use workload::cluster::{ClusterConfig, ClusterCtx, PreparedCluster, RouterKind};
 use workload::runner::Deployment;
 use workload::trace::TraceConfig;
 use workload::{SystemKind, TelemetryConfig};
@@ -29,29 +33,66 @@ use workload::{SystemKind, TelemetryConfig};
 struct CountingAlloc;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+/// Bytes currently allocated.
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+/// High-water mark of [`LIVE_BYTES`] since the last reset.
+static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 
+fn grow(bytes: usize) {
+    let live = LIVE_BYTES.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+}
+
+fn shrink(bytes: usize) {
+    LIVE_BYTES.fetch_sub(bytes as u64, Ordering::Relaxed);
+}
+
+// SAFETY: every method forwards its arguments to `System` unchanged and
+// returns its result, so `System`'s guarantees hold; the counters are
+// atomics updated without allocating or unwinding.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
+        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            grow(layout.size());
+        }
+        ptr
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrink(layout.size());
+        // SAFETY: the caller passes a block `System` allocated with `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
+        // SAFETY: the caller upholds `realloc`'s contract for this block.
+        let new_ptr = unsafe { System.realloc(ptr, layout, new_size) };
+        if !new_ptr.is_null() {
+            if new_size >= layout.size() {
+                grow(new_size - layout.size());
+            } else {
+                shrink(layout.size() - new_size);
+            }
+        }
+        new_ptr
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
+        // SAFETY: the caller upholds `alloc_zeroed`'s contract for `layout`.
+        let ptr = unsafe { System.alloc_zeroed(layout) };
+        if !ptr.is_null() {
+            grow(layout.size());
+        }
+        ptr
     }
 }
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Serializes the tests that read [`ALLOC_CALLS`].
+/// Serializes the tests that read the allocator's counters.
 static MEASURE_LOCK: Mutex<()> = Mutex::new(());
 
 fn fleet_cfg(horizon_us: f64) -> ClusterConfig {
@@ -188,5 +229,53 @@ fn enabled_recorder_allocates_only_at_creation() {
         delta <= 256,
         "doubling the horizon with the recorder on added {delta} allocations \
          ({allocs_short} at H, {allocs_long} at 2H) — the recorder allocates per event"
+    );
+}
+
+/// Streaming bounds a run's memory by the fleet, not the horizon: on a
+/// fresh [`ClusterCtx`], the peak live heap of the 64-replica streaming
+/// fleet grows by less than 64 KiB from horizon H to 4H, because every
+/// controller tick folds the completion logs into the sketches and
+/// clears them. The same fleet in retained mode keeps one record per
+/// completion, and its peak grows by more than 256 KiB — so the bound
+/// cannot pass vacuously. The peak is read over the whole run, not at
+/// its end, where a streaming run has folded its last window either
+/// way.
+#[test]
+fn streaming_peak_heap_does_not_grow_with_the_horizon() {
+    if cfg!(debug_assertions) {
+        eprintln!("skipping: debug_assertions oracle allocates by design; run under --release");
+        return;
+    }
+    let _serial = MEASURE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let h = 2e5;
+    let _ = Deployment::cached(GpuModel::RtxA2000);
+    let peak_heap = |prep: &PreparedCluster| {
+        let base = LIVE_BYTES.load(Ordering::Relaxed);
+        PEAK_BYTES.store(base, Ordering::Relaxed);
+        let mut router = RouterKind::ShortestBacklog.make(prep.config().seed);
+        let r = workload::run_cluster_prepared(prep, router.as_mut(), &mut ClusterCtx::new());
+        assert!(r.requests > 0, "degenerate scenario");
+        PEAK_BYTES.load(Ordering::Relaxed) - base
+    };
+    // Peak-heap growth from H to 4H, in KiB.
+    let growth_kib = |streaming: bool| {
+        let [short, long] = [h, 4.0 * h].map(|horizon_us| {
+            let mut cfg = fleet_cfg(horizon_us);
+            cfg.streaming = streaming;
+            cfg.prepare()
+        });
+        let (at_h, at_4h) = (peak_heap(&short), peak_heap(&long));
+        (at_4h as f64 - at_h as f64) / 1024.0
+    };
+    let streaming = growth_kib(true);
+    let retained = growth_kib(false);
+    assert!(
+        streaming < 64.0,
+        "a streaming run's peak heap grew {streaming:.0} KiB from H to 4H"
+    );
+    assert!(
+        retained > 256.0,
+        "a retained run's peak heap grew only {retained:.0} KiB from H to 4H"
     );
 }

@@ -1,23 +1,15 @@
-//! Fault-injection contracts for the fleet clock.
-//!
-//! Three pillars, with the clock's own `debug_assertions` oracles (busy
-//! set vs. linear scan, incremental views vs. fresh rebuild) checking
-//! every epoch of every debug run:
-//! * **conservation** — every injected arrival is exactly one of
-//!   {completed (possibly after retries), timeout-dropped, shed,
-//!   in-flight-at-horizon}, proptested over random fault plans on
-//!   random heterogeneous fleets;
-//! * **recycling** — a clock run on a `ClusterCtx` dirtied by another
-//!   faulted fleet agrees bit for bit with a fresh clock;
-//! * **resilience semantics** — crashes requeue to survivors, recovery
-//!   restores service, BE jobs evacuate, throttles slow replicas
-//!   deterministically, degradation parks BE (and sheds no LS without a
-//!   tier map), and requeue beats drop-on-crash on delivered requests.
+//! Fault-injection semantics of the fleet clock, on fixed scenarios:
+//! crashes requeue to survivors, recovery restores service, BE jobs
+//! evacuate, throttles slow replicas deterministically, degradation
+//! parks BE (and sheds no LS without a tier map), requeue beats
+//! drop-on-crash on delivered requests, and an empty plan equals no
+//! plan. Conservation and context recycling under random fault plans
+//! are properties of `cluster_contracts.rs`, whose draws cross fault
+//! plans with every other layer.
 
 use gpu_spec::GpuModel;
-use proptest::prelude::*;
 use workload::chaos::{FaultEvent, FaultKind, FaultPlan};
-use workload::cluster::{ClusterConfig, ClusterCtx, ControllerConfig, RouterKind};
+use workload::cluster::{ClusterConfig, ControllerConfig, RouterKind};
 use workload::trace::TraceConfig;
 use workload::SystemKind;
 
@@ -49,59 +41,6 @@ fn base_cfg() -> ClusterConfig {
         adaptive_ch_be: true,
         ..Default::default()
     };
-    cfg
-}
-
-/// Runs `cfg` on a fresh [`ClusterCtx`] and again on a context recycled
-/// from a run of `dirty`, returning `(fresh, recycled)`. The recycled
-/// run inherits the hot mirrors, view slot mapping, router views, lane
-/// stores and retry scratch that `dirty` left behind.
-fn fresh_and_recycled(
-    cfg: &ClusterConfig,
-    dirty: &ClusterConfig,
-    router: RouterKind,
-) -> (workload::ClusterResult, workload::ClusterResult) {
-    let fresh = run(cfg, router);
-    let mut ctx = ClusterCtx::new();
-    let mut r = router.make(dirty.seed);
-    let _ = workload::run_cluster_in(dirty, r.as_mut(), &mut ctx);
-    let mut r = router.make(cfg.seed);
-    let recycled = workload::run_cluster_in(cfg, r.as_mut(), &mut ctx);
-    (fresh, recycled)
-}
-
-/// The proptests' faulted fleet: replica `r` is an A2000 or a GTX 1080
-/// by bit `r` of `gpu_bits`, the controller ticks every 12 ms, and
-/// `adaptive` adds eager migrations with Ch_BE retuning on both ends.
-fn faulted_fleet(
-    n_replicas: usize,
-    gpu_bits: u64,
-    system: SystemKind,
-    scale: f64,
-    seed: u64,
-    fault: (u64, f64),
-    adaptive: bool,
-) -> ClusterConfig {
-    let (fault_seed, intensity) = fault;
-    let models = [GpuModel::RtxA2000, GpuModel::Gtx1080];
-    let gpus: Vec<GpuModel> = (0..n_replicas)
-        .map(|r| models[((gpu_bits >> r) & 1) as usize])
-        .collect();
-    let mut cfg = ClusterConfig::new(gpus, system);
-    cfg.horizon_us = if cfg!(debug_assertions) { 2.5e4 } else { 6e4 };
-    cfg.trace = TraceConfig::apollo_like().scaled(scale);
-    cfg.seed = seed;
-    cfg.controller.period_us = 1.2e4;
-    if adaptive {
-        cfg.controller.breach_ratio = 0.9;
-        cfg.controller.adaptive_ch_be = true;
-    }
-    cfg.chaos = Some(FaultPlan::generate(
-        fault_seed,
-        n_replicas,
-        cfg.horizon_us,
-        intensity,
-    ));
     cfg
 }
 
@@ -288,79 +227,5 @@ fn empty_fault_plan_matches_no_plan_exactly() {
         let a = run(&with_plan, router);
         let b = run(&without, router);
         assert_eq!(a, b, "{}: empty plan diverged from no plan", router.name());
-    }
-}
-
-proptest! {
-    /// A recycled fleet clock agrees with a fresh one: running a random
-    /// faulted fleet on a [`ClusterCtx`] left behind by a differently
-    /// sized, differently seeded faulted run is bit-identical to running
-    /// it on a fresh context, over random fault plans on random
-    /// heterogeneous fleets × systems × routers.
-    #[test]
-    fn clocks_agree_under_any_fault_plan(
-        n_replicas in 1usize..5,
-        gpu_bits in 0u64..16,
-        system_idx in 0usize..6,
-        router_idx in 0usize..3,
-        scale in 0.8f64..2.4,
-        seed in 0u64..1_000_000,
-        fault in (0u64..1_000_000, 0.5f64..2.5),
-        dirty_seed in 0u64..1_000_000,
-    ) {
-        let system = SystemKind::all()[system_idx];
-        let router = RouterKind::all()[router_idx];
-        let cfg = faulted_fleet(n_replicas, gpu_bits, system, scale, seed, fault, true);
-        let mut dirty = faulted_fleet(
-            1 + (dirty_seed % 4) as usize,
-            !gpu_bits,
-            SystemKind::all()[(dirty_seed % 6) as usize],
-            scale,
-            dirty_seed,
-            (dirty_seed, fault.1),
-            true,
-        );
-        dirty.horizon_us /= 2.0;
-        let (fresh, recycled) = fresh_and_recycled(&cfg, &dirty, router);
-        prop_assert_eq!(recycled, fresh);
-    }
-
-    /// Conservation under faults: every injected arrival is exactly one
-    /// of completed / timeout-dropped / shed / in-flight-at-horizon,
-    /// over random fault plans, heterogeneous fleets, systems, routers,
-    /// controllers and retry budgets.
-    #[test]
-    fn arrivals_are_conserved_under_faults(
-        fleet in (1usize..5, 0u64..16),
-        system_idx in 0usize..6,
-        router_idx in 0usize..3,
-        scale in 0.8f64..2.4,
-        seed in 0u64..1_000_000,
-        fault in (0u64..1_000_000, 0.5f64..3.0),
-        max_retries in 0u32..6,
-        adaptive in 0u32..2,
-    ) {
-        let (n_replicas, gpu_bits) = fleet;
-        let system = SystemKind::all()[system_idx];
-        let router = RouterKind::all()[router_idx];
-        let mut cfg = faulted_fleet(n_replicas, gpu_bits, system, scale, seed, fault, adaptive == 1);
-        let plan = cfg.chaos.as_mut().expect("faulted fleet");
-        plan.retry.max_retries = max_retries;
-        // A tight BE-parking threshold so the ladder actually moves.
-        plan.degradation.shed_be_backlog = 6;
-        let res = run(&cfg, router);
-        prop_assert_eq!(
-            res.arrivals_injected,
-            res.requests + res.timeout_drops + res.ls_shed + res.in_flight_at_end,
-            "injected {} != completed {} + dropped {} + shed {} + in-flight {}",
-            res.arrivals_injected,
-            res.requests,
-            res.timeout_drops,
-            res.ls_shed,
-            res.in_flight_at_end
-        );
-        // Resilience counters are internally consistent, too.
-        prop_assert!(res.retries == res.redispatch_hist.count());
-        prop_assert!(res.faults_recovered <= res.faults_injected);
     }
 }

@@ -1,26 +1,17 @@
-//! Elastic-fleet contracts for the fleet clock.
-//!
-//! Four pillars, with the clock's own `debug_assertions` oracles
-//! (busy set vs. linear scan, incremental views vs. fresh rebuild)
-//! checking every epoch of every debug run:
-//! * **no-op bit-identity** — an elastic config that can never change
-//!   membership (empty warm pool, `Hold`, min == initial) reproduces
-//!   the pre-elastic simulator exactly, for every system and router;
-//! * **conservation** — arrivals == completions + timeout-drops +
-//!   shed + in-flight-at-horizon across random
-//!   join/drain/crash-replacement schedules, fault plans, controllers
-//!   and all systems;
-//! * **recycling** — a clock run on a `ClusterCtx` dirtied by another
-//!   elastic, faulted fleet agrees bit for bit with a fresh clock;
-//! * **lifecycle semantics** — scale-up pays the provisioning delay
-//!   before a lane turns routable, scale-down drains and retires
-//!   without losing work, and crash replacement beats the
-//!   no-replacement fleet on delivered requests.
+//! Elastic-membership semantics of the fleet clock, on fixed
+//! scenarios: an untouched warm pool costs nothing, scale-up pays the
+//! provisioning delay before a lane turns routable, scale-down drains
+//! and retires without losing work, crash replacement beats the
+//! no-replacement fleet on delivered requests, a crash on a
+//! provisioning lane cancels its scale-up, and `prepare` rejects fault
+//! targets past the warm lanes. Conservation, context recycling and the
+//! no-op config's bit-identity under random scaling policies are
+//! properties of `cluster_contracts.rs`, whose draws cross elastic
+//! configs with every other layer.
 
 use gpu_spec::GpuModel;
-use proptest::prelude::*;
 use workload::chaos::{FaultEvent, FaultPlan};
-use workload::cluster::{ClusterConfig, ClusterCtx, ControllerConfig, RouterKind};
+use workload::cluster::{ClusterConfig, ControllerConfig, RouterKind};
 use workload::elastic::{
     ElasticConfig, ScaleCause, ScaleEventKind, ScalingPolicyKind, ThresholdPolicy, WarmPoolConfig,
 };
@@ -68,24 +59,6 @@ fn fast_pool(gpus: Vec<GpuModel>) -> WarmPoolConfig {
     }
 }
 
-/// Runs `cfg` on a fresh [`ClusterCtx`] and again on a context recycled
-/// from a run of `dirty`, returning `(fresh, recycled)`. The recycled
-/// run inherits the hot mirrors, view slot mapping, router views, lane
-/// stores and retry scratch that `dirty` left behind.
-fn fresh_and_recycled(
-    cfg: &ClusterConfig,
-    dirty: &ClusterConfig,
-    router: RouterKind,
-) -> (workload::ClusterResult, workload::ClusterResult) {
-    let fresh = run(cfg, router);
-    let mut ctx = ClusterCtx::new();
-    let mut r = router.make(dirty.seed);
-    let _ = workload::run_cluster_in(dirty, r.as_mut(), &mut ctx);
-    let mut r = router.make(cfg.seed);
-    let recycled = workload::run_cluster_in(cfg, r.as_mut(), &mut ctx);
-    (fresh, recycled)
-}
-
 fn assert_conserved(r: &workload::ClusterResult) {
     assert_eq!(
         r.arrivals_injected,
@@ -97,33 +70,6 @@ fn assert_conserved(r: &workload::ClusterResult) {
         r.ls_shed,
         r.in_flight_at_end,
     );
-}
-
-/// The acceptance baseline: a pinned elastic config (no warm lanes,
-/// `Hold`, min == initial) is bit-identical to `elastic: None` for
-/// every `SystemKind` and router.
-#[test]
-fn noop_elasticity_matches_disabled_exactly() {
-    for system in SystemKind::all() {
-        for router in RouterKind::all() {
-            let mut cfg = base_cfg();
-            cfg.system = system;
-            let mut pinned =
-                ElasticConfig::new(WarmPoolConfig::new(vec![]), ScalingPolicyKind::Hold);
-            pinned.min_replicas = cfg.gpus.len();
-            let mut elastic = cfg.clone();
-            elastic.elastic = Some(pinned);
-            let a = run(&elastic, router);
-            let b = run(&cfg, router);
-            assert_eq!(
-                a,
-                b,
-                "{:?}/{}: pinned elastic config diverged from elastic: None",
-                system,
-                router.name()
-            );
-        }
-    }
 }
 
 /// A warm pool that is never drawn from costs nothing: the configured
@@ -357,147 +303,4 @@ fn crash_mid_provisioning_cancels_the_scale_up() {
         "a cancelled provisioning never activates"
     );
     assert_conserved(&res);
-}
-
-/// A random-but-valid elastic config over `n_init` configured lanes and
-/// `warm` warm lanes, exercising every lifecycle path the knob bits
-/// enable.
-fn random_elastic(n_init: usize, warm: usize, bits: u64) -> ElasticConfig {
-    let pool = WarmPoolConfig {
-        provision_delay_us: 2e3 + (bits % 7) as f64 * 3e3,
-        provision_jitter: 0.25,
-        ..WarmPoolConfig::new(vec![GpuModel::RtxA2000; warm])
-    };
-    let policy = if bits & 1 == 0 {
-        ScalingPolicyKind::Hold
-    } else {
-        ScalingPolicyKind::Threshold(ThresholdPolicy {
-            up_ratio: 0.6 + (bits >> 1 & 3) as f64 * 0.3,
-            down_ratio: 0.3,
-            up_backlog: 1.0 + (bits >> 3 & 7) as f64,
-            down_backlog: 2.0,
-            step: 1 + (bits >> 6 & 1) as usize,
-        })
-    };
-    let mut e = ElasticConfig::new(pool, policy);
-    e.min_replicas = 1 + (bits >> 7) as usize % n_init.max(1);
-    e.up_cooldown_us = (bits >> 9 & 1) as f64 * 1.5e4;
-    e.down_cooldown_us = (bits >> 10 & 1) as f64 * 1.5e4;
-    if bits >> 12 & 1 == 1 {
-        e.replace_after_us = 8e3;
-    }
-    e
-}
-
-/// The proptests' elastic fleet: `n_replicas` A2000s with a random
-/// warm pool and scaling policy drawn from `pool`, the controller
-/// ticking every 12 ms, a generated fault plan when `fault` is set, and
-/// `adaptive` adding eager migrations with Ch_BE retuning on both ends.
-fn elastic_fleet(
-    n_replicas: usize,
-    pool: (usize, u64),
-    system: SystemKind,
-    scale: f64,
-    seed: u64,
-    fault: Option<(u64, f64)>,
-    adaptive: bool,
-) -> ClusterConfig {
-    let (warm, elastic_bits) = pool;
-    let mut cfg = ClusterConfig::new(vec![GpuModel::RtxA2000; n_replicas], system);
-    cfg.horizon_us = if cfg!(debug_assertions) { 2.5e4 } else { 6e4 };
-    cfg.trace = TraceConfig::apollo_like().scaled(scale);
-    cfg.seed = seed;
-    cfg.controller.period_us = 1.2e4;
-    if adaptive {
-        cfg.controller.breach_ratio = 0.9;
-        cfg.controller.adaptive_ch_be = true;
-    }
-    cfg.elastic = Some(random_elastic(n_replicas, warm, elastic_bits));
-    if let Some((fault_seed, intensity)) = fault {
-        cfg.chaos = Some(FaultPlan::generate(
-            fault_seed,
-            n_replicas + warm,
-            cfg.horizon_us,
-            intensity,
-        ));
-    }
-    cfg
-}
-
-proptest! {
-    /// A recycled fleet clock agrees with a fresh one under elasticity:
-    /// random fleets under random scaling policies *and* fault plans,
-    /// run on a [`ClusterCtx`] left behind by a differently shaped
-    /// elastic run, match a fresh context bit for bit on every field,
-    /// including the scale-event log and the membership accounting.
-    #[test]
-    fn clocks_agree_under_scaling_and_faults(
-        n_replicas in 1usize..4,
-        pool in (0usize..3, 0u64..8192),
-        system_idx in 0usize..6,
-        router_idx in 0usize..3,
-        scale in 0.8f64..2.4,
-        seed in 0u64..1_000_000,
-        fault in (0u64..1_000_000, 0.5f64..2.0),
-        dirty_seed in 0u64..1_000_000,
-    ) {
-        let system = SystemKind::all()[system_idx];
-        let router = RouterKind::all()[router_idx];
-        let cfg = elastic_fleet(n_replicas, pool, system, scale, seed, Some(fault), true);
-        let mut dirty = elastic_fleet(
-            1 + (dirty_seed % 3) as usize,
-            ((dirty_seed / 3 % 3) as usize, dirty_seed % 8192),
-            SystemKind::all()[(dirty_seed % 6) as usize],
-            scale,
-            dirty_seed,
-            Some((dirty_seed, fault.1)),
-            true,
-        );
-        dirty.horizon_us /= 2.0;
-        let (fresh, recycled) = fresh_and_recycled(&cfg, &dirty, router);
-        prop_assert_eq!(recycled, fresh);
-    }
-
-    /// Satellite: conservation under elasticity — every injected
-    /// arrival is exactly one of completed / timeout-dropped / shed /
-    /// in-flight-at-horizon, across random join/drain/crash-replacement
-    /// schedules, fault plans, controllers and all systems.
-    #[test]
-    fn arrivals_are_conserved_under_elasticity(
-        n_replicas in 1usize..4,
-        pool in (0usize..3, 0u64..8192),
-        system_idx in 0usize..6,
-        router_idx in 0usize..3,
-        mode_bits in 0u64..4,
-        scale in 0.8f64..2.4,
-        seed in 0u64..1_000_000,
-        fault in (0u64..1_000_000, 0.5f64..2.0),
-    ) {
-        let adaptive = mode_bits & 1 == 1;
-        let with_chaos = mode_bits & 2 == 2;
-        let system = SystemKind::all()[system_idx];
-        let router = RouterKind::all()[router_idx];
-        let cfg = elastic_fleet(
-            n_replicas,
-            pool,
-            system,
-            scale,
-            seed,
-            with_chaos.then_some(fault),
-            adaptive,
-        );
-        let res = run(&cfg, router);
-        prop_assert_eq!(
-            res.arrivals_injected,
-            res.requests + res.timeout_drops + res.ls_shed + res.in_flight_at_end,
-            "injected {} != completed {} + dropped {} + shed {} + in-flight {}",
-            res.arrivals_injected,
-            res.requests,
-            res.timeout_drops,
-            res.ls_shed,
-            res.in_flight_at_end
-        );
-        prop_assert!(res.drains_completed <= res.drains_started);
-        prop_assert!(res.faults_recovered <= res.faults_injected);
-    }
 }

@@ -1,27 +1,19 @@
-//! Flight-recorder contracts for the fleet clock.
-//!
-//! Three pillars:
-//! * **feature-off-free** — enabling the recorder never perturbs the
-//!   simulation: a recorder-on run with its `telemetry` field stripped
-//!   is bit-identical to the recorder-off run, across random fault
-//!   plans × scaling policies × systems × routers × ring capacities
-//!   (wall-clock `ClockProfile` numbers are excluded from equality by
-//!   construction);
-//! * **stream/counter consistency** — the merged stream is sorted and
-//!   uniquely sequenced; when no history was overwritten, `Completed`
-//!   events reconcile exactly with the completion counters and the
-//!   requeue, drop, shed, park, resume, retry and refusal events with
-//!   theirs; the per-lane requeue/retry attribution sums to the fleet
-//!   totals; and dead-route requeues and re-dispatch delays respect the
-//!   fixed heartbeat and backoff timings;
-//! * **recycling** — a recorder-on clock run on a `ClusterCtx` dirtied
-//!   by another recorded fleet agrees bit for bit with a fresh clock,
-//!   merged event stream included.
+//! Flight-recorder semantics of the fleet clock, on fixed chaos
+//! scenarios: when no history was overwritten, the merged stream
+//! reconciles with the fleet counters — `Completed` events with the
+//! completion counters, and the requeue, drop, shed, park, resume,
+//! retry and refusal events with theirs; the per-lane requeue/retry
+//! attribution sums to the fleet totals; dead-route requeues and
+//! re-dispatch delays respect the fixed heartbeat and backoff timings;
+//! and a tiny ring overwrites its oldest events without perturbing the
+//! run. That the recorder never perturbs any run, and that a recycled
+//! context reproduces its merged stream, are properties of
+//! `cluster_contracts.rs`, whose draws cross ring capacities with
+//! every other layer.
 
 use gpu_spec::GpuModel;
-use proptest::prelude::*;
 use workload::chaos::{FaultEvent, FaultPlan, HEARTBEAT_TIMEOUT_US, RETRY_BACKOFF_US};
-use workload::cluster::{ClusterConfig, ClusterCtx, ControllerConfig, RouterKind};
+use workload::cluster::{ClusterConfig, ControllerConfig, RouterKind};
 use workload::elastic::{ElasticConfig, ScalingPolicyKind, ThresholdPolicy, WarmPoolConfig};
 use workload::trace::TraceConfig;
 use workload::{
@@ -46,26 +38,6 @@ fn run_with(
     cfg.telemetry = telemetry;
     let mut r = router.make(cfg.seed);
     workload::run_cluster(&cfg, r.as_mut())
-}
-
-/// Runs `cfg` with the recorder `telemetry` on a fresh [`ClusterCtx`]
-/// and again on a context recycled from a recorder-on run of `dirty`,
-/// returning `(fresh, recycled)`.
-fn fresh_and_recycled(
-    cfg: &ClusterConfig,
-    dirty: &ClusterConfig,
-    router: RouterKind,
-    telemetry: TelemetryConfig,
-) -> (ClusterResult, ClusterResult) {
-    let fresh = run_with(cfg, router, Some(telemetry.clone()));
-    let mut cfg = cfg.clone();
-    cfg.telemetry = Some(telemetry);
-    let mut ctx = ClusterCtx::new();
-    let mut r = router.make(dirty.seed);
-    let _ = workload::run_cluster_in(dirty, r.as_mut(), &mut ctx);
-    let mut r = router.make(cfg.seed);
-    let recycled = workload::run_cluster_in(&cfg, r.as_mut(), &mut ctx);
-    (fresh, recycled)
 }
 
 /// Drops the recorder's own output so a recorder-on run can be compared
@@ -405,153 +377,4 @@ fn tiny_ring_overwrites_oldest_and_stays_invisible() {
         tel.events.iter().all(|e| e.at_us <= cfg.horizon_us * 1.01),
         "events past the horizon"
     );
-}
-
-/// A random-but-valid elastic config over `n_init` configured lanes and
-/// `warm` warm lanes (mirrors the elastic suite's generator).
-fn random_elastic(n_init: usize, warm: usize, bits: u64) -> ElasticConfig {
-    let pool = WarmPoolConfig {
-        provision_delay_us: 2e3 + (bits % 7) as f64 * 3e3,
-        provision_jitter: 0.25,
-        ..WarmPoolConfig::new(vec![GpuModel::RtxA2000; warm])
-    };
-    let policy = if bits & 1 == 0 {
-        ScalingPolicyKind::Hold
-    } else {
-        ScalingPolicyKind::Threshold(ThresholdPolicy {
-            up_ratio: 0.6 + (bits >> 1 & 3) as f64 * 0.3,
-            down_ratio: 0.3,
-            up_backlog: 1.0 + (bits >> 3 & 7) as f64,
-            down_backlog: 2.0,
-            step: 1 + (bits >> 6 & 1) as usize,
-        })
-    };
-    let mut e = ElasticConfig::new(pool, policy);
-    e.min_replicas = 1 + (bits >> 7) as usize % n_init.max(1);
-    e.up_cooldown_us = (bits >> 9 & 1) as f64 * 1.5e4;
-    e.down_cooldown_us = (bits >> 10 & 1) as f64 * 1.5e4;
-    if bits >> 12 & 1 == 1 {
-        e.replace_after_us = 8e3;
-    }
-    e
-}
-
-/// A random chaotic, elastic cluster config.
-#[allow(clippy::too_many_arguments)]
-fn random_cfg(
-    n_replicas: usize,
-    warm: usize,
-    elastic_bits: u64,
-    system_idx: usize,
-    scale: f64,
-    seed: u64,
-    fault_seed: u64,
-    intensity: f64,
-) -> ClusterConfig {
-    let mut cfg = ClusterConfig::new(
-        vec![GpuModel::RtxA2000; n_replicas],
-        SystemKind::all()[system_idx],
-    );
-    cfg.horizon_us = short_horizon();
-    cfg.trace = TraceConfig::apollo_like().scaled(scale);
-    cfg.seed = seed;
-    cfg.controller = ControllerConfig {
-        period_us: 1.2e4,
-        breach_ratio: 0.9,
-        adaptive_ch_be: true,
-        ..Default::default()
-    };
-    cfg.elastic = Some(random_elastic(n_replicas, warm, elastic_bits));
-    cfg.chaos = Some(FaultPlan::generate(
-        fault_seed,
-        n_replicas + warm,
-        cfg.horizon_us,
-        intensity,
-    ));
-    cfg
-}
-
-/// Ring capacities spanning heavy-overwrite to lossless.
-const RING_CAPS: [usize; 3] = [16, 256, 4096];
-
-proptest! {
-    /// The acceptance property: enabling the recorder never changes the
-    /// simulation. Across random fault plans × scaling policies ×
-    /// systems × routers × ring capacities, a recorder-on run with its
-    /// `telemetry` field stripped is bit-identical to the recorder-off
-    /// run, and its merged stream is canonically ordered.
-    #[test]
-    fn recorder_presence_never_perturbs_the_simulation(
-        n_replicas in 1usize..4,
-        pool in (0usize..3, 0u64..8192),
-        system_idx in 0usize..6,
-        mode in (0usize..3, 0usize..3),
-        scale in 0.8f64..2.4,
-        seed in 0u64..1_000_000,
-        fault in (0u64..1_000_000, 0.5f64..2.0),
-    ) {
-        let (warm, elastic_bits) = pool;
-        let (router_idx, ring_idx) = mode;
-        let (fault_seed, intensity) = fault;
-        let cfg = random_cfg(
-            n_replicas, warm, elastic_bits, system_idx, scale, seed,
-            fault_seed, intensity,
-        );
-        let router = RouterKind::all()[router_idx];
-        let tcfg = TelemetryConfig {
-            ring_capacity: RING_CAPS[ring_idx],
-        };
-        let off = run_with(&cfg, router, None);
-        let on = run_with(&cfg, router, Some(tcfg));
-        assert_canonical_order(on.telemetry.as_ref().expect("recorder on"));
-        prop_assert_eq!(stripped(on), off);
-    }
-
-    /// A recycled fleet clock agrees with a fresh one on the *entire*
-    /// recorder-on result — merged event stream, dropped counts,
-    /// sampled series — under random fault plans and scaling policies,
-    /// when its [`ClusterCtx`] was left behind by a differently shaped
-    /// run recording into rings of another capacity. (Wall-clock
-    /// profile numbers compare equal by construction: they are
-    /// measurements, not simulation state.)
-    #[test]
-    fn clocks_agree_on_merged_event_streams(
-        n_replicas in 1usize..4,
-        pool in (0usize..3, 0u64..8192),
-        system_idx in 0usize..6,
-        mode in (0usize..3, 0usize..3),
-        scale in 0.8f64..2.4,
-        seed in 0u64..1_000_000,
-        fault in (0u64..1_000_000, 0.5f64..2.0),
-        dirty_seed in 0u64..1_000_000,
-    ) {
-        let (warm, elastic_bits) = pool;
-        let (router_idx, ring_idx) = mode;
-        let (fault_seed, intensity) = fault;
-        let cfg = random_cfg(
-            n_replicas, warm, elastic_bits, system_idx, scale, seed,
-            fault_seed, intensity,
-        );
-        let mut dirty = random_cfg(
-            1 + (dirty_seed % 3) as usize,
-            (dirty_seed / 3 % 3) as usize,
-            dirty_seed % 8192,
-            (dirty_seed % 6) as usize,
-            scale,
-            dirty_seed,
-            dirty_seed,
-            intensity,
-        );
-        dirty.horizon_us /= 2.0;
-        dirty.telemetry = Some(TelemetryConfig {
-            ring_capacity: RING_CAPS[(ring_idx + 1) % RING_CAPS.len()],
-        });
-        let router = RouterKind::all()[router_idx];
-        let tcfg = TelemetryConfig {
-            ring_capacity: RING_CAPS[ring_idx],
-        };
-        let (fresh, recycled) = fresh_and_recycled(&cfg, &dirty, router, tcfg);
-        assert_canonical_order(recycled.telemetry.as_ref().expect("recorder on"));
-        prop_assert_eq!(recycled, fresh);
-    }
 }

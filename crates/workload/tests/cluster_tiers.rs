@@ -1,45 +1,31 @@
-//! Tiered-SLO contracts for the fleet clock.
+//! Tiered-SLO semantics of the fleet clock and the routers' tier
+//! contract.
 //!
-//! Four pillars, with the clock's own `debug_assertions` oracles
-//! (busy set vs. linear scan, incremental views vs. fresh rebuild)
-//! checking every epoch of every debug run:
-//! * **one path** — attaching [`TiersConfig::tier_blind`] (one
-//!   Guaranteed tier mirroring the fleet `RetryConfig`, a ladder whose
-//!   one rung parks BE) produces results equal to `tiers: None` up to
-//!   the tier-only report fields, with and without a fault plan, for
-//!   every `SystemKind` × router — a fleet without a tier map runs
-//!   exactly that map;
-//! * **conservation** — globally, `injected = completed + dropped +
-//!   shed + refused + in-flight`, and per tier via
-//!   [`TierOutcome::assert_conserved`], with the tier ledgers summing
-//!   back to the global counters, under random tier maps × fault plans
-//!   × scaling policies × controllers × systems × routers;
-//! * **recycling** — a clock run on a `ClusterCtx` dirtied by another
-//!   tiered fleet agrees bit for bit with a fresh clock, tier outcomes
-//!   included;
 //! * **brownout semantics** — under crash-driven overload the ladder
 //!   refuses best-effort work first and never touches the Guaranteed
 //!   tier, queued admissions drain after recovery, and zero-retry
-//!   tiers drop crash-orphaned work immediately.
+//!   tiers drop crash-orphaned work immediately;
+//! * **router tier contract** — the fleet clock routes every request
+//!   through `route_with_tier` (rank 0 throughout a tier-blind run),
+//!   so a tier-blind fleet routes as `route` would only because rank 0
+//!   routes exactly like `route`, pinned per router by
+//!   `rank_zero_routes_exactly_like_route`; shortest-backlog's
+//!   packed-key pick is pinned to its tuple definition by
+//!   `shortest_backlog_picks_the_tuple_minimum`.
 //!
-//! The fleet clock routes every request through `route_with_tier`
-//! (rank 0 throughout a tier-blind run), so a tier-blind fleet routes
-//! as `route` would only through the router contract that rank 0
-//! routes exactly like `route`, pinned per router by
-//! `rank_zero_routes_exactly_like_route`. Shortest-backlog's packed-key
-//! pick is pinned to its tuple definition by
-//! `shortest_backlog_picks_the_tuple_minimum`.
+//! Per-tier conservation, context recycling under random tier maps,
+//! and the tier-blind map's equality with `tiers: None` are properties
+//! of `cluster_contracts.rs`, whose draws cross tier maps with every
+//! other layer.
 
 use gpu_spec::GpuModel;
 use proptest::prelude::*;
 use workload::chaos::{FaultEvent, FaultPlan};
 use workload::cluster::{
-    ClusterConfig, ClusterCtx, ControllerConfig, JoinShortestBacklog, ReplicaView, RouterKind,
-    RoutingPolicy,
+    ClusterConfig, ControllerConfig, JoinShortestBacklog, ReplicaView, RouterKind, RoutingPolicy,
 };
-use workload::elastic::{ElasticConfig, ScalingPolicyKind, ThresholdPolicy, WarmPoolConfig};
 use workload::trace::TraceConfig;
-use workload::{AdmissionClass, RetryConfig, SystemKind, TierConfig, TierOutcome, TiersConfig};
+use workload::{AdmissionClass, SystemKind, TierConfig, TierOutcome, TiersConfig};
 
 fn short_horizon() -> f64 {
     if cfg!(debug_assertions) {
@@ -104,111 +90,6 @@ fn three_class_tiers(n_ls: usize) -> TiersConfig {
     cfg
 }
 
-/// A random-but-valid tier map over `n_ls` services: per-service class
-/// drawn from the seed bits (tier id, weight, deadlines and retry
-/// budget are canonical per class so shared-tier consistency holds),
-/// ladder knobs drawn from the high bits.
-fn random_tiers(n_ls: usize, bits: u64) -> TiersConfig {
-    let mut cfg = TiersConfig::new(
-        (0..n_ls)
-            .map(|task| match (bits >> (2 * task)) & 3 {
-                0 | 1 => TierConfig::guaranteed(8.0),
-                2 => TierConfig::burstable(2, 3.0),
-                _ => TierConfig::best_effort(3, 1.0),
-            })
-            .collect(),
-    );
-    cfg.enter_backlog = 2 + (bits >> 48 & 15) as usize;
-    cfg.exit_backlog = cfg.enter_backlog.min(1 + (bits >> 52 & 7) as usize);
-    cfg.hold_ticks = 1 + (bits >> 55 & 3) as u32;
-    cfg.queue_capacity = 4 + (bits >> 57 & 31) as usize;
-    cfg.shed_per_tick = 4 + (bits >> 62 & 1) as usize * 16;
-    cfg
-}
-
-/// A random-but-valid elastic config (subset of the cluster_elastic
-/// generator) so the tier proptests also cross scaling policies.
-fn random_elastic(n_init: usize, warm: usize, bits: u64) -> ElasticConfig {
-    let pool = WarmPoolConfig {
-        provision_delay_us: 2e3 + (bits % 7) as f64 * 3e3,
-        provision_jitter: 0.25,
-        ..WarmPoolConfig::new(vec![GpuModel::RtxA2000; warm])
-    };
-    let policy = if bits & 1 == 0 {
-        ScalingPolicyKind::Hold
-    } else {
-        ScalingPolicyKind::Threshold(ThresholdPolicy {
-            up_ratio: 0.6 + (bits >> 1 & 3) as f64 * 0.3,
-            down_ratio: 0.3,
-            up_backlog: 1.0 + (bits >> 3 & 7) as f64,
-            down_backlog: 2.0,
-            step: 1 + (bits >> 6 & 1) as usize,
-        })
-    };
-    let mut e = ElasticConfig::new(pool, policy);
-    e.min_replicas = 1 + (bits >> 7) as usize % n_init.max(1);
-    if bits >> 12 & 1 == 1 {
-        e.replace_after_us = 8e3;
-    }
-    e
-}
-
-/// The proptests' tiered fleet: `n_replicas` A2000s with a random tier
-/// map, warm pool and scaling policy drawn from `seeds` and `pool`, the
-/// controller ticking every 12 ms, a generated fault plan when `fault`
-/// is set, and `adaptive` adding eager migrations with Ch_BE retuning
-/// on both ends.
-fn tiered_fleet(
-    n_replicas: usize,
-    pool: (usize, u64),
-    system: SystemKind,
-    scale: f64,
-    seeds: (u64, u64),
-    fault: Option<(u64, f64)>,
-    adaptive: bool,
-) -> ClusterConfig {
-    let (warm, elastic_bits) = pool;
-    let (seed, tier_bits) = seeds;
-    let mut cfg = ClusterConfig::new(vec![GpuModel::RtxA2000; n_replicas], system);
-    cfg.horizon_us = if cfg!(debug_assertions) { 2.5e4 } else { 6e4 };
-    cfg.trace = TraceConfig::apollo_like().scaled(scale);
-    cfg.seed = seed;
-    cfg.controller.period_us = 1.2e4;
-    if adaptive {
-        cfg.controller.breach_ratio = 0.9;
-        cfg.controller.adaptive_ch_be = true;
-    }
-    cfg.tiers = Some(random_tiers(cfg.prepare().n_ls(), tier_bits));
-    cfg.elastic = Some(random_elastic(n_replicas, warm, elastic_bits));
-    if let Some((fault_seed, intensity)) = fault {
-        cfg.chaos = Some(FaultPlan::generate(
-            fault_seed,
-            n_replicas + warm,
-            cfg.horizon_us,
-            intensity,
-        ));
-    }
-    cfg
-}
-
-/// Runs `cfg` on a fresh [`ClusterCtx`] and again on a context recycled
-/// from a run of `dirty`, returning `(fresh, recycled)`. The recycled
-/// run inherits the hot mirrors, view slot mapping, router views, lane
-/// stores and retry scratch that `dirty` left behind.
-fn fresh_and_recycled(
-    cfg: &ClusterConfig,
-    dirty: &ClusterConfig,
-    router: RouterKind,
-) -> (workload::ClusterResult, workload::ClusterResult) {
-    let fresh = run(cfg, router);
-    let mut ctx = ClusterCtx::new();
-    let mut r = router.make(dirty.seed);
-    let _ = workload::run_cluster_in(dirty, r.as_mut(), &mut ctx);
-    let mut r = router.make(cfg.seed);
-    let recycled = workload::run_cluster_in(cfg, r.as_mut(), &mut ctx);
-    (fresh, recycled)
-}
-
 /// The conservation identity every tiered run must satisfy: globally
 /// with the refused-admission term, per tier exactly, and the tier
 /// ledgers must sum back to the global counters.
@@ -241,53 +122,6 @@ fn assert_conserved_tiered(r: &workload::ClusterResult) {
     assert_eq!(sum(|o| o.shed), r.ls_shed);
     assert_eq!(sum(|o| o.refused()), r.refused_admission);
     assert_eq!(sum(|o| o.in_flight_at_end), r.in_flight_at_end);
-}
-
-/// A fleet without a tier map runs the tier-blind map: attaching
-/// [`TiersConfig::tier_blind`] is equal to `tiers: None` on every report
-/// field except the tier-only ledger, for every system and router —
-/// without a fault plan (the ladder never moves) and with one whose
-/// crash and tight `shed_be_backlog` make the ladder park BE.
-#[test]
-fn tier_blind_map_matches_no_map_exactly() {
-    let n_ls = n_ls();
-    let mut plan = FaultPlan::new(vec![FaultEvent::crash(0, 5e3, 1e4)]);
-    plan.degradation.shed_be_backlog = 2;
-    let mut parked = 0;
-    for chaos in [None, Some(plan)] {
-        for system in SystemKind::all() {
-            for router in RouterKind::all() {
-                let mut cfg = base_cfg();
-                cfg.system = system;
-                cfg.horizon_us = if cfg!(debug_assertions) { 2.5e4 } else { 6e4 };
-                cfg.chaos = chaos.clone();
-                let plain = run(&cfg, router);
-                let retry = chaos
-                    .as_ref()
-                    .map_or(RetryConfig::default(), |p| p.retry.clone());
-                let degradation = chaos.as_ref().map(|p| &p.degradation);
-                cfg.tiers = Some(TiersConfig::tier_blind(n_ls, &retry, degradation));
-                let mut blind = run(&cfg, router);
-                assert_eq!(
-                    blind.tier_outcomes.len(),
-                    1,
-                    "the tier-blind map reports its single Guaranteed tier"
-                );
-                blind.tier_outcomes[0].assert_conserved();
-                assert_eq!(blind.tier_outcomes[0].refused(), 0);
-                blind.tier_outcomes.clear();
-                assert_eq!(
-                    plain, blind,
-                    "tier-blind map diverged from tiers: None ({system:?} / {router:?})"
-                );
-                if chaos.is_none() {
-                    assert_eq!(plain.be_shed, 0, "no fault plan, no BE parking");
-                }
-                parked += plain.be_shed;
-            }
-        }
-    }
-    assert!(parked > 0, "the fault plan must make the ladder park BE");
 }
 
 /// Crash-driven overload on the canonical three-class map: the ladder
@@ -379,71 +213,6 @@ fn zero_retry_tier_drops_orphans_immediately() {
 }
 
 proptest! {
-    /// A recycled fleet clock agrees with a fresh one under tiers: a
-    /// random tier map × fault plan × scaling policy × system × router,
-    /// run on a [`ClusterCtx`] left behind by a differently shaped
-    /// tiered run, matches a fresh context bit for bit, tier outcomes
-    /// included.
-    #[test]
-    fn clocks_agree_under_any_tier_config(
-        n_replicas in 1usize..4,
-        pool in (0usize..3, 0u64..8192),
-        system_idx in 0usize..6,
-        router_idx in 0usize..3,
-        scale in 0.8f64..2.8,
-        seeds in (0u64..1_000_000, 0u64..u64::MAX),
-        fault in (0u64..1_000_000, 0.5f64..2.0),
-        dirty_seed in 0u64..1_000_000,
-    ) {
-        let system = SystemKind::all()[system_idx];
-        let router = RouterKind::all()[router_idx];
-        let cfg = tiered_fleet(n_replicas, pool, system, scale, seeds, Some(fault), true);
-        let mut dirty = tiered_fleet(
-            1 + (dirty_seed % 3) as usize,
-            ((dirty_seed / 3 % 3) as usize, dirty_seed % 8192),
-            SystemKind::all()[(dirty_seed % 6) as usize],
-            scale,
-            (dirty_seed, !seeds.1),
-            Some((dirty_seed, fault.1)),
-            true,
-        );
-        dirty.horizon_us /= 2.0;
-        let (fresh, recycled) = fresh_and_recycled(&cfg, &dirty, router);
-        prop_assert_eq!(recycled, fresh);
-    }
-
-    /// Conservation under tiers: every injected arrival is exactly one
-    /// of {completed, timeout-dropped, shed, refused,
-    /// in-flight-at-horizon}, per tier and globally, with the tier
-    /// ledgers summing back to the global counters — across random
-    /// tier maps, fault plans, scaling policies, controllers, systems
-    /// and routers.
-    #[test]
-    fn tiers_are_conserved(
-        n_replicas in 1usize..4,
-        pool in (0usize..3, 0u64..8192),
-        system_idx in 0usize..6,
-        router_idx in 0usize..3,
-        mode_bits in 0u64..4,
-        scale in 0.8f64..2.8,
-        seeds in (0u64..1_000_000, 0u64..u64::MAX),
-        fault in (0u64..1_000_000, 0.5f64..2.0),
-    ) {
-        let system = SystemKind::all()[system_idx];
-        let router = RouterKind::all()[router_idx];
-        let cfg = tiered_fleet(
-            n_replicas,
-            pool,
-            system,
-            scale,
-            seeds,
-            (mode_bits & 2 == 2).then_some(fault),
-            mode_bits & 1 == 1,
-        );
-        let res = run(&cfg, router);
-        assert_conserved_tiered(&res);
-    }
-
     /// The rank-0 router contract: for each built-in router, two
     /// same-seed instances fed the same random view sequences pick
     /// identical slots under `route` and `route_with_tier(.., 0, ..)`.
