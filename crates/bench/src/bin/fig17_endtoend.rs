@@ -8,6 +8,21 @@ use gpu_spec::GpuModel;
 use workload::metrics::SystemResult;
 use workload::runner::{run_cell, Deployment, EndToEndConfig, Load};
 
+/// The cell's highest mean SLO attainment and every system that reaches
+/// it exactly, in run order.
+fn best_attainment(results: &[SystemResult]) -> (Vec<&str>, f64) {
+    let best = results
+        .iter()
+        .map(SystemResult::mean_slo_attainment)
+        .fold(f64::MIN, f64::max);
+    let systems = results
+        .iter()
+        .filter(|r| r.mean_slo_attainment() == best)
+        .map(|r| r.system.as_str())
+        .collect();
+    (systems, best)
+}
+
 /// Prints the paper's headline numbers from the Fig. 17 cells, each
 /// cell's results in the order `run_cell` returned them.
 fn print_headline(cells: &[Vec<SystemResult>]) {
@@ -30,16 +45,12 @@ fn print_headline(cells: &[Vec<SystemResult>]) {
                 be_gain.push((format!("{}/{}/{name}", sgdrc.gpu, sgdrc.load), s / o));
             }
         }
-        let best = results
-            .iter()
-            .max_by(|a, b| a.mean_slo_attainment().total_cmp(&b.mean_slo_attainment()))
-            .expect("results");
+        let (best, att) = best_attainment(results);
         println!(
-            "{} / {:<5}: best attainment = {} ({:.3}); SGDRC overall/Orion = {overall:.2}x",
+            "{} / {:<5}: best attainment = {} ({att:.3}); SGDRC overall/Orion = {overall:.2}x",
             sgdrc.gpu,
             sgdrc.load,
-            best.system,
-            best.mean_slo_attainment(),
+            best.join(", "),
         );
     }
     let mean_att = sgdrc_att.iter().sum::<f64>() / sgdrc_att.len() as f64;
@@ -119,4 +130,47 @@ fn main() {
     std::fs::write("fig17_results.json", doc.pretty()).expect("write results");
     println!("\nwrote fig17_results.json");
     print_headline(&cells);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use workload::metrics::LsMetrics;
+
+    fn result(system: &str, attainments: &[f64]) -> SystemResult {
+        SystemResult {
+            system: system.into(),
+            gpu: "Tesla P40".into(),
+            load: "light".into(),
+            ls: attainments
+                .iter()
+                .map(|&slo_attainment| LsMetrics {
+                    model: "m".into(),
+                    requests: 1,
+                    p99_latency_us: 0.0,
+                    mean_latency_us: 0.0,
+                    slo_us: 0.0,
+                    slo_attainment,
+                    goodput_hz: 0.0,
+                })
+                .collect(),
+            be_throughput_hz: Vec::new(),
+            overall_throughput_hz: 0.0,
+        }
+    }
+
+    #[test]
+    fn best_attainment_names_every_tied_system() {
+        let cell = [
+            result("Multi-streaming", &[1.0, 1.0]),
+            result("TGS", &[0.5, 1.0]),
+            result("Orion", &[1.0, 1.0]),
+            result("SGDRC", &[1.0, 1.0]),
+        ];
+        assert_eq!(
+            best_attainment(&cell),
+            (vec!["Multi-streaming", "Orion", "SGDRC"], 1.0)
+        );
+        assert_eq!(best_attainment(&cell[1..2]), (vec!["TGS"], 0.75));
+    }
 }

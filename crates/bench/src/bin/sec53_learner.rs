@@ -18,10 +18,11 @@ fn main() {
         let mlp = MlpHashLearner::train(&train, &MlpConfig::default());
         let acc = mlp.accuracy(&test);
         println!(
-            "{:<10} MLP:    {:.3}% test accuracy (15K samples, {:.0}% label noise; paper: >99.9%)",
+            "{:<10} MLP:    {:.3}% test accuracy (15K samples, {:.0}% label noise, {} epochs; paper: >99.9%)",
             spec.name,
             acc * 100.0,
-            noise * 100.0
+            noise * 100.0,
+            mlp.epochs_trained()
         );
 
         let period = PeriodLearner::train(&train, 1024, 0.002);

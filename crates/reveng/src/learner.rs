@@ -9,12 +9,13 @@
 //! Two learners are provided:
 //!
 //! * [`MlpHashLearner`] — a small MLP over *generic periodic features*
-//!   (one-hot residues of the partition index modulo a fixed 2^a·3^b grid,
-//!   plus raw address bits). Hardware interleavings are built from
-//!   power-of-two folds and small-modulus distributors (paper refs
-//!   [2, 13, 29]), so this encoding is the DNN analogue of a Fourier
-//!   positional encoding — it assumes periodicity, not any specific hash
-//!   structure.
+//!   (one-hot residues of the partition index modulo a fixed 2^a·3^b
+//!   grid). Hardware interleavings are built from power-of-two folds and
+//!   small-modulus distributors (paper refs [2, 13, 29]), so this encoding
+//!   is the DNN analogue of a Fourier positional encoding — it assumes
+//!   periodicity, not any specific hash structure. It trains until its
+//!   predictions on the training samples stop settling, not for a fixed
+//!   number of epochs.
 //! * [`PeriodLearner`] — an ablation: detect the layout period by label
 //!   consistency and majority-vote per residue. Simpler, but *does* assume
 //!   strict periodicity.
@@ -25,7 +26,6 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// One labelled observation: a physical partition index and the channel
 /// class the marking pipeline assigned to it.
@@ -36,18 +36,17 @@ pub struct Sample {
 }
 
 /// Generic periodic feature map: one-hot residues for every modulus in a
-/// fixed 2^a·3^b grid, plus the raw partition-index bits.
+/// fixed 2^a·3^b grid.
 #[derive(Debug, Clone)]
 pub struct FeatureMap {
     moduli: Vec<u64>,
-    bits: u32,
     dim: usize,
 }
 
 impl FeatureMap {
     /// The default grid: all modulus values 2^a·3^b ≤ `max_modulus` with
     /// a ≥ 0, b ∈ {0, 1, 2}, in increasing order.
-    pub fn new(max_modulus: u64, bits: u32) -> Self {
+    pub fn new(max_modulus: u64) -> Self {
         let mut moduli = Vec::new();
         for b in 0..3u32 {
             let three = 3u64.pow(b);
@@ -61,17 +60,16 @@ impl FeatureMap {
         }
         moduli.sort_unstable();
         moduli.dedup();
-        let dim = moduli.iter().map(|&m| m as usize).sum::<usize>() + bits as usize;
-        Self { moduli, bits, dim }
+        let dim = moduli.iter().map(|&m| m as usize).sum::<usize>();
+        Self { moduli, dim }
     }
 
     pub fn dim(&self) -> usize {
         self.dim
     }
 
-    /// Indices of the active (non-zero) features for a partition index;
-    /// residue one-hots are exactly one per modulus, bit features are the
-    /// set bits. All active features have value 1.
+    /// Indices of the active (non-zero) features for a partition index:
+    /// exactly one residue per modulus. All active features have value 1.
     pub fn active_features(&self, p: u64, out: &mut Vec<usize>) {
         out.clear();
         let mut base = 0usize;
@@ -79,45 +77,50 @@ impl FeatureMap {
             out.push(base + (p % m) as usize);
             base += m as usize;
         }
-        for b in 0..self.bits {
-            if (p >> b) & 1 == 1 {
-                out.push(base + b as usize);
-            }
-        }
     }
 }
 
-/// Training hyper-parameters.
+/// Training settings.
 #[derive(Debug, Clone)]
 pub struct MlpConfig {
-    pub hidden: usize,
+    /// The cap on training epochs. Training normally stops earlier, at
+    /// the plateau that follows the learning rate's last halving.
     pub epochs: usize,
-    pub batch: usize,
-    pub lr: f32,
+    /// Seeds the initial weights and the per-epoch sample order.
     pub seed: u64,
-    pub max_modulus: u64,
-    /// Per-epoch multiplicative weight decay (0 disables).
-    pub weight_decay: f32,
-    /// Number of raw partition-index bit features. Bit features let the
-    /// model express XOR-fold structure but also invite memorization of
-    /// noisy samples; the default keeps them off and relies on the
-    /// periodic residue grid.
-    pub bit_features: u32,
 }
 
 impl Default for MlpConfig {
     fn default() -> Self {
         Self {
-            hidden: 96,
             epochs: 80,
-            batch: 64,
-            lr: 0.08,
             seed: 7,
-            max_modulus: 576,
-            weight_decay: 0.05,
-            bit_features: 0,
         }
     }
+}
+
+// Training hyper-parameters no caller varies.
+const HIDDEN: usize = 96;
+const BATCH: usize = 64;
+/// The initial learning rate.
+const LR: f32 = 0.08;
+/// Per-epoch multiplicative weight decay.
+const WEIGHT_DECAY: f32 = 0.05;
+/// The feature grid's largest modulus: 576 = 64·9 is the P40's layout
+/// period.
+const MAX_MODULUS: u64 = 576;
+/// Learning-rate halvings: training stops at the plateau after the last.
+const LR_HALVINGS: i32 = 4;
+
+/// Index and value of the largest logit, the last one on ties.
+fn argmax(logits: &[f32]) -> (usize, f32) {
+    let mut best = (0, logits[0]);
+    for (i, &l) in logits.iter().enumerate().skip(1) {
+        if l >= best.1 {
+            best = (i, l);
+        }
+    }
+    best
 }
 
 /// A trained two-layer MLP (ReLU hidden layer, softmax output, linear skip
@@ -127,9 +130,8 @@ impl Default for MlpConfig {
 #[derive(Debug, Clone)]
 pub struct MlpHashLearner {
     feat: FeatureMap,
-    hidden: usize,
     classes: usize,
-    /// `w1[f * hidden + h]` — input→hidden weights (row per feature).
+    /// `w1[f * HIDDEN + h]` — input→hidden weights (row per feature).
     w1: Vec<f32>,
     b1: Vec<f32>,
     /// `w2[h * classes + c]` — hidden→output weights.
@@ -137,68 +139,76 @@ pub struct MlpHashLearner {
     b2: Vec<f32>,
     /// `skip[f * classes + c]` — direct input→output weights.
     skip: Vec<f32>,
+    epochs: usize,
 }
 
 impl MlpHashLearner {
-    /// Trains on the samples with plain mini-batch SGD + momentum.
+    /// Trains on the samples with plain mini-batch SGD + momentum. An
+    /// epoch's *churn* is the number of samples whose predicted class (the
+    /// argmax of the forward pass, taken before that sample's update)
+    /// differs from the epoch before. An epoch whose churn is not below the
+    /// previous epoch's is a plateau, except the first epoch at each rate:
+    /// the rate halves at each plateau, and training stops at the plateau
+    /// after the last halving or after `cfg.epochs` epochs.
     pub fn train(samples: &[Sample], cfg: &MlpConfig) -> Self {
         assert!(!samples.is_empty());
         let classes = samples.iter().map(|s| s.label).max().unwrap() as usize + 1;
-        let feat = FeatureMap::new(cfg.max_modulus, cfg.bit_features);
+        let feat = FeatureMap::new(MAX_MODULUS);
         let dim = feat.dim();
-        let hidden = cfg.hidden;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
 
         let scale1 = (2.0 / dim as f32).sqrt();
-        let scale2 = (2.0 / hidden as f32).sqrt();
+        let scale2 = (2.0 / HIDDEN as f32).sqrt();
         let mut model = Self {
             feat,
-            hidden,
             classes,
-            w1: (0..dim * hidden)
+            w1: (0..dim * HIDDEN)
                 .map(|_| rng.gen_range(-scale1..scale1))
                 .collect(),
-            b1: vec![0.0; hidden],
-            w2: (0..hidden * classes)
+            b1: vec![0.0; HIDDEN],
+            w2: (0..HIDDEN * classes)
                 .map(|_| rng.gen_range(-scale2..scale2))
                 .collect(),
             b2: vec![0.0; classes],
             skip: vec![0.0; dim * classes],
+            epochs: 0,
         };
         let mut vel_w1 = vec![0.0f32; model.w1.len()];
-        let mut vel_b1 = vec![0.0f32; hidden];
+        let mut vel_b1 = vec![0.0f32; HIDDEN];
         let mut vel_w2 = vec![0.0f32; model.w2.len()];
         let mut vel_b2 = vec![0.0f32; classes];
         let momentum = 0.9f32;
 
         let mut order: Vec<usize> = (0..samples.len()).collect();
         let mut active = Vec::with_capacity(64);
-        let mut h_pre = vec![0.0f32; hidden];
-        let mut h_act = vec![0.0f32; hidden];
+        let mut h_pre = vec![0.0f32; HIDDEN];
+        let mut h_act = vec![0.0f32; HIDDEN];
         let mut logits = vec![0.0f32; classes];
         let mut dlogits = vec![0.0f32; classes];
-        let mut dhidden = vec![0.0f32; hidden];
+        let mut dhidden = vec![0.0f32; HIDDEN];
+        // Each sample's prediction in the previous epoch, and how many of
+        // them changed in the previous epoch (its churn).
+        let mut predicted = vec![u16::MAX; samples.len()];
+        let (mut last_churn, mut halvings, mut first_at_rate) = (usize::MAX, 0, true);
 
-        for epoch in 0..cfg.epochs {
+        while model.epochs < cfg.epochs {
+            model.epochs += 1;
             // Epoch-level weight decay: shrinking all weights slightly each
             // epoch suppresses rarely-reinforced noise fits while the
             // per-residue majority signal is re-learned immediately.
-            if cfg.weight_decay > 0.0 {
-                let k = 1.0 - cfg.weight_decay;
-                for w in model
-                    .w1
-                    .iter_mut()
-                    .chain(model.w2.iter_mut())
-                    .chain(model.skip.iter_mut())
-                {
-                    *w *= k;
-                }
+            let k = 1.0 - WEIGHT_DECAY;
+            for w in model
+                .w1
+                .iter_mut()
+                .chain(model.w2.iter_mut())
+                .chain(model.skip.iter_mut())
+            {
+                *w *= k;
             }
             order.shuffle(&mut rng);
-            // Step-decay schedule: halve the rate every quarter of training
-            // so the model settles onto the per-residue majority labels.
-            let lr_epoch = cfg.lr * 0.5f32.powi((4 * epoch / cfg.epochs.max(1)) as i32);
-            for chunk in order.chunks(cfg.batch) {
+            let lr_epoch = LR * 0.5f32.powi(halvings);
+            let mut churn = 0;
+            for chunk in order.chunks(BATCH) {
                 // Accumulate gradients over the mini-batch via immediate
                 // momentum updates scaled by 1/batch (equivalent for SGD).
                 let lr = lr_epoch / chunk.len() as f32;
@@ -208,7 +218,7 @@ impl MlpHashLearner {
                     // Forward.
                     h_pre.copy_from_slice(&model.b1);
                     for &f in &active {
-                        let row = &model.w1[f * hidden..(f + 1) * hidden];
+                        let row = &model.w1[f * HIDDEN..(f + 1) * HIDDEN];
                         for (h, &w) in h_pre.iter_mut().zip(row) {
                             *h += w;
                         }
@@ -231,8 +241,10 @@ impl MlpHashLearner {
                             *l += w;
                         }
                     }
+                    let (class, max) = argmax(&logits);
+                    churn += (predicted[idx] != class as u16) as usize;
+                    predicted[idx] = class as u16;
                     // Softmax + CE gradient.
-                    let max = logits.iter().cloned().fold(f32::MIN, f32::max);
                     let mut sum = 0.0;
                     for (d, &l) in dlogits.iter_mut().zip(&logits) {
                         *d = (l - max).exp();
@@ -243,7 +255,7 @@ impl MlpHashLearner {
                     }
                     dlogits[s.label as usize] -= 1.0;
                     // Backward: output layer.
-                    for h in 0..hidden {
+                    for h in 0..HIDDEN {
                         let a = h_act[h];
                         let row = &model.w2[h * classes..(h + 1) * classes];
                         let mut g = 0.0;
@@ -273,8 +285,8 @@ impl MlpHashLearner {
                     }
                     // Backward: hidden layer (sparse inputs).
                     for &f in &active {
-                        let vrow = &mut vel_w1[f * hidden..(f + 1) * hidden];
-                        let wrow = &mut model.w1[f * hidden..(f + 1) * hidden];
+                        let vrow = &mut vel_w1[f * HIDDEN..(f + 1) * HIDDEN];
+                        let wrow = &mut model.w1[f * HIDDEN..(f + 1) * HIDDEN];
                         for ((v, w), &d) in vrow.iter_mut().zip(wrow).zip(&dhidden) {
                             *v = momentum * *v - lr * d;
                             *w += *v;
@@ -286,8 +298,28 @@ impl MlpHashLearner {
                     }
                 }
             }
+            // Halving the rate settles the model onto the per-residue
+            // majority labels. A plateau is a churn that stops falling, not
+            // one that reaches zero: with noisy labels the model keeps
+            // memorising noise, and the churn rises again at full rate.
+            if !first_at_rate && churn >= last_churn {
+                if halvings == LR_HALVINGS {
+                    break;
+                }
+                halvings += 1;
+                first_at_rate = true;
+            } else {
+                first_at_rate = false;
+            }
+            last_churn = churn;
         }
         model
+    }
+
+    /// Epochs the model trained before its schedule ended, at most
+    /// [`MlpConfig::epochs`].
+    pub fn epochs_trained(&self) -> usize {
+        self.epochs
     }
 
     /// Predicted channel class for a partition index.
@@ -296,7 +328,7 @@ impl MlpHashLearner {
         self.feat.active_features(partition, &mut active);
         let mut h_pre = self.b1.clone();
         for &f in &active {
-            let row = &self.w1[f * self.hidden..(f + 1) * self.hidden];
+            let row = &self.w1[f * HIDDEN..(f + 1) * HIDDEN];
             for (h, &w) in h_pre.iter_mut().zip(row) {
                 *h += w;
             }
@@ -317,12 +349,7 @@ impl MlpHashLearner {
                 *l += w;
             }
         }
-        logits
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .map(|(i, _)| i as u16)
-            .unwrap()
+        argmax(&logits).0 as u16
     }
 
     /// Fraction of samples predicted correctly.
@@ -355,23 +382,27 @@ pub struct PeriodLearner {
 
 impl PeriodLearner {
     /// Searches periods `2..=max_period` and keeps the smallest whose
-    /// majority-vote consistency is within `tolerance` of the best.
+    /// majority-vote consistency is within `tolerance` of the best. A
+    /// residue's vote goes to its lowest label on a tie.
     pub fn train(samples: &[Sample], max_period: u64, tolerance: f64) -> Self {
         assert!(!samples.is_empty());
+        let classes = samples.iter().map(|s| s.label).max().unwrap() as usize + 1;
+        // `votes[residue * classes + label]` for one period.
+        let mut votes = Vec::new();
+        let count = |period: u64, votes: &mut Vec<u32>| {
+            votes.clear();
+            votes.resize(period as usize * classes, 0);
+            for s in samples {
+                votes[(s.partition % period) as usize * classes + s.label as usize] += 1;
+            }
+        };
         let mut best: (u64, f64) = (1, 0.0);
         let mut scores: Vec<(u64, f64)> = Vec::new();
         for period in 2..=max_period {
-            let mut votes: HashMap<u64, HashMap<u16, u32>> = HashMap::new();
-            for s in samples {
-                *votes
-                    .entry(s.partition % period)
-                    .or_default()
-                    .entry(s.label)
-                    .or_insert(0) += 1;
-            }
+            count(period, &mut votes);
             let agree: u64 = votes
-                .values()
-                .map(|v| *v.values().max().unwrap() as u64)
+                .chunks(classes)
+                .map(|v| *v.iter().max().unwrap() as u64)
                 .sum();
             let score = agree as f64 / samples.len() as f64;
             scores.push((period, score));
@@ -385,21 +416,12 @@ impl PeriodLearner {
             .map(|&(p, _)| p)
             .min()
             .unwrap_or(best.0);
-        // Final table by majority vote.
-        let mut votes: Vec<HashMap<u16, u32>> = vec![HashMap::new(); period as usize];
-        for s in samples {
-            *votes[(s.partition % period) as usize]
-                .entry(s.label)
-                .or_insert(0) += 1;
-        }
+        // Final table by majority vote; `max_by_key` keeps the last of equal
+        // maxima, so scan the labels from the highest down.
+        count(period, &mut votes);
         let table: Vec<u16> = votes
-            .iter()
-            .map(|v| {
-                v.iter()
-                    .max_by_key(|(_, &c)| c)
-                    .map(|(&l, _)| l)
-                    .unwrap_or(0)
-            })
+            .chunks(classes)
+            .map(|v| (0..classes).rev().max_by_key(|&l| v[l]).unwrap() as u16)
             .collect();
         let consistency = scores
             .iter()
@@ -469,10 +491,11 @@ mod tests {
     use super::*;
     use gpu_spec::GpuModel;
 
-    /// Debug builds train ~30× slower, so they cut epochs (sample counts
-    /// stay at paper scale so every residue class is covered) and assert a
-    /// lower accuracy floor; release builds (`cargo test --release`) train
-    /// the full 80 epochs against the §5.3 >99.9% floor.
+    /// Debug builds train ~30× slower, so they cap training at 16 epochs
+    /// (sample counts stay at paper scale so every residue class is
+    /// covered) and assert a lower accuracy floor; release builds
+    /// (`cargo test --release`) train until the schedule ends against the
+    /// §5.3 >99.9% floor.
     fn test_config() -> MlpConfig {
         MlpConfig {
             epochs: if cfg!(debug_assertions) { 16 } else { 80 },
@@ -482,49 +505,69 @@ mod tests {
 
     #[test]
     fn feature_map_has_one_hot_residues() {
-        let f = FeatureMap::new(48, 8);
+        let f = FeatureMap::new(48);
         let mut a = Vec::new();
         f.active_features(5, &mut a);
-        // One active residue per modulus; bit features for 5 = 0b101.
-        let residue_count = a.iter().filter(|&&i| i < f.dim() - 8).count();
-        assert_eq!(residue_count, f.moduli.len());
-        assert_eq!(a.len(), residue_count + 2);
+        // One active residue per modulus.
+        assert_eq!(a.len(), f.moduli.len());
+        assert!(a.iter().all(|&i| i < f.dim()));
     }
 
     #[test]
     fn feature_grid_contains_crt_moduli() {
         // 16·9 = 144 (A2000 period) and 64·9 = 576 (P40 period) must be
         // representable: the grid has 2^a·3^b members including 144, 576.
-        let f = FeatureMap::new(576, 25);
+        let f = FeatureMap::new(576);
         assert!(f.moduli.contains(&144));
         assert!(f.moduli.contains(&576));
         assert!(f.moduli.contains(&9));
         assert!(f.moduli.contains(&64));
     }
 
+    /// The §5.3 headline: 15K samples with 1–10% label noise, >99.9%
+    /// held-out accuracy. Debug runs two cases; release sweeps both GPUs,
+    /// three noise levels and three learner seeds over a 1 GiB span.
     #[test]
-    fn mlp_learns_a2000_hash_from_noisy_samples() {
-        // The §5.3 headline: 15K samples, ~5% noise, >99.9% test accuracy.
-        let oracle = GpuModel::RtxA2000.channel_hash();
-        let span = 96 * 1024; // 96 MiB worth of partitions
-        let train = synthetic_samples(oracle.as_ref(), span, 15_000, 0.05, 1);
-        let model = MlpHashLearner::train(&train, &test_config());
-        let test = oracle_test_set(oracle.as_ref(), span, 4_000, 2);
-        let acc = model.accuracy(&test);
+    fn mlp_learns_hash_from_noisy_samples() {
+        // (GPU, noise, sample seed, span, held-out count, held-out seed,
+        // learner seed)
+        type Case = (GpuModel, f64, u64, u64, usize, u64, u64);
+        let cases: Vec<Case> = if cfg!(debug_assertions) {
+            vec![
+                (GpuModel::RtxA2000, 0.05, 1, 96 * 1024, 4_000, 2, 7),
+                (GpuModel::TeslaP40, 0.01, 3, 96 * 1024, 4_000, 4, 7),
+            ]
+        } else {
+            let mut cases = Vec::new();
+            for gpu in [GpuModel::RtxA2000, GpuModel::TeslaP40] {
+                for noise in [0.01, 0.05, 0.10] {
+                    for seed in [7, 108, 209] {
+                        cases.push((gpu, noise, 3, 1 << 20, 10_000, 4, seed));
+                    }
+                }
+            }
+            cases
+        };
         let floor = if cfg!(debug_assertions) { 0.98 } else { 0.999 };
-        assert!(acc > floor, "test accuracy {acc}");
-    }
-
-    #[test]
-    fn mlp_learns_p40_hash_from_noisy_samples() {
-        let oracle = GpuModel::TeslaP40.channel_hash();
-        let span = 96 * 1024;
-        let train = synthetic_samples(oracle.as_ref(), span, 15_000, 0.01, 3);
-        let model = MlpHashLearner::train(&train, &test_config());
-        let test = oracle_test_set(oracle.as_ref(), span, 4_000, 4);
-        let acc = model.accuracy(&test);
-        let floor = if cfg!(debug_assertions) { 0.98 } else { 0.999 };
-        assert!(acc > floor, "test accuracy {acc}");
+        for (gpu, noise, sample_seed, span, held_out, held_out_seed, seed) in cases {
+            let oracle = gpu.channel_hash();
+            let train = synthetic_samples(oracle.as_ref(), span, 15_000, noise, sample_seed);
+            let cfg = MlpConfig {
+                seed,
+                ..test_config()
+            };
+            let model = MlpHashLearner::train(&train, &cfg);
+            let test = oracle_test_set(oracle.as_ref(), span, held_out, held_out_seed);
+            let acc = model.accuracy(&test);
+            let epochs = model.epochs_trained();
+            let case = format!("{gpu:?} at {noise} noise, learner seed {seed}");
+            assert!(acc > floor, "{case}: accuracy {acc} after {epochs} epochs");
+            // At the paper's 1–5% noise the churn plateau, not the cap,
+            // ends training.
+            if !cfg!(debug_assertions) && noise <= 0.05 {
+                assert!(epochs < cfg.epochs, "{case}: trained to the cap");
+            }
+        }
     }
 
     #[test]
@@ -535,6 +578,19 @@ mod tests {
         assert_eq!(model.period, 144, "A2000 layout period = 12 windows × 12");
         let test = oracle_test_set(oracle.as_ref(), 1 << 20, 4_000, 6);
         assert!(model.accuracy(&test) > 0.999);
+    }
+
+    #[test]
+    fn period_learner_breaks_vote_ties_to_the_lowest_label() {
+        // Residue 0 sees labels 0 and 1 once each.
+        let train: Vec<Sample> = [(0, 0), (2, 1), (1, 2), (3, 2)]
+            .into_iter()
+            .map(|(partition, label)| Sample { partition, label })
+            .collect();
+        let model = PeriodLearner::train(&train, 2, 0.0);
+        assert_eq!(model.period, 2);
+        assert_eq!((model.predict(0), model.predict(1)), (0, 2));
+        assert_eq!(model.consistency, 0.75);
     }
 
     #[test]

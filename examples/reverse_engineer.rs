@@ -55,11 +55,22 @@ fn main() {
         .collect();
     let learner = MlpHashLearner::train(&samples, &MlpConfig::default());
     let lut = learner.lookup_table(4096);
-    println!("lookup table built for 4096 partitions (4 MiB of VRAM)");
 
     // 4. Verify against the oracle — allowed here, never in the pipeline.
     let hash = model.channel_hash();
-    let (_, acc) = align_classes(&labels, |pa| hash.channel_of(pa), hash.num_channels());
+    let (mapping, acc) = align_classes(&labels, |pa| hash.channel_of(pa), hash.num_channels());
     println!("marking agreement with ground truth: {:.2}%", acc * 100.0);
-    let _ = lut;
+    // Far below §5.3's >99.9%: the learner saw only the marked partitions,
+    // not ~15K samples spread over the VRAM (see `sec53_learner`).
+    let correct = (0..lut.len() as u64)
+        .filter(|&p| {
+            mapping.get(lut[p as usize] as usize).copied().flatten()
+                == Some(hash.channel_of_partition(p))
+        })
+        .count();
+    println!(
+        "lookup table for 4096 partitions (4 MiB of VRAM): {:.2}% accurate after {} epochs",
+        correct as f64 / lut.len() as f64 * 100.0,
+        learner.epochs_trained()
+    );
 }
