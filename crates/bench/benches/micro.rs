@@ -68,7 +68,9 @@ fn bench_mlp_predict(c: &mut Criterion) {
 
 fn bench_contention_model(c: &mut Criterion) {
     use dnn::kernel::{KernelDesc, KernelKind};
-    use exec_sim::{compute_rates, ChannelSet, RateState, RunningCtx, TpcMask};
+    use exec_sim::{
+        compute_rates, compute_rates_into, per_channel_demand, ChannelSet, RunningCtx, TpcMask,
+    };
     let spec = GpuModel::RtxA2000.spec();
     let k = KernelDesc {
         id: 1,
@@ -102,8 +104,9 @@ fn bench_contention_model(c: &mut Criterion) {
         b.iter(|| compute_rates(black_box(&spec), black_box(&running)))
     });
 
-    // The engine-style path (persistent state, caller-owned output) at
-    // 1/2/4 resident kernels — the per-event cost the serving loop pays.
+    // The engine's path (per-channel demands kept from launch,
+    // caller-owned output) at 1/2/4 resident kernels — the cost of the
+    // rate read the serving loop pays per event.
     for n in [1usize, 2, 4] {
         let running: Vec<RunningCtx> = (0..n)
             .map(|i| {
@@ -124,11 +127,16 @@ fn bench_contention_model(c: &mut Criterion) {
                 )
             })
             .collect();
-        let mut state = RateState::default();
+        let per_channel: Vec<f64> = running.iter().map(per_channel_demand).collect();
         let mut out = Vec::new();
         c.bench_function(&format!("exec_sim/compute_rates_into_{n}_kernels"), |b| {
             b.iter(|| {
-                state.recompute_full(black_box(&spec), black_box(&running), &mut out);
+                compute_rates_into(
+                    black_box(&spec),
+                    black_box(&running),
+                    black_box(&per_channel),
+                    &mut out,
+                );
                 out.len()
             })
         });

@@ -73,8 +73,7 @@ fn main() {
     for gpu in GpuModel::testbeds() {
         let dep = Deployment::cached(gpu);
         for load in [Load::Heavy, Load::Light] {
-            let mut cfg = EndToEndConfig::new(gpu, load);
-            cfg.horizon_us = 4e6;
+            let cfg = EndToEndConfig::new(gpu, load);
             sgdrc_bench::header(&format!(
                 "Fig. 17 — {} / {} workload",
                 dep.spec.name,

@@ -19,38 +19,38 @@
 //!
 //! ## Hot-path design
 //!
-//! Rate evaluation runs on every launch/finish/remask event, so the
-//! implementation is allocation-free and re-derives nothing:
+//! Rates are read after every launch, finish and remask, so the
+//! evaluation allocates nothing and keeps no state between reads:
 //!
 //! * each [`RunningCtx`] is a `Copy` value: masks, thread fraction and
 //!   a [`KernelPerfInvariants`] block precomputed once per kernel — the
 //!   model never touches `perf::` derivations or the descriptor, so a
 //!   launch or a finish moves no reference count;
-//! * aggregates (per-channel demand, per-TPC occupancy) live in
-//!   fixed-size arrays inside a caller-owned [`RateState`], and mask
-//!   walks iterate set bits only (`trailing_zeros`), never all slots;
-//! * the per-kernel pairwise sums live in one record per resident
-//!   kernel, together with the kernel's cached per-channel demand, so a
-//!   launch pushes one record and a finish removes one;
-//! * when a single kernel is re-masked, [`RateState::update_one`]
-//!   adjusts the aggregates and pairwise sums incrementally instead of
-//!   recomputing the O(n²) interference terms from scratch.
+//! * [`compute_rates_into`] evaluates each kernel against its co-runners
+//!   from scratch: the pairwise intra-SM and L2 terms, then whether each
+//!   co-runner's mask and channel set covers the kernel's or overlaps it
+//!   only partly. Per-channel demand and per-TPC occupancy are summed
+//!   over the running set only under a partial overlap; otherwise they
+//!   are uniform and one comparison replaces the walk. Every sum starts
+//!   from 0.0 in running order, so a rate depends on the running set
+//!   alone, not on the launches and remasks that produced it;
+//! * a kernel's [`per_channel_demand`] is the one derived quantity the
+//!   caller keeps: the engine sets it at launch and remask.
+//!
+//! SGDRC holds at most one LS and one BE kernel on the GPU, so a read
+//! costs a few pairwise terms; the evaluation is O(n²) in the resident
+//! kernels.
 //!
 //! The original straight-line evaluation survives in
 //! [`reference`](mod@reference) as this layer's one oracle: a unit test,
 //! the exec-sim proptests and the engine's event-sequence test compare
-//! the optimized paths against it.
+//! the evaluator against it.
 
 use crate::types::{ChannelSet, TpcMask};
 use dnn::kernel::KernelDesc;
 use dnn::perf::{KernelPerfInvariants, ResourceCtx};
 use gpu_spec::GpuSpec;
 use std::sync::Arc;
-
-/// Upper bound on `GpuSpec::num_tpcs` ([`TpcMask`] is a `u32`).
-pub const MAX_TPCS: usize = 32;
-/// Upper bound on `GpuSpec::num_channels` ([`ChannelSet`] is a `u16`).
-pub const MAX_CHANNELS: usize = 16;
 
 /// A kernel as the contention model sees it: its resources plus the
 /// performance invariants derived from its descriptor. It holds no
@@ -143,404 +143,202 @@ pub struct KernelRate {
     pub relative_speed: f64,
 }
 
-/// Caller-owned rate-computation state: fixed-size resource aggregates
-/// plus one `KernelSums` record per running kernel, parallel to the
-/// running set. Reusing one `RateState` across events makes rate
-/// evaluation allocation-free (the record `Vec` reaches steady-state
-/// capacity after the first few events) and enables the incremental
-/// [`add_last`](RateState::add_last) / [`remove_at`](RateState::remove_at)
-/// / [`update_one`](RateState::update_one) paths.
-///
-/// The incremental paths apply every `+=`/`-=` in a fixed order, and the
-/// aggregates carry the rounding residue of their add/remove history, so
-/// the state is bit-reproducible for one event sequence but not
-/// bit-identical to a fresh [`recompute_full`](RateState::recompute_full)
-/// (it agrees within [`RATE_EQUIVALENCE_TOL`]).
-#[derive(Debug, Clone, Default)]
-pub struct RateState {
-    /// Aggregate bandwidth demand per VRAM channel, GB/s.
-    channel_demand: [f64; MAX_CHANNELS],
-    /// Sum of resident thread fractions per TPC.
-    tpc_occupancy: [f64; MAX_TPCS],
-    /// One record per running kernel, parallel to the running set.
-    kernels: Vec<KernelSums>,
-}
-
-/// What [`RateState`] keeps about one running kernel: the pairwise
-/// interference sums against it, the uniformity classification of its
-/// co-runners, and its cached per-channel demand.
-#[derive(Debug, Clone, Copy, Default)]
-struct KernelSums {
-    /// Σ of intra-SM interference terms against this kernel
-    /// (`intra_sm_factor = 1 + intra_sum`).
-    intra_sum: f64,
-    /// Σ of L2/MSHR/bank conflict terms against this kernel
-    /// (`l2_penalty = 1 + l2_sum`).
-    l2_sum: f64,
-    /// Number of co-runners whose TPC mask *partially* overlaps this
-    /// kernel's (neither disjoint nor a superset). While zero, the
-    /// kernel's occupancy is uniform across its mask and
-    /// [`emit_rates`](RateState::emit_rates) replaces the per-TPC loop
-    /// with a popcount — the steady state for tidal partitioning
-    /// (disjoint masks) and full-GPU sharing (mutual supersets) alike.
-    tpc_partial: u32,
-    /// As `tpc_partial`, for VRAM channel sets.
-    chan_partial: u32,
-    /// Summed thread fraction of co-runners whose mask covers this
-    /// kernel's entirely (valid while `tpc_partial` is 0).
-    tpc_cover_fraction: f64,
-    /// Summed per-channel bandwidth demand of co-runners whose channel
-    /// set covers this kernel's entirely (valid while `chan_partial`
-    /// is 0).
-    chan_cover_demand: f64,
-    /// This kernel's [`per_channel_demand`], set at launch and
-    /// recomputed when [`RateState::update_one`] changes its channel
-    /// set. Every read of the demand goes through this one value, so the
-    /// aggregates' retraction cancels their addition bit for bit.
-    per_channel: f64,
-}
-
-impl KernelSums {
-    /// A kernel's record before any co-runner is classified against it.
-    fn new(r: &RunningCtx) -> Self {
-        Self {
-            per_channel: per_channel_demand(r),
-            ..Self::default()
-        }
-    }
-
-    /// Adds (`sign = 1.0`) or retracts (`sign = -1.0`) the uniformity
-    /// classification of co-runner `other` (whose per-channel demand is
-    /// `other_pcd`) from this record, which belongs to `victim`.
-    #[inline]
-    fn classify(&mut self, victim: &RunningCtx, other: &RunningCtx, other_pcd: f64, sign: f64) {
-        let inter = victim.mask.0 & other.mask.0;
-        if inter != 0 {
-            if inter == victim.mask.0 {
-                self.tpc_cover_fraction += sign * other.thread_fraction;
-            } else if sign > 0.0 {
-                self.tpc_partial += 1;
-            } else {
-                self.tpc_partial -= 1;
-            }
-        }
-        let cinter = victim.channels.0 & other.channels.0;
-        if cinter != 0 {
-            if cinter == victim.channels.0 {
-                self.chan_cover_demand += sign * other_pcd;
-            } else if sign > 0.0 {
-                self.chan_partial += 1;
-            } else {
-                self.chan_partial -= 1;
-            }
-        }
-    }
-}
-
 /// Bandwidth demand a kernel places on each channel of its set, GB/s.
-/// Evaluated once per launch or channel change; [`KernelSums`] caches it.
+/// The engine keeps it per resident kernel, set at launch and remask;
+/// [`compute_rates_into`] reads it from there.
 #[inline]
-fn per_channel_demand(r: &RunningCtx) -> f64 {
+pub fn per_channel_demand(r: &RunningCtx) -> f64 {
     r.perf.bw_demand_gbps / r.channels.count().max(1) as f64
 }
 
-/// Intra-SM interference inflicted *on* `victim` *by* `other` (Fig. 3a).
+/// Share of `own`'s bits that `inter` (a nonempty subset) holds. A
+/// covering co-runner (`inter == own`) gets 1.0 without the division,
+/// which would give exactly 1.0 too.
 #[inline]
-fn intra_term(spec: &GpuSpec, victim: &RunningCtx, other: &RunningCtx) -> f64 {
-    if !victim.mask.overlaps(other.mask) {
-        return 0.0;
+fn overlap_share(inter: u32, own: u32) -> f64 {
+    if inter == own {
+        1.0
+    } else {
+        inter.count_ones() as f64 / own.count_ones().max(1) as f64
     }
+}
+
+/// Intra-SM interference inflicted by co-runner `other` on a kernel
+/// whose TPCs it shares in proportion `overlap` (Fig. 3a).
+#[inline]
+fn intra_term(spec: &GpuSpec, other: &RunningCtx, overlap: f64) -> f64 {
     let cp = &spec.contention;
-    let overlap_frac =
-        victim.mask.intersect(other.mask).count() as f64 / victim.mask.count().max(1) as f64;
     // L1-heavy co-runners interfere more than compute co-runners.
     let l1ness = other.perf.memory_instr_share;
     let per_kernel = cp.intra_sm_compute + (cp.intra_sm_l1 - cp.intra_sm_compute) * l1ness;
-    per_kernel * overlap_frac * other.thread_fraction
+    per_kernel * overlap * other.thread_fraction
 }
 
-/// L2/MSHR/bank conflict penalty inflicted *on* `victim` *by* `other`
-/// through overlapping channel sets (Fig. 3b).
+/// L2/MSHR/bank conflict penalty inflicted by co-runner `other` on a
+/// kernel whose channels it shares in proportion `overlap` (Fig. 3b).
 #[inline]
-fn l2_term(spec: &GpuSpec, victim: &RunningCtx, other: &RunningCtx) -> f64 {
-    let shared = victim.channels.overlap(other.channels) as f64;
-    if shared == 0.0 {
-        return 0.0;
-    }
+fn l2_term(spec: &GpuSpec, other: &RunningCtx, overlap: f64) -> f64 {
     let cp = &spec.contention;
-    let frac = shared / victim.channels.count().max(1) as f64;
-    (cp.l2_overlap_penalty + cp.bank_serialization) * frac * other.perf.thrash_intensity
+    (cp.l2_overlap_penalty + cp.bank_serialization) * overlap * other.perf.thrash_intensity
 }
 
-impl RateState {
-    /// Returns the state to its post-construction condition while
-    /// retaining the record buffer's capacity — a reused `SimContext`
-    /// resets one `RateState` per run instead of allocating a fresh one.
-    pub fn reset(&mut self) {
-        self.channel_demand = [0.0; MAX_CHANNELS];
-        self.tpc_occupancy = [0.0; MAX_TPCS];
-        self.kernels.clear();
-    }
-
-    /// Full recomputation of aggregates, pairwise sums and rates.
-    /// Appends one [`KernelRate`] per running kernel to `out` (cleared
-    /// first); no allocation once `out` and the records reach capacity.
-    pub fn recompute_full(
-        &mut self,
-        spec: &GpuSpec,
-        running: &[RunningCtx],
-        out: &mut Vec<KernelRate>,
-    ) {
-        self.channel_demand = [0.0; MAX_CHANNELS];
-        self.tpc_occupancy = [0.0; MAX_TPCS];
-        self.kernels.clear();
-        for r in running {
-            let rec = KernelSums::new(r);
-            self.add_aggregates(r, rec.per_channel);
-            self.kernels.push(rec);
+/// Summed per-channel demand on channel `c` over the running set.
+#[inline]
+fn channel_demand(running: &[RunningCtx], per_channel: &[f64], c: u32) -> f64 {
+    let mut demand = 0.0;
+    for (o, &pcd) in running.iter().zip(per_channel) {
+        if o.channels.0 & (1 << c) != 0 {
+            demand += pcd;
         }
-        for (i, r) in running.iter().enumerate() {
-            let mut rec = self.kernels[i];
-            for (j, o) in running.iter().enumerate() {
-                if i != j {
-                    rec.intra_sum += intra_term(spec, r, o);
-                    rec.l2_sum += l2_term(spec, r, o);
-                    rec.classify(r, o, self.kernels[j].per_channel, 1.0);
-                }
-            }
-            self.kernels[i] = rec;
-        }
-        self.emit_rates(spec, running, out);
     }
+    demand
+}
 
-    /// Incremental update after kernel `i` changed its TPC mask and/or
-    /// channel set in place (everything else — the running set, every
-    /// kernel's invariants, every thread fraction — unchanged). Adjusts
-    /// the aggregates and the pairwise sums by delta instead of
-    /// re-walking all O(n²) kernel pairs, then re-emits the rates.
-    ///
-    /// `running[i]` must already hold the *new* mask/channels;
-    /// `old_mask`/`old_channels` are the values being replaced.
-    pub fn update_one(
-        &mut self,
-        spec: &GpuSpec,
-        running: &[RunningCtx],
-        i: usize,
-        old_mask: TpcMask,
-        old_channels: ChannelSet,
-        out: &mut Vec<KernelRate>,
-    ) {
-        debug_assert_eq!(
-            self.kernels.len(),
-            running.len(),
-            "state tracks this running set"
-        );
-        let changed = &running[i];
-        let old = RunningCtx {
-            mask: old_mask,
-            channels: old_channels,
-            ..*changed
-        };
-        let old_pcd = self.kernels[i].per_channel;
-        // Kernel `i`'s own record is rebuilt from scratch (its mask /
-        // channel set — the victim side of every comparison — changed),
-        // starting with its per-channel demand.
-        let mut rec_i = KernelSums::new(changed);
-        // Resource aggregates: retract the old contribution, add the new.
-        self.remove_aggregates(&old, old_pcd);
-        self.add_aggregates(changed, rec_i.per_channel);
-        // Pairwise sums: only terms involving kernel `i` change.
-        for (j, o) in running.iter().enumerate() {
-            if j == i {
+/// Summed thread fraction on TPC `t` over the running set.
+#[inline]
+fn tpc_occupancy(running: &[RunningCtx], t: u32) -> f64 {
+    let mut occupancy = 0.0;
+    for o in running {
+        if o.mask.0 & (1 << t) != 0 {
+            occupancy += o.thread_fraction;
+        }
+    }
+    occupancy
+}
+
+/// Evaluates every running kernel's rate from its co-runners into `out`
+/// (cleared first). `per_channel[i]` is [`per_channel_demand`] of
+/// `running[i]`; the engine caches it where resources change.
+pub fn compute_rates_into(
+    spec: &GpuSpec,
+    running: &[RunningCtx],
+    per_channel: &[f64],
+    out: &mut Vec<KernelRate>,
+) {
+    debug_assert!(
+        running.len() == per_channel.len()
+            && running
+                .iter()
+                .zip(per_channel)
+                .all(|(r, d)| per_channel_demand(r).to_bits() == d.to_bits()),
+        "per-channel demands do not describe the running set"
+    );
+    out.clear();
+    let channel_cap = spec.channel_bandwidth_gbps();
+    for (i, (r, &pcd)) in running.iter().zip(per_channel).enumerate() {
+        // ---- pairwise terms and co-runner classification --------------
+        // A co-runner whose TPC mask (channel set) contains this kernel's
+        // adds uniformly to every TPC (channel) of it; one that overlaps
+        // only partly forces the per-TPC (per-channel) walk below.
+        let (mut intra_sum, mut l2_sum) = (0.0, 0.0);
+        let (mut tpc_cover_fraction, mut chan_cover_demand) = (0.0, 0.0);
+        let (mut tpc_partial, mut chan_partial) = (false, false);
+        for (j, (o, &o_pcd)) in running.iter().zip(per_channel).enumerate() {
+            if i == j {
                 continue;
             }
-            let rec = &mut self.kernels[j];
-            rec.intra_sum += intra_term(spec, o, changed) - intra_term(spec, o, &old);
-            rec.l2_sum += l2_term(spec, o, changed) - l2_term(spec, o, &old);
-            rec_i.intra_sum += intra_term(spec, changed, o);
-            rec_i.l2_sum += l2_term(spec, changed, o);
-            rec.classify(o, &old, old_pcd, -1.0);
-            rec.classify(o, changed, rec_i.per_channel, 1.0);
-            rec_i.classify(changed, o, rec.per_channel, 1.0);
-        }
-        self.kernels[i] = rec_i;
-        self.emit_rates(spec, running, out);
-    }
-
-    /// Incremental update after a kernel was appended to the running set
-    /// (`running` already ends with it): adds its aggregates and the
-    /// pairwise terms it exchanges with every incumbent — O(n) instead
-    /// of the full O(n²) rebuild. Rates are *not* re-emitted; call
-    /// [`RateState::emit_rates`] when they're next read.
-    pub fn add_last(&mut self, spec: &GpuSpec, running: &[RunningCtx]) {
-        debug_assert_eq!(
-            self.kernels.len() + 1,
-            running.len(),
-            "state tracks the pre-launch running set"
-        );
-        let i = running.len() - 1;
-        let new = &running[i];
-        let mut rec_i = KernelSums::new(new);
-        self.add_aggregates(new, rec_i.per_channel);
-        for (rec, o) in self.kernels.iter_mut().zip(&running[..i]) {
-            rec.intra_sum += intra_term(spec, o, new);
-            rec.l2_sum += l2_term(spec, o, new);
-            rec_i.intra_sum += intra_term(spec, new, o);
-            rec_i.l2_sum += l2_term(spec, new, o);
-            rec.classify(o, new, rec_i.per_channel, 1.0);
-            rec_i.classify(new, o, rec.per_channel, 1.0);
-        }
-        self.kernels.push(rec_i);
-    }
-
-    /// Incremental update after the kernel previously at `idx` left the
-    /// running set (`running` no longer contains it; order of the rest
-    /// preserved): retracts its aggregates and pairwise terms. Rates are
-    /// *not* re-emitted; call [`RateState::emit_rates`] when read.
-    pub fn remove_at(
-        &mut self,
-        spec: &GpuSpec,
-        running: &[RunningCtx],
-        idx: usize,
-        removed: &RunningCtx,
-    ) {
-        debug_assert_eq!(
-            self.kernels.len(),
-            running.len() + 1,
-            "state tracks the pre-removal running set"
-        );
-        let gone = self.kernels.remove(idx);
-        self.remove_aggregates(removed, gone.per_channel);
-        for (rec, o) in self.kernels.iter_mut().zip(running) {
-            rec.intra_sum -= intra_term(spec, o, removed);
-            rec.l2_sum -= l2_term(spec, o, removed);
-            rec.classify(o, removed, gone.per_channel, -1.0);
-        }
-    }
-
-    /// Adds `r`'s resource use to the aggregates; `per_channel` is its
-    /// cached [`per_channel_demand`].
-    #[inline]
-    fn add_aggregates(&mut self, r: &RunningCtx, per_channel: f64) {
-        for c in r.channels.iter_ones() {
-            self.channel_demand[c as usize] += per_channel;
-        }
-        for t in r.mask.iter_ones() {
-            self.tpc_occupancy[t as usize] += r.thread_fraction;
-        }
-    }
-
-    /// Retracts what [`add_aggregates`](Self::add_aggregates) added for
-    /// `r`, with the same cached `per_channel`.
-    #[inline]
-    fn remove_aggregates(&mut self, r: &RunningCtx, per_channel: f64) {
-        for c in r.channels.iter_ones() {
-            self.channel_demand[c as usize] -= per_channel;
-        }
-        for t in r.mask.iter_ones() {
-            self.tpc_occupancy[t as usize] -= r.thread_fraction;
-        }
-    }
-
-    /// Evaluates every kernel's rate from the current aggregates/sums.
-    pub fn emit_rates(&self, spec: &GpuSpec, running: &[RunningCtx], out: &mut Vec<KernelRate>) {
-        out.clear();
-        let channel_cap = spec.channel_bandwidth_gbps();
-        assert_eq!(
-            self.kernels.len(),
-            running.len(),
-            "state tracks this running set"
-        );
-        for (r, rec) in running.iter().zip(&self.kernels) {
-            // ---- VRAM bandwidth share (Fig. 3b) -----------------------
-            // Fraction of the kernel's demand it actually receives. A
-            // restricted channel set is captured naturally: the demand
-            // concentrates on fewer channels, whose caps bind sooner.
-            // When no co-runner's channel set partially overlaps, every
-            // channel of the set carries the same aggregate demand and
-            // the per-channel walk collapses to one comparison.
-            let demand = r.perf.bw_demand_gbps;
-            let pcd = rec.per_channel;
-            let bw_share = if demand <= 0.0 {
-                1.0
-            } else if r.channels.is_empty() {
-                // No channels granted at all: the per-channel walk sums
-                // zero, so the demand-starved floor applies (kept out of
-                // the uniform fast path, which would otherwise see "no
-                // partial overlap" and report full bandwidth).
-                1e-6
-            } else if rec.chan_partial == 0 {
-                let d = pcd + rec.chan_cover_demand;
-                if d <= channel_cap {
-                    1.0
+            let inter = r.mask.0 & o.mask.0;
+            if inter != 0 {
+                intra_sum += intra_term(spec, o, overlap_share(inter, r.mask.0));
+                if inter == r.mask.0 {
+                    tpc_cover_fraction += o.thread_fraction;
                 } else {
-                    (channel_cap / d).clamp(1e-6, 1.0)
+                    tpc_partial = true;
                 }
-            } else {
-                let mut granted = 0.0;
-                for c in r.channels.iter_ones() {
-                    let d = self.channel_demand[c as usize];
-                    granted += if d <= channel_cap {
-                        pcd
-                    } else {
-                        pcd * channel_cap / d
-                    };
+            }
+            let cinter = u32::from(r.channels.0 & o.channels.0);
+            if cinter != 0 {
+                l2_sum += l2_term(spec, o, overlap_share(cinter, u32::from(r.channels.0)));
+                if cinter == u32::from(r.channels.0) {
+                    chan_cover_demand += o_pcd;
+                } else {
+                    chan_partial = true;
                 }
-                (granted * r.perf.inv_bw_demand_gbps).clamp(1e-6, 1.0)
-            };
-            let l2_penalty = 1.0 + rec.l2_sum;
-            let intra = 1.0 + rec.intra_sum;
+            }
+        }
 
-            // ---- roofline under current conditions --------------------
-            // Effective TPCs: fair share of every TPC in the mask. With
-            // no partial mask overlap the occupancy is uniform (own
-            // fraction + covering co-runners) and the per-TPC walk is a
-            // popcount; inside the walk an uncontended TPC (occupancy
-            // ≤ 1) contributes the thread fraction directly.
-            let eff_tpcs = if rec.tpc_partial == 0 {
-                let occupancy = r.thread_fraction + rec.tpc_cover_fraction;
-                let share = if occupancy <= 1.0 {
+        // ---- VRAM bandwidth share (Fig. 3b) ---------------------------
+        // Fraction of the kernel's demand it actually receives. A
+        // restricted channel set is captured naturally: the demand
+        // concentrates on fewer channels, whose caps bind sooner. When no
+        // co-runner's channel set partially overlaps, every channel of
+        // the set carries the same demand and the per-channel walk
+        // collapses to one comparison.
+        let demand = r.perf.bw_demand_gbps;
+        let bw_share = if demand <= 0.0 {
+            1.0
+        } else if r.channels.is_empty() {
+            // No channels granted at all: the per-channel walk sums zero,
+            // so the demand-starved floor applies (kept out of the
+            // uniform case, which would otherwise report full bandwidth).
+            1e-6
+        } else if !chan_partial {
+            let d = pcd + chan_cover_demand;
+            if d <= channel_cap {
+                1.0
+            } else {
+                (channel_cap / d).clamp(1e-6, 1.0)
+            }
+        } else {
+            let mut granted = 0.0;
+            for c in r.channels.iter_ones() {
+                let d = channel_demand(running, per_channel, c);
+                granted += if d <= channel_cap {
+                    pcd
+                } else {
+                    pcd * channel_cap / d
+                };
+            }
+            (granted * r.perf.inv_bw_demand_gbps).clamp(1e-6, 1.0)
+        };
+
+        // ---- roofline under current conditions ------------------------
+        // Effective TPCs: fair share of every TPC in the mask. With no
+        // partial mask overlap the occupancy is uniform (own fraction +
+        // covering co-runners) and the per-TPC walk is a popcount; inside
+        // the walk an uncontended TPC (occupancy ≤ 1) contributes the
+        // thread fraction directly.
+        let eff_tpcs = if !tpc_partial {
+            let occupancy = r.thread_fraction + tpc_cover_fraction;
+            let share = if occupancy <= 1.0 {
+                r.thread_fraction
+            } else {
+                r.thread_fraction / occupancy
+            };
+            share * r.mask.count() as f64
+        } else {
+            let mut eff = 0.0;
+            for t in r.mask.iter_ones() {
+                let occupancy = tpc_occupancy(running, t);
+                eff += if occupancy <= 1.0 {
                     r.thread_fraction
                 } else {
                     r.thread_fraction / occupancy
                 };
-                share * r.mask.count() as f64
-            } else {
-                let mut eff = 0.0;
-                for t in r.mask.iter_ones() {
-                    let occupancy = self.tpc_occupancy[t as usize];
-                    eff += if occupancy <= 1.0 {
-                        r.thread_fraction
-                    } else {
-                        r.thread_fraction / occupancy
-                    };
-                }
-                eff
-            };
-            let eff_bw_share = bw_share / l2_penalty;
-            let ctx = ResourceCtx {
-                tpcs: eff_tpcs.max(0.05),
-                bw_share: eff_bw_share.clamp(1e-6, 1.0),
-                intra_sm_factor: intra,
-            };
-            let duration = r.perf.runtime_us(ctx);
-            out.push(KernelRate {
-                duration_us: duration,
-                relative_speed: r.perf.isolated_us / duration.max(1e-9),
-            });
-        }
+            }
+            eff
+        };
+        let ctx = ResourceCtx {
+            tpcs: eff_tpcs.max(0.05),
+            bw_share: (bw_share / (1.0 + l2_sum)).clamp(1e-6, 1.0),
+            intra_sm_factor: 1.0 + intra_sum,
+        };
+        let duration = r.perf.runtime_us(ctx);
+        out.push(KernelRate {
+            duration_us: duration,
+            relative_speed: r.perf.isolated_us / duration.max(1e-9),
+        });
     }
 }
 
 /// Computes each running kernel's instantaneous duration and speed.
 ///
-/// Convenience wrapper that allocates a fresh [`RateState`] and output
-/// vector; event loops should own both and call
-/// [`RateState::recompute_full`] / [`RateState::update_one`] directly.
+/// Allocating wrapper around [`compute_rates_into`]; event loops own the
+/// output and the per-channel demands and call that directly.
 pub fn compute_rates(spec: &GpuSpec, running: &[RunningCtx]) -> Vec<KernelRate> {
-    let mut state = RateState::default();
+    let per_channel: Vec<f64> = running.iter().map(per_channel_demand).collect();
     let mut out = Vec::with_capacity(running.len());
-    state.recompute_full(spec, running, &mut out);
+    compute_rates_into(spec, running, &per_channel, &mut out);
     out
 }
 
@@ -550,8 +348,8 @@ pub mod reference {
     //! This is the seed implementation: per-call `Vec` aggregates,
     //! per-bit loops over every TPC/channel slot, and full `perf::`
     //! re-derivation from the (deep-cloned) kernel descriptor. It is the
-    //! *oracle* the optimized [`RateState`](super::RateState) paths are
-    //! tested against (unit and property tests, and the engine's
+    //! *oracle* the evaluator, [`compute_rates_into`](super::compute_rates_into),
+    //! is tested against (unit and property tests, and the engine's
     //! event-sequence test).
 
     use super::KernelRate;
@@ -693,8 +491,8 @@ pub mod reference {
     }
 }
 
-/// Maximum relative divergence tolerated between the optimized rate
-/// paths and the [`reference`](mod@reference) oracle (float-associativity headroom).
+/// Maximum relative divergence tolerated between the evaluator and the
+/// [`reference`](mod@reference) oracle (float-associativity headroom).
 pub const RATE_EQUIVALENCE_TOL: f64 = 1e-9;
 
 /// Relative divergence between two rate vectors (∞ on length mismatch).
@@ -944,30 +742,60 @@ mod tests {
     }
 
     #[test]
-    fn incremental_update_matches_full_recompute() {
+    fn pair_rates_ignore_running_order() {
+        // Each rate depends on the set, not on where a kernel sits in it:
+        // with two kernels every sum has at most two terms, and float
+        // addition commutes, so swapping the pair swaps the rates bit for
+        // bit. The cases cover nested, partial and disjoint masks and
+        // channel sets, with MPS fractions that oversubscribe shared TPCs.
         let spec = GpuModel::RtxA2000.spec();
-        let mut running = vec![
-            victim(&spec),
-            thrasher(&spec, TpcMask::range(6, 7), ChannelSet::all(&spec)),
-            ctx(
+        let all = ChannelSet::all(&spec);
+        let attention = |mask, channels, thread_fraction| {
+            RunningCtx::new(
                 &spec,
-                kernel(KernelKind::Attention, 1e9, 4e7),
-                TpcMask::first(3),
-                ChannelSet::from_channels(&[4, 5]),
+                &kernel(KernelKind::Attention, 1e9, 4e7),
+                mask,
+                channels,
+                thread_fraction,
+            )
+        };
+        let pairs = [
+            (victim(&spec), thrasher(&spec, TpcMask::all(&spec), all)),
+            (
+                victim(&spec),
+                thrasher(
+                    &spec,
+                    TpcMask::range(4, 9),
+                    ChannelSet::from_channels(&[0, 1, 2]),
+                ),
+            ),
+            (
+                attention(TpcMask::first(8), all, 0.7),
+                RunningCtx {
+                    thread_fraction: 0.6,
+                    ..thrasher(
+                        &spec,
+                        TpcMask::range(5, 8),
+                        ChannelSet::from_channels(&[1, 2, 3, 4]),
+                    )
+                },
+            ),
+            (
+                attention(TpcMask::first(3), ChannelSet::from_channels(&[4, 5]), 1.0),
+                thrasher(
+                    &spec,
+                    TpcMask::range(6, 7),
+                    ChannelSet::from_channels(&[0, 1]),
+                ),
             ),
         ];
-        let mut state = RateState::default();
-        let mut out = Vec::new();
-        state.recompute_full(&spec, &running, &mut out);
-        // Re-mask the thrasher onto fewer TPCs and the BE channels.
-        let old_mask = running[1].mask;
-        let old_channels = running[1].channels;
-        running[1].mask = TpcMask::range(8, 5);
-        running[1].channels = ChannelSet::from_channels(&[0, 1]);
-        let mut incremental = Vec::new();
-        state.update_one(&spec, &running, 1, old_mask, old_channels, &mut incremental);
-        let full = compute_rates(&spec, &running);
-        let div = max_relative_divergence(&incremental, &full);
-        assert!(div < RATE_EQUIVALENCE_TOL, "divergence {div}");
+        for (a, b) in pairs {
+            let ab = compute_rates(&spec, &[a, b]);
+            let ba = compute_rates(&spec, &[b, a]);
+            for (x, y) in [(ab[0], ba[1]), (ab[1], ba[0])] {
+                assert_eq!(x.duration_us.to_bits(), y.duration_us.to_bits());
+                assert_eq!(x.relative_speed.to_bits(), y.relative_speed.to_bits());
+            }
+        }
     }
 }

@@ -9,32 +9,31 @@
 //! ## Hot-path design
 //!
 //! The engine processes millions of events per experiment, so the
-//! per-event path allocates nothing and recomputes nothing it can keep:
+//! per-event path allocates nothing:
 //!
 //! * running kernels are stored struct-of-arrays ([`RunningCtx`] contexts
 //!   parallel to integration bookkeeping); a context is a `Copy` value
 //!   carrying the kernel's precomputed invariants, not its descriptor, so
 //!   a launch from a [`PreparedKernel`] copies a few words and touches no
 //!   reference count;
-//! * rates live in a persistent [`RateState`], one record per resident
-//!   kernel — a launch pushes one record and a finish removes one;
-//!   running-set changes only
-//!   mark them stale and the recompute happens at the next read, so a
-//!   completion immediately followed by a relaunch (the serving loop's
-//!   steady state) pays one evaluation, not two; [`Engine::remask`] takes
-//!   an incremental O(n) update (checked against the full recompute in
-//!   debug builds);
+//! * launches, finishes, cancels and remasks only mark the rates stale
+//!   (a launch or remask also sets the kernel's [`per_channel_demand`]);
+//!   the next read evaluates the whole running set from scratch with
+//!   [`compute_rates_into`], so a completion immediately followed by a
+//!   relaunch (the serving loop's steady state) pays one evaluation, not
+//!   two, and the rates never depend on the order of the changes;
 //! * [`Engine::next_event_at`] is memoized; integration keeps it valid
 //!   (absolute finish times are invariant under `advance_to`), so the
 //!   serving loop's repeated queries cost a `Cell` read.
 //!
-//! Debug builds check both shortcuts on every use: deferred and
-//! incremental rates against a full recompute, and every memoized
-//! next-event time against a fresh computation. The unit tests check
-//! whole event sequences against a piecewise integration over the
+//! Debug builds check every memoized next-event time against a fresh
+//! computation. The unit tests check whole event sequences against a
+//! piecewise integration over the
 //! [`reference`](crate::contention::reference) contention model.
 
-use crate::contention::{KernelRate, PreparedKernel, RateState, RunningCtx};
+use crate::contention::{
+    compute_rates_into, per_channel_demand, KernelRate, PreparedKernel, RunningCtx,
+};
 use crate::types::{ChannelSet, EngineEvent, LaunchId, TpcMask};
 use dnn::kernel::KernelDesc;
 use gpu_spec::GpuSpec;
@@ -86,17 +85,18 @@ pub struct Engine {
     ctxs: Vec<RunningCtx>,
     /// Integration bookkeeping, parallel to `ctxs`.
     meta: Vec<RunningMeta>,
+    /// Each context's [`per_channel_demand`], parallel to `ctxs`: set
+    /// where its resources change, at launch and remask.
+    per_channel: Vec<f64>,
     /// Rates valid for the current running set (parallel to `ctxs`).
     /// Interior-mutable so the lazy refresh can run behind `&self`
     /// accessors like [`Engine::next_event_at`].
     rates: RefCell<Vec<KernelRate>>,
-    /// Persistent aggregates backing the fast rate path.
-    state: RefCell<RateState>,
     /// Set when the running set changed and `rates` no longer describes
-    /// it. Launches and completions only mark this flag; the recompute
-    /// happens at the next read. A completion immediately followed by a
-    /// relaunch at the same timestamp — the serving loop's steady state —
-    /// then pays one rate evaluation instead of two.
+    /// it. Launches, completions and remasks only mark this flag; the
+    /// evaluation happens at the next read. A completion immediately
+    /// followed by a relaunch at the same timestamp — the serving loop's
+    /// steady state — then pays one rate evaluation instead of two.
     rates_stale: Cell<bool>,
     /// Memoized next-event time (`None` = stale, recompute on demand).
     next_event: Cell<Option<Option<f64>>>,
@@ -118,8 +118,8 @@ impl Engine {
             next_id: 1,
             ctxs: Vec::new(),
             meta: Vec::new(),
+            per_channel: Vec::new(),
             rates: RefCell::new(Vec::new()),
-            state: RefCell::new(RateState::default()),
             rates_stale: Cell::new(false),
             next_event: Cell::new(Some(None)),
             events: 0,
@@ -139,8 +139,8 @@ impl Engine {
         self.next_id = 1;
         self.ctxs.clear();
         self.meta.clear();
+        self.per_channel.clear();
         self.rates.get_mut().clear();
-        self.state.get_mut().reset();
         self.rates_stale.set(false);
         self.next_event.set(Some(None));
         self.events = 0;
@@ -171,24 +171,16 @@ impl Engine {
     }
 
     /// Makes `rates` describe the current running set (no-op when
-    /// fresh). The aggregates/pairwise sums are maintained incrementally
-    /// at every launch/finish/remask; only the rate emission is deferred
-    /// to here.
+    /// fresh), evaluating every resident kernel from scratch.
     fn ensure_rates(&self) {
         if self.rates_stale.get() {
-            self.state
-                .borrow()
-                .emit_rates(&self.spec, &self.ctxs, &mut self.rates.borrow_mut());
+            compute_rates_into(
+                &self.spec,
+                &self.ctxs,
+                &self.per_channel,
+                &mut self.rates.borrow_mut(),
+            );
             self.rates_stale.set(false);
-            #[cfg(debug_assertions)]
-            {
-                let full = crate::contention::compute_rates(&self.spec, &self.ctxs);
-                let div = crate::contention::max_relative_divergence(&self.rates.borrow(), &full);
-                debug_assert!(
-                    div < crate::contention::RATE_EQUIVALENCE_TOL,
-                    "incrementally maintained rates diverged from full recompute: {div}"
-                );
-            }
         }
     }
 
@@ -218,6 +210,7 @@ impl Engine {
         let id = LaunchId(self.next_id);
         self.next_id += 1;
         let total = ctx.perf.isolated_us;
+        self.per_channel.push(per_channel_demand(&ctx));
         self.ctxs.push(ctx);
         self.meta.push(RunningMeta {
             id,
@@ -226,7 +219,6 @@ impl Engine {
             poll_us: cfg.preempt_poll_us,
             evicting: None,
         });
-        self.state.get_mut().add_last(&self.spec, &self.ctxs);
         self.rates_stale.set(true);
         self.invalidate_next_event();
         id
@@ -263,13 +255,7 @@ impl Engine {
         let Some(idx) = self.index_of(id) else {
             return false;
         };
-        self.meta.remove(idx);
-        let removed = self.ctxs.remove(idx);
-        self.state
-            .get_mut()
-            .remove_at(&self.spec, &self.ctxs, idx, &removed);
-        self.rates_stale.set(true);
-        self.invalidate_next_event();
+        self.remove_kernel(idx);
         true
     }
 
@@ -296,43 +282,31 @@ impl Engine {
 
     /// Re-masks a running kernel (the engine models SGDRC's relaunch-with-
     /// new-mask as an in-place update; the relaunch latency is folded into
-    /// the preemption poll delay). Rates refresh through the incremental
-    /// path — only the interference terms involving this kernel are
-    /// recomputed.
+    /// the preemption poll delay). Rates refresh at the next read.
     pub fn remask(&mut self, id: LaunchId, mask: TpcMask, channels: ChannelSet) -> bool {
         let Some(i) = self.index_of(id) else {
             return false;
         };
-        let old_mask = self.ctxs[i].mask;
-        let old_channels = self.ctxs[i].channels;
-        if old_mask == mask && old_channels == channels {
+        let ctx = &mut self.ctxs[i];
+        if ctx.mask == mask && ctx.channels == channels {
             return true;
         }
-        // The pairwise sums always describe the current running set
-        // (launch/finish adjust them incrementally), so the remask delta
-        // applies directly; `update_one` re-emits fresh rates.
-        self.ctxs[i].mask = mask;
-        self.ctxs[i].channels = channels;
-        self.state.get_mut().update_one(
-            &self.spec,
-            &self.ctxs,
-            i,
-            old_mask,
-            old_channels,
-            self.rates.get_mut(),
-        );
-        self.rates_stale.set(false);
-        #[cfg(debug_assertions)]
-        {
-            let full = crate::contention::compute_rates(&self.spec, &self.ctxs);
-            let div = crate::contention::max_relative_divergence(&self.rates.borrow(), &full);
-            debug_assert!(
-                div < crate::contention::RATE_EQUIVALENCE_TOL,
-                "incremental remask diverged from full recompute: {div}"
-            );
-        }
+        ctx.mask = mask;
+        ctx.channels = channels;
+        self.per_channel[i] = per_channel_demand(ctx);
+        self.rates_stale.set(true);
         self.invalidate_next_event();
         true
+    }
+
+    /// Drops the kernel at `idx` from the running set; returns its
+    /// bookkeeping.
+    fn remove_kernel(&mut self, idx: usize) -> RunningMeta {
+        self.ctxs.remove(idx);
+        self.per_channel.remove(idx);
+        self.rates_stale.set(true);
+        self.invalidate_next_event();
+        self.meta.remove(idx)
     }
 
     fn invalidate_next_event(&self) {
@@ -401,13 +375,7 @@ impl Engine {
             }
         }
         let (idx, preempted) = fired.expect("an event was due");
-        let r = self.meta.remove(idx);
-        let removed = self.ctxs.remove(idx);
-        self.state
-            .get_mut()
-            .remove_at(&self.spec, &self.ctxs, idx, &removed);
-        self.rates_stale.set(true);
-        self.invalidate_next_event();
+        let r = self.remove_kernel(idx);
         self.events += 1;
         Some(if preempted {
             EngineEvent::Preempted {

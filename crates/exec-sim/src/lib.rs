@@ -20,8 +20,8 @@ pub mod engine;
 pub mod types;
 
 pub use contention::{
-    compute_rates, max_relative_divergence, KernelRate, PreparedKernel, RateState, RunningCtx,
-    RATE_EQUIVALENCE_TOL,
+    compute_rates, compute_rates_into, max_relative_divergence, per_channel_demand, KernelRate,
+    PreparedKernel, RunningCtx, RATE_EQUIVALENCE_TOL,
 };
 pub use engine::{Engine, LaunchConfig};
 pub use types::{BitIter, ChannelSet, EngineEvent, LaunchId, TpcMask};

@@ -1,10 +1,10 @@
 //! Property-based tests for the execution engine.
 use dnn::kernel::{KernelDesc, KernelKind};
 use exec_sim::{
-    compute_rates, max_relative_divergence, ChannelSet, Engine, LaunchConfig, RateState,
-    RunningCtx, TpcMask, RATE_EQUIVALENCE_TOL,
+    compute_rates, max_relative_divergence, ChannelSet, Engine, LaunchConfig, RunningCtx, TpcMask,
+    RATE_EQUIVALENCE_TOL,
 };
-use gpu_spec::GpuModel;
+use gpu_spec::{GpuModel, GpuSpec};
 use proptest::prelude::*;
 
 fn kernel(flops: f64, bytes: f64, blocks: u32) -> KernelDesc {
@@ -19,6 +19,26 @@ fn kernel(flops: f64, bytes: f64, blocks: u32) -> KernelDesc {
         colored: false,
         extra_registers: 0,
         tensor_refs: vec![],
+    }
+}
+
+/// `len` TPCs from `start`, cut to the GPU; TPC 0 if nothing is left.
+fn clamp_mask(spec: &GpuSpec, start: u32, len: u32) -> TpcMask {
+    let m = TpcMask::range(start, len).intersect(TpcMask::all(spec));
+    if m.is_empty() {
+        TpcMask::first(1)
+    } else {
+        m
+    }
+}
+
+/// The channels of `bits` the GPU has; channel 0 if none.
+fn clamp_channels(spec: &GpuSpec, bits: u16) -> ChannelSet {
+    let c = ChannelSet(bits & ChannelSet::all(spec).0);
+    if c.is_empty() {
+        ChannelSet::from_channels(&[0])
+    } else {
+        c
     }
 }
 
@@ -66,58 +86,56 @@ proptest! {
         prop_assert!(ids.is_empty(), "lost kernels: {ids:?}");
     }
 
-    /// The incremental re-mask path ([`RateState::update_one`]) matches a
-    /// from-scratch `compute_rates` within 1e-9 relative, for arbitrary
-    /// running sets and arbitrary single-kernel mask/channel changes.
+    /// Rates depend on the running set alone, not on the history that
+    /// produced it. At t = 0 an engine launches B, launches A, remasks B
+    /// twice, cancels A and launches C, reading its next event after each
+    /// step; that next event must equal, bit for bit, the one of a fresh
+    /// engine that launched B with its final resources and then C.
     #[test]
-    fn incremental_update_matches_full_recompute(
-        shapes in prop::collection::vec(
-            // (flops, bytes, blocks, mask_start, mask_len, channel_bits)
-            (1e6f64..1e10, 1e4f64..3e8, 1u32..512, 0u32..10, 1u32..13, 1u16..64),
-            1..5,
-        ),
-        changed in 0usize..5,
-        new_mask_start in 0u32..10,
-        new_mask_len in 1u32..13,
-        new_channel_bits in 1u16..64,
+    fn next_event_is_history_free(
+        // (flops, bytes, blocks, thread fraction; 1.0 from 1.0 up)
+        a in (1e6f64..1e10, 1e4f64..3e8, 1u32..512, 0.1f64..2.0),
+        b in (1e6f64..1e10, 1e4f64..3e8, 1u32..512, 0.1f64..2.0),
+        c in (1e6f64..1e10, 1e4f64..3e8, 1u32..512, 0.1f64..2.0),
+        // (mask_start, mask_len, channel_bits)
+        b_launch in (0u32..10, 1u32..13, 1u16..64),
+        a_launch in (0u32..10, 1u32..13, 1u16..64),
+        b_remask in (0u32..10, 1u32..13, 1u16..64),
+        b_final in (0u32..10, 1u32..13, 1u16..64),
+        c_launch in (0u32..10, 1u32..13, 1u16..64),
     ) {
         let spec = GpuModel::RtxA2000.spec();
-        let clamp_mask = |start: u32, len: u32| {
-            let m = TpcMask::range(start, len).intersect(TpcMask::all(&spec));
-            if m.is_empty() { TpcMask::first(1) } else { m }
+        let k = |(flops, bytes, blocks, _): (f64, f64, u32, f64)| kernel(flops, bytes, blocks);
+        let cfg = |(start, len, bits): (u32, u32, u16), (.., fraction): (f64, f64, u32, f64)| {
+            LaunchConfig {
+                mask: clamp_mask(&spec, start, len),
+                channels: clamp_channels(&spec, bits),
+                thread_fraction: fraction.min(1.0),
+                preempt_poll_us: None,
+            }
         };
-        let clamp_channels = |bits: u16| {
-            let c = ChannelSet(bits & ChannelSet::all(&spec).0);
-            if c.is_empty() { ChannelSet::from_channels(&[0]) } else { c }
-        };
-        let mut running: Vec<RunningCtx> = shapes
-            .iter()
-            .map(|&(flops, bytes, blocks, start, len, chans)| {
-                RunningCtx::new(
-                    &spec,
-                    &kernel(flops, bytes, blocks),
-                    clamp_mask(start, len),
-                    clamp_channels(chans),
-                    1.0,
-                )
-            })
-            .collect();
-        let i = changed % running.len();
-        let mut state = RateState::default();
-        let mut rates = Vec::new();
-        state.recompute_full(&spec, &running, &mut rates);
-        let old_mask = running[i].mask;
-        let old_channels = running[i].channels;
-        running[i].mask = clamp_mask(new_mask_start, new_mask_len);
-        running[i].channels = clamp_channels(new_channel_bits);
-        let mut incremental = Vec::new();
-        state.update_one(&spec, &running, i, old_mask, old_channels, &mut incremental);
-        let full = compute_rates(&spec, &running);
-        let div = max_relative_divergence(&incremental, &full);
-        prop_assert!(div < RATE_EQUIVALENCE_TOL, "divergence {div}");
+        let mut e = Engine::new(spec.clone());
+        let b_id = e.launch(&k(b), &cfg(b_launch, b));
+        e.next_event_at();
+        let a_id = e.launch(&k(a), &cfg(a_launch, a));
+        e.next_event_at();
+        for resources in [b_remask, b_final] {
+            let LaunchConfig { mask, channels, .. } = cfg(resources, b);
+            prop_assert!(e.remask(b_id, mask, channels));
+            e.next_event_at();
+        }
+        prop_assert!(e.cancel(a_id));
+        e.next_event_at();
+        e.launch(&k(c), &cfg(c_launch, c));
+
+        let mut fresh = Engine::new(spec.clone());
+        fresh.launch(&k(b), &cfg(b_final, b));
+        fresh.launch(&k(c), &cfg(c_launch, c));
+        let (got, want) = (e.next_event_at(), fresh.next_event_at());
+        prop_assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{:?} vs {:?}", got, want);
     }
 
-    /// The optimized fast path agrees with the preserved seed model
+    /// The evaluator agrees with the preserved seed model
     /// (`contention::reference`) on arbitrary running sets.
     #[test]
     fn fast_path_matches_reference_model(
@@ -136,15 +154,13 @@ proptest! {
             .iter()
             .zip(&kernels)
             .map(|(&(.., start, len, chans), k)| {
-                let mask = TpcMask::range(start, len).intersect(TpcMask::all(&spec));
-                let mask = if mask.is_empty() { TpcMask::first(1) } else { mask };
-                let channels = ChannelSet(chans & ChannelSet::all(&spec).0);
-                let channels = if channels.is_empty() {
-                    ChannelSet::from_channels(&[0])
-                } else {
-                    channels
-                };
-                RunningCtx::new(&spec, k, mask, channels, 1.0)
+                RunningCtx::new(
+                    &spec,
+                    k,
+                    clamp_mask(&spec, start, len),
+                    clamp_channels(&spec, chans),
+                    1.0,
+                )
             })
             .collect();
         let fast = compute_rates(&spec, &running);

@@ -112,6 +112,14 @@ const MAX_MODULUS: u64 = 576;
 /// Learning-rate halvings: training stops at the plateau after the last.
 const LR_HALVINGS: i32 = 4;
 
+/// One forward pass's buffers: the active features, the hidden layer's
+/// pre-activations and the logits. [`MlpHashLearner::forward`] sizes them.
+struct Forward {
+    active: Vec<usize>,
+    hidden: [f32; HIDDEN],
+    logits: Vec<f32>,
+}
+
 /// Index and value of the largest logit, the last one on ties.
 fn argmax(logits: &[f32]) -> (usize, f32) {
     let mut best = (0, logits[0]);
@@ -324,39 +332,55 @@ impl MlpHashLearner {
 
     /// Predicted channel class for a partition index.
     pub fn predict(&self, partition: u64) -> u16 {
-        let mut active = Vec::with_capacity(64);
-        self.feat.active_features(partition, &mut active);
-        let mut h_pre = self.b1.clone();
-        for &f in &active {
+        self.predict_with(partition, &mut self.forward())
+    }
+
+    /// Buffers sized for one forward pass of this model.
+    fn forward(&self) -> Forward {
+        Forward {
+            active: Vec::with_capacity(self.feat.moduli.len()),
+            hidden: [0.0; HIDDEN],
+            logits: Vec::with_capacity(self.classes),
+        }
+    }
+
+    /// [`predict`](Self::predict) into the caller's buffers: batch callers
+    /// reuse one [`Forward`] and allocate nothing per prediction.
+    fn predict_with(&self, partition: u64, buf: &mut Forward) -> u16 {
+        self.feat.active_features(partition, &mut buf.active);
+        buf.hidden.copy_from_slice(&self.b1);
+        for &f in &buf.active {
             let row = &self.w1[f * HIDDEN..(f + 1) * HIDDEN];
-            for (h, &w) in h_pre.iter_mut().zip(row) {
+            for (h, &w) in buf.hidden.iter_mut().zip(row) {
                 *h += w;
             }
         }
-        let mut logits = self.b2.clone();
-        for (h, p) in h_pre.iter().enumerate() {
+        buf.logits.clear();
+        buf.logits.extend_from_slice(&self.b2);
+        for (h, p) in buf.hidden.iter().enumerate() {
             let a = p.max(0.0);
             if a > 0.0 {
                 let row = &self.w2[h * self.classes..(h + 1) * self.classes];
-                for (l, &w) in logits.iter_mut().zip(row) {
+                for (l, &w) in buf.logits.iter_mut().zip(row) {
                     *l += a * w;
                 }
             }
         }
-        for &f in &active {
+        for &f in &buf.active {
             let row = &self.skip[f * self.classes..(f + 1) * self.classes];
-            for (l, &w) in logits.iter_mut().zip(row) {
+            for (l, &w) in buf.logits.iter_mut().zip(row) {
                 *l += w;
             }
         }
-        argmax(&logits).0 as u16
+        argmax(&buf.logits).0 as u16
     }
 
     /// Fraction of samples predicted correctly.
     pub fn accuracy(&self, samples: &[Sample]) -> f64 {
+        let mut buf = self.forward();
         let ok = samples
             .iter()
-            .filter(|s| self.predict(s.partition) == s.label)
+            .filter(|s| self.predict_with(s.partition, &mut buf) == s.label)
             .count();
         ok as f64 / samples.len().max(1) as f64
     }
@@ -364,7 +388,10 @@ impl MlpHashLearner {
     /// The §5.3 lookup table: predicted channel of every partition in
     /// `0..n_partitions` (1 KiB granularity across the VRAM space).
     pub fn lookup_table(&self, n_partitions: u64) -> Vec<u16> {
-        (0..n_partitions).map(|p| self.predict(p)).collect()
+        let mut buf = self.forward();
+        (0..n_partitions)
+            .map(|p| self.predict_with(p, &mut buf))
+            .collect()
     }
 
     pub fn num_classes(&self) -> usize {

@@ -107,6 +107,8 @@ impl Load {
 pub struct EndToEndConfig {
     pub gpu: GpuModel,
     pub load: Load,
+    /// Simulated span of each run, µs: [`EndToEndConfig::new`] sets the
+    /// 4 s `fig17_endtoend` runs.
     pub horizon_us: f64,
     pub seed: u64,
     /// LS instances per model (§9.2: 4).
@@ -124,7 +126,7 @@ impl EndToEndConfig {
         Self {
             gpu,
             load,
-            horizon_us: 8e6,
+            horizon_us: 4e6,
             seed: 0xA110C,
             ls_instances: 4,
             sgdrc: SgdrcConfig::default(),
