@@ -27,11 +27,20 @@
 //!   LLC slice hashes found for non-power-of-2 slice counts (paper refs
 //!   [2, 13, 29]).
 //!
+//! [`PermutationChannelHash`] stores its window layouts as one
+//! pattern-major table, so a lookup is one `u32` remainder by the layout
+//! period (window × patterns partitions: 144 on the A2000, 576 on the
+//! P40) and one load.
+//!
 //! Only the simulator queries these oracles directly. The reverse
 //! engineering crate treats the device as a black box and must *recover*
 //! the mapping from memory latencies alone.
 
-use crate::address::{PhysAddr, PARTITION_BYTES};
+use crate::address::{PhysAddr, MAX_HASH_BIT, PARTITION_BYTES, PARTITION_SHIFT};
+
+// `PhysAddr::hash_input` keeps bits `PARTITION_SHIFT..=MAX_HASH_BIT`, so it
+// fits the `u32` that `PermutationChannelHash::channel_of` reduces.
+const _: () = assert!(MAX_HASH_BIT - PARTITION_SHIFT < u32::BITS);
 
 /// Classification of a hash mapping's algebraic structure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -179,9 +188,12 @@ const GROUP_ARRANGEMENTS: [[u8; 6]; 6] = [
 pub struct PermutationChannelHash {
     num_groups: u16,
     group_size: u16,
-    /// `layouts[k][slot]` = channel of partition slot `slot` in a window
-    /// with pattern `k`.
-    layouts: Vec<Vec<u16>>,
+    /// `channels[k * window + slot]` = channel of partition slot `slot` in
+    /// a window with pattern `k`. Windows cycle through the patterns in
+    /// order, so partition `p` maps to `channels[p % channels.len()]`:
+    /// `p % (w·L) == (p / w % L)·w + p % w` for window `w` and `L`
+    /// patterns.
+    channels: Vec<u16>,
 }
 
 impl PermutationChannelHash {
@@ -207,11 +219,10 @@ impl PermutationChannelHash {
             "not enough distinct channel orders for the requested patterns"
         );
 
-        let mut layouts = Vec::with_capacity(num_patterns);
+        let mut channels = Vec::with_capacity(num_patterns * 6 * g);
         for k in 0..num_patterns {
             let arr = &GROUP_ARRANGEMENTS[k % GROUP_ARRANGEMENTS.len()];
             let order_class = k / GROUP_ARRANGEMENTS.len();
-            let mut layout = Vec::with_capacity(6 * g);
             let mut seen_per_group = [0usize; 3];
             for &grp in arr.iter() {
                 let occurrence = seen_per_group[grp as usize];
@@ -221,15 +232,14 @@ impl PermutationChannelHash {
                 let pidx = (order_class + grp as usize + occurrence * (perms.len() / 2).max(1))
                     % perms.len();
                 for &local in &perms[pidx] {
-                    layout.push(grp as u16 * group_size + local);
+                    channels.push(grp as u16 * group_size + local);
                 }
             }
-            layouts.push(layout);
         }
         Self {
             num_groups,
             group_size,
-            layouts,
+            channels,
         }
     }
 
@@ -250,12 +260,13 @@ impl PermutationChannelHash {
 
     /// Number of distinct window layouts.
     pub fn num_patterns(&self) -> usize {
-        self.layouts.len()
+        self.channels.len() / self.window_partitions() as usize
     }
 
     /// Channels of one full window layout (ground truth; simulator only).
     pub fn layout(&self, pattern: usize) -> &[u16] {
-        &self.layouts[pattern]
+        let w = self.window_partitions() as usize;
+        &self.channels[pattern * w..(pattern + 1) * w]
     }
 
     /// Channel group size (the paper's "# contiguous VRAM channels").
@@ -275,11 +286,8 @@ impl ChannelHash for PermutationChannelHash {
     }
 
     fn channel_of(&self, addr: PhysAddr) -> u16 {
-        let p = addr.hash_input();
-        let w = self.window_partitions();
-        let slot = (p % w) as usize;
-        let pattern = ((p / w) % self.layouts.len() as u64) as usize;
-        self.layouts[pattern][slot]
+        let p = addr.hash_input() as u32;
+        self.channels[(p % self.channels.len() as u32) as usize]
     }
 
     fn kind(&self) -> HashKind {
@@ -413,6 +421,27 @@ mod tests {
                 sorted.sort_unstable();
                 sorted.dedup();
                 assert_eq!(sorted.len(), g as usize, "block repeats a channel");
+            }
+        }
+    }
+
+    /// The one-table lookup equals the two-level formula, slot `p % w`
+    /// of pattern `p / w % L`'s layout, over three layout cycles and
+    /// around 2^25, where `hash_input` truncates.
+    #[test]
+    fn one_table_lookup_equals_two_level_formula() {
+        for h in [
+            PermutationChannelHash::tesla_p40(),
+            PermutationChannelHash::rtx_a2000(),
+        ] {
+            let w = h.window_partitions();
+            let cycle = w * h.num_patterns() as u64;
+            let top = 1u64 << (MAX_HASH_BIT - PARTITION_SHIFT + 1);
+            for q in (0..3 * cycle).chain(top - 2 * cycle..top + 2 * cycle) {
+                let p = PhysAddr(q * PARTITION_BYTES).hash_input();
+                let (slot, pattern) = (p % w, p / w % h.num_patterns() as u64);
+                let two_level = h.layout(pattern as usize)[slot as usize];
+                assert_eq!(h.channel_of_partition(q), two_level, "partition {q}");
             }
         }
     }

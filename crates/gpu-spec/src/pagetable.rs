@@ -6,16 +6,17 @@
 //! reverse-engineering pipeline therefore first recovers physical addresses
 //! by *parsing the page table entries stored in VRAM* (following paper
 //! ref \[60\]); [`PageTable::parse_entries`] models exactly that step.
+//! The coloring driver's shadow page table (paper Fig. 12a step 3) returns
+//! its entries as data (`ColoredPool::page_table_entries`) and writes
+//! nothing here.
 //!
-//! The page table is also the hook the coloring driver uses: the shadow
-//! page table writes the physical frame numbers of colored chunks directly
-//! into the GPU page table (paper Fig. 12a step 3), which
-//! [`PageTable::map_at`] supports.
+//! Virtual pages are handed out contiguously from 1 and never reused, so
+//! the table is a dense vector indexed by virtual page number and a page
+//! walk is one bounds-checked load.
 
 use crate::address::{PhysAddr, VirtAddr, PAGE_BYTES, PAGE_SHIFT};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::collections::HashMap;
 
 /// Errors reported by the MMU model.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,8 +25,6 @@ pub enum MmuError {
     OutOfMemory,
     /// The virtual address is not mapped.
     Unmapped(VirtAddr),
-    /// The virtual page is already mapped.
-    AlreadyMapped(VirtAddr),
 }
 
 impl std::fmt::Display for MmuError {
@@ -33,22 +32,28 @@ impl std::fmt::Display for MmuError {
         match self {
             MmuError::OutOfMemory => write!(f, "simulated VRAM exhausted"),
             MmuError::Unmapped(va) => write!(f, "virtual address {:#x} not mapped", va.0),
-            MmuError::AlreadyMapped(va) => write!(f, "virtual page {:#x} already mapped", va.0),
         }
     }
 }
 
 impl std::error::Error for MmuError {}
 
+/// Marks an unmapped virtual page in [`PageTable`]'s frame vector. No
+/// frame has this number: frame numbers are byte addresses shifted right
+/// by [`PAGE_SHIFT`].
+const UNMAPPED: u64 = u64::MAX;
+
 /// A 4 KiB-page MMU with a randomized physical frame allocator.
 #[derive(Debug)]
 pub struct PageTable {
-    vpn_to_pfn: HashMap<u64, u64>,
+    /// `pfns[vpn]` is the frame backing virtual page `vpn`, or
+    /// [`UNMAPPED`]. Its length is the next virtual page to hand out;
+    /// page 0 stays unmapped so that null-ish addresses fault.
+    pfns: Vec<u64>,
     /// Physical frames not currently mapped, pre-shuffled at construction
     /// so that every "process restart" (new `PageTable`) sees a different
     /// virtual→physical layout.
     free_frames: Vec<u64>,
-    next_vpn: u64,
     total_frames: u64,
 }
 
@@ -62,10 +67,8 @@ impl PageTable {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         free_frames.shuffle(&mut rng);
         Self {
-            vpn_to_pfn: HashMap::new(),
+            pfns: vec![UNMAPPED],
             free_frames,
-            // Leave VA 0 unmapped so null-ish addresses fault.
-            next_vpn: 1,
             total_frames,
         }
     }
@@ -77,37 +80,30 @@ impl PageTable {
         if (self.free_frames.len() as u64) < pages {
             return Err(MmuError::OutOfMemory);
         }
-        let base_vpn = self.next_vpn;
-        for i in 0..pages {
-            let pfn = self.free_frames.pop().expect("checked above");
-            self.vpn_to_pfn.insert(base_vpn + i, pfn);
-        }
-        self.next_vpn += pages;
+        let base_vpn = self.pfns.len() as u64;
+        // Pages take frames from the end of the shuffled free list, the
+        // last frame first.
+        let keep = self.free_frames.len() - pages as usize;
+        self.pfns.extend(self.free_frames.drain(keep..).rev());
         Ok(VirtAddr(base_vpn << PAGE_SHIFT))
     }
 
-    /// Maps a specific physical frame at a specific virtual page — the
-    /// shadow-page-table write path (Fig. 12a ❸). The frame is *not* taken
-    /// from the free list; the caller (the coloring driver pool) owns it.
-    pub fn map_at(&mut self, va: VirtAddr, pa: PhysAddr) -> Result<(), MmuError> {
-        let vpn = va.vpn();
-        if self.vpn_to_pfn.contains_key(&vpn) {
-            return Err(MmuError::AlreadyMapped(va));
-        }
-        self.vpn_to_pfn.insert(vpn, pa.pfn());
-        self.next_vpn = self.next_vpn.max(vpn + 1);
-        Ok(())
+    /// The frame backing virtual page `vpn`, if it is mapped.
+    fn pfn(&self, vpn: u64) -> Option<u64> {
+        let pfn = *self.pfns.get(vpn as usize)?;
+        (pfn != UNMAPPED).then_some(pfn)
     }
 
     /// Unmaps `bytes` starting at `va`, returning frames to the free list.
+    /// All or nothing: if any page of the range is unmapped, nothing is
+    /// freed and the error names the first such page.
     pub fn free(&mut self, va: VirtAddr, bytes: u64) -> Result<(), MmuError> {
-        let pages = bytes.div_ceil(PAGE_BYTES).max(1);
-        for i in 0..pages {
-            let vpn = va.vpn() + i;
-            let pfn = self
-                .vpn_to_pfn
-                .remove(&vpn)
-                .ok_or(MmuError::Unmapped(VirtAddr(vpn << PAGE_SHIFT)))?;
+        let pages = va.vpn()..va.vpn() + bytes.div_ceil(PAGE_BYTES).max(1);
+        if let Some(vpn) = pages.clone().find(|&vpn| self.pfn(vpn).is_none()) {
+            return Err(MmuError::Unmapped(VirtAddr(vpn << PAGE_SHIFT)));
+        }
+        for vpn in pages {
+            let pfn = std::mem::replace(&mut self.pfns[vpn as usize], UNMAPPED);
             self.free_frames.push(pfn);
         }
         Ok(())
@@ -115,10 +111,7 @@ impl PageTable {
 
     /// Page walk: virtual → physical.
     pub fn translate(&self, va: VirtAddr) -> Result<PhysAddr, MmuError> {
-        let pfn = self
-            .vpn_to_pfn
-            .get(&va.vpn())
-            .ok_or(MmuError::Unmapped(va))?;
+        let pfn = self.pfn(va.vpn()).ok_or(MmuError::Unmapped(va))?;
         Ok(PhysAddr((pfn << PAGE_SHIFT) | va.page_offset()))
     }
 
@@ -212,16 +205,20 @@ mod tests {
         assert!(pt.alloc(16 * PAGE_BYTES).is_err());
     }
 
+    /// A free that reaches an unmapped page changes nothing: no frame
+    /// returns to the free list, so none can be handed out twice.
     #[test]
-    fn map_at_conflicts_are_detected() {
+    fn failed_free_changes_nothing() {
         let mut pt = PageTable::new(1 << 20, 5);
-        let va = VirtAddr(0x40_0000);
-        pt.map_at(va, PhysAddr(0x1000)).unwrap();
+        let va = pt.alloc(2 * PAGE_BYTES).unwrap();
+        let mapped = pt.parse_entries(va, 2 * PAGE_BYTES).unwrap();
+        let free = pt.free_frames();
         assert_eq!(
-            pt.map_at(va, PhysAddr(0x2000)),
-            Err(MmuError::AlreadyMapped(va))
+            pt.free(va, 3 * PAGE_BYTES),
+            Err(MmuError::Unmapped(va.offset(2 * PAGE_BYTES)))
         );
-        assert_eq!(pt.translate(va).unwrap(), PhysAddr(0x1000));
+        assert_eq!(pt.free_frames(), free);
+        assert_eq!(pt.parse_entries(va, 2 * PAGE_BYTES).unwrap(), mapped);
     }
 
     #[test]

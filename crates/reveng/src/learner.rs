@@ -15,7 +15,9 @@
 //!   is the DNN analogue of a Fourier positional encoding — it assumes
 //!   periodicity, not any specific hash structure. It trains until its
 //!   predictions on the training samples stop settling, not for a fixed
-//!   number of epochs.
+//!   number of epochs. Its predictions repeat with the least common
+//!   multiple of the grid's moduli, so a lookup table of any size costs
+//!   one period of forward passes.
 //! * [`PeriodLearner`] — an ablation: detect the layout period by label
 //!   consistency and majority-vote per residue. Simpler, but *does* assume
 //!   strict periodicity.
@@ -66,6 +68,20 @@ impl FeatureMap {
 
     pub fn dim(&self) -> usize {
         self.dim
+    }
+
+    /// The least common multiple of the moduli (4,608 = 2⁹·3² for the
+    /// 576 grid). Partitions congruent modulo it have the same residues,
+    /// hence the same features and the same prediction.
+    fn period(&self) -> u64 {
+        fn gcd(a: u64, b: u64) -> u64 {
+            if b == 0 {
+                a
+            } else {
+                gcd(b, a % b)
+            }
+        }
+        self.moduli.iter().fold(1, |l, &m| l / gcd(l, m) * m)
     }
 
     /// Indices of the active (non-zero) features for a partition index:
@@ -167,12 +183,20 @@ impl MlpHashLearner {
 
         let scale1 = (2.0 / dim as f32).sqrt();
         let scale2 = (2.0 / HIDDEN as f32).sqrt();
+        // While training, row `f` of `w1` sits next to its momentum row:
+        // `w1v[f * 2 * HIDDEN..]` holds the weights, then the velocities.
+        // The weights are drawn in `w1`'s row-major order, and `w1` takes
+        // the buffer, compacted, once training ends.
+        let mut w1v = vec![0.0f32; dim * 2 * HIDDEN];
+        for row in w1v.chunks_exact_mut(2 * HIDDEN) {
+            for w in &mut row[..HIDDEN] {
+                *w = rng.gen_range(-scale1..scale1);
+            }
+        }
         let mut model = Self {
             feat,
             classes,
-            w1: (0..dim * HIDDEN)
-                .map(|_| rng.gen_range(-scale1..scale1))
-                .collect(),
+            w1: Vec::new(),
             b1: vec![0.0; HIDDEN],
             w2: (0..HIDDEN * classes)
                 .map(|_| rng.gen_range(-scale2..scale2))
@@ -181,7 +205,6 @@ impl MlpHashLearner {
             skip: vec![0.0; dim * classes],
             epochs: 0,
         };
-        let mut vel_w1 = vec![0.0f32; model.w1.len()];
         let mut vel_b1 = vec![0.0f32; HIDDEN];
         let mut vel_w2 = vec![0.0f32; model.w2.len()];
         let mut vel_b2 = vec![0.0f32; classes];
@@ -189,11 +212,13 @@ impl MlpHashLearner {
 
         let mut order: Vec<usize> = (0..samples.len()).collect();
         let mut active = Vec::with_capacity(64);
-        let mut h_pre = vec![0.0f32; HIDDEN];
-        let mut h_act = vec![0.0f32; HIDDEN];
+        let mut h_pre = [0.0f32; HIDDEN];
+        // The hidden units the ReLU passes (`h_pre > 0`), in increasing
+        // order: `on[..n_on]`.
+        let mut on = [0usize; HIDDEN];
         let mut logits = vec![0.0f32; classes];
         let mut dlogits = vec![0.0f32; classes];
-        let mut dhidden = vec![0.0f32; HIDDEN];
+        let mut dhidden = [0.0f32; HIDDEN];
         // Each sample's prediction in the previous epoch, and how many of
         // them changed in the previous epoch (its churn).
         let mut predicted = vec![u16::MAX; samples.len()];
@@ -205,12 +230,10 @@ impl MlpHashLearner {
             // epoch suppresses rarely-reinforced noise fits while the
             // per-residue majority signal is re-learned immediately.
             let k = 1.0 - WEIGHT_DECAY;
-            for w in model
-                .w1
-                .iter_mut()
-                .chain(model.w2.iter_mut())
-                .chain(model.skip.iter_mut())
-            {
+            let w1 = w1v
+                .chunks_exact_mut(2 * HIDDEN)
+                .flat_map(|r| &mut r[..HIDDEN]);
+            for w in w1.chain(model.w2.iter_mut()).chain(model.skip.iter_mut()) {
                 *w *= k;
             }
             order.shuffle(&mut rng);
@@ -226,21 +249,24 @@ impl MlpHashLearner {
                     // Forward.
                     h_pre.copy_from_slice(&model.b1);
                     for &f in &active {
-                        let row = &model.w1[f * HIDDEN..(f + 1) * HIDDEN];
+                        let row = &w1v[f * 2 * HIDDEN..][..HIDDEN];
                         for (h, &w) in h_pre.iter_mut().zip(row) {
                             *h += w;
                         }
                     }
-                    for (a, &p) in h_act.iter_mut().zip(&h_pre) {
-                        *a = p.max(0.0);
+                    // ReLU: the output layer sees only the units it passes,
+                    // each with activation `h_pre[h]`.
+                    let mut n_on = 0;
+                    for (h, &p) in h_pre.iter().enumerate() {
+                        on[n_on] = h;
+                        n_on += (p > 0.0) as usize;
                     }
                     logits.copy_from_slice(&model.b2);
-                    for (h, &a) in h_act.iter().enumerate() {
-                        if a > 0.0 {
-                            let row = &model.w2[h * classes..(h + 1) * classes];
-                            for (l, &w) in logits.iter_mut().zip(row) {
-                                *l += a * w;
-                            }
+                    for &h in &on[..n_on] {
+                        let a = h_pre[h];
+                        let row = &model.w2[h * classes..(h + 1) * classes];
+                        for (l, &w) in logits.iter_mut().zip(row) {
+                            *l += a * w;
                         }
                     }
                     for &f in &active {
@@ -262,22 +288,21 @@ impl MlpHashLearner {
                         *d /= sum;
                     }
                     dlogits[s.label as usize] -= 1.0;
-                    // Backward: output layer.
-                    for h in 0..HIDDEN {
-                        let a = h_act[h];
-                        let row = &model.w2[h * classes..(h + 1) * classes];
+                    // Backward: output layer. A unit the ReLU stopped gets
+                    // no gradient and its `w2` row no update.
+                    dhidden.fill(0.0);
+                    for &h in &on[..n_on] {
+                        let a = h_pre[h];
+                        let row = &mut model.w2[h * classes..(h + 1) * classes];
                         let mut g = 0.0;
                         for (w, &d) in row.iter().zip(&dlogits) {
                             g += w * d;
                         }
-                        dhidden[h] = if h_pre[h] > 0.0 { g } else { 0.0 };
-                        if a > 0.0 {
-                            let vrow = &mut vel_w2[h * classes..(h + 1) * classes];
-                            let wrow = &mut model.w2[h * classes..(h + 1) * classes];
-                            for ((v, w), &d) in vrow.iter_mut().zip(wrow).zip(&dlogits) {
-                                *v = momentum * *v - lr * a * d;
-                                *w += *v;
-                            }
+                        dhidden[h] = g;
+                        let vrow = &mut vel_w2[h * classes..(h + 1) * classes];
+                        for ((v, w), &d) in vrow.iter_mut().zip(row).zip(&dlogits) {
+                            *v = momentum * *v - lr * a * d;
+                            *w += *v;
                         }
                     }
                     for ((v, b), &d) in vel_b2.iter_mut().zip(&mut model.b2).zip(&dlogits) {
@@ -293,8 +318,8 @@ impl MlpHashLearner {
                     }
                     // Backward: hidden layer (sparse inputs).
                     for &f in &active {
-                        let vrow = &mut vel_w1[f * HIDDEN..(f + 1) * HIDDEN];
-                        let wrow = &mut model.w1[f * HIDDEN..(f + 1) * HIDDEN];
+                        let row = &mut w1v[f * 2 * HIDDEN..(f + 1) * 2 * HIDDEN];
+                        let (wrow, vrow) = row.split_at_mut(HIDDEN);
                         for ((v, w), &d) in vrow.iter_mut().zip(wrow).zip(&dhidden) {
                             *v = momentum * *v - lr * d;
                             *w += *v;
@@ -321,6 +346,13 @@ impl MlpHashLearner {
             }
             last_churn = churn;
         }
+        // Drop the velocities: row `f`'s weights move down to `f * HIDDEN`.
+        for f in 0..dim {
+            w1v.copy_within(f * 2 * HIDDEN..f * 2 * HIDDEN + HIDDEN, f * HIDDEN);
+        }
+        w1v.truncate(dim * HIDDEN);
+        w1v.shrink_to_fit();
+        model.w1 = w1v;
         model
     }
 
@@ -387,11 +419,19 @@ impl MlpHashLearner {
 
     /// The §5.3 lookup table: predicted channel of every partition in
     /// `0..n_partitions` (1 KiB granularity across the VRAM space).
+    /// Predictions repeat with the feature map's period, so only the
+    /// first period is predicted and the rest of the table tiles it: a
+    /// whole 24 GiB card costs 4,608 forward passes.
     pub fn lookup_table(&self, n_partitions: u64) -> Vec<u16> {
+        let n = n_partitions as usize;
+        let period = self.feat.period().min(n_partitions);
         let mut buf = self.forward();
-        (0..n_partitions)
-            .map(|p| self.predict_with(p, &mut buf))
-            .collect()
+        let mut table = Vec::with_capacity(n);
+        table.extend((0..period).map(|p| self.predict_with(p, &mut buf)));
+        while table.len() < n {
+            table.extend_from_within(..(n - table.len()).min(period as usize));
+        }
+        table
     }
 
     pub fn num_classes(&self) -> usize {
@@ -549,6 +589,7 @@ mod tests {
         assert!(f.moduli.contains(&576));
         assert!(f.moduli.contains(&9));
         assert!(f.moduli.contains(&64));
+        assert_eq!(f.period(), 512 * 9);
     }
 
     /// (noise, sample seed, span, held-out count, held-out seed, learner
@@ -638,9 +679,11 @@ mod tests {
                 ..Default::default()
             },
         );
-        let lut = model.lookup_table(512);
-        for p in 0..512u64 {
-            assert_eq!(lut[p as usize], model.predict(p));
+        let n = 2 * model.feat.period() + 17;
+        let lut = model.lookup_table(n);
+        assert_eq!(lut.len() as u64, n);
+        for p in 0..n {
+            assert_eq!(lut[p as usize], model.predict(p), "partition {p}");
         }
     }
 

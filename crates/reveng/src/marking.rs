@@ -153,6 +153,8 @@ pub struct ChannelMarker<'d> {
     /// Class of the previously classified candidate (patterns have spatial
     /// locality, so trying it first saves probes).
     last_class: ClassId,
+    /// The eviction probe's chase window, reused by every probe.
+    window: Vec<VirtAddr>,
 }
 
 impl<'d> ChannelMarker<'d> {
@@ -190,6 +192,7 @@ impl<'d> ChannelMarker<'d> {
             sets_per_slice,
             bin_depth,
             last_class: 0,
+            window: Vec::new(),
         })
     }
 
@@ -334,7 +337,9 @@ impl<'d> ChannelMarker<'d> {
         bin: usize,
         depth: usize,
     ) -> Result<bool, MmuError> {
-        let lines: Vec<VirtAddr> = self.pools[class as usize].bins[bin]
+        self.window.clear();
+        self.window.push(cand_va);
+        let lines = self.pools[class as usize].bins[bin]
             .iter()
             .filter(|e| e.partition != cand_partition)
             .take(depth)
@@ -343,12 +348,9 @@ impl<'d> ChannelMarker<'d> {
                     cand_partition,
                     e.partition,
                 ))
-            })
-            .collect();
-        let mut window = Vec::with_capacity(lines.len() + 1);
-        window.push(cand_va);
-        window.extend(lines);
-        is_cacheline_evicted(self.dev, &self.th, &window, window.len() - 1)
+            });
+        self.window.extend(lines);
+        is_cacheline_evicted(self.dev, &self.th, &self.window, self.window.len() - 1)
     }
 
     fn evicts(
@@ -377,18 +379,20 @@ impl<'d> ChannelMarker<'d> {
     /// no existing pool claims it.
     pub fn classify(&mut self, index: usize) -> Result<ClassId, MarkError> {
         let (pa, va) = self.partitions[index];
-        // Locality: try the previous class first.
-        let mut order: Vec<ClassId> = (0..self.pools.len() as ClassId).collect();
-        if let Some(pos) = order.iter().position(|&c| c == self.last_class) {
-            order.swap(0, pos);
-        }
+        // Locality: try the previous class first, in class 0's place.
+        let last = self.last_class;
+        let swapped = |c: ClassId| match c {
+            0 => last,
+            c if c == last => 0,
+            c => c,
+        };
         // Vote at the working depth first. When no pool claims the
         // partition, vote once more with every line of each pool's bin
         // before opening a class: false-positive foreign lines among a
         // bin's first `bin_depth` can leave fewer than `l2_ways` true
         // lines, and then the miss is systematic, not noise.
         for depth in [self.bin_depth, usize::MAX] {
-            for &class in &order {
+            for class in (0..self.pools.len() as ClassId).map(swapped) {
                 if self.evicts(class, pa, va, depth)? {
                     self.last_class = class;
                     return Ok(class);

@@ -9,7 +9,10 @@
 //! past a per-lane backlog of 6), an elastic config (0–2 warm lanes of
 //! either GPU; the policy, floor, cooldown and replacement drawn from
 //! knob bits), a random tier map, adaptive `Ch_BE`, streaming mode, and
-//! the flight recorder at a ring of 16, 256 or 4096 events. Five
+//! the flight recorder at a ring of 16, 256 or 4096 events. Runs last
+//! 25 ms in debug builds; release runs last 60 ms, except one draw in
+//! eight, which runs 0.4 s: past `REQUEST_DEADLINE_US` (250 ms), the age
+//! at which a queued admission expires and a retry is dropped. Five
 //! properties hold on every draw:
 //!
 //! * **recycled == fresh** — a run on a [`ClusterCtx`] dirtied by a
@@ -75,6 +78,8 @@ struct Draw {
     /// Ring capacity whenever the recorder runs.
     ring: usize,
     recorder: bool,
+    /// Whether a release run lasts 0.4 s instead of 60 ms.
+    long: bool,
 }
 
 impl Draw {
@@ -99,10 +104,10 @@ impl Draw {
             (0u64..1_000_000, 0.5f64..3.0, 0u32..6),
             (0usize..3, 0u64..4, 0u64..8192),
             0u64..u64::MAX,
-            (0u64..256, 0usize..3),
+            (0u64..256, 0usize..3, 0u8..8),
         )
             .sample(rng);
-        let (on, ring) = layers;
+        let (on, ring, horizon) = layers;
         let (warm, warm_mask, elastic_bits) = elastic;
         Draw {
             gpus: gpus(lanes, mask),
@@ -117,13 +122,18 @@ impl Draw {
             streaming: on & 64 != 0,
             ring: RING_CAPS[ring],
             recorder: on & 128 != 0,
+            long: horizon == 0,
         }
     }
 
     fn config(&self) -> ClusterConfig {
         let n = self.gpus.len();
         let mut cfg = ClusterConfig::new(self.gpus.clone(), self.system);
-        cfg.horizon_us = if cfg!(debug_assertions) { 2.5e4 } else { 6e4 };
+        cfg.horizon_us = match (cfg!(debug_assertions), self.long) {
+            (true, _) => 2.5e4,
+            (false, false) => 6e4,
+            (false, true) => 4e5,
+        };
         cfg.trace = TraceConfig::apollo_like().scaled(self.scale);
         cfg.seed = self.seed;
         cfg.controller.period_us = 1.2e4;

@@ -61,9 +61,11 @@ fn unit_f64(bits: u64) -> f64 {
 macro_rules! impl_sample_int {
     ($($t:ty),*) => {$(
         impl SampleUniform for $t {
+            // A half-open range of a type of at most 64 bits spans at
+            // most `u64::MAX` values, so the reduction stays in `u64`.
             fn sample(rng: &mut dyn RngCore, range: Range<Self>) -> Self {
-                let span = (range.end as i128 - range.start as i128) as u128;
-                let v = (rng.next_u64() as u128) % span;
+                let span = (range.end as i128 - range.start as i128) as u64;
+                let v = rng.next_u64() % span;
                 (range.start as i128 + v as i128) as $t
             }
         }
@@ -173,6 +175,30 @@ mod tests {
             let f = a.gen_range(-2.0..3.0);
             assert_eq!(f, b.gen_range(-2.0..3.0));
             assert!((-2.0..3.0).contains(&f));
+        }
+    }
+
+    /// Integer draws equal the `u128` reduction `start + next_u64() %
+    /// (end - start)`, from the one-value span to the widest spans.
+    #[test]
+    fn integer_draws_equal_the_u128_reduction() {
+        use super::RngCore;
+        fn reduced(bits: u64, start: i128, end: i128) -> i128 {
+            start + (bits as u128 % (end - start) as u128) as i128
+        }
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut raw = rng.clone();
+        let mut check = |v: i128, start: i128, end: i128| {
+            assert_eq!(v, reduced(raw.next_u64(), start, end), "{start}..{end}");
+        };
+        for _ in 0..1000 {
+            check(rng.gen_range(0u64..1) as i128, 0, 1);
+            check(rng.gen_range(3u8..17) as i128, 3, 17);
+            check(rng.gen_range(-5i32..6) as i128, -5, 6);
+            check(rng.gen_range(0usize..6) as i128, 0, 6);
+            check(rng.gen_range(0..u64::MAX) as i128, 0, u64::MAX as i128);
+            let (min, max) = (i64::MIN, i64::MAX);
+            check(rng.gen_range(min..max) as i128, min as i128, max as i128);
         }
     }
 
